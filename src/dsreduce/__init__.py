@@ -1,14 +1,14 @@
 """Dominating Set reduction toolkit.
 
 Find/apply reduction rounds built on neighborhood classification, a
-quadratic baseline sweep, exact and direct reference oracles for tests,
-seeded greedy solving, instance generators and simple text formats.
+quadratic baseline sweep, seeded greedy solving, instance generators and
+simple text formats.  The exact and direct reference oracles for tests
+live in ``dsreduce.oracle``, which nothing here imports.
 """
 
-from .graph import Graph, VertexSet, load_check
+from .graph import AnnotatedInstance, Graph, VertexSet, load_check
 from .graphio import FormatError, read_graph, write_gr
 from .greedy import TieBreaker, greedy, greedy_best_of
-from .oracle import AnnotatedInstance, exact_annotated_gamma
 from .pipeline import RelationSet, WorkCounter, suitable_set
 from .reducer import (
     ReductionReport,
@@ -34,7 +34,6 @@ __all__ = [
     "VertexSet",
     "WorkCounter",
     "compact",
-    "exact_annotated_gamma",
     "export_residual",
     "greedy",
     "greedy_best_of",

@@ -23,9 +23,11 @@ from .generators import (
     path,
     star,
 )
-from .graph import Graph
+from .graph import AnnotatedInstance, first_undominated
 from .graphio import (
+    REPORT_FIELDS,
     FormatError,
+    id_base,
     read_graph,
     read_sidecar,
     write_gr,
@@ -33,7 +35,6 @@ from .graphio import (
     write_sidecar,
 )
 from .greedy import default_seed_list, greedy_best_of
-from .oracle import AnnotatedInstance
 from .reducer import (
     Variant,
     export_residual,
@@ -44,6 +45,19 @@ from .reducer import (
 from .state import ReductionState
 
 RULES = ["naive", "linear", "plus", "extra"]
+
+# gen family -> (flags it requires, builder from the parsed arguments)
+GEN_FAMILIES = {
+    "gnp": (("n", "p"), lambda a: gnp(a.n, a.p, a.seed)),
+    "complete": (("n",), lambda a: complete(a.n)),
+    "path": (("n",), lambda a: path(a.n)),
+    "cycle": (("n",), lambda a: cycle(a.n)),
+    "star": (("n",), lambda a: star(a.n)),
+    "fig4": (("k",), lambda a: fig4_family(a.k)),
+    "fig5": ((), lambda a: gadget_path("fig5", a.copies)),
+    "fig6": ((), lambda a: gadget_path("fig6", a.copies)),
+    "barbell": ((), lambda a: barbell_cycle()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,10 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--iterate", action="store_true")
 
     ge = sub.add_parser("gen", help="write a generated instance")
-    ge.add_argument(
-        "family",
-        choices=["gnp", "complete", "path", "cycle", "star", "fig4", "fig5", "fig6", "barbell"],
-    )
+    ge.add_argument("family", choices=list(GEN_FAMILIES))
     ge.add_argument("--n", type=int)
     ge.add_argument("--p", type=float)
     ge.add_argument("--k", type=int)
@@ -117,34 +128,74 @@ def main(argv=None) -> int:
         return 3
 
 
+def _report_row(path: str, rule: str, **columns) -> dict:
+    """One report CSV row; counts and times not given are 0."""
+    row = dict.fromkeys(REPORT_FIELDS, 0)
+    row.update(instance=os.path.basename(path), variant=rule, **columns)
+    return row
+
+
+def _reduce_file(
+    path: str, rule: str, *, iterate=False, max_rounds=None, fix_isolated=False
+):
+    """Read, reduce and export one instance file.
+
+    Returns the input graph, its id base, the final state, the compacted
+    residual and the report row.
+    """
+    t0 = time.perf_counter()
+    g, base = read_graph(path)
+    time_build = time.perf_counter() - t0
+
+    state = ReductionState(g)
+    variant = Variant(rule)
+    t1 = time.perf_counter()
+    if iterate:
+        rep = reduce_iterate(g, state, variant, max_rounds or 1024)
+    else:
+        rep = reduce_once(g, state, variant)
+    if fix_isolated:
+        fix_isolated_uncovered(g, state)
+    comp, strips, dropped = export_residual(g, state)
+    time_reduce = time.perf_counter() - t1
+
+    row = _report_row(
+        path,
+        rule,
+        n=g.n,
+        m=g.m,
+        rounds=rep.rounds,
+        fixed=len(state.fixed),
+        removed_nodes=len(rep.removed_nodes) + len(dropped),
+        removed_edges=rep.removed_edges + strips,
+        time_build_ms=round(time_build * 1000, 3),
+        time_reduce_ms=round(time_reduce * 1000, 3),
+    )
+    return g, base, state, comp, row
+
+
+def _write_instance(g, path: str) -> None:
+    """Write ``g`` in the id base its file extension calls for."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_gr(g, fh, base=id_base(path))
+
+
 def _cmd_reduce(args, parser) -> int:
     if args.iterate and args.rule in ("naive", "linear"):
         parser.error("--iterate requires --rule plus or extra")
     if args.max_rounds is not None and not args.iterate:
         parser.error("--max-rounds only makes sense with --iterate")
 
-    t0 = time.perf_counter()
-    g, base = read_graph(args.instance)
-    time_build = time.perf_counter() - t0
-
-    state = ReductionState(g)
-    variant = Variant(args.rule)
-    t1 = time.perf_counter()
-    if args.iterate:
-        rep = reduce_iterate(g, state, variant, args.max_rounds or 1024)
-    else:
-        rep = reduce_once(g, state, variant)
-    if args.fix_isolated:
-        fix_isolated_uncovered(g, state)
-    comp, strips, dropped = export_residual(g, state)
-    time_reduce = time.perf_counter() - t1
-
-    removed_nodes = len(rep.removed_nodes) + len(dropped)
-    removed_edges = rep.removed_edges + strips
-
+    g, base, state, comp, row = _reduce_file(
+        args.instance,
+        args.rule,
+        iterate=args.iterate,
+        max_rounds=args.max_rounds,
+        fix_isolated=args.fix_isolated,
+    )
+    res_base = id_base(args.out) if args.out else 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_gr(comp.graph, fh)
+        _write_instance(comp.graph, args.out)
     if args.sidecar:
         res_n = comp.graph.n
         with open(args.sidecar, "w", encoding="utf-8") as fh:
@@ -154,27 +205,15 @@ def _cmd_reduce(args, parser) -> int:
                 covered=[
                     comp.new_to_old[i] + base for i in range(res_n) if comp.covered[i]
                 ],
-                mapping=[(i + 1, comp.new_to_old[i] + base) for i in range(res_n)],
+                mapping=[(i + res_base, comp.new_to_old[i] + base) for i in range(res_n)],
             )
     if args.report:
-        row = {
-            "instance": os.path.basename(args.instance),
-            "n": g.n,
-            "m": g.m,
-            "variant": args.rule,
-            "rounds": rep.rounds,
-            "fixed": len(state.fixed),
-            "removed_nodes": removed_nodes,
-            "removed_edges": removed_edges,
-            "time_build_ms": round(time_build * 1000, 3),
-            "time_reduce_ms": round(time_reduce * 1000, 3),
-        }
         with open(args.report, "w", encoding="utf-8", newline="") as fh:
             write_report_csv([row], fh)
 
     print(
-        f"fixed={len(state.fixed)} removed_nodes={removed_nodes} "
-        f"removed_edges={removed_edges} rounds={rep.rounds} "
+        f"fixed={row['fixed']} removed_nodes={row['removed_nodes']} "
+        f"removed_edges={row['removed_edges']} rounds={row['rounds']} "
         f"residual_n={comp.graph.n} residual_m={comp.graph.m}"
     )
     return 0
@@ -200,13 +239,8 @@ def _cmd_greedy(args, parser) -> int:
     best = greedy_best_of(inst, default_seed_list(args.seed, args.runs))
     solution = sorted(set(state.fixed) | {comp.new_to_old[v] for v in best})
 
-    dominated = bytearray(g.n)
-    for v in solution:
-        dominated[v] = 1
-        for w in g.adj[v]:
-            dominated[w] = 1
-    if not all(dominated):
-        bad = dominated.index(0)
+    bad = first_undominated(g, solution)
+    if bad >= 0:
         print(f"INVALID: vertex {bad + base} not dominated", file=sys.stderr)
         return 1
     print(f"size={len(solution)} fixed={len(state.fixed)} greedy={len(best)}")
@@ -214,87 +248,25 @@ def _cmd_greedy(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
-    fam = args.family
+    needs, build = GEN_FAMILIES[args.family]
+    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
+    if missing:
+        parser.error(f"{args.family} needs {' and '.join(missing)}")
     try:
-        if fam == "gnp":
-            if args.n is None or args.p is None:
-                parser.error("gnp needs --n and --p")
-            g = gnp(args.n, args.p, args.seed)
-        elif fam == "complete":
-            if args.n is None:
-                parser.error("complete needs --n")
-            g = complete(args.n)
-        elif fam == "path":
-            if args.n is None:
-                parser.error("path needs --n")
-            g = path(args.n)
-        elif fam == "cycle":
-            if args.n is None:
-                parser.error("cycle needs --n")
-            g = cycle(args.n)
-        elif fam == "star":
-            if args.n is None:
-                parser.error("star needs --n (leaf count)")
-            g = star(args.n)
-        elif fam == "fig4":
-            if args.k is None:
-                parser.error("fig4 needs --k")
-            g = fig4_family(args.k)
-        elif fam in ("fig5", "fig6"):
-            g = gadget_path(fam, args.copies)
-        else:
-            g = barbell_cycle()
+        g = build(args)
     except ValueError as exc:
         parser.error(str(exc))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        write_gr(g, fh)
+    _write_instance(g, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.m}")
     return 0
 
 
 def _bench_child(path: str, rule: str, conn) -> None:
     try:
-        t0 = time.perf_counter()
-        g, _base = read_graph(path)
-        time_build = time.perf_counter() - t0
-        state = ReductionState(g)
-        t1 = time.perf_counter()
-        rep = reduce_once(g, state, Variant(rule))
-        _comp, strips, dropped = export_residual(g, state)
-        time_reduce = time.perf_counter() - t1
-        conn.send(
-            {
-                "status": "ok",
-                "n": g.n,
-                "m": g.m,
-                "rounds": rep.rounds,
-                "fixed": len(state.fixed),
-                "removed_nodes": len(rep.removed_nodes) + len(dropped),
-                "removed_edges": rep.removed_edges + strips,
-                "tb": time_build * 1000,
-                "tr": time_reduce * 1000,
-            }
-        )
-    except Exception as exc:  # noqa: BLE001 - report anything to the parent
-        try:
-            conn.send({"status": "error", "err": str(exc)})
-        except OSError:
-            pass
-
-
-def _special_row(fname: str, rule: str, tag: str) -> dict:
-    return {
-        "instance": fname,
-        "n": 0,
-        "m": 0,
-        "variant": rule,
-        "rounds": 0,
-        "fixed": 0,
-        "removed_nodes": 0,
-        "removed_edges": 0,
-        "time_build_ms": 0,
-        "time_reduce_ms": tag,
-    }
+        row = _reduce_file(path, rule)[-1]
+    except Exception:  # noqa: BLE001 - any failure becomes the task's error row
+        row = _report_row(path, rule, time_reduce_ms="error")
+    conn.send(row)
 
 
 def _cmd_bench(args, parser) -> int:
@@ -335,32 +307,17 @@ def _cmd_bench(args, parser) -> int:
             idx, fname, rule, proc, conn, deadline = item
             if conn.poll(0.005):
                 try:
-                    msg = conn.recv()
+                    results[idx] = conn.recv()
                 except EOFError:
-                    msg = {"status": "error", "err": "worker died"}
+                    results[idx] = _report_row(fname, rule, time_reduce_ms="error")
                 proc.join()
-                if msg["status"] == "ok":
-                    results[idx] = {
-                        "instance": fname,
-                        "n": msg["n"],
-                        "m": msg["m"],
-                        "variant": rule,
-                        "rounds": msg["rounds"],
-                        "fixed": msg["fixed"],
-                        "removed_nodes": msg["removed_nodes"],
-                        "removed_edges": msg["removed_edges"],
-                        "time_build_ms": round(msg["tb"], 3),
-                        "time_reduce_ms": round(msg["tr"], 3),
-                    }
-                else:
-                    results[idx] = _special_row(fname, rule, "error")
             elif deadline is not None and time.monotonic() > deadline:
                 proc.terminate()
                 proc.join()
-                results[idx] = _special_row(fname, rule, "timeout")
+                results[idx] = _report_row(fname, rule, time_reduce_ms="timeout")
             elif not proc.is_alive():
                 proc.join()
-                results[idx] = _special_row(fname, rule, "error")
+                results[idx] = _report_row(fname, rule, time_reduce_ms="error")
             else:
                 still.append(item)
         running = still
@@ -384,13 +341,8 @@ def _cmd_verify(args) -> int:
             raise FormatError(f"solution id {v} outside the instance")
         chosen.add(iv)
 
-    dominated = bytearray(g.n)
-    for v in chosen:
-        dominated[v] = 1
-        for w in g.adj[v]:
-            dominated[w] = 1
-    if not all(dominated):
-        bad = dominated.index(0)
+    bad = first_undominated(g, chosen)
+    if bad >= 0:
         print(f"INVALID: vertex {bad + base} not dominated")
         return 1
     print(f"valid: {len(chosen)} vertices dominate all {g.n}")

@@ -1,4 +1,4 @@
-"""Static graph container and small vertex-set helpers.
+"""Static graph container, annotated instances and vertex-set helpers.
 
 Graphs are simple and undirected.  Vertices are the integers ``0..n-1``.
 Adjacency lists are sorted once at construction and never mutated; every
@@ -9,7 +9,8 @@ dynamic aspect of a reduction (deletions, covering, fixing) lives in
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class VertexSet:
@@ -120,24 +121,25 @@ def load_check(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj, len(seen))
 
 
-def closed_neighborhood(g: Graph, u: int) -> VertexSet:
-    out = VertexSet(g.n)
-    out.add(u)
-    for v in g.adj[u]:
-        out.add(v)
-    return out
+@dataclass
+class AnnotatedInstance:
+    """A graph plus a flag per vertex saying it is already dominated."""
+
+    graph: Graph
+    covered: bytearray
+
+    @classmethod
+    def fresh(cls, g: Graph) -> "AnnotatedInstance":
+        return cls(g, bytearray(g.n))
 
 
-class EpochMarks:
-    """Two reusable stamp arrays for epoch-style marking.
-
-    Storing the current epoch instead of a boolean lets each pass skip the
-    O(n) clear; callers bump the epoch (typically to the vertex driving the
-    pass) and compare stamps against it.
-    """
-
-    __slots__ = ("slot1", "slot2")
-
-    def __init__(self, n: int) -> None:
-        self.slot1 = [-1] * n
-        self.slot2 = [-1] * n
+def first_undominated(
+    g: Graph, picks: Iterable[int], covered: Optional[bytearray] = None
+) -> int:
+    """Lowest vertex neither covered nor in or next to ``picks``; -1 if none."""
+    dominated = bytearray(g.n) if covered is None else bytearray(covered)
+    for v in picks:
+        dominated[v] = 1
+        for w in g.adj[v]:
+            dominated[w] = 1
+    return dominated.find(0)

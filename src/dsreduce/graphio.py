@@ -1,9 +1,10 @@
 """Text formats: .gr instances, bare edge lists, sidecars, CSV reports.
 
 On disk .gr files use 1-based ids (header ``p ds <n> <m>``, one edge
-per line, ``c`` comments anywhere); bare edge lists are 0-based with n
-inferred.  All in-memory ids are 0-based; callers translate through the
-reader's id base when echoing ids back to users.
+per line, ``c`` comments anywhere); edge lists are 0-based, with n
+inferred unless the same header leads the file.  All in-memory ids are
+0-based; callers translate through the reader's id base when echoing
+ids back to users.
 """
 
 from __future__ import annotations
@@ -31,6 +32,20 @@ class FormatError(Exception):
     """Malformed input file; message carries the line number."""
 
 
+def _header(tok: list[str], lineno: int) -> tuple[int, int]:
+    """Vertex and edge counts of a ``p <kind> <n> <m>`` line."""
+    if len(tok) < 4:
+        raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
+    try:
+        n = int(tok[-2])
+        m = int(tok[-1])
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-numeric header counts") from None
+    if n < 0 or m < 0:
+        raise FormatError(f"line {lineno}: negative header counts")
+    return n, m
+
+
 def read_gr(stream: IO[str]) -> Graph:
     n = -1
     m = -1
@@ -42,15 +57,7 @@ def read_gr(stream: IO[str]) -> Graph:
         if tok[0] == "p":
             if n >= 0:
                 raise FormatError(f"line {lineno}: duplicate header")
-            if len(tok) < 4:
-                raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
-            try:
-                n = int(tok[-2])
-                m = int(tok[-1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: non-numeric header counts") from None
-            if n < 0 or m < 0:
-                raise FormatError(f"line {lineno}: negative header counts")
+            n, m = _header(tok, lineno)
             continue
         if n < 0:
             raise FormatError(f"line {lineno}: edge before header")
@@ -73,11 +80,19 @@ def read_gr(stream: IO[str]) -> Graph:
 
 
 def read_edge_list(stream: IO[str]) -> Graph:
+    """0-based edges; an optional leading ``p`` header fixes n and m."""
+    n = -1
+    m = -1
     edges: list[tuple[int, int]] = []
     top = -1
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
         if not tok or tok[0] == "c":
+            continue
+        if tok[0] == "p":
+            if n >= 0 or edges:
+                raise FormatError(f"line {lineno}: header must lead the file")
+            n, m = _header(tok, lineno)
             continue
         if len(tok) != 2:
             raise FormatError(f"line {lineno}: expected two endpoints")
@@ -87,24 +102,34 @@ def read_edge_list(stream: IO[str]) -> Graph:
             raise FormatError(f"line {lineno}: non-numeric endpoint") from None
         if u < 0 or v < 0:
             raise FormatError(f"line {lineno}: negative vertex id")
+        if n >= 0 and not (u < n and v < n):
+            raise FormatError(f"line {lineno}: vertex id outside 0..{n - 1}")
         top = max(top, u, v)
         edges.append((u, v))
-    return load_check(top + 1, edges)
+    if n < 0:
+        return load_check(top + 1, edges)
+    if len(edges) != m:
+        raise FormatError(f"header declares {m} edges, file holds {len(edges)}")
+    return load_check(n, edges)
+
+
+def id_base(path: str) -> int:
+    """Id base of an instance file: 0 for a .el edge list, else 1 (.gr)."""
+    return 0 if path.endswith(".el") else 1
 
 
 def read_graph(path: str) -> tuple[Graph, int]:
     """Load by extension; returns the graph and the file's id base."""
-    if path.endswith(".el"):
-        with open(path, encoding="utf-8") as fh:
-            return read_edge_list(fh), 0
+    base = id_base(path)
     with open(path, encoding="utf-8") as fh:
-        return read_gr(fh), 1
+        return (read_gr(fh) if base else read_edge_list(fh)), base
 
 
-def write_gr(g: Graph, stream: IO[str]) -> None:
+def write_gr(g: Graph, stream: IO[str], base: int = 1) -> None:
+    """Header and one edge per line; ``base=0`` gives the .el id space."""
     stream.write(f"p ds {g.n} {g.m}\n")
     for u, v in g.edges():
-        stream.write(f"{u + 1} {v + 1}\n")
+        stream.write(f"{u + base} {v + base}\n")
 
 
 def write_sidecar(
@@ -115,7 +140,7 @@ def write_sidecar(
     solution: Optional[Iterable[int]] = None,
 ) -> None:
     """Sections of ids in the input file's id space; map lines pair the
-    residual file's 1-based id with the input id it came from."""
+    residual file's id with the input id it came from."""
     stream.write("fixed:\n")
     for v in fixed:
         stream.write(f"{v}\n")

@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from heapq import heapify, heappop, heappush
 
-from .graph import VertexSet
-from .oracle import AnnotatedInstance
+from .graph import AnnotatedInstance, VertexSet
 
 
 class TieBreaker:
@@ -84,11 +83,3 @@ def greedy_best_of(inst: AnnotatedInstance, seeds: list[int]) -> VertexSet:
             best = got
     return best
 
-
-def covers_all_uncovered(inst: AnnotatedInstance, picked) -> bool:
-    dominated = bytearray(inst.covered)
-    for v in picked:
-        dominated[v] = 1
-        for w in inst.graph.adj[v]:
-            dominated[w] = 1
-    return all(dominated)

@@ -2,7 +2,7 @@
 
 Everything here favors being obviously correct over being fast: set
 arithmetic, full rescans, exponential search.  Production code paths
-must never import this module.
+must never import this module (``tests/test_layering.py`` checks that).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph
+from .graph import AnnotatedInstance, Graph
 from .pipeline import RelationSet, canonical_reference
 
 EXACT_LIMIT = 24
@@ -23,16 +23,6 @@ class TypePartition:
     n1: list[int]
     n2: list[int]
     n3: list[int]
-
-
-@dataclass
-class AnnotatedInstance:
-    graph: Graph
-    covered: bytearray
-
-    @classmethod
-    def fresh(cls, g: Graph) -> "AnnotatedInstance":
-        return cls(g, bytearray(g.n))
 
 
 def classify_types(g: Graph, covered: Optional[bytearray], rho: int) -> TypePartition:

@@ -16,7 +16,7 @@ visits as upper bounds; bulk adds keep the hot loops tight.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .graph import Graph
 
@@ -31,11 +31,6 @@ class WorkCounter:
 
     def add(self, k: int) -> None:
         self.visits += k
-
-
-class WitnessRelation(NamedTuple):
-    witness: int
-    reference: int
 
 
 class RelationSet:
@@ -105,19 +100,8 @@ def compute_superset(
     n = g.n
     adj = g.adj
     deg = g.deg
-    visits = 0
-
-    canref = [0] * n
-    for u in range(n):
-        best = u
-        bd = deg[u]
-        for v in adj[u]:
-            d = deg[v]
-            if d > bd or (d == bd and v > best):
-                best = v
-                bd = d
-        canref[u] = best
-        visits += deg[u] + 1
+    canref = [canonical_reference(g, u) for u in range(n)]
+    visits = 2 * g.m + n  # deg[u] + 1 summed over every u
 
     buckets: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):

@@ -293,9 +293,9 @@ def reduce_iterate(
 
     Only Plus and Extra profit from repetition, so anything else is
     rejected.  Rounds after the first classify covered-aware.  Between
-    acting rounds the doomed edges around committed vertices are
-    stripped (and only then counted) and isolated covered vertices are
-    dropped; the caller's state mirrors every event in original ids.
+    acting rounds ``export_residual`` strips the committed vertices (their
+    doomed edges are only then counted) and drops isolated covered
+    vertices; the caller's state mirrors every event in original ids.
     The terminating idle round is included in the round count.
     """
     if variant not in (Variant.PLUS, Variant.EXTRA):
@@ -342,31 +342,21 @@ def reduce_iterate(
             break
 
         t0 = time.perf_counter()
-        for rho in cur_state.fixed:
-            if not cur_state.alive[rho]:
-                continue
-            for w in list(cur_state.live_neighbors(rho)):
-                cur_state.delete_edge(rho, w)
-                state.delete_edge(cur_to_orig[rho], cur_to_orig[w])
-                removed_edges += 1
-        for v in range(cur_g.n):
-            if cur_state.alive[v] and cur_state.covered[v] and cur_state.live_degree[v] == 0:
-                cur_state.delete_node(v)
-                o = cur_to_orig[v]
-                state.delete_node(o)
-                if v not in cur_state.fixed:
-                    removed_all.append(o)
+        committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
+        comp, strips, dropped = export_residual(cur_g, cur_state)
+        removed_edges += strips
+        for rho in committed:
+            state.delete_node(cur_to_orig[rho])
+        for v in dropped:
+            state.delete_node(cur_to_orig[v])
+            removed_all.append(cur_to_orig[v])
+        t_apply += time.perf_counter() - t0
         if rounds >= max_rounds:
-            t_apply += time.perf_counter() - t0
             break
-        comp = compact(cur_g, cur_state)
         cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
         cur_g = comp.graph
         cur_state = ReductionState(cur_g)
         cur_state.covered[:] = comp.covered
-        for fx in comp.fixed:
-            cur_state.fixed.add(fx)
-        t_apply += time.perf_counter() - t0
 
     rep = ReductionReport(
         variant=variant.value,

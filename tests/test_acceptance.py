@@ -3,8 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 Two criteria contain a clause that is false of the algorithms themselves;
 those clauses are split out as strict xfail tests that print the measured
-counterexample instead of passing vacuously.  The decisions ledger kept
-next to the repository records the analysis behind both.
+counterexample instead of passing vacuously.  The acceptance paragraph
+of README.md records both counterexamples.
 """
 
 import contextlib
@@ -230,7 +230,8 @@ def test_criterion_04_variant_monotonicity():
     strict=True,
     reason="a naive sweep deletes as it scans, so later vertices can become "
     "enclosed mid-sweep and fire when no simultaneous round would; "
-    "gnp(10, 0.5, seed=2022) is a counterexample, see the decisions ledger",
+    "gnp(10, 0.5, seed=2022) is a counterexample, see the acceptance "
+    "paragraph of README.md",
 )
 def test_criterion_04_linear_fixes_at_least_as_many_as_naive():
     bad = []
@@ -372,7 +373,7 @@ def test_criterion_08_iteration_reaches_a_fixpoint():
     strict=True,
     reason="removing enclosed neighborhoods shrinks other neighborhoods, so "
     "one simultaneous round is not idempotent across compaction; "
-    "see the decisions ledger",
+    "see the acceptance paragraph of README.md",
 )
 def test_criterion_08_second_round_after_compaction_is_idle():
     hits = []

@@ -194,11 +194,28 @@ def test_bench_survives_corrupt_instance(tmp_path, capsys):
 
 
 def test_gen_edge_list_extension_roundtrip(tmp_path, capsys):
-    # .el output still goes through the gr writer; reading back with the
-    # dispatching reader keeps ids straight for verify
-    inst = str(tmp_path / "k4.gr")
+    # .el output is 0-based under a p header; reading it back with the
+    # dispatching reader keeps ids straight for reduce and verify
+    inst = str(tmp_path / "k4.el")
     run_ok(["gen", "complete", "--n", "4", "--out", inst], capsys)
+    with open(inst) as fh:
+        assert fh.read().startswith("p ds 4 6\n0 1\n")
     side = tmp_path / "sol.side"
-    side.write_text("solution:\n2\n")
+    side.write_text("solution:\n0\n")
     out = run_ok(["verify", inst, "--solution", str(side)], capsys)
-    assert "valid" in out
+    assert out.strip() == "valid: 1 vertices dominate all 4"
+
+    p4 = str(tmp_path / "p4.el")
+    run_ok(["gen", "path", "--n", "4", "--out", p4], capsys)
+    out = run_ok(["reduce", p4, "--rule", "linear"], capsys)
+    assert "fixed=2 removed_nodes=2" in out
+
+    # a .el residual is 0-based too, and the sidecar map follows it
+    p7 = str(tmp_path / "p7.el")
+    resid = tmp_path / "p7.residual.el"
+    side = tmp_path / "p7.side"
+    run_ok(["gen", "fig6", "--copies", "1", "--out", p7], capsys)
+    run_ok(["reduce", p7, "--rule", "linear", "--out", str(resid),
+            "--sidecar", str(side)], capsys)
+    assert resid.read_text() == "p ds 3 2\n0 1\n1 2\n"
+    assert side.read_text().endswith("map:\n0 2\n1 3\n2 4\n")

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import build, random_graphs
-from dsreduce.graph import EpochMarks, Graph, VertexSet, closed_neighborhood, load_check
+from dsreduce.graph import Graph, VertexSet, first_undominated, load_check
 from dsreduce.state import ReductionState, compact
 
 
@@ -44,15 +44,13 @@ def test_vertex_set_keeps_insertion_order():
     assert len(vs) == 2 and len(cp) == 3
 
 
-def test_closed_neighborhood():
-    g = build(4, [(0, 1), (1, 2)])
-    assert closed_neighborhood(g, 1).sorted() == [0, 1, 2]
-    assert closed_neighborhood(g, 3).sorted() == [3]
-
-
-def test_epoch_marks_shape():
-    em = EpochMarks(3)
-    assert em.slot1 == [-1, -1, -1] and em.slot2 == [-1, -1, -1]
+def test_first_undominated():
+    g = build(5, [(0, 1), (1, 2), (3, 4)])
+    assert first_undominated(g, []) == 0
+    assert first_undominated(g, [1]) == 3
+    assert first_undominated(g, [1, 4]) == -1
+    assert first_undominated(g, [1], bytearray([0, 0, 0, 1, 1])) == -1
+    assert first_undominated(g, [3], bytearray([1, 0, 1, 0, 0])) == 1
 
 
 def test_state_node_deletion_updates_degrees():

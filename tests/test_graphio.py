@@ -85,6 +85,29 @@ def test_edge_list_infers_n_from_max_id():
     assert g.n == 10 and g.m == 1
 
 
+def test_edge_list_header_roundtrip():
+    g = gnp(20, 0.2, seed=4)
+    buf = io.StringIO()
+    write_gr(g, buf, base=0)
+    back = read_edge_list(io.StringIO("c lead\n" + buf.getvalue()))
+    assert back.n == g.n and list(back.edges()) == list(g.edges())
+    # the header keeps trailing isolated vertices
+    assert read_edge_list(io.StringIO("p ds 5 1\n0 1\n")).n == 5
+
+
+def test_edge_list_header_errors():
+    with pytest.raises(FormatError, match="line 2: vertex id outside 0..2"):
+        read_edge_list(io.StringIO("p ds 3 1\n1 3\n"))
+    with pytest.raises(FormatError, match="line 2: header must lead"):
+        read_edge_list(io.StringIO("0 1\np ds 2 1\n"))
+    with pytest.raises(FormatError, match="line 2: header must lead"):
+        read_edge_list(io.StringIO("p ds 2 0\np ds 2 0\n"))
+    with pytest.raises(FormatError, match="header declares 2 edges, file holds 1"):
+        read_edge_list(io.StringIO("p ds 3 2\n0 1\n"))
+    with pytest.raises(FormatError, match="line 1: non-numeric header"):
+        read_edge_list(io.StringIO("p ds x 1\n"))
+
+
 def test_read_graph_dispatches_on_extension(tmp_path):
     g = path(5)
     grf = tmp_path / "a.gr"

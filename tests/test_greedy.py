@@ -5,9 +5,9 @@ import pytest
 
 from conftest import build, random_graphs
 from dsreduce.generators import gnp, path, star
+from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
     TieBreaker,
-    covers_all_uncovered,
     default_seed_list,
     greedy,
     greedy_best_of,
@@ -24,7 +24,7 @@ def test_four_path_always_two_picks():
     for perm in itertools.permutations(range(4)):
         out = greedy(fresh(g), TieBreaker(list(perm)))
         assert len(out) == 2
-        assert covers_all_uncovered(fresh(g), out)
+        assert first_undominated(g, out) == -1
 
 
 def test_star_center_wins():
@@ -55,7 +55,7 @@ def test_output_dominates_every_uncovered_vertex():
         covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
         inst = AnnotatedInstance(g, covered)
         out = greedy(inst, TieBreaker.from_seed(g.n, rng.randrange(1000)))
-        assert covers_all_uncovered(inst, out)
+        assert first_undominated(g, out, covered) == -1
 
 
 def test_same_seed_same_answer():
