@@ -36,6 +36,7 @@ from .graphio import (
 )
 from .greedy import default_seed_list, greedy_best_of
 from .reducer import (
+    ReductionReport,
     Variant,
     export_residual,
     fix_isolated_uncovered,
@@ -45,6 +46,7 @@ from .reducer import (
 from .state import ReductionState
 
 RULES = ["naive", "linear", "plus", "extra"]
+MAX_ROUNDS = 1024  # --iterate's round cap unless --max-rounds says otherwise
 
 # gen family -> (flags it requires, builder from the parsed arguments)
 GEN_FAMILIES = {
@@ -136,28 +138,37 @@ def _report_row(path: str, rule: str, **columns) -> dict:
 
 
 def _reduce_file(
-    path: str, rule: str, *, iterate=False, max_rounds=None, fix_isolated=False
+    path: str, rule, *, iterate=False, max_rounds=MAX_ROUNDS, fix_isolated=False
 ):
     """Read, reduce and export one instance file.
 
-    Returns the input graph, its id base, the final state, the compacted
-    residual and the report row.
+    ``rule`` None only exports.  Returns the input graph, its id base,
+    the final state, the compacted residual and the report row.  When
+    ``max_rounds`` stops an iterated reduction that was still changing,
+    one note goes to stderr.
     """
     t0 = time.perf_counter()
     g, base = read_graph(path)
     time_build = time.perf_counter() - t0
 
     state = ReductionState(g)
-    variant = Variant(rule)
     t1 = time.perf_counter()
-    if iterate:
-        rep = reduce_iterate(g, state, variant, max_rounds or 1024)
+    if rule is None:
+        rep = ReductionReport("none", rounds=0)
+    elif iterate:
+        rep = reduce_iterate(g, state, Variant(rule), max_rounds)
     else:
-        rep = reduce_once(g, state, variant)
+        rep = reduce_once(g, state, Variant(rule))
     if fix_isolated:
         fix_isolated_uncovered(g, state)
     comp, strips, dropped = export_residual(g, state)
     time_reduce = time.perf_counter() - t1
+    if not rep.converged:
+        print(
+            f"note: --iterate stopped at the cap of {max_rounds} rounds "
+            "before converging; the residual may reduce further",
+            file=sys.stderr,
+        )
 
     row = _report_row(
         path,
@@ -185,12 +196,15 @@ def _cmd_reduce(args, parser) -> int:
         parser.error("--iterate requires --rule plus or extra")
     if args.max_rounds is not None and not args.iterate:
         parser.error("--max-rounds only makes sense with --iterate")
+    if args.max_rounds is not None and args.max_rounds < 1:
+        parser.error("--max-rounds must be at least 1")
+    max_rounds = MAX_ROUNDS if args.max_rounds is None else args.max_rounds
 
-    g, base, state, comp, row = _reduce_file(
+    _g, base, state, comp, row = _reduce_file(
         args.instance,
         args.rule,
         iterate=args.iterate,
-        max_rounds=args.max_rounds,
+        max_rounds=max_rounds,
         fix_isolated=args.fix_isolated,
     )
     res_base = id_base(args.out) if args.out else 1
@@ -225,15 +239,11 @@ def _cmd_greedy(args, parser) -> int:
     if args.iterate and args.after not in ("plus", "extra"):
         parser.error("--iterate requires --after plus or extra")
 
-    g, base = read_graph(args.instance)
-    state = ReductionState(g)
-    if args.after != "none":
-        variant = Variant(args.after)
-        if args.iterate:
-            reduce_iterate(g, state, variant)
-        else:
-            reduce_once(g, state, variant)
-    comp, _strips, _dropped = export_residual(g, state)
+    g, base, state, comp, _row = _reduce_file(
+        args.instance,
+        None if args.after == "none" else args.after,
+        iterate=args.iterate,
+    )
 
     inst = AnnotatedInstance(comp.graph, comp.covered)
     best = greedy_best_of(inst, default_seed_list(args.seed, args.runs))

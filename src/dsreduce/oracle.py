@@ -1,17 +1,27 @@
 """Slow reference implementations for tests.
 
 Everything here favors being obviously correct over being fast: set
-arithmetic, full rescans, exponential search.  Production code paths
-must never import this module (``tests/test_layering.py`` checks that).
+arithmetic, full rescans, exponential search, and an iterated driver
+that compacts after every round.  Production code paths must never
+import this module (``tests/test_layering.py`` checks that).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .graph import AnnotatedInstance, Graph
-from .pipeline import RelationSet, canonical_reference
+from .pipeline import RelationSet, WorkCounter, canonical_reference
+from .reducer import (
+    ReductionReport,
+    Variant,
+    _require_no_tombstones,
+    export_residual,
+    reduce_once,
+)
+from .state import ReductionState
 
 EXACT_LIMIT = 24
 
@@ -217,3 +227,98 @@ def exact_annotated_gamma(inst: AnnotatedInstance) -> tuple[int, list[int]]:
 
     bb(need0)
     return best, sorted(best_set)
+
+
+def reduce_iterate_reference(
+    g: Graph,
+    state: ReductionState,
+    variant: Variant,
+    max_rounds: int = 1024,
+    *,
+    work: Optional[WorkCounter] = None,
+) -> ReductionReport:
+    """Alternate rounds and compaction until nothing changes.
+
+    The iterated driver before rounds shared one id space: every round
+    reruns the full pipeline on a freshly compacted graph, so it is
+    quadratic on long paths.  ``reducer.reduce_iterate`` must match it.
+    Only Plus and Extra profit from repetition, so anything else is
+    rejected.  Rounds after the first classify covered-aware.  Between
+    acting rounds ``export_residual`` strips the committed vertices (their
+    doomed edges are only then counted) and drops isolated covered
+    vertices; the caller's state mirrors every event in original ids.
+    The terminating idle round is included in the round count.
+    """
+    if variant not in (Variant.PLUS, Variant.EXTRA):
+        raise ValueError("iterated reduction requires the plus or extra variant")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    _require_no_tombstones(state)
+
+    cur_g = g
+    cur_state = state.copy()
+    cur_to_orig = list(range(g.n))
+
+    fixed_all: list[int] = []
+    removed_all: list[int] = []
+    extra_all: list[tuple[int, int]] = []
+    removed_edges = 0
+    rounds = 0
+    t_find = 0.0
+    t_apply = 0.0
+    before = work.visits if work is not None else 0
+
+    while True:
+        rep = reduce_once(
+            cur_g, cur_state, variant, covered_aware=rounds > 0, work=work
+        )
+        rounds += 1
+        t_find += rep.time_find_s
+        t_apply += rep.time_apply_s
+
+        for rho in rep.fixed:
+            o = cur_to_orig[rho]
+            state.fix(o)
+            fixed_all.append(o)
+        for u in rep.removed_nodes:
+            o = cur_to_orig[u]
+            state.delete_node(o)
+            removed_all.append(o)
+        for a, b in rep.extra_edges:
+            state.delete_edge(cur_to_orig[a], cur_to_orig[b])
+            extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
+        removed_edges += rep.removed_edges
+
+        if not rep.changed:
+            break
+
+        t0 = time.perf_counter()
+        committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
+        comp, strips, dropped = export_residual(cur_g, cur_state)
+        removed_edges += strips
+        for rho in committed:
+            state.delete_node(cur_to_orig[rho])
+        for v in dropped:
+            state.delete_node(cur_to_orig[v])
+            removed_all.append(cur_to_orig[v])
+        t_apply += time.perf_counter() - t0
+        if rounds >= max_rounds:
+            break
+        cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
+        cur_g = comp.graph
+        cur_state = ReductionState(cur_g)
+        cur_state.covered[:] = comp.covered
+
+    rep = ReductionReport(
+        variant=variant.value,
+        fixed=sorted(fixed_all),
+        removed_nodes=sorted(removed_all),
+        removed_edges=removed_edges,
+        rounds=rounds,
+        time_find_s=t_find,
+        time_apply_s=t_apply,
+        extra_edges=sorted(extra_all),
+    )
+    if work is not None:
+        rep.work_visits = work.visits - before
+    return rep

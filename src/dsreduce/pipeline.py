@@ -1,6 +1,6 @@
 """Linear-time computation of the suitable witness set.
 
-Three passes over a static graph:
+Three passes over a graph:
 
 1. ``compute_superset``   groups vertices by canonical reference and keeps
    pairs whose open neighborhood fits inside the reference's closed one.
@@ -12,11 +12,19 @@ Three passes over a static graph:
 All passes use stamp arrays instead of clearable sets, so combined cost
 stays proportional to n + m.  Counters (``WorkCounter``) record adjacency
 visits as upper bounds; bulk adds keep the hot loops tight.
+
+Every pass also takes a ``scope``: a set or dict of candidate witnesses.
+A scoped run returns the full result restricted to witnesses in scope
+and costs time proportional to the adjacency near the scope, not to n:
+its stamps live in dicts (``_Sparse``) instead of ``[-1] * n`` lists.
+It reads only ``n``, ``adj`` and ``deg`` of the graph, so a live view of
+a partly reduced graph works too (see ``reducer.reduce_iterate``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import defaultdict
+from typing import Optional, Union
 
 from .graph import Graph
 
@@ -33,14 +41,57 @@ class WorkCounter:
         self.visits += k
 
 
+class _Sparse(dict):
+    """A ``[-1] * n`` list stored sparsely: absent keys read -1."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> int:
+        return -1
+
+
+def _stamps(n: int, scope) -> Union[list[int], _Sparse]:
+    """Vertex -> int map reading -1 until set, sized for the pass's reach."""
+    return [-1] * n if scope is None else _Sparse()
+
+
+def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) -> dict:
+    """Vertices within ``radius`` edges of ``seeds``, as an ordered dict.
+
+    Breadth-first, seeds first; each key maps to None.  Visits count the
+    adjacency entries scanned.
+    """
+    adj = g.adj
+    out = dict.fromkeys(seeds)
+    frontier = list(out)
+    visits = 0
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            av = adj[v]
+            visits += len(av)
+            for w in av:
+                if w not in out:
+                    out[w] = None
+                    nxt.append(w)
+        frontier = nxt
+    if work is not None:
+        work.add(visits)
+    return out
+
+
 class RelationSet:
-    """Witness-reference pairs with at most one reference per witness."""
+    """Witness-reference pairs with at most one reference per witness.
+
+    ``by_witness`` maps a witness to its reference and anything else to
+    -1: a list of length ``n``, or a dict when ``n`` is None (scoped runs).
+    """
 
     __slots__ = ("relations", "by_witness")
 
-    def __init__(self, n: int, pairs) -> None:
+    def __init__(self, n: Optional[int], pairs) -> None:
         self.relations: list[tuple[int, int]] = []
-        self.by_witness = [-1] * n
+        self.by_witness = [-1] * n if n is not None else _Sparse()
         for u, rho in pairs:
             if u == rho:
                 raise ValueError(f"vertex {u} cannot witness itself")
@@ -85,6 +136,7 @@ def compute_superset(
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
+    scope=None,
 ) -> RelationSet:
     """First pass: candidate pairs (u, r) with r the canonical reference.
 
@@ -96,16 +148,24 @@ def compute_superset(
     skipped as witnesses (nothing forces a dominator into their
     neighborhood), as are ``fixed`` vertices, whose solution membership
     is already settled.
+
+    With ``scope`` the pass evaluates every u within two edges of the
+    scope, because the partition value of a vertex next to a scoped
+    witness reads the candidates among its own neighbors.
     """
     n = g.n
     adj = g.adj
     deg = g.deg
-    canref = [canonical_reference(g, u) for u in range(n)]
-    visits = 2 * g.m + n  # deg[u] + 1 summed over every u
+    if scope is None:
+        verts = range(n)
+        visits = 2 * g.m + n  # deg[u] + 1 summed over every u
+    else:
+        verts = ball(g, scope, 2, work=work)
+        visits = sum(deg[u] + 1 for u in verts)
 
-    buckets: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        rho = canref[u]
+    buckets: defaultdict[int, list[int]] = defaultdict(list)
+    for u in verts:
+        rho = canonical_reference(g, u)
         if rho == u:
             continue
         if fixed is not None and fixed[u]:
@@ -114,12 +174,9 @@ def compute_superset(
             continue
         buckets[rho].append(u)
 
-    mark = [-1] * n
+    mark = _stamps(n, scope)
     pairs: list[tuple[int, int]] = []
-    for rho in range(n):
-        bucket = buckets[rho]
-        if not bucket:
-            continue
+    for rho, bucket in buckets.items():
         mark[rho] = rho
         for w in adj[rho]:
             mark[w] = rho
@@ -137,7 +194,7 @@ def compute_superset(
 
     if work is not None:
         work.add(visits)
-    return RelationSet(n, pairs)
+    return RelationSet(n if scope is None else None, pairs)
 
 
 def compute_proper_partition(
@@ -145,7 +202,8 @@ def compute_proper_partition(
     sprime: RelationSet,
     *,
     work: Optional[WorkCounter] = None,
-) -> list[int]:
+    scope=None,
+) -> Union[list[int], dict[int, int]]:
     """Second pass: partial map f over vertices near candidate witnesses.
 
     For each x in the closed neighborhood of some witness, closed
@@ -153,23 +211,26 @@ def compute_proper_partition(
     to x are discarded and the survivor with minimum (degree, id) wins.
     The min tiebreak is deliberate and opposite to canonical_reference;
     the filtering pass depends on exactly this choice.  Unmapped entries
-    hold -1.
+    hold -1.  With ``scope`` only witnesses in scope count, and f is a
+    dict over their closed neighborhoods (absent keys read -1).
     """
     n = g.n
     adj = g.adj
     deg = g.deg
     ref_of = sprime.by_witness
-    f = [-1] * n
-    seen = bytearray(n)
-    nst = [-1] * n
+    f = _stamps(n, scope)
+    nst = _stamps(n, scope)
+    seen: set[int] = set()
     visits = 0
 
     for u, _rho in sprime.relations:
+        if scope is not None and u not in scope:
+            continue
         visits += deg[u] + 1
         for x in (u, *adj[u]):
-            if seen[x]:
+            if x in seen:
                 continue
-            seen[x] = 1
+            seen.add(x)
             ax = adj[x]
             for w in ax:
                 nst[w] = x
@@ -197,11 +258,12 @@ def compute_proper_partition(
 def filter_suitable(
     g: Graph,
     sprime: RelationSet,
-    f: list[int],
+    f,
     *,
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
+    scope=None,
 ) -> RelationSet:
     """Third pass: keep only witnesses whose whole neighborhood collapses.
 
@@ -211,36 +273,34 @@ def filter_suitable(
     covered flags, slot2 only demands that escape targets be uncovered:
     that is the whole covered-aware relaxation, and it applies to the
     classified vertices inside N[r] only.  Committed vertices count as
-    escaping, so witnesses next to one are dropped.
+    escaping, so witnesses next to one are dropped.  With ``scope`` only
+    witnesses in scope are tested; ``f`` is then the scoped partition.
     """
     n = g.n
     adj = g.adj
     visits = 0
 
-    chosen: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        r = f[x]
+    chosen: defaultdict[int, list[int]] = defaultdict(list)
+    for x, r in (enumerate(f) if scope is None else f.items()):
         if r >= 0:
             chosen[r].append(x)
 
-    wits: list[list[int]] = [[] for _ in range(n)]
+    wits: defaultdict[int, list[int]] = defaultdict(list)
     for u, rho in sprime.relations:
-        wits[rho].append(u)
+        if scope is None or u in scope:
+            wits[rho].append(u)
 
-    slot1 = [-1] * n
-    slot2 = [-1] * n
+    slot1 = _stamps(n, scope)
+    slot2 = _stamps(n, scope)
     pairs: list[tuple[int, int]] = []
 
-    for rho in range(n):
-        cand = wits[rho]
-        if not cand:
-            continue
+    for rho, cand in wits.items():
         slot1[rho] = rho
         for w in adj[rho]:
             slot1[w] = rho
         visits += len(adj[rho]) + 1
 
-        for x in chosen[rho]:
+        for x in chosen.get(rho, ()):
             ax = adj[x]
             visits += len(ax)
             ok = True
@@ -274,7 +334,7 @@ def filter_suitable(
 
     if work is not None:
         work.add(visits)
-    return RelationSet(n, pairs)
+    return RelationSet(n if scope is None else None, pairs)
 
 
 def suitable_set(
@@ -283,8 +343,15 @@ def suitable_set(
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
+    scope=None,
 ) -> RelationSet:
-    """Run all three passes and return the filtered witness set."""
-    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work)
-    f = compute_proper_partition(g, sprime, work=work)
-    return filter_suitable(g, sprime, f, covered=covered, fixed=fixed, work=work)
+    """Run all three passes and return the filtered witness set.
+
+    With ``scope`` the result is the full result restricted to pairs
+    whose witness is in scope.
+    """
+    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work, scope=scope)
+    f = compute_proper_partition(g, sprime, work=work, scope=scope)
+    return filter_suitable(
+        g, sprime, f, covered=covered, fixed=fixed, work=work, scope=scope
+    )

@@ -17,8 +17,13 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .graph import Graph
-from .pipeline import WorkCounter, suitable_set
+from .pipeline import WorkCounter, ball, suitable_set
 from .state import CompactResult, ReductionState, compact
+
+# Rounds after the first evaluate only the alive vertices within this many
+# edges of the previous round's dirty set; ``reduce_iterate`` proves that
+# no witness lies farther out.
+DIRTY_RADIUS = 3
 
 
 class Variant(Enum):
@@ -39,6 +44,9 @@ class ReductionReport:
     time_apply_s: float = 0.0
     work_visits: int = 0
     extra_edges: list[tuple[int, int]] = field(default_factory=list)
+    # False when reduce_iterate stopped at max_rounds after a round that
+    # still changed something.
+    converged: bool = True
 
     @property
     def changed(self) -> bool:
@@ -47,7 +55,7 @@ class ReductionReport:
         )
 
 
-def _require_compact(state: ReductionState) -> None:
+def _require_no_tombstones(state: ReductionState) -> None:
     if state.deleted_edges or not all(state.alive):
         raise ValueError("state must be freshly compacted (no tombstones)")
 
@@ -63,7 +71,9 @@ def apply_reduction(
     """Commit ``refs`` and delete around them according to ``variant``.
 
     Marking is unioned over all references before any deletion, so the
-    outcome does not depend on the order of ``refs``.  A neighbor is
+    outcome does not depend on the order of ``refs``.  The cost is
+    proportional to the live closed neighborhoods of the references and
+    of their neighbors, whatever the size of ``g``.  A neighbor is
     deletable when at most ``allow`` of its live neighbors still need
     domination: 0 for Linear, 1 for Plus and Extra.  Extra additionally
     drops surviving edges whose endpoints are both marked and neither
@@ -78,34 +88,31 @@ def apply_reduction(
         if not state.alive[rho]:
             raise ValueError(f"reference {rho} is not alive")
 
-    n = g.n
     covered = state.covered
-    msk = bytearray(n)
-    in_r = bytearray(n)
+    in_r = set(refs)
+    marked: dict[int, None] = {}  # N[refs], an ordered set
     visits = 0
     new_fixed: list[int] = []
 
     for rho in refs:
-        in_r[rho] = 1
-    for rho in refs:
         if rho not in state.fixed:
             new_fixed.append(rho)
         state.fix(rho)
-        msk[rho] = 1
+        marked[rho] = None
         d = 0
         for w in state.live_neighbors(rho):
-            msk[w] = 1
+            marked[w] = None
             d += 1
         visits += d + 1
 
     allow = 0 if variant is Variant.LINEAR else 1
-    seen = bytearray(n)
+    seen: set[int] = set()
     deletable: list[int] = []
     for rho in refs:
         for u in state.live_neighbors(rho):
-            if in_r[u] or seen[u]:
+            if u in in_r or u in seen:
                 continue
-            seen[u] = 1
+            seen.add(u)
             bad = 0
             ok = True
             d = 0
@@ -129,14 +136,14 @@ def apply_reduction(
 
     extra_edges: list[tuple[int, int]] = []
     if variant is Variant.EXTRA:
-        for u in range(n):
-            if not state.alive[u] or not msk[u] or in_r[u]:
+        for u in sorted(marked):
+            if not state.alive[u] or u in in_r:
                 continue
             doomed = []
             d = 0
             for w in state.live_neighbors(u):
                 d += 1
-                if w > u and msk[w] and not in_r[w]:
+                if w > u and w in marked and w not in in_r:
                     doomed.append(w)
             visits += d
             for w in doomed:
@@ -169,7 +176,7 @@ def naive_reduce(
     later iterations see the mutated graph.  Vertices committed earlier
     in the sweep count as escaping and are never deleted.
     """
-    _require_compact(state)
+    _require_no_tombstones(state)
     n = g.n
     adj = g.adj
     alive = state.alive
@@ -258,7 +265,7 @@ def reduce_once(
     that are already dominated; the first round over a fresh instance
     gains nothing from it.
     """
-    _require_compact(state)
+    _require_no_tombstones(state)
     if variant is Variant.NAIVE:
         if covered_aware:
             raise ValueError("the naive sweep has no covered-aware mode")
@@ -281,6 +288,32 @@ def reduce_once(
     return rep
 
 
+class _LiveView:
+    """``Graph``-shaped view of a state's live part, in the input's ids.
+
+    ``adj`` starts as a shallow copy of the input's lists, and ``refresh``
+    swaps in new lists, so the input graph is never mutated.  ``deg`` is
+    the state's ``live_degree``.  There is no ``m``: only scoped passes
+    run on a view.
+    """
+
+    __slots__ = ("n", "adj", "deg", "state")
+
+    def __init__(self, state: ReductionState) -> None:
+        self.n = state.g.n
+        self.adj = list(state.g.adj)
+        self.deg = state.live_degree
+        self.state = state
+
+    def refresh(self, vertices: Iterable[int]) -> None:
+        """Re-read the live neighbors of ``vertices``; dead ones get none."""
+        adj = self.adj
+        state = self.state
+        alive = state.alive
+        for v in vertices:
+            adj[v] = list(state.live_neighbors(v)) if alive[v] else []
+
+
 def reduce_iterate(
     g: Graph,
     state: ReductionState,
@@ -289,74 +322,110 @@ def reduce_iterate(
     *,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
-    """Alternate rounds and compaction until nothing changes.
+    """Repeat find+apply rounds on ``state`` until nothing changes.
 
     Only Plus and Extra profit from repetition, so anything else is
-    rejected.  Rounds after the first classify covered-aware.  Between
-    acting rounds ``export_residual`` strips the committed vertices (their
-    doomed edges are only then counted) and drops isolated covered
-    vertices; the caller's state mirrors every event in original ids.
-    The terminating idle round is included in the round count.
+    rejected.  Every round acts on the caller's state in the input's ids.
+    Rounds after the first classify covered-aware.  After each acting
+    round the committed vertices are stripped (their doomed edges are
+    only then counted) and covered vertices left isolated are dropped.
+    The terminating idle round is included in the round count;
+    ``converged`` is False when ``max_rounds`` ended the loop instead.
+
+    Round 1 runs the full passes on ``g``.  Each later round runs them on
+    a live view, scoped to the alive vertices within ``DIRTY_RADIUS``
+    edges of the previous round's dirty set D: the alive vertices whose
+    live degree or covered flag changed in that round, boundary included,
+    and after round 1 also every alive covered vertex.  No witness lies
+    outside that scope.  Suppose a witness pair (u, rho) of round k has
+    no vertex of D within 3 edges of u (distances in the live graph).
+
+    (a) Whether (u, rho) is a witness pair reads only the adjacency of
+        the vertices within 3 edges of u and the covered and fixed flags
+        of those within 2.  rho is chosen from N[u] by degree, and u
+        passes the superset pass when N(u) fits in N[rho].  The partition
+        value f[x] of each x in N[u] reads the superset pairs of the y in
+        N[x]; each of those reads N[y], the degrees on it and the
+        adjacency of y's reference, 3 edges from u.  The filter reads
+        N[rho], the N[x] and the covered flags on them, 2 edges from u.
+    (b) Deletions only shrink adjacency lists, so an alive vertex outside
+        D has the adjacency and covered flag it had one round earlier.  A
+        breadth-first search from u therefore reads the same lists in
+        both rounds, up to 3 edges out, and the flags it meets are the
+        same.  No vertex there is fixed in either round: committed
+        vertices, given ones included, are stripped at every boundary.
+        Round 1 reads no covered flags, but after it D holds every alive
+        covered vertex, so none is near u and both readings agree.  So
+        (u, rho) was a witness pair one round earlier too.
+    (c) Then rho was committed and stripped one round earlier, and u,
+        alive and adjacent to rho, lost a neighbor: u is in D.
+
+    That contradicts the assumption, so radius 3 loses nothing.
     """
     if variant not in (Variant.PLUS, Variant.EXTRA):
         raise ValueError("iterated reduction requires the plus or extra variant")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    _require_compact(state)
+    _require_no_tombstones(state)
 
-    cur_g = g
-    cur_state = state.copy()
-    cur_to_orig = list(range(g.n))
-
+    alive = state.alive
+    view = g
+    seeds = None
     fixed_all: list[int] = []
     removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
+    converged = True
     t_find = 0.0
     t_apply = 0.0
     before = work.visits if work is not None else 0
 
     while True:
-        rep = reduce_once(
-            cur_g, cur_state, variant, covered_aware=rounds > 0, work=work
+        t0 = time.perf_counter()
+        scope = None if seeds is None else ball(view, seeds, DIRTY_RADIUS, work=work)
+        rels = suitable_set(
+            view,
+            covered=state.covered if rounds > 0 else None,
+            fixed=state.fixed.mask,
+            work=work,
+            scope=scope,
         )
+        t1 = time.perf_counter()
+        refs = rels.references()
+        rep = apply_reduction(g, state, refs, variant, work=work)
         rounds += 1
-        t_find += rep.time_find_s
-        t_apply += rep.time_apply_s
-
-        for rho in rep.fixed:
-            o = cur_to_orig[rho]
-            state.fix(o)
-            fixed_all.append(o)
-        for u in rep.removed_nodes:
-            o = cur_to_orig[u]
-            state.delete_node(o)
-            removed_all.append(o)
-        for a, b in rep.extra_edges:
-            state.delete_edge(cur_to_orig[a], cur_to_orig[b])
-            extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
+        fixed_all += rep.fixed
+        removed_all += rep.removed_nodes
+        extra_all += rep.extra_edges
         removed_edges += rep.removed_edges
-
+        t_find += t1 - t0
+        if rep.changed:
+            # Whatever dies in this round had its live neighbors listed in
+            # the view; those still alive after the strip are the dirty set.
+            first = rounds == 1
+            adj = view.adj
+            committed = [v for v in state.fixed if alive[v]] if first else refs
+            died = committed + [w for rho in refs for w in adj[rho] if not alive[w]]
+            touched = dict.fromkeys(w for v in died for w in adj[v])
+            strips, dropped = _strip_committed(
+                state, committed, range(g.n) if first else touched
+            )
+            removed_edges += strips
+            removed_all += dropped
+            if first:
+                view = _LiveView(state)
+            view.refresh(died)
+            view.refresh(touched)
+            seeds = [v for v in touched if alive[v]]
+            if first:
+                seeds += [v for v in range(g.n) if alive[v] and state.covered[v]]
+        t_apply += time.perf_counter() - t1
         if not rep.changed:
             break
-
-        t0 = time.perf_counter()
-        committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
-        comp, strips, dropped = export_residual(cur_g, cur_state)
-        removed_edges += strips
-        for rho in committed:
-            state.delete_node(cur_to_orig[rho])
-        for v in dropped:
-            state.delete_node(cur_to_orig[v])
-            removed_all.append(cur_to_orig[v])
-        t_apply += time.perf_counter() - t0
         if rounds >= max_rounds:
+            converged = False
             break
-        cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
-        cur_g = comp.graph
-        cur_state = ReductionState(cur_g)
-        cur_state.covered[:] = comp.covered
 
     rep = ReductionReport(
         variant=variant.value,
@@ -367,6 +436,7 @@ def reduce_iterate(
         time_find_s=t_find,
         time_apply_s=t_apply,
         extra_edges=sorted(extra_all),
+        converged=converged,
     )
     if work is not None:
         rep.work_visits = work.visits - before
@@ -386,6 +456,26 @@ def fix_isolated_uncovered(g: Graph, state: ReductionState) -> list[int]:
     return out
 
 
+def _strip_committed(
+    state: ReductionState, committed: Iterable[int], near: Iterable[int]
+) -> tuple[int, list[int]]:
+    """Delete the ``committed`` vertices, then the covered vertices in
+    ``near`` that are left without live neighbors.
+
+    Returns the live edges that were still pending around the committed
+    vertices and the dropped vertices, in ``near``'s order.
+    """
+    strips = 0
+    for rho in committed:
+        strips += state.delete_node(rho)
+    dropped: list[int] = []
+    for v in near:
+        if state.alive[v] and state.covered[v] and state.live_degree[v] == 0:
+            state.delete_node(v)
+            dropped.append(v)
+    return strips, dropped
+
+
 def export_residual(
     g: Graph, state: ReductionState
 ) -> tuple[CompactResult, int, list[int]]:
@@ -396,13 +486,5 @@ def export_residual(
     covered vertices dropped because stripping isolated them.  Mutates
     ``state``; pass a copy to keep the original.
     """
-    strips = 0
-    for rho in list(state.fixed):
-        if state.alive[rho]:
-            strips += state.delete_node(rho)
-    dropped: list[int] = []
-    for v in range(g.n):
-        if state.alive[v] and state.covered[v] and state.live_degree[v] == 0:
-            state.delete_node(v)
-            dropped.append(v)
+    strips, dropped = _strip_committed(state, state.fixed, range(g.n))
     return compact(g, state), strips, dropped

@@ -111,6 +111,43 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_max_rounds_below_one_is_usage_error(tmp_path, capsys):
+    inst = str(tmp_path / "p50.gr")
+    run_ok(["gen", "path", "--n", "50", "--out", inst], capsys)
+    for cap in ("0", "-1"):
+        with pytest.raises(SystemExit) as ei:
+            main(["reduce", inst, "--rule", "extra", "--iterate",
+                  "--max-rounds", cap])
+        assert ei.value.code == 2
+        assert "--max-rounds must be at least 1" in capsys.readouterr().err
+
+
+def test_round_cap_is_reported_on_stderr(tmp_path, capsys):
+    inst = str(tmp_path / "chain.gr")
+    run_ok(["gen", "fig6", "--copies", "3", "--out", inst], capsys)
+    capped = ["reduce", inst, "--rule", "plus", "--iterate", "--max-rounds"]
+    assert main(capped + ["2"]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("fixed=4 ") and "rounds=2" in out.out
+    assert out.err == (
+        "note: --iterate stopped at the cap of 2 rounds before converging; "
+        "the residual may reduce further\n"
+    )
+    # four rounds converge (the fourth is idle), so a cap of 4 is not hit
+    assert main(capped + ["4"]) == 0
+    out = capsys.readouterr()
+    assert "rounds=4" in out.out and out.err == ""
+
+    # greedy has no --max-rounds; a 7000-path needs about 1170 rounds
+    long_path = str(tmp_path / "p7000.gr")
+    run_ok(["gen", "path", "--n", "7000", "--out", long_path], capsys)
+    rc = main(["greedy", long_path, "--after", "extra", "--iterate", "--runs", "1"])
+    assert rc == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("size=")
+    assert "cap of 1024 rounds" in out.err
+
+
 def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):
     assert main(["reduce", str(tmp_path / "absent.gr"), "--rule", "linear"]) == 3
     assert "error:" in capsys.readouterr().err

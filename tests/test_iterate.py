@@ -1,0 +1,184 @@
+"""The incremental iterated driver against the compact-every-round one.
+
+``reducer.reduce_iterate`` runs every round on the caller's state and
+rescans only near the previous round's changes;
+``oracle.reduce_iterate_reference`` reruns the full pipeline on a freshly
+compacted graph each round.  Their reports, the caller's state afterwards
+and the exported residual must agree.
+"""
+
+import random
+
+from conftest import build, random_graphs
+from dsreduce.generators import gadget_path, path
+from dsreduce.oracle import reduce_iterate_reference
+from dsreduce.pipeline import WorkCounter
+from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
+from dsreduce.state import ReductionState
+
+VARIANTS = (Variant.PLUS, Variant.EXTRA)
+
+
+def prepared(g, covered=(), fixed=()):
+    st = ReductionState(g)
+    for v in covered:
+        st.cover(v)
+    for v in fixed:
+        st.fix(v)
+    return st
+
+
+def report_fields(rep):
+    # everything but the wall times and the visit count, which differ by design
+    return (
+        rep.variant,
+        rep.fixed,
+        rep.removed_nodes,
+        rep.removed_edges,
+        rep.rounds,
+        rep.extra_edges,
+    )
+
+
+def state_and_residual(g, st):
+    fields = (
+        bytes(st.alive),
+        bytes(st.covered),
+        list(st.fixed),
+        sorted(st.deleted_edges),
+        list(st.live_degree),
+    )
+    comp, strips, dropped = export_residual(g, st)
+    residual = (
+        comp.graph.adj,
+        comp.new_to_old,
+        bytes(comp.covered),
+        comp.fixed,
+        strips,
+        dropped,
+    )
+    return fields, residual
+
+
+def reference_converged(g, variant, max_rounds, covered, fixed):
+    """Whether the reference would stop by itself within ``max_rounds``.
+
+    A capped run and one that converged exactly at the cap report the same
+    round count, so look one round further.
+    """
+    st = prepared(g, covered, fixed)
+    rep = reduce_iterate_reference(g, st, variant, max_rounds + 1)
+    return rep.rounds <= max_rounds
+
+
+def check_same(g, variant, max_rounds=1024, covered=(), fixed=()):
+    st = prepared(g, covered, fixed)
+    ref_st = prepared(g, covered, fixed)
+    rep = reduce_iterate(g, st, variant, max_rounds)
+    ref = reduce_iterate_reference(g, ref_st, variant, max_rounds)
+    where = f"n={g.n} m={g.m} {variant.value} cap={max_rounds}"
+    assert report_fields(rep) == report_fields(ref), where
+    assert rep.converged == (
+        ref.rounds < max_rounds
+        or reference_converged(g, variant, max_rounds, covered, fixed)
+    ), where
+
+    # The reference copies only reported deletions into the caller's state,
+    # so a given fixed vertex that its first round deletes stays alive
+    # there.  Delete those before comparing; they are found by running that
+    # first round on its own.
+    if fixed:
+        once = prepared(g, covered, fixed)
+        reduce_once(g, once, variant)
+        for v in fixed:
+            if not once.alive[v]:
+                ref_st.delete_node(v)
+    assert state_and_residual(g, st) == state_and_residual(g, ref_st), where
+
+
+def random_tree_plus(rng, n, extra):
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
+    return build(n, edges)
+
+
+def random_subset(rng, n, p):
+    return [v for v in range(n) if rng.random() < p]
+
+
+def test_matches_reference_on_random_graphs():
+    graphs = random_graphs(200, (1, 80), [0.02, 0.04, 0.07, 0.12, 0.25], 31000)
+    for g in graphs:
+        for variant in VARIANTS:
+            check_same(g, variant)
+
+
+def test_matches_reference_on_trees_with_extra_edges():
+    rng = random.Random(32000)
+    for _ in range(100):
+        g = random_tree_plus(rng, rng.randint(2, 80), rng.randint(0, 6))
+        for variant in VARIANTS:
+            check_same(g, variant)
+
+
+def test_matches_reference_with_given_covered_and_fixed():
+    rng = random.Random(33000)
+    graphs = random_graphs(60, (2, 60), [0.04, 0.08, 0.15, 0.3], 33000)
+    graphs += [random_tree_plus(rng, rng.randint(2, 60), 3) for _ in range(40)]
+    for g in graphs:
+        covered = random_subset(rng, g.n, 0.2)
+        fixed = random_subset(rng, g.n, 0.1)
+        for variant in VARIANTS:
+            check_same(g, variant, covered=covered)
+            check_same(g, variant, fixed=fixed)
+            check_same(g, variant, covered=covered, fixed=fixed)
+
+
+def test_given_covered_vertices_seed_round_two():
+    # Round 1 reads no covered flags, so a part of the graph it leaves
+    # alone can still hold witnesses once covered flags count.  A 6-path
+    # makes round 1 act; each random part carries given covered vertices.
+    rng = random.Random(36000)
+    for part in random_graphs(400, (3, 14), [0.15, 0.3, 0.5], 36000):
+        k = part.n
+        g = build(k + 6, list(part.edges()) + [(k + i, k + i + 1) for i in range(5)])
+        covered = random_subset(rng, k, 0.3)
+        for variant in VARIANTS:
+            check_same(g, variant, covered=covered)
+
+
+def test_matches_reference_under_round_caps():
+    rng = random.Random(34000)
+    graphs = random_graphs(40, (5, 60), [0.04, 0.08], 34000)
+    graphs += [gadget_path("fig6", 4), gadget_path("fig5", 4), path(40)]
+    for g in graphs:
+        covered = random_subset(rng, g.n, 0.1)
+        for cap in (1, 2, 3):
+            for variant in VARIANTS:
+                check_same(g, variant, max_rounds=cap)
+                check_same(g, variant, max_rounds=cap, covered=covered)
+
+
+def test_matches_reference_on_gadget_chains():
+    for copies in range(1, 51):
+        for fig in ("fig5", "fig6"):
+            g = gadget_path(fig, copies)
+            for variant in VARIANTS:
+                check_same(g, variant)
+
+
+def test_work_grows_linearly_on_paths():
+    # A path loses a few vertices at each end per round, so it takes about
+    # n/6 rounds; rescanning the whole graph each round would make the
+    # visits per (n + m) grow linearly in n.  Counts are exact, not timed.
+    per_nm = {}
+    for n in (3000, 6000, 12000):
+        g = path(n)
+        for variant in VARIANTS:
+            rep = reduce_iterate(
+                g, ReductionState(g), variant, 10**6, work=WorkCounter()
+            )
+            assert rep.converged and rep.rounds > n // 8
+            per_nm[n, variant] = rep.work_visits / (g.n + g.m)
+    for variant in VARIANTS:
+        assert per_nm[12000, variant] < 1.25 * per_nm[3000, variant], per_nm

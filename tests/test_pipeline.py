@@ -212,3 +212,28 @@ def test_stage_work_is_attributed():
     assert after2 > after1
     filter_suitable(g, sprime, f, work=wc)
     assert wc.visits > after2
+
+
+def test_scoped_passes_match_full_result_restricted():
+    rng = random.Random(4100)
+    for g in random_graphs(150, (1, 30), [0.05, 0.1, 0.2, 0.4], seed_base=4100):
+        covered = bytearray(rng.random() < 0.25 for _ in range(g.n))
+        fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
+        for cov, fix in ((None, None), (covered, None), (covered, fixed)):
+            full = suitable_set(g, covered=cov, fixed=fix).sorted_pairs()
+            for p in (0.0, 0.1, 0.3, 0.7, 1.0):
+                scope = {v for v in range(g.n) if rng.random() < p}
+                got = suitable_set(g, covered=cov, fixed=fix, scope=scope)
+                assert got.sorted_pairs() == [(u, r) for u, r in full if u in scope]
+
+
+def test_scoped_passes_stay_local():
+    # work near a small scope does not depend on the size of the graph
+    visits = []
+    for n in (1_000, 100_000):
+        g = path(n)
+        wc = WorkCounter()
+        got = suitable_set(g, scope={0, n // 2}, work=wc)
+        assert got.sorted_pairs() == [(0, 1)]
+        visits.append(wc.visits)
+    assert visits[0] == visits[1] < 100

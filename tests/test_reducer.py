@@ -199,10 +199,13 @@ def test_iterate_reports_single_idle_round_on_fixpoint():
 def test_iterate_caps_rounds():
     g = gadget_path("fig6", 3)
     st, rep = run(g, Variant.PLUS, iterate=True, max_rounds=2)
-    assert rep.rounds == 2
+    assert rep.rounds == 2 and not rep.converged
     st2, rep2 = run(g, Variant.PLUS, iterate=True)
-    assert rep2.rounds == 4
+    assert rep2.rounds == 4 and rep2.converged
     assert len(st.fixed) < len(st2.fixed)
+    # the fourth round is idle, so a cap of 4 still converges
+    _st, rep4 = run(g, Variant.PLUS, iterate=True, max_rounds=4)
+    assert rep4.rounds == 4 and rep4.converged
 
 
 def test_iterate_mirrors_original_ids():
