@@ -78,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out")
     r.add_argument("--sidecar")
     r.add_argument("--report")
+    r.set_defaults(run=_cmd_reduce, parser=r)
 
     gr = sub.add_parser("greedy", help="greedy solve, optionally after a reduction")
     gr.add_argument("instance")
@@ -85,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--seed", type=int, default=1)
     gr.add_argument("--after", choices=["none"] + RULES, default="none")
     gr.add_argument("--iterate", action="store_true")
+    gr.set_defaults(run=_cmd_greedy, parser=gr)
 
     ge = sub.add_parser("gen", help="write a generated instance")
     ge.add_argument("family", choices=list(GEN_FAMILIES))
@@ -94,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--copies", type=int, default=1)
     ge.add_argument("--seed", type=int, default=0)
     ge.add_argument("--out", required=True)
+    ge.set_defaults(run=_cmd_gen, parser=ge)
 
     b = sub.add_parser("bench", help="run rules over a corpus directory")
     b.add_argument("--dir", required=True)
@@ -101,10 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--timeout-s", type=float, default=None)
     b.add_argument("--report", required=True)
     b.add_argument("--workers", type=int, default=1)
+    b.set_defaults(run=_cmd_bench, parser=b)
 
     v = sub.add_parser("verify", help="check a solution sidecar against an instance")
     v.add_argument("instance")
     v.add_argument("--solution", required=True)
+    v.set_defaults(run=_cmd_verify, parser=v)
 
     return p
 
@@ -113,15 +118,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cmd == "reduce":
-            return _cmd_reduce(args, parser)
-        if args.cmd == "greedy":
-            return _cmd_greedy(args, parser)
-        if args.cmd == "gen":
-            return _cmd_gen(args, parser)
-        if args.cmd == "bench":
-            return _cmd_bench(args, parser)
-        return _cmd_verify(args)
+        # each command reports usage errors through its own subparser
+        return args.run(args, args.parser)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -339,7 +337,7 @@ def _cmd_bench(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, _parser) -> int:
     g, base = read_graph(args.instance)
     with open(args.solution, encoding="utf-8") as fh:
         side = read_sidecar(fh)

@@ -1,18 +1,21 @@
 """Slow reference implementations for tests.
 
 Everything here favors being obviously correct over being fast: set
-arithmetic, full rescans, exponential search, and an iterated driver
-that compacts after every round.  Production code paths must never
-import this module (``tests/test_layering.py`` checks that).
+arithmetic, full rescans, exponential search, an iterated driver
+that compacts after every round, and a greedy that rescans merits.
+Production code paths must never import this module
+(``tests/test_layering.py`` checks that).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .graph import AnnotatedInstance, Graph
+from .graph import AnnotatedInstance, Graph, VertexSet
+from .greedy import TieBreaker
 from .pipeline import RelationSet, WorkCounter, canonical_reference
 from .reducer import (
     ReductionReport,
@@ -322,3 +325,45 @@ def reduce_iterate_reference(
     if work is not None:
         rep.work_visits = work.visits - before
     return rep
+
+
+def greedy_reference(inst: AnnotatedInstance, tb: TieBreaker) -> VertexSet:
+    """Pick highest-merit vertices until every needy vertex is dominated.
+
+    The greedy before eager merit counts: merit is recomputed by a
+    neighbor scan on every pop, and a stale entry is pushed back.
+    """
+    g = inst.graph
+    n = g.n
+    adj = g.adj
+    pri = tb.priority
+    need = bytearray(1 if not c else 0 for c in inst.covered)
+    remaining = sum(need)
+    out = VertexSet(n)
+    if remaining == 0:
+        return out
+
+    heap = []
+    for v in range(n):
+        merit = need[v] + sum(need[w] for w in adj[v])
+        if merit:
+            heap.append((-merit, -pri[v], v))
+    heapify(heap)
+
+    while remaining:
+        negm, negp, v = heappop(heap)
+        merit = need[v] + sum(need[w] for w in adj[v])
+        if merit == 0:
+            continue
+        if merit != -negm:
+            heappush(heap, (-merit, negp, v))
+            continue
+        out.add(v)
+        if need[v]:
+            need[v] = 0
+            remaining -= 1
+        for w in adj[v]:
+            if need[w]:
+                need[w] = 0
+                remaining -= 1
+    return out

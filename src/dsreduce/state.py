@@ -9,6 +9,7 @@ so graphs reduced purely by node deletion pay nothing for edge support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import Graph, VertexSet
 
@@ -115,30 +116,28 @@ def compact(g: Graph, state: ReductionState) -> CompactResult:
     """Rebuild the live part of ``state`` as a fresh 0-based graph.
 
     ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed ids
-    are carried across in the new numbering.
+    are carried across in the new numbering.  ``old_to_new`` is monotone,
+    so each filtered adjacency list comes out sorted without a sort.
     """
+    alive = state.alive
     old_to_new = [-1] * g.n
-    new_to_old: list[int] = []
-    for u in range(g.n):
-        if state.alive[u]:
-            old_to_new[u] = len(new_to_old)
-            new_to_old.append(u)
-    nn = len(new_to_old)
-    edges = []
-    for u in new_to_old:
-        for v in state.live_neighbors(u):
-            if v > u:
-                edges.append((old_to_new[u], old_to_new[v]))
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for a in adj:
-        a.sort()
-    ng = Graph(nn, adj, len(edges))
-    covered = bytearray(nn)
-    for u in new_to_old:
-        if state.covered[u]:
-            covered[old_to_new[u]] = 1
-    fixed = [old_to_new[f] for f in state.fixed if state.alive[f]]
+    new_to_old = list(compress(range(g.n), alive))
+    for i, u in enumerate(new_to_old):
+        old_to_new[u] = i
+    gadj = g.adj
+    de = state.deleted_edges
+    if de:
+        adj = [
+            [
+                old_to_new[v]
+                for v in gadj[u]
+                if alive[v] and (u, v) not in de and (v, u) not in de
+            ]
+            for u in new_to_old
+        ]
+    else:
+        adj = [[old_to_new[v] for v in gadj[u] if alive[v]] for u in new_to_old]
+    ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
+    covered = bytearray(compress(state.covered, alive))
+    fixed = [old_to_new[f] for f in state.fixed if alive[f]]
     return CompactResult(ng, old_to_new, new_to_old, covered, fixed)

@@ -111,6 +111,28 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_usage_errors_print_the_subcommand_usage(tmp_path, capsys):
+    inst = str(tmp_path / "p50.gr")
+    run_ok(["gen", "path", "--n", "50", "--out", inst], capsys)
+    cases = [
+        (["reduce", inst, "--rule", "extra", "--iterate", "--max-rounds", "0"],
+         "usage: dsreduce reduce", "--max-rounds must be at least 1"),
+        (["greedy", inst, "--runs", "0"],
+         "usage: dsreduce greedy", "--runs must be at least 1"),
+        (["gen", "star", "--out", str(tmp_path / "o.gr")],
+         "usage: dsreduce gen", "star needs --n"),
+        (["bench", "--dir", ".", "--rules", "warp", "--report", "r.csv"],
+         "usage: dsreduce bench", "unknown rule 'warp'"),
+    ]
+    for argv, usage, message in cases:
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(usage + " "), err
+        assert err.rstrip("\n").endswith("error: " + message), err
+
+
 def test_max_rounds_below_one_is_usage_error(tmp_path, capsys):
     inst = str(tmp_path / "p50.gr")
     run_ok(["gen", "path", "--n", "50", "--out", inst], capsys)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import build, random_graphs
-from dsreduce.generators import gnp, path, star
+from dsreduce.generators import complete, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
     TieBreaker,
@@ -12,7 +12,7 @@ from dsreduce.greedy import (
     greedy,
     greedy_best_of,
 )
-from dsreduce.oracle import AnnotatedInstance, exact_annotated_gamma
+from dsreduce.oracle import AnnotatedInstance, exact_annotated_gamma, greedy_reference
 
 
 def fresh(g):
@@ -93,6 +93,60 @@ def test_tiebreaker_rejects_non_permutation():
         TieBreaker([0, 0, 2])
     with pytest.raises(ValueError):
         TieBreaker([1, 2, 3])
+
+
+def test_tiebreaker_inverse_permutation():
+    tb = TieBreaker.from_seed(50, 8)
+    assert [tb.priority[v] for v in tb.vertex_of] == list(range(50))
+    assert TieBreaker([]).vertex_of == []
+    with pytest.raises(ValueError):
+        TieBreaker([-1, 0, 1])
+
+
+def assert_same_picks(inst, seeds):
+    for s in seeds:
+        tb = TieBreaker.from_seed(inst.graph.n, s)
+        assert greedy(inst, tb).order == greedy_reference(inst, tb).order, s
+
+
+def test_picks_match_reference_on_random_covered_graphs():
+    rng = random.Random(4104)
+    graphs = random_graphs(220, (1, 45), [0.03, 0.08, 0.15, 0.3, 0.6], seed_base=9100)
+    for g in graphs:
+        frac = rng.choice([0.0, 0.2, 0.5, 0.9])
+        covered = bytearray(rng.random() < frac for _ in range(g.n))
+        seeds = [rng.randrange(1 << 32) for _ in range(4)]
+        assert_same_picks(AnnotatedInstance(g, covered), seeds)
+
+
+def test_picks_match_reference_on_structured_graphs():
+    seeds = default_seed_list(3, count=5)
+    for g in [star(1), star(9), path(1), path(2), path(17), complete(1),
+              complete(2), complete(8)]:
+        assert_same_picks(fresh(g), seeds)
+        # fully covered: nothing to pick
+        done = AnnotatedInstance(g, bytearray([1] * g.n))
+        assert_same_picks(done, seeds)
+        assert len(greedy(done, TieBreaker.from_seed(g.n, 1))) == 0
+        # exactly one needy vertex, at either end of the id range
+        for needy in {0, g.n - 1}:
+            covered = bytearray([1] * g.n)
+            covered[needy] = 0
+            inst = AnnotatedInstance(g, covered)
+            assert_same_picks(inst, seeds)
+            assert len(greedy(inst, TieBreaker.from_seed(g.n, 1))) == 1
+
+
+def test_best_of_is_earliest_per_seed_minimum():
+    rng = random.Random(5)
+    for g in random_graphs(40, (5, 40), [0.05, 0.15, 0.3], seed_base=7300):
+        covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
+        inst = AnnotatedInstance(g, covered)
+        seeds = [rng.randrange(50) for _ in range(6)]
+        runs = [greedy_reference(inst, TieBreaker.from_seed(g.n, s)) for s in seeds]
+        sizes = [len(r) for r in runs]
+        want = runs[sizes.index(min(sizes))]
+        assert greedy_best_of(inst, seeds).order == want.order
 
 
 def test_default_seed_list_is_reproducible():
