@@ -36,6 +36,7 @@ from .graphio import (
 )
 from .greedy import default_seed_list, greedy_best_of
 from .reducer import (
+    MAX_ROUNDS,
     ReductionReport,
     Variant,
     export_residual,
@@ -46,7 +47,6 @@ from .reducer import (
 from .state import ReductionState
 
 RULES = ["naive", "linear", "plus", "extra"]
-MAX_ROUNDS = 1024  # --iterate's round cap unless --max-rounds says otherwise
 
 # gen family -> (flags it requires, builder from the parsed arguments)
 GEN_FAMILIES = {
@@ -120,10 +120,7 @@ def main(argv=None) -> int:
     try:
         # each command reports usage errors through its own subparser
         return args.run(args, args.parser)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
@@ -278,6 +275,9 @@ def _bench_child(path: str, rule: str, conn) -> None:
 
 
 def _cmd_bench(args, parser) -> int:
+    # imported here: it loads socket and tempfile, which no other command needs
+    from multiprocessing.connection import wait
+
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]
     if not rules:
         parser.error("--rules must name at least one rule")
@@ -310,22 +310,23 @@ def _cmd_bench(args, parser) -> int:
             )
             running.append([idx, fname, rule, proc, recv_end, deadline])
 
+        deadlines = [item[5] for item in running if item[5] is not None]
+        timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+        ready = wait([item[4] for item in running], timeout)
+        now = time.monotonic()
         still = []
         for item in running:
             idx, fname, rule, proc, conn, deadline = item
-            if conn.poll(0.005):
+            if conn in ready:
                 try:
                     results[idx] = conn.recv()
                 except EOFError:
                     results[idx] = _report_row(fname, rule, time_reduce_ms="error")
                 proc.join()
-            elif deadline is not None and time.monotonic() > deadline:
+            elif deadline is not None and now >= deadline:
                 proc.terminate()
                 proc.join()
                 results[idx] = _report_row(fname, rule, time_reduce_ms="timeout")
-            elif not proc.is_alive():
-                proc.join()
-                results[idx] = _report_row(fname, rule, time_reduce_ms="error")
             else:
                 still.append(item)
         running = still
@@ -339,7 +340,7 @@ def _cmd_bench(args, parser) -> int:
 
 def _cmd_verify(args, _parser) -> int:
     g, base = read_graph(args.instance)
-    with open(args.solution, encoding="utf-8") as fh:
+    with open(args.solution, encoding="utf-8", errors="surrogateescape") as fh:
         side = read_sidecar(fh)
     picks = side["fixed"] + side["solution"]
     chosen = set()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 class VertexSet:
@@ -65,9 +65,6 @@ class Graph:
         self.m = m
         self.adj = adj
         self.deg = [len(a) for a in adj]
-
-    def neighbors(self, u: int) -> Sequence[int]:
-        return self.adj[u]
 
     def has_edge(self, u: int, v: int) -> bool:
         a = self.adj[u]

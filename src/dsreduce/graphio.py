@@ -121,7 +121,7 @@ def id_base(path: str) -> int:
 def read_graph(path: str) -> tuple[Graph, int]:
     """Load by extension; returns the graph and the file's id base."""
     base = id_base(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return (read_gr(fh) if base else read_edge_list(fh)), base
 
 

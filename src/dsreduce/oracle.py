@@ -16,13 +16,14 @@ from typing import Optional
 
 from .graph import AnnotatedInstance, Graph, VertexSet
 from .greedy import TieBreaker
-from .pipeline import RelationSet, WorkCounter, canonical_reference
+from .pipeline import RelationSet, WorkCounter, canonical_reference, suitable_set
 from .reducer import (
+    MAX_ROUNDS,
     ReductionReport,
     Variant,
     _require_no_tombstones,
+    apply_reduction,
     export_residual,
-    reduce_once,
 )
 from .state import ReductionState
 
@@ -236,7 +237,7 @@ def reduce_iterate_reference(
     g: Graph,
     state: ReductionState,
     variant: Variant,
-    max_rounds: int = 1024,
+    max_rounds: int = MAX_ROUNDS,
     *,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
@@ -272,12 +273,18 @@ def reduce_iterate_reference(
     before = work.visits if work is not None else 0
 
     while True:
-        rep = reduce_once(
-            cur_g, cur_state, variant, covered_aware=rounds > 0, work=work
+        t0 = time.perf_counter()
+        rels = suitable_set(
+            cur_g,
+            covered=cur_state.covered if rounds > 0 else None,
+            fixed=cur_state.fixed.mask,
+            work=work,
         )
+        t1 = time.perf_counter()
+        rep = apply_reduction(cur_g, cur_state, rels.references(), variant, work=work)
         rounds += 1
-        t_find += rep.time_find_s
-        t_apply += rep.time_apply_s
+        t_find += t1 - t0
+        t_apply += time.perf_counter() - t1
 
         for rho in rep.fixed:
             o = cur_to_orig[rho]

@@ -17,8 +17,8 @@ Every pass also takes a ``scope``: a set or dict of candidate witnesses.
 A scoped run returns the full result restricted to witnesses in scope
 and costs time proportional to the adjacency near the scope, not to n:
 its stamps live in dicts (``_Sparse``) instead of ``[-1] * n`` lists.
-It reads only ``n``, ``adj`` and ``deg`` of the graph, so a live view of
-a partly reduced graph works too (see ``reducer.reduce_iterate``).
+Every pass reads only ``n``, ``adj`` and ``deg`` of the graph, so a live
+view of a partly reduced graph works too (see ``reducer.reduce_iterate``).
 """
 
 from __future__ import annotations
@@ -156,12 +156,8 @@ def compute_superset(
     n = g.n
     adj = g.adj
     deg = g.deg
-    if scope is None:
-        verts = range(n)
-        visits = 2 * g.m + n  # deg[u] + 1 summed over every u
-    else:
-        verts = ball(g, scope, 2, work=work)
-        visits = sum(deg[u] + 1 for u in verts)
+    verts = range(n) if scope is None else ball(g, scope, 2, work=work)
+    visits = sum(map(deg.__getitem__, verts)) + len(verts)
 
     buckets: defaultdict[int, list[int]] = defaultdict(list)
     for u in verts:

@@ -25,6 +25,9 @@ from .state import CompactResult, ReductionState, compact
 # no witness lies farther out.
 DIRTY_RADIUS = 3
 
+# ``reduce_iterate``'s round cap unless the caller passes another.
+MAX_ROUNDS = 1024
+
 
 class Variant(Enum):
     NAIVE = "naive"
@@ -256,29 +259,20 @@ def reduce_once(
     state: ReductionState,
     variant: Variant,
     *,
-    covered_aware: bool = False,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
     """One find+apply round on a compacted instance.
 
-    ``covered_aware`` switches the witness search to ignore vertices
-    that are already dominated; the first round over a fresh instance
-    gains nothing from it.
+    The witness search reads no covered flags: a vertex already
+    dominated still counts as needing domination.
     """
     _require_no_tombstones(state)
     if variant is Variant.NAIVE:
-        if covered_aware:
-            raise ValueError("the naive sweep has no covered-aware mode")
         return naive_reduce(g, state, work=work)
 
     before = work.visits if work is not None else 0
     t0 = time.perf_counter()
-    rels = suitable_set(
-        g,
-        covered=state.covered if covered_aware else None,
-        fixed=state.fixed.mask,
-        work=work,
-    )
+    rels = suitable_set(g, fixed=state.fixed.mask, work=work)
     t1 = time.perf_counter()
     rep = apply_reduction(g, state, rels.references(), variant, work=work)
     rep.time_find_s = t1 - t0
@@ -291,10 +285,10 @@ def reduce_once(
 class _LiveView:
     """``Graph``-shaped view of a state's live part, in the input's ids.
 
-    ``adj`` starts as a shallow copy of the input's lists, and ``refresh``
-    swaps in new lists, so the input graph is never mutated.  ``deg`` is
-    the state's ``live_degree``.  There is no ``m``: only scoped passes
-    run on a view.
+    ``adj`` starts as a shallow copy of the input's lists and ``deg`` is
+    the state's ``live_degree``; ``refresh`` swaps in new lists, so the
+    input graph is never mutated.  Dead vertices keep stale lists, which
+    ``reduce_iterate`` shows are never read.
     """
 
     __slots__ = ("n", "adj", "deg", "state")
@@ -306,19 +300,18 @@ class _LiveView:
         self.state = state
 
     def refresh(self, vertices: Iterable[int]) -> None:
-        """Re-read the live neighbors of ``vertices``; dead ones get none."""
+        """Re-read the live neighbors of ``vertices``, which must be alive."""
         adj = self.adj
-        state = self.state
-        alive = state.alive
+        live_neighbors = self.state.live_neighbors
         for v in vertices:
-            adj[v] = list(state.live_neighbors(v)) if alive[v] else []
+            adj[v] = list(live_neighbors(v))
 
 
 def reduce_iterate(
     g: Graph,
     state: ReductionState,
     variant: Variant,
-    max_rounds: int = 1024,
+    max_rounds: int = MAX_ROUNDS,
     *,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
@@ -332,13 +325,27 @@ def reduce_iterate(
     The terminating idle round is included in the round count;
     ``converged`` is False when ``max_rounds`` ended the loop instead.
 
-    Round 1 runs the full passes on ``g``.  Each later round runs them on
-    a live view, scoped to the alive vertices within ``DIRTY_RADIUS``
-    edges of the previous round's dirty set D: the alive vertices whose
-    live degree or covered flag changed in that round, boundary included,
-    and after round 1 also every alive covered vertex.  No witness lies
-    outside that scope.  Suppose a witness pair (u, rho) of round k has
-    no vertex of D within 3 edges of u (distances in the live graph).
+    Every round runs the passes on one live view of ``state``; round 1
+    runs them unscoped, while the view's lists and degrees are still the
+    input's.  After an acting round it re-reads the lists of the alive
+    vertices it lists next to a vertex that died in the round (touched
+    ones), and the stale lists of dead vertices are never read.  An alive
+    vertex x loses a live neighbor y only when y is committed or deleted
+    next to a reference, so y was alive when the round read the view and
+    its list names x, or when Extra cuts xy next to a committed reference;
+    either way x is touched.  (A covered vertex dropped for isolation has
+    no live neighbor left to lose.)  So no alive vertex's list names a
+    dead vertex: searches from alive vertices (``ball`` and the passes)
+    never reach one, and the dirty set is read off the lists of vertices
+    alive at find time.
+
+    Each later round is scoped to the alive vertices within
+    ``DIRTY_RADIUS`` edges of the previous round's dirty set D: the alive
+    vertices whose live degree or covered flag changed in that round,
+    boundary included, and after round 1 also every alive covered vertex.
+    No witness lies outside that scope.  Suppose a witness pair (u, rho)
+    of round k has no vertex of D within 3 edges of u (distances in the
+    live graph).
 
     (a) Whether (u, rho) is a witness pair reads only the adjacency of
         the vertices within 3 edges of u and the covered and fixed flags
@@ -369,7 +376,7 @@ def reduce_iterate(
     _require_no_tombstones(state)
 
     alive = state.alive
-    view = g
+    view = _LiveView(state)
     seeds = None
     fixed_all: list[int] = []
     removed_all: list[int] = []
@@ -413,11 +420,8 @@ def reduce_iterate(
             )
             removed_edges += strips
             removed_all += dropped
-            if first:
-                view = _LiveView(state)
-            view.refresh(died)
-            view.refresh(touched)
             seeds = [v for v in touched if alive[v]]
+            view.refresh(seeds)
             if first:
                 seeds += [v for v in range(g.n) if alive[v] and state.covered[v]]
         t_apply += time.perf_counter() - t1

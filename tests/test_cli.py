@@ -1,8 +1,12 @@
 import csv
+import os
 
 import pytest
 
-from dsreduce.cli import main
+import dsreduce.cli as cli
+from dsreduce.cli import _bench_child, main
+from dsreduce.graph import load_check
+from dsreduce.graphio import read_sidecar, write_gr
 
 
 def run_ok(argv, capsys):
@@ -181,6 +185,58 @@ def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):
     assert "vertex id outside" in err
 
 
+def test_non_utf8_bytes_exit_three_with_line_number(tmp_path, capsys):
+    cases = [
+        ("bad.gr", b"p ds 3 1\n1 2\xff\n"),
+        ("bad.el", b"0 1\n1 \xff\n"),
+    ]
+    for name, data in cases:
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        assert main(["reduce", str(bad), "--rule", "linear"]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: non-numeric endpoint"), err
+
+    inst = str(tmp_path / "p3.gr")
+    run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)
+    side = tmp_path / "bad.side"
+    side.write_bytes(b"fixed:\n\xe92\n")
+    assert main(["verify", inst, "--solution", str(side)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: non-numeric id"), err
+
+    # comments are free text, whatever their encoding
+    latin = tmp_path / "latin.gr"
+    latin.write_bytes(b"c caf\xe9 au lait\np ds 3 2\n1 2\n2 3\n")
+    out = run_ok(["reduce", str(latin), "--rule", "linear"], capsys)
+    assert "fixed=1 " in out
+
+
+def test_reduce_fix_isolated_commits_isolated_vertex(tmp_path, capsys):
+    # vertex 3 (4 in the file) is isolated; the rule fixes 1 and 5 (2, 6)
+    inst = str(tmp_path / "g.gr")
+    with open(inst, "w") as fh:
+        write_gr(load_check(6, [(0, 1), (1, 2), (4, 5)]), fh)
+    side = tmp_path / "g.side"
+    report = tmp_path / "g.csv"
+    cases = [([], 2, 1, [2, 6]), (["--fix-isolated"], 3, 0, [2, 4, 6])]
+    for flag, fixed, res_n, side_fixed in cases:
+        out = run_ok(
+            ["reduce", inst, "--rule", "linear", "--sidecar", str(side),
+             "--report", str(report), *flag],
+            capsys,
+        )
+        stats = {k: int(v) for k, v in (tok.split("=") for tok in out.split())}
+        assert stats["fixed"] == fixed and stats["residual_n"] == res_n, out
+        with open(side) as fh:
+            assert sorted(read_sidecar(fh)["fixed"]) == side_fixed
+        with open(report) as fh:
+            (row,) = list(csv.DictReader(fh))
+        row = {k: int(row[k]) for k in ("n", "m", "fixed", "removed_nodes", "removed_edges")}
+        assert row["n"] == row["fixed"] + row["removed_nodes"] + res_n
+        assert row["m"] == row["removed_edges"] + stats["residual_m"]
+
+
 def test_verify_rejects_out_of_range_solution(tmp_path, capsys):
     inst = str(tmp_path / "p3.gr")
     run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)
@@ -250,6 +306,37 @@ def test_bench_survives_corrupt_instance(tmp_path, capsys):
     assert rows[0]["time_reduce_ms"] == "error"
     assert rows[1]["instance"] == "ok.gr"
     assert rows[1]["time_reduce_ms"] not in ("timeout", "error")
+
+
+def _child_dies_on_b(path, rule, conn):
+    if os.path.basename(path) == "b.gr":
+        os._exit(1)
+    _bench_child(path, rule, conn)
+
+
+def test_bench_child_that_dies_gets_error_rows(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a.gr", "b.gr", "c.gr"):
+        run_ok(["gen", "path", "--n", "6", "--out", str(corpus / name)], capsys)
+    monkeypatch.setattr(cli, "_bench_child", _child_dies_on_b)
+    report = str(tmp_path / "bench.csv")
+    run_ok(
+        ["bench", "--dir", str(corpus), "--rules", "linear,plus",
+         "--report", report, "--workers", "2"],
+        capsys,
+    )
+    with open(report) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["instance"], r["variant"]) for r in rows] == [
+        (name, rule) for name in ("a.gr", "b.gr", "c.gr") for rule in ("linear", "plus")
+    ]
+    for r in rows:
+        if r["instance"] == "b.gr":
+            assert r["time_reduce_ms"] == "error" and r["fixed"] == "0"
+        else:
+            assert r["time_reduce_ms"] not in ("timeout", "error")
+            assert (r["n"], r["fixed"], r["removed_nodes"]) == ("6", "2", "4")
 
 
 def test_gen_edge_list_extension_roundtrip(tmp_path, capsys):

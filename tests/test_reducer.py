@@ -423,12 +423,6 @@ def test_iterate_rejects_bad_round_cap():
         reduce_iterate(g, ReductionState(g), Variant.PLUS, max_rounds=0)
 
 
-def test_reduce_once_rejects_covered_aware_naive():
-    g = path(6)
-    with pytest.raises(ValueError):
-        reduce_once(g, ReductionState(g), Variant.NAIVE, covered_aware=True)
-
-
 def test_reducers_require_compact_state():
     g = path(6)
     st = ReductionState(g)
