@@ -340,7 +340,7 @@ def _cmd_bench(args, parser) -> int:
 
 def _cmd_verify(args, _parser) -> int:
     g, base = read_graph(args.instance)
-    with open(args.solution, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(args.solution, encoding="utf-8-sig", errors="surrogateescape") as fh:
         side = read_sidecar(fh)
     picks = side["fixed"] + side["solution"]
     chosen = set()

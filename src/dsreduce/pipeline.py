@@ -13,12 +13,18 @@ All passes use stamp arrays instead of clearable sets, so combined cost
 stays proportional to n + m.  Counters (``WorkCounter``) record adjacency
 visits as upper bounds; bulk adds keep the hot loops tight.
 
-Every pass also takes a ``scope``: a set or dict of candidate witnesses.
-A scoped run returns the full result restricted to witnesses in scope
-and costs time proportional to the adjacency near the scope, not to n:
-its stamps live in dicts (``_Sparse``) instead of ``[-1] * n`` lists.
-Every pass reads only ``n``, ``adj`` and ``deg`` of the graph, so a live
-view of a partly reduced graph works too (see ``reducer.reduce_iterate``).
+Every pass also takes a ``scope``: a set or dict of vertices.  The
+superset pass evaluates exactly the vertices in scope; partition and
+filter test only the witnesses in scope, reading the superset map of
+every vertex within two edges of them.  ``suitable_set(scope=S)`` thus
+hands the superset pass the radius-2 ball around S and returns the full
+result restricted to witnesses in S.  A scoped run costs time
+proportional to the adjacency near the scope, not to n: its stamps live
+in dicts (``_Sparse``) instead of ``[-1] * n`` lists.  Every pass reads
+only ``n``, ``adj`` and ``deg`` of the graph, so a live view of a partly
+reduced graph works too; ``reducer.reduce_iterate`` keeps one superset
+map across rounds and re-evaluates it only where a degree or a canonical
+reference changed.
 """
 
 from __future__ import annotations
@@ -85,20 +91,42 @@ class RelationSet:
 
     ``by_witness`` maps a witness to its reference and anything else to
     -1: a list of length ``n``, or a dict when ``n`` is None (scoped runs).
+    ``canonical`` is set by ``compute_superset`` only: the canonical
+    reference of every vertex it evaluated, in the same kind of map.
     """
 
-    __slots__ = ("relations", "by_witness")
+    __slots__ = ("by_witness", "canonical", "_pairs")
 
     def __init__(self, n: Optional[int], pairs) -> None:
-        self.relations: list[tuple[int, int]] = []
         self.by_witness = [-1] * n if n is not None else _Sparse()
+        self.canonical = None
+        self._pairs: Optional[list[tuple[int, int]]] = []
         for u, rho in pairs:
             if u == rho:
                 raise ValueError(f"vertex {u} cannot witness itself")
             if self.by_witness[u] != -1:
                 raise ValueError(f"witness {u} appears twice")
             self.by_witness[u] = rho
-            self.relations.append((u, rho))
+            self._pairs.append((u, rho))
+
+    @property
+    def relations(self) -> list[tuple[int, int]]:
+        """The pairs; after ``update`` they are read off ``by_witness``."""
+        if self._pairs is None:
+            self._pairs = [(u, rho) for u, rho in enumerate(self.by_witness) if rho >= 0]
+        return self._pairs
+
+    def update(self, part: "RelationSet", verts) -> None:
+        """Overwrite the entries of ``verts`` with those of ``part``, a
+        superset pass that evaluated them; ``self`` must be a full one."""
+        canonical = self.canonical
+        by_witness = self.by_witness
+        for u in verts:
+            canonical[u] = part.canonical[u]
+            by_witness[u] = -1
+        for u, rho in part.relations:
+            by_witness[u] = rho
+        self._pairs = None
 
     def __len__(self) -> int:
         return len(self.relations)
@@ -149,19 +177,24 @@ def compute_superset(
     neighborhood), as are ``fixed`` vertices, whose solution membership
     is already settled.
 
-    With ``scope`` the pass evaluates every u within two edges of the
-    scope, because the partition value of a vertex next to a scoped
-    witness reads the candidates among its own neighbors.
+    With ``scope`` the pass evaluates exactly the vertices in scope.
+    ``canonical`` of the result holds the canonical reference of every
+    evaluated vertex, witness or not.
     """
     n = g.n
     adj = g.adj
     deg = g.deg
-    verts = range(n) if scope is None else ball(g, scope, 2, work=work)
+    verts = range(n) if scope is None else scope
     visits = sum(map(deg.__getitem__, verts)) + len(verts)
+    if scope is None:
+        canonical = [canonical_reference(g, u) for u in verts]
+        evaluated = enumerate(canonical)
+    else:
+        canonical = {u: canonical_reference(g, u) for u in verts}
+        evaluated = canonical.items()
 
     buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for u in verts:
-        rho = canonical_reference(g, u)
+    for u, rho in evaluated:
         if rho == u:
             continue
         if fixed is not None and fixed[u]:
@@ -190,7 +223,17 @@ def compute_superset(
 
     if work is not None:
         work.add(visits)
-    return RelationSet(n if scope is None else None, pairs)
+    out = RelationSet(n if scope is None else None, pairs)
+    out.canonical = canonical
+    return out
+
+
+def _pairs_in(sprime: RelationSet, scope) -> list[tuple[int, int]]:
+    """The pairs of ``sprime`` whose witness is in ``scope`` (all if None)."""
+    if scope is None:
+        return sprime.relations
+    ref_of = sprime.by_witness
+    return [(u, ref_of[u]) for u in scope if ref_of[u] >= 0]
 
 
 def compute_proper_partition(
@@ -208,7 +251,8 @@ def compute_proper_partition(
     The min tiebreak is deliberate and opposite to canonical_reference;
     the filtering pass depends on exactly this choice.  Unmapped entries
     hold -1.  With ``scope`` only witnesses in scope count, and f is a
-    dict over their closed neighborhoods (absent keys read -1).
+    dict over their closed neighborhoods (absent keys read -1); ``sprime``
+    must then map every vertex within two edges of them.
     """
     n = g.n
     adj = g.adj
@@ -219,9 +263,7 @@ def compute_proper_partition(
     seen: set[int] = set()
     visits = 0
 
-    for u, _rho in sprime.relations:
-        if scope is not None and u not in scope:
-            continue
+    for u, _rho in _pairs_in(sprime, scope):
         visits += deg[u] + 1
         for x in (u, *adj[u]):
             if x in seen:
@@ -282,9 +324,8 @@ def filter_suitable(
             chosen[r].append(x)
 
     wits: defaultdict[int, list[int]] = defaultdict(list)
-    for u, rho in sprime.relations:
-        if scope is None or u in scope:
-            wits[rho].append(u)
+    for u, rho in _pairs_in(sprime, scope):
+        wits[rho].append(u)
 
     slot1 = _stamps(n, scope)
     slot2 = _stamps(n, scope)
@@ -344,9 +385,13 @@ def suitable_set(
     """Run all three passes and return the filtered witness set.
 
     With ``scope`` the result is the full result restricted to pairs
-    whose witness is in scope.
+    whose witness is in scope.  The superset pass then evaluates every
+    vertex within two edges of the scope, because the partition value of
+    a vertex next to a scoped witness reads the candidates among its own
+    neighbors.
     """
-    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work, scope=scope)
+    near = None if scope is None else ball(g, scope, 2, work=work)
+    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work, scope=near)
     f = compute_proper_partition(g, sprime, work=work, scope=scope)
     return filter_suitable(
         g, sprime, f, covered=covered, fixed=fixed, work=work, scope=scope

@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
+# The passes are called as attributes of ``pipeline``, so a wrapper set
+# there (a tracer, a test) sees every call.
+from . import pipeline
 from .graph import Graph
-from .pipeline import WorkCounter, ball, suitable_set
+from .pipeline import RelationSet, WorkCounter, ball, suitable_set
 from .state import CompactResult, ReductionState, compact
 
 # Rounds after the first evaluate only the alive vertices within this many
@@ -43,6 +46,10 @@ class ReductionReport:
     removed_nodes: list[int] = field(default_factory=list)
     removed_edges: int = 0
     rounds: int = 1
+    # Find: the pipeline passes, and in reduce_iterate also the superset
+    # re-evaluation and the scope search.  Apply: apply_reduction, and in
+    # reduce_iterate also the boundary strip, the dirty-set scan and the
+    # view refresh.
     time_find_s: float = 0.0
     time_apply_s: float = 0.0
     work_visits: int = 0
@@ -368,6 +375,29 @@ def reduce_iterate(
         alive and adjacent to rho, lost a neighbor: u is in D.
 
     That contradicts the assumption, so radius 3 loses nothing.
+
+    The superset pass is not rerun on that scope.  Its result is carried
+    across rounds in two lists over the input's ids: each vertex's
+    canonical reference R(u) and the witness-to-reference map.  Round 1
+    fills both.  After an acting round, with T the dirty vertices whose
+    lists the round refreshed, only U = T + {u in N(T) : R(u) in T} is
+    re-evaluated, and after round 1 also every alive covered vertex.
+    Partition and filter on the radius-3 scope read the carried map within
+    2 edges of it, and it is right at every alive vertex:
+
+    (d) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
+        covered and fixed flags of u.  Deletions only lower degrees, and
+        only on T: an alive vertex that loses a live neighbor is touched,
+        as shown above.  Take an alive u outside U.  Then u is not in T,
+        and neither is R(u): by the definition of U when u has a
+        neighbor in T, and because R(u) lies in N[u] when it has none.
+        So N[u] and N[R(u)] are the lists of one round earlier, and R(u)
+        kept its degree while every other member of N[u] kept or lowered
+        its own, so R(u) is still the maximum.  u's covered flag changes
+        only when u is next to a committed vertex, hence in T; round 1
+        reads no covered flags, which is why every alive covered vertex
+        is re-evaluated after it.  No alive vertex is fixed after round 1.  So R(u) and u's verdict are
+        those of one round earlier.
     """
     if variant not in (Variant.PLUS, Variant.EXTRA):
         raise ValueError("iterated reduction requires the plus or extra variant")
@@ -376,8 +406,12 @@ def reduce_iterate(
     _require_no_tombstones(state)
 
     alive = state.alive
+    covered = state.covered
+    fixed = state.fixed.mask
     view = _LiveView(state)
-    seeds = None
+    sup: Optional[RelationSet] = None
+    dirty: dict[int, None] = {}
+    recheck: list[int] = []
     fixed_all: list[int] = []
     removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
@@ -390,11 +424,19 @@ def reduce_iterate(
 
     while True:
         t0 = time.perf_counter()
-        scope = None if seeds is None else ball(view, seeds, DIRTY_RADIUS, work=work)
-        rels = suitable_set(
+        if sup is None:
+            sup = pipeline.compute_superset(view, fixed=fixed, work=work)
+            scope = None
+        else:
+            _reevaluate_superset(view, sup, dirty, recheck, work)
+            scope = ball(view, [*dirty, *recheck], DIRTY_RADIUS, work=work)
+        f = pipeline.compute_proper_partition(view, sup, work=work, scope=scope)
+        rels = pipeline.filter_suitable(
             view,
-            covered=state.covered if rounds > 0 else None,
-            fixed=state.fixed.mask,
+            sup,
+            f,
+            covered=covered if rounds > 0 else None,
+            fixed=fixed,
             work=work,
             scope=scope,
         )
@@ -420,10 +462,9 @@ def reduce_iterate(
             )
             removed_edges += strips
             removed_all += dropped
-            seeds = [v for v in touched if alive[v]]
-            view.refresh(seeds)
-            if first:
-                seeds += [v for v in range(g.n) if alive[v] and state.covered[v]]
+            dirty = {v: None for v in touched if alive[v]}
+            view.refresh(dirty)
+            recheck = [v for v in range(g.n) if alive[v] and covered[v]] if first else []
         t_apply += time.perf_counter() - t1
         if not rep.changed:
             break
@@ -445,6 +486,38 @@ def reduce_iterate(
     if work is not None:
         rep.work_visits = work.visits - before
     return rep
+
+
+def _reevaluate_superset(
+    view: _LiveView,
+    sup: RelationSet,
+    dirty: dict[int, None],
+    recheck: list[int],
+    work: Optional[WorkCounter],
+) -> None:
+    """Bring the carried superset map ``sup`` up to date after a round.
+
+    Re-evaluates the dirty vertices, their neighbors whose canonical
+    reference is dirty, and ``recheck``, covered-aware; see (d) in
+    ``reduce_iterate``.
+    """
+    canonical = sup.canonical
+    redo = dict(dirty)
+    visits = 0
+    for t in dirty:
+        at = view.adj[t]
+        visits += len(at)
+        for u in at:
+            if canonical[u] in dirty:
+                redo[u] = None
+    redo.update(dict.fromkeys(recheck))
+    if work is not None:
+        work.add(visits)
+    state = view.state
+    part = pipeline.compute_superset(
+        view, covered=state.covered, fixed=state.fixed.mask, work=work, scope=redo
+    )
+    sup.update(part, redo)
 
 
 def fix_isolated_uncovered(g: Graph, state: ReductionState) -> list[int]:

@@ -212,6 +212,22 @@ def test_non_utf8_bytes_exit_three_with_line_number(tmp_path, capsys):
     assert "fixed=1 " in out
 
 
+def test_byte_order_mark_is_skipped(tmp_path, capsys):
+    # editors on some platforms save UTF-8 with a leading BOM
+    bom = b"\xef\xbb\xbf"
+    for name, data in (("p3.gr", b"p ds 3 2\n1 2\n2 3\n"), ("p3.el", b"0 1\n1 2\n")):
+        inst = tmp_path / name
+        inst.write_bytes(bom + data)
+        out = run_ok(["reduce", str(inst), "--rule", "linear"], capsys)
+        assert out.startswith("fixed=1 removed_nodes=2 removed_edges=2 "), name
+
+    inst = str(tmp_path / "p3.gr")
+    side = tmp_path / "p3.side"
+    side.write_bytes(bom + b"fixed:\n2\n")
+    out = run_ok(["verify", inst, "--solution", str(side)], capsys)
+    assert out.strip() == "valid: 1 vertices dominate all 3"
+
+
 def test_reduce_fix_isolated_commits_isolated_vertex(tmp_path, capsys):
     # vertex 3 (4 in the file) is isolated; the rule fixes 1 and 5 (2, 6)
     inst = str(tmp_path / "g.gr")

@@ -221,10 +221,17 @@ def test_scoped_passes_match_full_result_restricted():
         fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
         for cov, fix in ((None, None), (covered, None), (covered, fixed)):
             full = suitable_set(g, covered=cov, fixed=fix).sorted_pairs()
+            sup = compute_superset(g, covered=cov, fixed=fix)
             for p in (0.0, 0.1, 0.3, 0.7, 1.0):
                 scope = {v for v in range(g.n) if rng.random() < p}
                 got = suitable_set(g, covered=cov, fixed=fix, scope=scope)
                 assert got.sorted_pairs() == [(u, r) for u, r in full if u in scope]
+                # the superset pass evaluates exactly its scope
+                part = compute_superset(g, covered=cov, fixed=fix, scope=scope)
+                assert part.sorted_pairs() == [
+                    (u, r) for u, r in sup.sorted_pairs() if u in scope
+                ]
+                assert part.canonical == {u: sup.canonical[u] for u in scope}
 
 
 def test_scoped_passes_stay_local():
