@@ -8,6 +8,7 @@ kill them without taking the harness down.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -286,6 +287,9 @@ def _cmd_bench(args, parser) -> int:
             parser.error(f"unknown rule {r!r}")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    # written to reject nan and inf too: the deadlines below need a finite value
+    if args.timeout_s is not None and not 0 < args.timeout_s < math.inf:
+        parser.error("--timeout-s must be a positive number of seconds")
 
     files = sorted(
         f for f in os.listdir(args.dir) if f.endswith(".gr") or f.endswith(".el")

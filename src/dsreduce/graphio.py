@@ -34,11 +34,11 @@ class FormatError(Exception):
 
 def _header(tok: list[str], lineno: int) -> tuple[int, int]:
     """Vertex and edge counts of a ``p <kind> <n> <m>`` line."""
-    if len(tok) < 4:
+    if len(tok) != 4:
         raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
     try:
-        n = int(tok[-2])
-        m = int(tok[-1])
+        n = int(tok[2])
+        m = int(tok[3])
     except ValueError:
         raise FormatError(f"line {lineno}: non-numeric header counts") from None
     if n < 0 or m < 0:

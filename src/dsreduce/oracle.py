@@ -104,7 +104,7 @@ def suitable_set_direct(
                 continue
             if canonical_reference(g, u) == rho:
                 pairs.append((u, rho))
-    return RelationSet(g.n, sorted(pairs))
+    return RelationSet(sorted(pairs))
 
 
 def exhaustive_original_rule1(g: Graph) -> tuple[list[int], list[int]]:

@@ -9,28 +9,30 @@ Three passes over a graph:
 3. ``filter_suitable``   two-slot marking pass that drops witnesses still
    adjacent to vertices reaching outside the reference's neighborhood.
 
-All passes use stamp arrays instead of clearable sets, so combined cost
-stays proportional to n + m.  Counters (``WorkCounter``) record adjacency
+The superset pass stamps a ``[-1] * n`` list instead of clearing a set
+per reference; partition and filter test membership in a set of each
+neighborhood they compare against.  Combined cost stays proportional to
+n + m.  Counters (``WorkCounter``) record adjacency
 visits as upper bounds; bulk adds keep the hot loops tight.
 
-Every pass also takes a ``scope``: a set or dict of vertices.  The
-superset pass evaluates exactly the vertices in scope; partition and
-filter test only the witnesses in scope, reading the superset map of
-every vertex within two edges of them.  ``suitable_set(scope=S)`` thus
-hands the superset pass the radius-2 ball around S and returns the full
-result restricted to witnesses in S.  A scoped run costs time
-proportional to the adjacency near the scope, not to n: its stamps live
-in dicts (``_Sparse``) instead of ``[-1] * n`` lists.  Every pass reads
-only ``n``, ``adj`` and ``deg`` of the graph, so a live view of a partly
-reduced graph works too; ``reducer.reduce_iterate`` keeps one superset
-map across rounds and re-evaluates it only where a degree or a canonical
-reference changed.
+Only the superset pass takes a ``scope``, a set or dict of vertices:
+it then evaluates exactly those.  Partition and filter take the witness
+pairs to test (all of the superset pass's by default) and read the
+superset map of every vertex within two edges of their witnesses; the
+verdict on a pair does not depend on which other pairs are tested.
+A scoped superset pass stamps a dict (``_Sparse``) instead of a list,
+and partition and filter allocate nothing of size n, so each costs
+time proportional to the adjacency it reads, not to n.  Every
+pass reads only ``n``, ``adj`` and ``deg`` of the graph, so a live view
+of a partly reduced graph works too; ``reducer.reduce_iterate`` keeps
+one superset map across rounds, re-evaluates it only where a degree or
+a canonical reference changed, and tests only the witnesses near that.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional, Union
+from typing import Optional
 
 from .graph import Graph
 
@@ -54,11 +56,6 @@ class _Sparse(dict):
 
     def __missing__(self, key: int) -> int:
         return -1
-
-
-def _stamps(n: int, scope) -> Union[list[int], _Sparse]:
-    """Vertex -> int map reading -1 until set, sized for the pass's reach."""
-    return [-1] * n if scope is None else _Sparse()
 
 
 def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) -> dict:
@@ -89,32 +86,23 @@ def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) ->
 class RelationSet:
     """Witness-reference pairs with at most one reference per witness.
 
-    ``by_witness`` maps a witness to its reference and anything else to
-    -1: a list of length ``n``, or a dict when ``n`` is None (scoped runs).
-    ``canonical`` is set by ``compute_superset`` only: the canonical
-    reference of every vertex it evaluated, in the same kind of map.
+    ``by_witness`` maps each witness to its reference, in insertion order,
+    and reads -1 for anything else.  ``canonical`` is set by
+    ``compute_superset`` only: the canonical reference of every vertex it
+    evaluated.
     """
 
-    __slots__ = ("by_witness", "canonical", "_pairs")
+    __slots__ = ("by_witness", "canonical")
 
-    def __init__(self, n: Optional[int], pairs) -> None:
-        self.by_witness = [-1] * n if n is not None else _Sparse()
+    def __init__(self, pairs) -> None:
+        self.by_witness = _Sparse()
         self.canonical = None
-        self._pairs: Optional[list[tuple[int, int]]] = []
         for u, rho in pairs:
             if u == rho:
                 raise ValueError(f"vertex {u} cannot witness itself")
-            if self.by_witness[u] != -1:
+            if u in self.by_witness:
                 raise ValueError(f"witness {u} appears twice")
             self.by_witness[u] = rho
-            self._pairs.append((u, rho))
-
-    @property
-    def relations(self) -> list[tuple[int, int]]:
-        """The pairs; after ``update`` they are read off ``by_witness``."""
-        if self._pairs is None:
-            self._pairs = [(u, rho) for u, rho in enumerate(self.by_witness) if rho >= 0]
-        return self._pairs
 
     def update(self, part: "RelationSet", verts) -> None:
         """Overwrite the entries of ``verts`` with those of ``part``, a
@@ -123,26 +111,24 @@ class RelationSet:
         by_witness = self.by_witness
         for u in verts:
             canonical[u] = part.canonical[u]
-            by_witness[u] = -1
-        for u, rho in part.relations:
-            by_witness[u] = rho
-        self._pairs = None
+            by_witness.pop(u, None)
+        by_witness.update(part.by_witness)
 
     def __len__(self) -> int:
-        return len(self.relations)
+        return len(self.by_witness)
 
     def __iter__(self):
-        return iter(self.relations)
+        return iter(self.by_witness.items())
 
     def references(self) -> list[int]:
         """Distinct reference ids, ascending."""
-        return sorted({rho for _, rho in self.relations})
+        return sorted(set(self.by_witness.values()))
 
     def witnesses(self) -> list[int]:
-        return sorted(u for u, _ in self.relations)
+        return sorted(self.by_witness)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.relations)
+        return sorted(self.by_witness.items())
 
 
 def canonical_reference(g: Graph, u: int) -> int:
@@ -203,7 +189,7 @@ def compute_superset(
             continue
         buckets[rho].append(u)
 
-    mark = _stamps(n, scope)
+    mark = [-1] * n if scope is None else _Sparse()
     pairs: list[tuple[int, int]] = []
     for rho, bucket in buckets.items():
         mark[rho] = rho
@@ -223,17 +209,9 @@ def compute_superset(
 
     if work is not None:
         work.add(visits)
-    out = RelationSet(n if scope is None else None, pairs)
+    out = RelationSet(pairs)
     out.canonical = canonical
     return out
-
-
-def _pairs_in(sprime: RelationSet, scope) -> list[tuple[int, int]]:
-    """The pairs of ``sprime`` whose witness is in ``scope`` (all if None)."""
-    if scope is None:
-        return sprime.relations
-    ref_of = sprime.by_witness
-    return [(u, ref_of[u]) for u in scope if ref_of[u] >= 0]
 
 
 def compute_proper_partition(
@@ -241,46 +219,36 @@ def compute_proper_partition(
     sprime: RelationSet,
     *,
     work: Optional[WorkCounter] = None,
-    scope=None,
-) -> Union[list[int], dict[int, int]]:
+    pairs=None,
+) -> _Sparse:
     """Second pass: partial map f over vertices near candidate witnesses.
 
-    For each x in the closed neighborhood of some witness, closed
-    neighbors y propose their own reference R[y]; proposals not adjacent
-    to x are discarded and the survivor with minimum (degree, id) wins.
-    The min tiebreak is deliberate and opposite to canonical_reference;
-    the filtering pass depends on exactly this choice.  Unmapped entries
-    hold -1.  With ``scope`` only witnesses in scope count, and f is a
-    dict over their closed neighborhoods (absent keys read -1); ``sprime``
-    must then map every vertex within two edges of them.
+    For each x in the closed neighborhood of the witness of a pair in
+    ``pairs`` (default: all of ``sprime``), closed neighbors y propose
+    their own reference R[y]; proposals not adjacent to x are discarded
+    and the survivor with minimum (degree, id) wins.  The min tiebreak is
+    deliberate and opposite to canonical_reference; the filtering pass
+    depends on exactly this choice.  Unmapped vertices read -1.
+    ``sprime`` must map every vertex within two edges of those witnesses.
     """
-    n = g.n
     adj = g.adj
     deg = g.deg
-    ref_of = sprime.by_witness
-    f = _stamps(n, scope)
-    nst = _stamps(n, scope)
-    seen: set[int] = set()
+    ref_of = sprime.by_witness.get
+    f = _Sparse()
     visits = 0
 
-    for u, _rho in _pairs_in(sprime, scope):
+    for u, _rho in sprime if pairs is None else pairs:
         visits += deg[u] + 1
         for x in (u, *adj[u]):
-            if x in seen:
+            if x in f:
                 continue
-            seen.add(x)
             ax = adj[x]
-            for w in ax:
-                nst[w] = x
+            near = set(ax)
             best = -1
             bd = 0
-            r = ref_of[x]
-            if r >= 0 and nst[r] == x:
-                best = r
-                bd = deg[r]
-            for y in ax:
-                r = ref_of[y]
-                if r >= 0 and nst[r] == x:
+            for y in (x, *ax):
+                r = ref_of(y, -1)
+                if r in near:
                     d = deg[r]
                     if best < 0 or d < bd or (d == bd and r < best):
                         best = r
@@ -295,67 +263,60 @@ def compute_proper_partition(
 
 def filter_suitable(
     g: Graph,
-    sprime: RelationSet,
-    f,
+    pairs,
+    f: _Sparse,
     *,
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
-    scope=None,
 ) -> RelationSet:
     """Third pass: keep only witnesses whose whole neighborhood collapses.
 
-    Per reference r: slot1 stamps N[r]; vertices mapped to r by f whose
-    neighbors are all slot1-stamped get slot2; a candidate witness u
-    survives iff everything in N[u] except r carries slot2.  With
-    covered flags, slot2 only demands that escape targets be uncovered:
-    that is the whole covered-aware relaxation, and it applies to the
-    classified vertices inside N[r] only.  Committed vertices count as
-    escaping, so witnesses next to one are dropped.  With ``scope`` only
-    witnesses in scope are tested; ``f`` is then the scoped partition.
+    ``pairs`` are the candidate pairs to test and ``f`` the partition
+    over their witnesses.  Per reference r: slot1 holds N[r]; vertices
+    mapped to r by f whose neighbors all lie in slot1 join slot2; a
+    candidate witness u survives iff everything in N[u] except r is in
+    slot2.  With covered flags, slot2 only demands that escape targets
+    be uncovered: that is the whole covered-aware relaxation, and it
+    applies to the classified vertices inside N[r] only.  Committed
+    vertices count as escaping, so witnesses next to one are dropped.
     """
-    n = g.n
     adj = g.adj
     visits = 0
 
     chosen: defaultdict[int, list[int]] = defaultdict(list)
-    for x, r in (enumerate(f) if scope is None else f.items()):
+    for x, r in f.items():
         if r >= 0:
             chosen[r].append(x)
 
     wits: defaultdict[int, list[int]] = defaultdict(list)
-    for u, rho in _pairs_in(sprime, scope):
+    for u, rho in pairs:
         wits[rho].append(u)
 
-    slot1 = _stamps(n, scope)
-    slot2 = _stamps(n, scope)
-    pairs: list[tuple[int, int]] = []
+    out: list[tuple[int, int]] = []
 
     for rho, cand in wits.items():
-        slot1[rho] = rho
-        for w in adj[rho]:
-            slot1[w] = rho
+        slot1 = set(adj[rho])
+        slot1.add(rho)
         visits += len(adj[rho]) + 1
 
+        slot2 = set()
         for x in chosen.get(rho, ()):
             ax = adj[x]
             visits += len(ax)
-            ok = True
             if covered is None:
-                for w in ax:
-                    if slot1[w] != rho:
-                        ok = False
-                        break
+                ok = slot1.issuperset(ax)
             else:
+                ok = True
                 for w in ax:
-                    if slot1[w] != rho and not covered[w]:
+                    if w not in slot1 and not covered[w]:
                         ok = False
                         break
             if ok:
-                slot2[x] = rho
+                slot2.add(x)
 
         for u in cand:
-            if slot2[u] != rho:
+            if u not in slot2:
                 continue
             au = adj[u]
             visits += len(au)
@@ -363,15 +324,15 @@ def filter_suitable(
             for w in au:
                 if w == rho:
                     continue
-                if (fixed is not None and fixed[w]) or slot2[w] != rho:
+                if (fixed is not None and fixed[w]) or w not in slot2:
                     keep = False
                     break
             if keep:
-                pairs.append((u, rho))
+                out.append((u, rho))
 
     if work is not None:
         work.add(visits)
-    return RelationSet(n if scope is None else None, pairs)
+    return RelationSet(out)
 
 
 def suitable_set(
@@ -380,19 +341,8 @@ def suitable_set(
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
-    scope=None,
 ) -> RelationSet:
-    """Run all three passes and return the filtered witness set.
-
-    With ``scope`` the result is the full result restricted to pairs
-    whose witness is in scope.  The superset pass then evaluates every
-    vertex within two edges of the scope, because the partition value of
-    a vertex next to a scoped witness reads the candidates among its own
-    neighbors.
-    """
-    near = None if scope is None else ball(g, scope, 2, work=work)
-    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work, scope=near)
-    f = compute_proper_partition(g, sprime, work=work, scope=scope)
-    return filter_suitable(
-        g, sprime, f, covered=covered, fixed=fixed, work=work, scope=scope
-    )
+    """Run all three passes and return the filtered witness set."""
+    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work)
+    f = compute_proper_partition(g, sprime, work=work)
+    return filter_suitable(g, sprime, f, covered=covered, fixed=fixed, work=work)

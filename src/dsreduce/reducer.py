@@ -23,10 +23,10 @@ from .graph import Graph
 from .pipeline import RelationSet, WorkCounter, ball, suitable_set
 from .state import CompactResult, ReductionState, compact
 
-# Rounds after the first evaluate only the alive vertices within this many
-# edges of the previous round's dirty set; ``reduce_iterate`` proves that
-# no witness lies farther out.
-DIRTY_RADIUS = 3
+# Rounds after the first test only the witnesses within this many edges of
+# the vertices whose superset verdict was re-evaluated; ``reduce_iterate``
+# proves that no witness lies farther out.
+DIRTY_RADIUS = 2
 
 # ``reduce_iterate``'s round cap unless the caller passes another.
 MAX_ROUNDS = 1024
@@ -47,7 +47,7 @@ class ReductionReport:
     removed_edges: int = 0
     rounds: int = 1
     # Find: the pipeline passes, and in reduce_iterate also the superset
-    # re-evaluation and the scope search.  Apply: apply_reduction, and in
+    # re-evaluation and the witness search.  Apply: apply_reduction, and in
     # reduce_iterate also the boundary strip, the dirty-set scan and the
     # view refresh.
     time_find_s: float = 0.0
@@ -333,7 +333,7 @@ def reduce_iterate(
     ``converged`` is False when ``max_rounds`` ended the loop instead.
 
     Every round runs the passes on one live view of ``state``; round 1
-    runs them unscoped, while the view's lists and degrees are still the
+    tests every pair, while the view's lists and degrees are still the
     input's.  After an acting round it re-reads the lists of the alive
     vertices it lists next to a vertex that died in the round (touched
     ones), and the stale lists of dead vertices are never read.  An alive
@@ -346,46 +346,16 @@ def reduce_iterate(
     never reach one, and the dirty set is read off the lists of vertices
     alive at find time.
 
-    Each later round is scoped to the alive vertices within
-    ``DIRTY_RADIUS`` edges of the previous round's dirty set D: the alive
-    vertices whose live degree or covered flag changed in that round,
-    boundary included, and after round 1 also every alive covered vertex.
-    No witness lies outside that scope.  Suppose a witness pair (u, rho)
-    of round k has no vertex of D within 3 edges of u (distances in the
-    live graph).
-
-    (a) Whether (u, rho) is a witness pair reads only the adjacency of
-        the vertices within 3 edges of u and the covered and fixed flags
-        of those within 2.  rho is chosen from N[u] by degree, and u
-        passes the superset pass when N(u) fits in N[rho].  The partition
-        value f[x] of each x in N[u] reads the superset pairs of the y in
-        N[x]; each of those reads N[y], the degrees on it and the
-        adjacency of y's reference, 3 edges from u.  The filter reads
-        N[rho], the N[x] and the covered flags on them, 2 edges from u.
-    (b) Deletions only shrink adjacency lists, so an alive vertex outside
-        D has the adjacency and covered flag it had one round earlier.  A
-        breadth-first search from u therefore reads the same lists in
-        both rounds, up to 3 edges out, and the flags it meets are the
-        same.  No vertex there is fixed in either round: committed
-        vertices, given ones included, are stripped at every boundary.
-        Round 1 reads no covered flags, but after it D holds every alive
-        covered vertex, so none is near u and both readings agree.  So
-        (u, rho) was a witness pair one round earlier too.
-    (c) Then rho was committed and stripped one round earlier, and u,
-        alive and adjacent to rho, lost a neighbor: u is in D.
-
-    That contradicts the assumption, so radius 3 loses nothing.
-
-    The superset pass is not rerun on that scope.  Its result is carried
-    across rounds in two lists over the input's ids: each vertex's
+    The superset pass is not rerun on every round.  Its result is carried
+    across rounds in two maps over the input's ids: each vertex's
     canonical reference R(u) and the witness-to-reference map.  Round 1
-    fills both.  After an acting round, with T the dirty vertices whose
-    lists the round refreshed, only U = T + {u in N(T) : R(u) in T} is
-    re-evaluated, and after round 1 also every alive covered vertex.
-    Partition and filter on the radius-3 scope read the carried map within
-    2 edges of it, and it is right at every alive vertex:
+    fills both.  After an acting round, with T the alive touched
+    vertices, whose lists the round refreshed, only
+    U = T + {u in N(T) : R(u) in T} is re-evaluated, and after round 1
+    also every alive covered vertex.  The carried map is then right at
+    every alive vertex:
 
-    (d) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
+    (i) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
         covered and fixed flags of u.  Deletions only lower degrees, and
         only on T: an alive vertex that loses a live neighbor is touched,
         as shown above.  Take an alive u outside U.  Then u is not in T,
@@ -396,8 +366,27 @@ def reduce_iterate(
         its own, so R(u) is still the maximum.  u's covered flag changes
         only when u is next to a committed vertex, hence in T; round 1
         reads no covered flags, which is why every alive covered vertex
-        is re-evaluated after it.  No alive vertex is fixed after round 1.  So R(u) and u's verdict are
-        those of one round earlier.
+        is re-evaluated after it.  No alive vertex is fixed after round
+        1: committed vertices, given ones included, are stripped at every
+        boundary.  So R(u) and u's verdict are those of one round earlier.
+
+    (ii) Partition and filter then test only the carried pairs whose
+        witness lies within ``DIRTY_RADIUS`` = 2 edges of U, and no
+        witness lies farther out.  Their verdict on a pair (u, rho) reads
+        the lists of N[u], rho among them, and the degrees, covered flags
+        and carried superset entries of the vertices within 2 edges of
+        u, fixed flags included.  Between rounds all of these change only
+        on U: lists and degrees only on T, covered flags only on T and on
+        the alive covered vertices that round 1 read as uncovered, the
+        carried map only on U by (i), and fixed flags only on vertices
+        that die, whose alive neighbors are touched.  Now take u more
+        than 2 edges from U.  The search from u reads the same lists as
+        one round earlier, and the same values on them, so the verdict
+        is that of one round earlier: the verdict of that round's test,
+        or, when that round did not test (u, rho), a failure, by
+        induction over the rounds.  Had it passed, rho would have been
+        committed and stripped, and u, alive and next to rho, would be
+        in T.  So (u, rho) fails.
     """
     if variant not in (Variant.PLUS, Variant.EXTRA):
         raise ValueError("iterated reduction requires the plus or extra variant")
@@ -426,19 +415,23 @@ def reduce_iterate(
         t0 = time.perf_counter()
         if sup is None:
             sup = pipeline.compute_superset(view, fixed=fixed, work=work)
-            scope = None
+            pairs = list(sup)
         else:
-            _reevaluate_superset(view, sup, dirty, recheck, work)
-            scope = ball(view, [*dirty, *recheck], DIRTY_RADIUS, work=work)
-        f = pipeline.compute_proper_partition(view, sup, work=work, scope=scope)
+            redo = _reevaluate_superset(view, sup, dirty, recheck, work)
+            ref_of = sup.by_witness
+            pairs = [
+                (u, ref_of[u])
+                for u in ball(view, redo, DIRTY_RADIUS, work=work)
+                if u in ref_of
+            ]
+        f = pipeline.compute_proper_partition(view, sup, work=work, pairs=pairs)
         rels = pipeline.filter_suitable(
             view,
-            sup,
+            pairs,
             f,
             covered=covered if rounds > 0 else None,
             fixed=fixed,
             work=work,
-            scope=scope,
         )
         t1 = time.perf_counter()
         refs = rels.references()
@@ -494,12 +487,12 @@ def _reevaluate_superset(
     dirty: dict[int, None],
     recheck: list[int],
     work: Optional[WorkCounter],
-) -> None:
+) -> dict[int, None]:
     """Bring the carried superset map ``sup`` up to date after a round.
 
     Re-evaluates the dirty vertices, their neighbors whose canonical
-    reference is dirty, and ``recheck``, covered-aware; see (d) in
-    ``reduce_iterate``.
+    reference is dirty, and ``recheck``, covered-aware; see (i) in
+    ``reduce_iterate``.  Returns the re-evaluated vertices.
     """
     canonical = sup.canonical
     redo = dict(dirty)
@@ -518,6 +511,7 @@ def _reevaluate_superset(
         view, covered=state.covered, fixed=state.fixed.mask, work=work, scope=redo
     )
     sup.update(part, redo)
+    return redo
 
 
 def fix_isolated_uncovered(g: Graph, state: ReductionState) -> list[int]:

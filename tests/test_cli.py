@@ -106,6 +106,8 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["bench", "--dir", ".", "--rules", "linear,warp", "--report", "r.csv"],
         ["bench", "--dir", ".", "--rules", "linear", "--report", "r.csv",
          "--workers", "0"],
+        *(["bench", "--dir", ".", "--rules", "linear", "--report", "r.csv",
+           "--timeout-s", t] for t in ("0", "-1", "nan", "inf")),
         ["nosuchcmd"],
     ]
     for argv in cases:
@@ -127,6 +129,9 @@ def test_usage_errors_print_the_subcommand_usage(tmp_path, capsys):
          "usage: dsreduce gen", "star needs --n"),
         (["bench", "--dir", ".", "--rules", "warp", "--report", "r.csv"],
          "usage: dsreduce bench", "unknown rule 'warp'"),
+        (["bench", "--dir", ".", "--rules", "linear", "--report", "r.csv",
+          "--timeout-s", "-1"],
+         "usage: dsreduce bench", "--timeout-s must be a positive number of seconds"),
     ]
     for argv, usage, message in cases:
         with pytest.raises(SystemExit) as ei:

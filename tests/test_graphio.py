@@ -38,6 +38,8 @@ def test_gr_accepts_comments_and_any_problem_tag():
 def test_gr_header_errors():
     with pytest.raises(FormatError, match="line 1.*header needs"):
         parse_gr("p ds 3\n")
+    with pytest.raises(FormatError, match="line 1: header needs 'p <kind> <n> <m>'"):
+        parse_gr("p ds 3 2 5\n1 2\n")
     with pytest.raises(FormatError, match="line 2: duplicate header"):
         parse_gr("p ds 2 0\np ds 2 0\n")
     with pytest.raises(FormatError, match="non-numeric header"):
@@ -106,6 +108,8 @@ def test_edge_list_header_errors():
         read_edge_list(io.StringIO("p ds 3 2\n0 1\n"))
     with pytest.raises(FormatError, match="line 1: non-numeric header"):
         read_edge_list(io.StringIO("p ds x 1\n"))
+    with pytest.raises(FormatError, match="line 1: header needs 'p <kind> <n> <m>'"):
+        read_edge_list(io.StringIO("p ds 3 2 5\n0 1\n"))
 
 
 def test_read_graph_dispatches_on_extension(tmp_path):

@@ -13,7 +13,7 @@ import random
 
 from conftest import build, random_graphs
 from dsreduce import pipeline
-from dsreduce.generators import gadget_path, path
+from dsreduce.generators import fig4_family, gadget_path, path
 from dsreduce.oracle import reduce_iterate_reference
 from dsreduce.pipeline import WorkCounter
 from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
@@ -119,8 +119,17 @@ def gnm(rng, n, m):
     return build(n, sorted(edges))
 
 
+# A G(12, 15) graph without flags whose round 2 has a witness 2 edges from
+# the re-evaluated set: testing only 1 edge around it never commits 11.
+WITNESS_TWO_EDGES_OUT = build(12, [
+    (0, 5), (0, 8), (0, 11), (1, 8), (1, 11), (2, 6), (2, 7), (2, 11),
+    (3, 6), (3, 11), (4, 7), (4, 8), (5, 11), (7, 8), (7, 10),
+])
+
+
 def test_matches_reference_on_random_graphs():
     graphs = random_graphs(200, (1, 80), [0.02, 0.04, 0.07, 0.12, 0.25], 31000)
+    graphs.append(WITNESS_TWO_EDGES_OUT)
     for g in graphs:
         for variant in VARIANTS:
             check_same(g, variant)
@@ -180,27 +189,39 @@ def test_matches_reference_on_gadget_chains():
                 check_same(g, variant)
 
 
+def with_fig4_component(g, k):
+    """``g`` with a disjoint ``fig4_family(k)`` appended after its ids."""
+    h = fig4_family(k)
+    return build(g.n + h.n, list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
 def test_work_grows_linearly_on_paths():
     # A path loses a few vertices at each end per round, so it takes about
     # n/6 rounds; rescanning the whole graph each round would make the
-    # visits per (n + m) grow linearly in n.  Counts are exact, not timed.
+    # visits per (n + m) grow linearly in n.  The fig4_family(40) component
+    # holds superset pairs that never pass the filter: 11.0 visits per
+    # (n + m) at n = 3000, while testing every carried pair each round
+    # costs 1554.  Counts are exact, not timed.
     per_nm = {}
     for n in (3000, 6000, 12000):
-        g = path(n)
+        for idle in (0, 40):
+            g = with_fig4_component(path(n), idle) if idle else path(n)
+            for variant in VARIANTS:
+                rep = reduce_iterate(
+                    g, ReductionState(g), variant, 10**6, work=WorkCounter()
+                )
+                assert rep.converged and rep.rounds > n // 8
+                per_nm[n, idle, variant] = rep.work_visits / (g.n + g.m)
+    assert max(per_nm.values()) < 13, per_nm
+    for idle in (0, 40):
         for variant in VARIANTS:
-            rep = reduce_iterate(
-                g, ReductionState(g), variant, 10**6, work=WorkCounter()
-            )
-            assert rep.converged and rep.rounds > n // 8
-            per_nm[n, variant] = rep.work_visits / (g.n + g.m)
-    for variant in VARIANTS:
-        assert per_nm[12000, variant] < 1.25 * per_nm[3000, variant], per_nm
+            assert per_nm[12000, idle, variant] < 1.25 * per_nm[3000, idle, variant], per_nm
 
 
 def test_work_per_edge_on_a_sparse_random_graph():
     # Later rounds re-evaluate the superset pass only where a degree or a
-    # canonical reference changed: 7.97 visits per (n + m) on this graph,
-    # bounded with 15% headroom.  Rerunning it on the whole radius-5 reach
+    # canonical reference changed: 7.74 visits per (n + m) on this graph,
+    # bounded with 19% headroom.  Rerunning it on the whole radius-5 reach
     # of the changes costs 16.1.  Counts are exact, not timed.
     g = gnm(random.Random(38001), 6000, 12000)
     rep = reduce_iterate(g, ReductionState(g), Variant.EXTRA, work=WorkCounter())
@@ -211,12 +232,13 @@ def test_work_per_edge_on_a_sparse_random_graph():
 def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
     # Every round hands its superset map to the partition pass; at each
     # alive vertex it must equal an unscoped superset pass on the live view.
+    # Round 1 is the first partition call of each reduce_iterate call.
     real = pipeline.compute_proper_partition
     rounds = []
 
     def checked(view, sprime, **kwargs):
         st = view.state
-        first = kwargs["scope"] is None
+        first = rounds[-1] is None
         fresh = pipeline.compute_superset(
             view, covered=None if first else st.covered, fixed=st.fixed.mask
         )
@@ -235,5 +257,6 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
         covered = random_subset(rng, n, rng.choice((0.0, 0.1, 0.3)))
         fixed = random_subset(rng, n, rng.choice((0.0, 0.05)))
         for variant in VARIANTS:
+            rounds.append(None)
             reduce_iterate(g, prepared(g, covered, fixed), variant)
     assert rounds.count(False) > rounds.count(True), "later rounds rarely ran"

@@ -71,7 +71,7 @@ def test_partition_map_prefers_small_degree_then_small_id():
     sprime = compute_superset(g)
     refs = dict(sprime.sorted_pairs())
     f = compute_proper_partition(g, sprime)
-    for x, r in enumerate(f):
+    for x, r in f.items():
         if r < 0:
             continue
         # f only proposes adjacent references that some closed neighbor
@@ -121,13 +121,13 @@ def test_pipeline_matches_direct_on_structured():
 
 def test_witness_uniqueness_enforced():
     with pytest.raises(ValueError, match="twice"):
-        RelationSet(3, [(0, 1), (0, 2)])
+        RelationSet([(0, 1), (0, 2)])
     with pytest.raises(ValueError, match="itself"):
-        RelationSet(3, [(1, 1)])
+        RelationSet([(1, 1)])
 
 
 def test_relation_set_accessors():
-    rs = RelationSet(6, [(4, 2), (0, 2), (3, 5)])
+    rs = RelationSet([(4, 2), (0, 2), (3, 5)])
     assert rs.references() == [2, 5]
     assert rs.witnesses() == [0, 3, 4]
     assert rs.by_witness[4] == 2 and rs.by_witness[1] == -1
@@ -224,7 +224,10 @@ def test_scoped_passes_match_full_result_restricted():
             sup = compute_superset(g, covered=cov, fixed=fix)
             for p in (0.0, 0.1, 0.3, 0.7, 1.0):
                 scope = {v for v in range(g.n) if rng.random() < p}
-                got = suitable_set(g, covered=cov, fixed=fix, scope=scope)
+                # partition and filter test exactly the pairs they are given
+                pairs = [(u, r) for u, r in sup if u in scope]
+                f = compute_proper_partition(g, sup, pairs=pairs)
+                got = filter_suitable(g, pairs, f, covered=cov, fixed=fix)
                 assert got.sorted_pairs() == [(u, r) for u, r in full if u in scope]
                 # the superset pass evaluates exactly its scope
                 part = compute_superset(g, covered=cov, fixed=fix, scope=scope)
@@ -240,7 +243,7 @@ def test_scoped_passes_stay_local():
     for n in (1_000, 100_000):
         g = path(n)
         wc = WorkCounter()
-        got = suitable_set(g, scope={0, n // 2}, work=wc)
+        got = compute_superset(g, scope={0, n // 2}, work=wc)
         assert got.sorted_pairs() == [(0, 1)]
         visits.append(wc.visits)
     assert visits[0] == visits[1] < 100
