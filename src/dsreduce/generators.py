@@ -36,6 +36,8 @@ def cycle(n: int) -> Graph:
 
 def star(leaves: int) -> Graph:
     """Center 0 joined to ``leaves`` vertices."""
+    if leaves < 0:
+        raise ValueError("negative vertex count")
     return load_check(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

@@ -23,8 +23,9 @@ verdict on a pair does not depend on which other pairs are tested.
 A scoped superset pass stamps a dict (``_Sparse``) instead of a list,
 and partition and filter allocate nothing of size n, so each costs
 time proportional to the adjacency it reads, not to n.  Every
-pass reads only ``n``, ``adj`` and ``deg`` of the graph, so a live view
-of a partly reduced graph works too; ``reducer.reduce_iterate`` keeps
+pass reads only ``n``, ``adj`` and ``deg`` of the graph, so the
+``state.ReductionState`` of a partly reduced graph works too; its lists
+must then name no dead vertex.  ``reducer.reduce_iterate`` keeps
 one superset map across rounds, re-evaluates it only where a degree or
 a canonical reference changed, and tests only the witnesses near that.
 """

@@ -49,7 +49,7 @@ class ReductionReport:
     # Find: the pipeline passes, and in reduce_iterate also the superset
     # re-evaluation and the witness search.  Apply: apply_reduction, and in
     # reduce_iterate also the boundary strip, the dirty-set scan and the
-    # view refresh.
+    # refresh of the dirty vertices' lists.
     time_find_s: float = 0.0
     time_apply_s: float = 0.0
     work_visits: int = 0
@@ -66,7 +66,7 @@ class ReductionReport:
 
 
 def _require_no_tombstones(state: ReductionState) -> None:
-    if state.deleted_edges or not all(state.alive):
+    if not all(state.alive) or sum(state.deg) != 2 * state.g.m:
         raise ValueError("state must be freshly compacted (no tombstones)")
 
 
@@ -100,7 +100,7 @@ def apply_reduction(
 
     covered = state.covered
     in_r = set(refs)
-    marked: dict[int, None] = {}  # N[refs], an ordered set
+    marked: set[int] = set()  # N[refs]
     visits = 0
     new_fixed: list[int] = []
 
@@ -108,10 +108,10 @@ def apply_reduction(
         if rho not in state.fixed:
             new_fixed.append(rho)
         state.fix(rho)
-        marked[rho] = None
+        marked.add(rho)
         d = 0
         for w in state.live_neighbors(rho):
-            marked[w] = None
+            marked.add(w)
             d += 1
         visits += d + 1
 
@@ -146,20 +146,11 @@ def apply_reduction(
 
     extra_edges: list[tuple[int, int]] = []
     if variant is Variant.EXTRA:
-        for u in sorted(marked):
-            if not state.alive[u] or u in in_r:
-                continue
-            doomed = []
-            d = 0
-            for w in state.live_neighbors(u):
-                d += 1
-                if w > u and w in marked and w not in in_r:
-                    doomed.append(w)
-            visits += d
-            for w in doomed:
-                state.delete_edge(u, w)
-                extra_edges.append((u, w))
-                removed_edges += 1
+        inner = {u for u in marked if state.alive[u] and u not in in_r}
+        extra_edges = state.cut_within(inner)
+        # a cut edge is visited from one end only
+        visits += sum(state.deg[u] for u in inner) + len(extra_edges)
+        removed_edges += len(extra_edges)
 
     if work is not None:
         work.add(visits)
@@ -289,31 +280,6 @@ def reduce_once(
     return rep
 
 
-class _LiveView:
-    """``Graph``-shaped view of a state's live part, in the input's ids.
-
-    ``adj`` starts as a shallow copy of the input's lists and ``deg`` is
-    the state's ``live_degree``; ``refresh`` swaps in new lists, so the
-    input graph is never mutated.  Dead vertices keep stale lists, which
-    ``reduce_iterate`` shows are never read.
-    """
-
-    __slots__ = ("n", "adj", "deg", "state")
-
-    def __init__(self, state: ReductionState) -> None:
-        self.n = state.g.n
-        self.adj = list(state.g.adj)
-        self.deg = state.live_degree
-        self.state = state
-
-    def refresh(self, vertices: Iterable[int]) -> None:
-        """Re-read the live neighbors of ``vertices``, which must be alive."""
-        adj = self.adj
-        live_neighbors = self.state.live_neighbors
-        for v in vertices:
-            adj[v] = list(live_neighbors(v))
-
-
 def reduce_iterate(
     g: Graph,
     state: ReductionState,
@@ -332,19 +298,20 @@ def reduce_iterate(
     The terminating idle round is included in the round count;
     ``converged`` is False when ``max_rounds`` ended the loop instead.
 
-    Every round runs the passes on one live view of ``state``; round 1
-    tests every pair, while the view's lists and degrees are still the
-    input's.  After an acting round it re-reads the lists of the alive
-    vertices it lists next to a vertex that died in the round (touched
-    ones), and the stale lists of dead vertices are never read.  An alive
+    Every round runs the passes on ``state`` itself; round 1 tests every
+    pair, while its lists and degrees are still the input's.  Deleting a
+    vertex leaves the lists that name it alone, so after an acting round
+    the driver drops the dead vertices from the lists of the alive
+    vertices listed next to a vertex that died in the round (touched
+    ones); the stale lists of dead vertices are never read.  An alive
     vertex x loses a live neighbor y only when y is committed or deleted
-    next to a reference, so y was alive when the round read the view and
-    its list names x, or when Extra cuts xy next to a committed reference;
-    either way x is touched.  (A covered vertex dropped for isolation has
-    no live neighbor left to lose.)  So no alive vertex's list names a
-    dead vertex: searches from alive vertices (``ball`` and the passes)
-    never reach one, and the dirty set is read off the lists of vertices
-    alive at find time.
+    next to a reference, so y was alive when the round read the lists and
+    its list names x, or when Extra cuts xy: both ends are then
+    neighbors of a committed reference, so x is touched either way.  (A
+    covered vertex dropped for isolation has no live neighbor left to
+    lose.)  So no alive vertex's list names a dead vertex: searches from
+    alive vertices (``ball`` and the passes) never reach one, and the
+    dirty set is read off the lists of vertices alive at find time.
 
     The superset pass is not rerun on every round.  Its result is carried
     across rounds in two maps over the input's ids: each vertex's
@@ -397,7 +364,6 @@ def reduce_iterate(
     alive = state.alive
     covered = state.covered
     fixed = state.fixed.mask
-    view = _LiveView(state)
     sup: Optional[RelationSet] = None
     dirty: dict[int, None] = {}
     recheck: list[int] = []
@@ -414,19 +380,19 @@ def reduce_iterate(
     while True:
         t0 = time.perf_counter()
         if sup is None:
-            sup = pipeline.compute_superset(view, fixed=fixed, work=work)
+            sup = pipeline.compute_superset(state, fixed=fixed, work=work)
             pairs = list(sup)
         else:
-            redo = _reevaluate_superset(view, sup, dirty, recheck, work)
+            redo = _reevaluate_superset(state, sup, dirty, recheck, work)
             ref_of = sup.by_witness
             pairs = [
                 (u, ref_of[u])
-                for u in ball(view, redo, DIRTY_RADIUS, work=work)
+                for u in ball(state, redo, DIRTY_RADIUS, work=work)
                 if u in ref_of
             ]
-        f = pipeline.compute_proper_partition(view, sup, work=work, pairs=pairs)
+        f = pipeline.compute_proper_partition(state, sup, work=work, pairs=pairs)
         rels = pipeline.filter_suitable(
-            view,
+            state,
             pairs,
             f,
             covered=covered if rounds > 0 else None,
@@ -443,10 +409,11 @@ def reduce_iterate(
         removed_edges += rep.removed_edges
         t_find += t1 - t0
         if rep.changed:
-            # Whatever dies in this round had its live neighbors listed in
-            # the view; those still alive after the strip are the dirty set.
+            # Whatever dies in this round lists its live neighbors, or they
+            # are next to a reference (Extra's cut partners); those still
+            # alive after the strip are the dirty set.
             first = rounds == 1
-            adj = view.adj
+            adj = state.adj
             committed = [v for v in state.fixed if alive[v]] if first else refs
             died = committed + [w for rho in refs for w in adj[rho] if not alive[w]]
             touched = dict.fromkeys(w for v in died for w in adj[v])
@@ -456,7 +423,7 @@ def reduce_iterate(
             removed_edges += strips
             removed_all += dropped
             dirty = {v: None for v in touched if alive[v]}
-            view.refresh(dirty)
+            state.refresh(dirty)
             recheck = [v for v in range(g.n) if alive[v] and covered[v]] if first else []
         t_apply += time.perf_counter() - t1
         if not rep.changed:
@@ -482,7 +449,7 @@ def reduce_iterate(
 
 
 def _reevaluate_superset(
-    view: _LiveView,
+    state: ReductionState,
     sup: RelationSet,
     dirty: dict[int, None],
     recheck: list[int],
@@ -498,7 +465,7 @@ def _reevaluate_superset(
     redo = dict(dirty)
     visits = 0
     for t in dirty:
-        at = view.adj[t]
+        at = state.adj[t]
         visits += len(at)
         for u in at:
             if canonical[u] in dirty:
@@ -506,9 +473,8 @@ def _reevaluate_superset(
     redo.update(dict.fromkeys(recheck))
     if work is not None:
         work.add(visits)
-    state = view.state
     part = pipeline.compute_superset(
-        view, covered=state.covered, fixed=state.fixed.mask, work=work, scope=redo
+        state, covered=state.covered, fixed=state.fixed.mask, work=work, scope=redo
     )
     sup.update(part, redo)
     return redo
@@ -521,7 +487,7 @@ def fix_isolated_uncovered(g: Graph, state: ReductionState) -> list[int]:
     """
     out = []
     for v in range(g.n):
-        if state.alive[v] and not state.covered[v] and state.live_degree[v] == 0:
+        if state.alive[v] and not state.covered[v] and state.deg[v] == 0:
             state.fix(v)
             out.append(v)
     return out
@@ -541,7 +507,7 @@ def _strip_committed(
         strips += state.delete_node(rho)
     dropped: list[int] = []
     for v in near:
-        if state.alive[v] and state.covered[v] and state.live_degree[v] == 0:
+        if state.alive[v] and state.covered[v] and state.deg[v] == 0:
             state.delete_node(v)
             dropped.append(v)
     return strips, dropped

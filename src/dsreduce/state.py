@@ -1,9 +1,13 @@
-"""Mutable overlay that tracks what a reduction has done to a graph.
+"""The live graph of a reduction, kept on top of an unchanged input.
 
-The underlying ``Graph`` never changes.  Deleting a node flips its alive
-flag; deleting a single edge records the pair in ``deleted_edges``.  The
-hot path (``live_neighbors``) only consults that set when it is nonempty,
-so graphs reduced purely by node deletion pay nothing for edge support.
+``ReductionState`` has the ``Graph`` shape the pipeline passes read
+(``n``, ``adj`` and ``deg``) plus alive, covered and fixed flags.
+``adj`` starts as a shallow copy of the input's lists.  Deleting a node
+flips its alive flag and lowers its neighbors' degrees but leaves the
+lists alone, so a list may still name dead vertices and
+``live_neighbors`` skips them; ``refresh`` drops them.  Deleting edges
+replaces the two lists concerned.  Lists are only ever replaced, never
+mutated in place, so the input graph and copies of a state stay intact.
 """
 
 from __future__ import annotations
@@ -15,58 +19,75 @@ from .graph import Graph, VertexSet
 
 
 class ReductionState:
-    __slots__ = ("g", "alive", "covered", "fixed", "live_degree", "deleted_edges")
+    __slots__ = ("g", "n", "adj", "deg", "alive", "covered", "fixed")
 
     def __init__(self, g: Graph) -> None:
         self.g = g
+        self.n = g.n
+        self.adj = list(g.adj)
+        self.deg = list(g.deg)
         self.alive = bytearray([1] * g.n)
         self.covered = bytearray(g.n)
         self.fixed = VertexSet(g.n)
-        self.live_degree = list(g.deg)
-        self.deleted_edges: set[tuple[int, int]] = set()
 
     def edge_alive(self, u: int, v: int) -> bool:
-        if not (self.alive[u] and self.alive[v]):
-            return False
-        if not self.deleted_edges:
-            return True
-        if u > v:
-            u, v = v, u
-        return (u, v) not in self.deleted_edges
+        return bool(self.alive[u] and self.alive[v]) and v in self.adj[u]
 
     def live_neighbors(self, u: int):
         alive = self.alive
-        de = self.deleted_edges
-        if not de:
-            for v in self.g.adj[u]:
-                if alive[v]:
-                    yield v
-            return
-        for v in self.g.adj[u]:
-            if alive[v] and (u, v) not in de and (v, u) not in de:
+        for v in self.adj[u]:
+            if alive[v]:
                 yield v
 
     def delete_node(self, u: int) -> int:
         """Remove ``u``; returns how many live edges disappeared with it."""
         if not self.alive[u]:
             return 0
+        deg = self.deg
         dropped = 0
-        for v in list(self.live_neighbors(u)):
-            self.live_degree[v] -= 1
+        for v in self.live_neighbors(u):
+            deg[v] -= 1
             dropped += 1
         self.alive[u] = 0
-        self.live_degree[u] = 0
+        deg[u] = 0
         return dropped
 
     def delete_edge(self, u: int, v: int) -> bool:
         if not self.edge_alive(u, v):
             return False
-        if u > v:
-            u, v = v, u
-        self.deleted_edges.add((u, v))
-        self.live_degree[u] -= 1
-        self.live_degree[v] -= 1
+        self.cut_within({u, v})
         return True
+
+    def cut_within(self, verts) -> list[tuple[int, int]]:
+        """Delete every live edge between two members of ``verts``, a set
+        of alive vertices, rebuilding each member's list at most once.
+
+        Returns the cut edges as pairs (u, w) with u < w.
+        """
+        adj = self.adj
+        deg = self.deg
+        cuts: list[tuple[int, int]] = []
+        for u in verts:
+            au = adj[u]
+            kept = []
+            for w in au:
+                if w in verts:
+                    if w > u:
+                        cuts.append((u, w))
+                else:
+                    kept.append(w)
+            lost = len(au) - len(kept)
+            if lost:
+                adj[u] = kept
+                deg[u] -= lost
+        return cuts
+
+    def refresh(self, verts) -> None:
+        """Drop dead vertices from the lists of ``verts``."""
+        adj = self.adj
+        alive = self.alive
+        for v in verts:
+            adj[v] = [w for w in adj[v] if alive[w]]
 
     def cover(self, u: int) -> None:
         self.covered[u] = 1
@@ -82,25 +103,28 @@ class ReductionState:
     def copy(self) -> "ReductionState":
         out = ReductionState.__new__(ReductionState)
         out.g = self.g
+        out.n = self.n
+        out.adj = list(self.adj)
+        out.deg = list(self.deg)
         out.alive = bytearray(self.alive)
         out.covered = bytearray(self.covered)
         out.fixed = self.fixed.copy()
-        out.live_degree = list(self.live_degree)
-        out.deleted_edges = set(self.deleted_edges)
         return out
 
     def is_consistent(self) -> bool:
-        for u in range(self.g.n):
-            if not self.alive[u]:
-                if self.live_degree[u] != 0:
-                    return False
-                continue
-            if self.live_degree[u] != sum(1 for _ in self.live_neighbors(u)):
-                return False
-        for u, v in self.deleted_edges:
-            if u >= v or not self.g.has_edge(u, v):
-                return False
-        return True
+        """Each alive vertex's live neighbors are input neighbors of it,
+        name it back and number its degree; dead vertices have degree 0."""
+        gadj = self.g.adj
+        live = [
+            set(self.live_neighbors(u)) if self.alive[u] else set()
+            for u in range(self.n)
+        ]
+        return all(
+            self.deg[u] == len(lu)
+            and lu <= set(gadj[u])
+            and all(u in live[v] for v in lu)
+            for u, lu in enumerate(live)
+        )
 
 
 @dataclass
@@ -124,19 +148,8 @@ def compact(g: Graph, state: ReductionState) -> CompactResult:
     new_to_old = list(compress(range(g.n), alive))
     for i, u in enumerate(new_to_old):
         old_to_new[u] = i
-    gadj = g.adj
-    de = state.deleted_edges
-    if de:
-        adj = [
-            [
-                old_to_new[v]
-                for v in gadj[u]
-                if alive[v] and (u, v) not in de and (v, u) not in de
-            ]
-            for u in new_to_old
-        ]
-    else:
-        adj = [[old_to_new[v] for v in gadj[u] if alive[v]] for u in new_to_old]
+    sadj = state.adj
+    adj = [[old_to_new[v] for v in sadj[u] if alive[v]] for u in new_to_old]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))
     fixed = [old_to_new[f] for f in state.fixed if alive[f]]

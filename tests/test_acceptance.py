@@ -267,6 +267,7 @@ def test_criterion_05_application_order_independence():
                 shuffler.shuffle(order)
                 st = ReductionState(g)
                 rep = apply_reduction(g, st, order, variant)
+                assert st.is_consistent()
                 outcomes.add(
                     (
                         tuple(sorted(rep.fixed)),

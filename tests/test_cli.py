@@ -103,6 +103,7 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["greedy", "x.gr", "--iterate"],
         ["gen", "gnp", "--n", "5", "--out", str(tmp_path / "o.gr")],
         ["gen", "cycle", "--n", "2", "--out", str(tmp_path / "o.gr")],
+        ["gen", "star", "--n", "-1", "--out", str(tmp_path / "o.gr")],
         ["bench", "--dir", ".", "--rules", "linear,warp", "--report", "r.csv"],
         ["bench", "--dir", ".", "--rules", "linear", "--report", "r.csv",
          "--workers", "0"],

@@ -57,7 +57,7 @@ def test_state_node_deletion_updates_degrees():
     g = build(4, [(0, 1), (1, 2), (2, 3)])
     st = ReductionState(g)
     assert st.delete_node(1) == 2
-    assert st.live_degree == [0, 0, 1, 1]
+    assert st.deg == [0, 0, 1, 1]
     assert list(st.live_neighbors(2)) == [3]
     assert st.delete_node(1) == 0
     assert st.is_consistent()
@@ -70,8 +70,34 @@ def test_state_edge_deletion():
     assert not st.delete_edge(1, 2)
     assert not st.edge_alive(1, 2)
     assert st.edge_alive(0, 1)
-    assert st.live_degree == [1, 1, 0]
+    assert st.deg == [1, 1, 0]
     assert st.is_consistent()
+
+
+def test_state_cut_within_deletes_inner_edges():
+    g = build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    st = ReductionState(g)
+    assert st.cut_within({0: None, 2: None, 3: None}) == [(0, 2), (2, 3)]
+    assert st.deg == [1, 2, 1, 1, 1]
+    assert list(st.live_neighbors(2)) == [1]
+    assert not st.edge_alive(0, 2) and st.edge_alive(0, 1)
+    assert st.is_consistent()
+
+
+def test_is_consistent_catches_foreign_and_one_sided_edges():
+    g = build(3, [(0, 1), (1, 2)])
+    foreign = ReductionState(g)
+    foreign.adj[0] = [1, 2]  # 0-2 is no input edge, though 2 names 0 back
+    foreign.adj[2] = [0, 1]
+    foreign.deg = [2, 2, 2]
+    assert not foreign.is_consistent()
+    one_sided = ReductionState(g)
+    one_sided.adj[0] = []  # 1 still names 0
+    one_sided.deg[0] = 0
+    assert not one_sided.is_consistent()
+    stale_degree = ReductionState(g)
+    stale_degree.deg[1] = 1
+    assert not stale_degree.is_consistent()
 
 
 def test_state_fix_covers_live_neighborhood():
@@ -89,7 +115,13 @@ def test_state_copy_is_independent():
     cp = st.copy()
     cp.delete_node(0)
     cp.fix(1)
+    assert cp.delete_edge(1, 2)
     assert st.alive[0] == 1 and len(st.fixed) == 0
+    assert st.adj == [[1], [0, 2], [1]] and st.deg == [1, 2, 1]
+    cut = st.copy()
+    assert cut.cut_within({0: None, 1: None, 2: None}) == [(0, 1), (1, 2)]
+    assert st.adj == [[1], [0, 2], [1]] and st.deg == [1, 2, 1]
+    assert st.edge_alive(1, 2) and cp.edge_alive(0, 1) is False
 
 
 def test_compact_remaps_flags():

@@ -48,8 +48,8 @@ def state_and_residual(g, st):
         bytes(st.alive),
         bytes(st.covered),
         list(st.fixed),
-        sorted(st.deleted_edges),
-        list(st.live_degree),
+        [list(st.live_neighbors(v)) for v in range(g.n) if st.alive[v]],
+        list(st.deg),
     )
     comp, strips, dropped = export_residual(g, st)
     residual = (
@@ -231,23 +231,22 @@ def test_work_per_edge_on_a_sparse_random_graph():
 
 def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
     # Every round hands its superset map to the partition pass; at each
-    # alive vertex it must equal an unscoped superset pass on the live view.
+    # alive vertex it must equal an unscoped superset pass on the live state.
     # Round 1 is the first partition call of each reduce_iterate call.
     real = pipeline.compute_proper_partition
     rounds = []
 
-    def checked(view, sprime, **kwargs):
-        st = view.state
+    def checked(st, sprime, **kwargs):
         first = rounds[-1] is None
         fresh = pipeline.compute_superset(
-            view, covered=None if first else st.covered, fixed=st.fixed.mask
+            st, covered=None if first else st.covered, fixed=st.fixed.mask
         )
-        for v in range(view.n):
+        for v in range(st.n):
             if st.alive[v]:
                 got = (sprime.canonical[v], sprime.by_witness[v])
                 assert got == (fresh.canonical[v], fresh.by_witness[v]), (v, len(rounds))
         rounds.append(first)
-        return real(view, sprime, **kwargs)
+        return real(st, sprime, **kwargs)
 
     monkeypatch.setattr(pipeline, "compute_proper_partition", checked)
     rng = random.Random(37000)

@@ -316,8 +316,8 @@ def test_apply_reduction_order_independent():
             order = list(refs)
             random.Random(trial).shuffle(order)
             st = ReductionState(g)
-            apply_reduction(g, st, order, Variant.PLUS)
-            key = (sorted(st.fixed), dead(g, st), st.deleted_edges)
+            rep = apply_reduction(g, st, order, Variant.PLUS)
+            key = (sorted(st.fixed), dead(g, st), rep.extra_edges)
             if baseline is None:
                 baseline = key
             assert key == baseline
@@ -344,6 +344,7 @@ def test_report_identities_on_corpus():
             (Variant.EXTRA, True),
         ):
             st, rep = run(g, variant, iterate=iterate)
+            assert st.is_consistent()
             nfixed = len(st.fixed)
             assert set(rep.fixed).isdisjoint(rep.removed_nodes)
             comp, strips, dropped = export_residual(g, st)
@@ -425,9 +426,43 @@ def test_iterate_rejects_bad_round_cap():
 
 def test_reducers_require_compact_state():
     g = path(6)
-    st = ReductionState(g)
-    st.delete_node(0)
-    with pytest.raises(ValueError):
-        reduce_once(g, st, Variant.LINEAR)
-    with pytest.raises(ValueError):
-        naive_reduce(g, st)
+    with_dead_vertex = ReductionState(g)
+    with_dead_vertex.delete_node(0)
+    with_cut_edge = ReductionState(g)
+    with_cut_edge.delete_edge(2, 3)
+    for st in (with_dead_vertex, with_cut_edge):
+        with pytest.raises(ValueError):
+            reduce_once(g, st, Variant.LINEAR)
+        with pytest.raises(ValueError):
+            naive_reduce(g, st)
+        with pytest.raises(ValueError):
+            reduce_iterate(g, st, Variant.EXTRA)
+
+
+def test_input_graph_and_state_copies_are_never_mutated():
+    # A state replaces lists rather than editing them, so neither the
+    # input graph nor the state a copy was taken from ever changes.
+    rng = random.Random(9600)
+
+    def lists(x):
+        return [list(a) for a in x.adj], list(x.deg)
+
+    for g in random_graphs(40, (4, 40), [0.08, 0.15, 0.3], seed_base=9600):
+        snapshot = lists(g)
+        base = ReductionState(g)
+        for v in range(g.n):
+            if rng.random() < 0.2:
+                base.cover(v)
+        before = lists(base), bytes(base.alive), bytes(base.covered)
+        reduce_once(g, base.copy(), Variant.EXTRA)
+        st = base.copy()
+        reduce_iterate(g, st, Variant.EXTRA)
+        mid = st.copy()
+        export_residual(g, st)
+        cut = base.copy()
+        for u, v in list(g.edges())[::3]:
+            assert cut.delete_edge(u, v)
+        export_residual(g, cut)
+        assert lists(g) == snapshot
+        assert (lists(base), bytes(base.alive), bytes(base.covered)) == before
+        assert mid.is_consistent()
