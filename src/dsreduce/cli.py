@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from multiprocessing import Pipe, Process
 
 from .generators import (
     barbell_cycle,
@@ -37,6 +36,7 @@ from .graphio import (
 )
 from .greedy import default_seed_list, greedy_best_of
 from .reducer import (
+    ITERATED,
     MAX_ROUNDS,
     ReductionReport,
     Variant,
@@ -48,6 +48,7 @@ from .reducer import (
 from .state import ReductionState
 
 RULES = ["naive", "linear", "plus", "extra"]
+ITERATED_RULES = [v.value for v in ITERATED]
 
 # gen family -> (flags it requires, builder from the parsed arguments)
 GEN_FAMILIES = {
@@ -138,10 +139,10 @@ def _reduce_file(
 ):
     """Read, reduce and export one instance file.
 
-    ``rule`` None only exports.  Returns the input graph, its id base,
-    the final state, the compacted residual and the report row.  When
-    ``max_rounds`` stops an iterated reduction that was still changing,
-    one note goes to stderr.
+    ``rule`` None only exports.  Returns the file's id base, the final
+    state (its ``g`` is the input graph), the residual and the report
+    row.  When ``max_rounds`` stops an iterated reduction that was still
+    changing, one note goes to stderr.
     """
     t0 = time.perf_counter()
     g, base = read_graph(path)
@@ -152,12 +153,12 @@ def _reduce_file(
     if rule is None:
         rep = ReductionReport("none", rounds=0)
     elif iterate:
-        rep = reduce_iterate(g, state, Variant(rule), max_rounds)
+        rep = reduce_iterate(state, Variant(rule), max_rounds)
     else:
-        rep = reduce_once(g, state, Variant(rule))
+        rep = reduce_once(state, Variant(rule))
     if fix_isolated:
-        fix_isolated_uncovered(g, state)
-    comp, strips, dropped = export_residual(g, state)
+        fix_isolated_uncovered(state)
+    comp, strips, dropped = export_residual(state)
     time_reduce = time.perf_counter() - t1
     if not rep.converged:
         print(
@@ -178,7 +179,7 @@ def _reduce_file(
         time_build_ms=round(time_build * 1000, 3),
         time_reduce_ms=round(time_reduce * 1000, 3),
     )
-    return g, base, state, comp, row
+    return base, state, comp, row
 
 
 def _write_instance(g, path: str) -> None:
@@ -188,7 +189,7 @@ def _write_instance(g, path: str) -> None:
 
 
 def _cmd_reduce(args, parser) -> int:
-    if args.iterate and args.rule in ("naive", "linear"):
+    if args.iterate and args.rule not in ITERATED_RULES:
         parser.error("--iterate requires --rule plus or extra")
     if args.max_rounds is not None and not args.iterate:
         parser.error("--max-rounds only makes sense with --iterate")
@@ -196,7 +197,7 @@ def _cmd_reduce(args, parser) -> int:
         parser.error("--max-rounds must be at least 1")
     max_rounds = MAX_ROUNDS if args.max_rounds is None else args.max_rounds
 
-    _g, base, state, comp, row = _reduce_file(
+    base, state, comp, row = _reduce_file(
         args.instance,
         args.rule,
         iterate=args.iterate,
@@ -232,10 +233,10 @@ def _cmd_reduce(args, parser) -> int:
 def _cmd_greedy(args, parser) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    if args.iterate and args.after not in ("plus", "extra"):
+    if args.iterate and args.after not in ITERATED_RULES:
         parser.error("--iterate requires --after plus or extra")
 
-    g, base, state, comp, _row = _reduce_file(
+    base, state, comp, _row = _reduce_file(
         args.instance,
         None if args.after == "none" else args.after,
         iterate=args.iterate,
@@ -245,7 +246,7 @@ def _cmd_greedy(args, parser) -> int:
     best = greedy_best_of(inst, default_seed_list(args.seed, args.runs))
     solution = sorted(set(state.fixed) | {comp.new_to_old[v] for v in best})
 
-    bad = first_undominated(g, solution)
+    bad = first_undominated(state.g, solution)
     if bad >= 0:
         print(f"INVALID: vertex {bad + base} not dominated", file=sys.stderr)
         return 1
@@ -276,7 +277,8 @@ def _bench_child(path: str, rule: str, conn) -> None:
 
 
 def _cmd_bench(args, parser) -> int:
-    # imported here: it loads socket and tempfile, which no other command needs
+    # imported here: it loads socket and selectors, which no other command needs
+    from multiprocessing import Pipe, Process
     from multiprocessing.connection import wait
 
     rules = [r.strip() for r in args.rules.split(",") if r.strip()]

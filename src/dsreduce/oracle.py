@@ -18,10 +18,11 @@ from .graph import AnnotatedInstance, Graph, VertexSet
 from .greedy import TieBreaker
 from .pipeline import RelationSet, WorkCounter, canonical_reference, suitable_set
 from .reducer import (
+    ITERATED,
     MAX_ROUNDS,
     ReductionReport,
     Variant,
-    _require_no_tombstones,
+    _require_fresh,
     apply_reduction,
     export_residual,
 )
@@ -234,7 +235,6 @@ def exact_annotated_gamma(inst: AnnotatedInstance) -> tuple[int, list[int]]:
 
 
 def reduce_iterate_reference(
-    g: Graph,
     state: ReductionState,
     variant: Variant,
     max_rounds: int = MAX_ROUNDS,
@@ -246,22 +246,21 @@ def reduce_iterate_reference(
     The iterated driver before rounds shared one id space: every round
     reruns the full pipeline on a freshly compacted graph, so it is
     quadratic on long paths.  ``reducer.reduce_iterate`` must match it.
-    Only Plus and Extra profit from repetition, so anything else is
-    rejected.  Rounds after the first classify covered-aware.  Between
-    acting rounds ``export_residual`` strips the committed vertices (their
-    doomed edges are only then counted) and drops isolated covered
-    vertices; the caller's state mirrors every event in original ids.
+    Variants outside ``ITERATED`` are rejected.  Rounds after the first
+    classify covered-aware.  Between acting rounds ``export_residual``
+    strips the committed vertices (their doomed edges are only then
+    counted) and drops isolated covered vertices; the caller's state
+    mirrors every event in original ids.
     The terminating idle round is included in the round count.
     """
-    if variant not in (Variant.PLUS, Variant.EXTRA):
+    if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    _require_no_tombstones(state)
+    _require_fresh(state)
 
-    cur_g = g
     cur_state = state.copy()
-    cur_to_orig = list(range(g.n))
+    cur_to_orig = list(range(state.n))
 
     fixed_all: list[int] = []
     removed_all: list[int] = []
@@ -275,13 +274,13 @@ def reduce_iterate_reference(
     while True:
         t0 = time.perf_counter()
         rels = suitable_set(
-            cur_g,
+            cur_state,
             covered=cur_state.covered if rounds > 0 else None,
             fixed=cur_state.fixed.mask,
             work=work,
         )
         t1 = time.perf_counter()
-        rep = apply_reduction(cur_g, cur_state, rels.references(), variant, work=work)
+        rep = apply_reduction(cur_state, rels.references(), variant, work=work)
         rounds += 1
         t_find += t1 - t0
         t_apply += time.perf_counter() - t1
@@ -304,7 +303,7 @@ def reduce_iterate_reference(
 
         t0 = time.perf_counter()
         committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
-        comp, strips, dropped = export_residual(cur_g, cur_state)
+        comp, strips, dropped = export_residual(cur_state)
         removed_edges += strips
         for rho in committed:
             state.delete_node(cur_to_orig[rho])
@@ -315,8 +314,7 @@ def reduce_iterate_reference(
         if rounds >= max_rounds:
             break
         cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
-        cur_g = comp.graph
-        cur_state = ReductionState(cur_g)
+        cur_state = ReductionState(comp.graph)
         cur_state.covered[:] = comp.covered
 
     rep = ReductionReport(

@@ -1,12 +1,13 @@
 """Reduction drivers: apply a reference set, run single rounds, iterate.
 
-The flow per round is find (pipeline) then apply (this module).  Apply
-commits every reference to the solution, covers its closed neighborhood
-and deletes whatever the chosen variant allows.  Edges incident to a
-committed vertex are doomed from that moment on, but they are only
-physically removed at round boundaries (iterated driver) or when the
-residual is exported; keeping them visible until then is what makes a
-second unaware round a no-op instead of a source of fresh witnesses.
+Each driver takes the ``ReductionState`` alone.  A round is find
+(pipeline) then apply (this module).  Apply commits every reference to
+the solution, covers its closed neighborhood and deletes whatever the
+chosen variant allows.  Edges incident to a committed vertex are doomed
+from that moment on, but leave the state only at round boundaries
+(iterated driver) or when the residual is exported; keeping them visible
+until then is what makes a second unaware round a no-op instead of a
+source of fresh witnesses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterable, Optional
 # The passes are called as attributes of ``pipeline``, so a wrapper set
 # there (a tracer, a test) sees every call.
 from . import pipeline
-from .graph import Graph
 from .pipeline import RelationSet, WorkCounter, ball, suitable_set
 from .state import CompactResult, ReductionState, compact
 
@@ -37,6 +37,10 @@ class Variant(Enum):
     LINEAR = "linear"
     PLUS = "plus"
     EXTRA = "extra"
+
+
+# The variants that profit from repetition, the only ones reduce_iterate runs.
+ITERATED = (Variant.PLUS, Variant.EXTRA)
 
 
 @dataclass
@@ -65,13 +69,12 @@ class ReductionReport:
         )
 
 
-def _require_no_tombstones(state: ReductionState) -> None:
+def _require_fresh(state: ReductionState) -> None:
     if not all(state.alive) or sum(state.deg) != 2 * state.g.m:
-        raise ValueError("state must be freshly compacted (no tombstones)")
+        raise ValueError("state must be fresh (no vertex or edge deleted)")
 
 
 def apply_reduction(
-    g: Graph,
     state: ReductionState,
     refs: Iterable[int],
     variant: Variant,
@@ -83,7 +86,7 @@ def apply_reduction(
     Marking is unioned over all references before any deletion, so the
     outcome does not depend on the order of ``refs``.  The cost is
     proportional to the live closed neighborhoods of the references and
-    of their neighbors, whatever the size of ``g``.  A neighbor is
+    of their neighbors, whatever the size of the graph.  A neighbor is
     deletable when at most ``allow`` of its live neighbors still need
     domination: 0 for Linear, 1 for Plus and Extra.  Extra additionally
     drops surviving edges whose endpoints are both marked and neither
@@ -164,10 +167,7 @@ def apply_reduction(
 
 
 def naive_reduce(
-    g: Graph,
-    state: ReductionState,
-    *,
-    work: Optional[WorkCounter] = None,
+    state: ReductionState, *, work: Optional[WorkCounter] = None
 ) -> ReductionReport:
     """Single sweep in id order, reducing around each vertex in turn.
 
@@ -177,9 +177,9 @@ def naive_reduce(
     later iterations see the mutated graph.  Vertices committed earlier
     in the sweep count as escaping and are never deleted.
     """
-    _require_no_tombstones(state)
-    n = g.n
-    adj = g.adj
+    _require_fresh(state)
+    n = state.n
+    adj = state.adj
     alive = state.alive
     fixed_mask = state.fixed.mask
     nst = [-1] * n
@@ -253,26 +253,22 @@ def naive_reduce(
 
 
 def reduce_once(
-    g: Graph,
-    state: ReductionState,
-    variant: Variant,
-    *,
-    work: Optional[WorkCounter] = None,
+    state: ReductionState, variant: Variant, *, work: Optional[WorkCounter] = None
 ) -> ReductionReport:
-    """One find+apply round on a compacted instance.
+    """One find+apply round on a fresh state.
 
     The witness search reads no covered flags: a vertex already
     dominated still counts as needing domination.
     """
-    _require_no_tombstones(state)
+    _require_fresh(state)
     if variant is Variant.NAIVE:
-        return naive_reduce(g, state, work=work)
+        return naive_reduce(state, work=work)
 
     before = work.visits if work is not None else 0
     t0 = time.perf_counter()
-    rels = suitable_set(g, fixed=state.fixed.mask, work=work)
+    rels = suitable_set(state, fixed=state.fixed.mask, work=work)
     t1 = time.perf_counter()
-    rep = apply_reduction(g, state, rels.references(), variant, work=work)
+    rep = apply_reduction(state, rels.references(), variant, work=work)
     rep.time_find_s = t1 - t0
     rep.time_apply_s = time.perf_counter() - t1
     if work is not None:
@@ -281,7 +277,6 @@ def reduce_once(
 
 
 def reduce_iterate(
-    g: Graph,
     state: ReductionState,
     variant: Variant,
     max_rounds: int = MAX_ROUNDS,
@@ -290,8 +285,7 @@ def reduce_iterate(
 ) -> ReductionReport:
     """Repeat find+apply rounds on ``state`` until nothing changes.
 
-    Only Plus and Extra profit from repetition, so anything else is
-    rejected.  Every round acts on the caller's state in the input's ids.
+    Variants outside ``ITERATED`` are rejected.  Every round acts on the caller's state in the input's ids.
     Rounds after the first classify covered-aware.  After each acting
     round the committed vertices are stripped (their doomed edges are
     only then counted) and covered vertices left isolated are dropped.
@@ -355,11 +349,11 @@ def reduce_iterate(
         committed and stripped, and u, alive and next to rho, would be
         in T.  So (u, rho) fails.
     """
-    if variant not in (Variant.PLUS, Variant.EXTRA):
+    if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    _require_no_tombstones(state)
+    _require_fresh(state)
 
     alive = state.alive
     covered = state.covered
@@ -401,7 +395,7 @@ def reduce_iterate(
         )
         t1 = time.perf_counter()
         refs = rels.references()
-        rep = apply_reduction(g, state, refs, variant, work=work)
+        rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
@@ -418,13 +412,13 @@ def reduce_iterate(
             died = committed + [w for rho in refs for w in adj[rho] if not alive[w]]
             touched = dict.fromkeys(w for v in died for w in adj[v])
             strips, dropped = _strip_committed(
-                state, committed, range(g.n) if first else touched
+                state, committed, range(state.n) if first else touched
             )
             removed_edges += strips
             removed_all += dropped
             dirty = {v: None for v in touched if alive[v]}
             state.refresh(dirty)
-            recheck = [v for v in range(g.n) if alive[v] and covered[v]] if first else []
+            recheck = [v for v in range(state.n) if alive[v] and covered[v]] if first else []
         t_apply += time.perf_counter() - t1
         if not rep.changed:
             break
@@ -480,13 +474,13 @@ def _reevaluate_superset(
     return redo
 
 
-def fix_isolated_uncovered(g: Graph, state: ReductionState) -> list[int]:
+def fix_isolated_uncovered(state: ReductionState) -> list[int]:
     """Commit alive degree-zero vertices that nothing dominates.
 
     Opt-in: the plain rules leave such vertices for the residual solver.
     """
     out = []
-    for v in range(g.n):
+    for v in range(state.n):
         if state.alive[v] and not state.covered[v] and state.deg[v] == 0:
             state.fix(v)
             out.append(v)
@@ -513,9 +507,7 @@ def _strip_committed(
     return strips, dropped
 
 
-def export_residual(
-    g: Graph, state: ReductionState
-) -> tuple[CompactResult, int, list[int]]:
+def export_residual(state: ReductionState) -> tuple[CompactResult, int, list[int]]:
     """Strip committed vertices out of ``state`` and compact the rest.
 
     Returns the compact result, the number of live edges that were still
@@ -523,5 +515,5 @@ def export_residual(
     covered vertices dropped because stripping isolated them.  Mutates
     ``state``; pass a copy to keep the original.
     """
-    strips, dropped = _strip_committed(state, state.fixed, range(g.n))
-    return compact(g, state), strips, dropped
+    strips, dropped = _strip_committed(state, state.fixed, range(state.n))
+    return compact(state), strips, dropped

@@ -1,11 +1,12 @@
-"""The live graph of a reduction, kept on top of an unchanged input.
+"""The reduction instance: an unchanged input and the live graph on top.
 
-``ReductionState`` has the ``Graph`` shape the pipeline passes read
-(``n``, ``adj`` and ``deg``) plus alive, covered and fixed flags.
-``adj`` starts as a shallow copy of the input's lists.  Deleting a node
-flips its alive flag and lowers its neighbors' degrees but leaves the
-lists alone, so a list may still name dead vertices and
-``live_neighbors`` skips them; ``refresh`` drops them.  Deleting edges
+``ReductionState`` is all a reduction driver takes.  It keeps the input
+as ``g`` and has the ``Graph`` shape the pipeline passes read (``n``,
+``adj`` and ``deg``) plus alive, covered and fixed flags.  ``adj`` starts
+as a shallow copy of the input's lists.  Deleting a node flips its alive
+flag and lowers its neighbors' degrees but leaves the lists alone, so a
+list may still name dead vertices and ``live_neighbors`` skips them;
+``refresh`` drops them.  Deleting edges
 replaces the two lists concerned.  Lists are only ever replaced, never
 mutated in place, so the input graph and copies of a state stay intact.
 """
@@ -136,7 +137,7 @@ class CompactResult:
     fixed: list[int]
 
 
-def compact(g: Graph, state: ReductionState) -> CompactResult:
+def compact(state: ReductionState) -> CompactResult:
     """Rebuild the live part of ``state`` as a fresh 0-based graph.
 
     ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed ids
@@ -144,8 +145,8 @@ def compact(g: Graph, state: ReductionState) -> CompactResult:
     so each filtered adjacency list comes out sorted without a sort.
     """
     alive = state.alive
-    old_to_new = [-1] * g.n
-    new_to_old = list(compress(range(g.n), alive))
+    old_to_new = [-1] * state.n
+    new_to_old = list(compress(range(state.n), alive))
     for i, u in enumerate(new_to_old):
         old_to_new[u] = i
     sadj = state.adj

@@ -85,13 +85,13 @@ def gamma_runs():
         for label in ("naive", "linear", "plus", "extra", "extra-iterated"):
             st = ReductionState(g)
             if label == "naive":
-                naive_reduce(g, st)
+                naive_reduce(st)
             elif label == "extra-iterated":
-                reduce_iterate(g, st, Variant.EXTRA)
+                reduce_iterate(st, Variant.EXTRA)
             else:
-                reduce_once(g, st, Variant[label.upper()])
+                reduce_once(st, Variant[label.upper()])
             fixed = sorted(st.fixed)
-            comp, _strips, _dropped = export_residual(g, st)
+            comp, _strips, _dropped = export_residual(st)
             size, picks = exact_annotated_gamma(
                 AnnotatedInstance(comp.graph, comp.covered)
             )
@@ -113,9 +113,9 @@ def greedy_runs():
         seeds = default_seed_list(seed, 10)
         base = len(greedy_best_of(AnnotatedInstance.fresh(g), seeds))
         st = ReductionState(g)
-        reduce_once(g, st, Variant.EXTRA)
+        reduce_once(st, Variant.EXTRA)
         fixed = sorted(st.fixed)
-        comp, _strips, _dropped = export_residual(g, st)
+        comp, _strips, _dropped = export_residual(st)
         picks = greedy_best_of(AnnotatedInstance(comp.graph, comp.covered), seeds)
         solution = fixed + [comp.new_to_old[v] for v in picks]
         records.append((seed, g, base, len(fixed) + len(picks), solution))
@@ -164,26 +164,26 @@ def test_criterion_03_pinned_fixtures(fig3_graph):
 
     g5 = gadget_path("fig5", 1)
     st = ReductionState(g5)
-    reduce_once(g5, st, Variant.LINEAR)
+    reduce_once(st, Variant.LINEAR)
     if sorted(st.fixed) != [1, 4] or _dead(g5, st) != [0, 2, 3, 5]:
         bad.append("6-path linear")
     st = ReductionState(g5)
-    naive_reduce(g5, st)
+    naive_reduce(st)
     if _dead(g5, st) != [0, 5]:
         bad.append("6-path naive")
 
     g6 = gadget_path("fig6", 1)
     st = ReductionState(g6)
-    reduce_once(g6, st, Variant.LINEAR)
+    reduce_once(st, Variant.LINEAR)
     if _dead(g6, st) != [0, 6]:
         bad.append("7-path linear")
     st = ReductionState(g6)
-    reduce_once(g6, st, Variant.PLUS)
+    reduce_once(st, Variant.PLUS)
     if _dead(g6, st) != [0, 2, 4, 6]:
         bad.append("7-path plus")
 
     st = ReductionState(fig3_graph)
-    reduce_once(fig3_graph, st, Variant.LINEAR)
+    reduce_once(st, Variant.LINEAR)
     if sorted(st.fixed) != [3] or _dead(fig3_graph, st) != [0, 1, 2, 4, 5]:
         bad.append("dense 6-vertex example")
 
@@ -192,7 +192,7 @@ def test_criterion_03_pinned_fixtures(fig3_graph):
         if sorted(suitable_set(g)) or sorted(suitable_set_direct(g)):
             bad.append(f"clique family k={k} witness set")
         st = ReductionState(g)
-        rep = naive_reduce(g, st)
+        rep = naive_reduce(st)
         if rep.changed or st.fixed:
             bad.append(f"clique family k={k} naive no-op")
 
@@ -208,11 +208,11 @@ def test_criterion_04_variant_monotonicity():
     bad = []
     for seed, g in _corpus(300, 2000, (2, 14), GAMMA_PS):
         stl = ReductionState(g)
-        reduce_once(g, stl, Variant.LINEAR)
+        reduce_once(stl, Variant.LINEAR)
         stp = ReductionState(g)
-        repp = reduce_once(g, stp, Variant.PLUS)
+        repp = reduce_once(stp, Variant.PLUS)
         ste = ReductionState(g)
-        repe = reduce_once(g, ste, Variant.EXTRA)
+        repe = reduce_once(ste, Variant.EXTRA)
         if not set(_dead(g, stl)) <= set(_dead(g, stp)):
             bad.append((seed, "linear removals escape plus"))
         if repp.removed_edges > repe.removed_edges:
@@ -237,9 +237,9 @@ def test_criterion_04_linear_fixes_at_least_as_many_as_naive():
     bad = []
     for seed, g in _corpus(300, 2000, (2, 14), GAMMA_PS):
         stn = ReductionState(g)
-        naive_reduce(g, stn)
+        naive_reduce(stn)
         stl = ReductionState(g)
-        reduce_once(g, stl, Variant.LINEAR)
+        reduce_once(stl, Variant.LINEAR)
         if len(stl.fixed) < len(stn.fixed):
             bad.append((seed, sorted(stn.fixed), sorted(stl.fixed)))
     first = bad[0] if bad else None
@@ -266,7 +266,7 @@ def test_criterion_05_application_order_independence():
                 order = refs[:]
                 shuffler.shuffle(order)
                 st = ReductionState(g)
-                rep = apply_reduction(g, st, order, variant)
+                rep = apply_reduction(st, order, variant)
                 assert st.is_consistent()
                 outcomes.add(
                     (
@@ -294,7 +294,7 @@ def test_criterion_06_runtime_scaling():
         for _ in range(repeats):
             st = ReductionState(graphs[k])
             t0 = time.perf_counter()
-            runner(graphs[k], st)
+            runner(st)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -302,7 +302,7 @@ def test_criterion_06_runtime_scaling():
     try:
         tn = {k: measure(k, naive_reduce, 2 if k == 200 else 3) for k in ks}
         tl = {
-            k: measure(k, lambda g, st: reduce_once(g, st, Variant.LINEAR), 3)
+            k: measure(k, lambda st: reduce_once(st, Variant.LINEAR), 3)
             for k in ks
         }
     finally:
@@ -339,7 +339,7 @@ def test_criterion_07_work_linear_in_graph_size():
     for g in graphs:
         for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
             wc = WorkCounter()
-            reduce_once(g, ReductionState(g), variant, work=wc)
+            reduce_once(ReductionState(g), variant, work=wc)
             worst = max(worst, wc.visits / (g.n + g.m))
     _check(
         "criterion 7",
@@ -355,11 +355,11 @@ def test_criterion_08_iteration_reaches_a_fixpoint():
     ok = True
     for variant in (Variant.PLUS, Variant.EXTRA):
         st = ReductionState(g)
-        rep = reduce_iterate(g, st, variant)
-        comp, _strips, _dropped = export_residual(g, st)
+        rep = reduce_iterate(st, variant)
+        comp, _strips, _dropped = export_residual(st)
         st2 = ReductionState(comp.graph)
         st2.covered[:] = comp.covered
-        again = reduce_iterate(comp.graph, st2, variant)
+        again = reduce_iterate(st2, variant)
         ok = ok and 2 <= rep.rounds <= 1024 and again.rounds == 1 and not again.changed
         details.append(f"{variant.name.lower()} rounds={rep.rounds}")
     _check(
@@ -380,11 +380,11 @@ def test_criterion_08_second_round_after_compaction_is_idle():
     hits = []
     for seed, g in _corpus(100, 4000, (2, 14), [0.1, 0.3, 0.5, 0.7, 0.9]):
         st = ReductionState(g)
-        reduce_once(g, st, Variant.LINEAR)
-        comp, _strips, _dropped = export_residual(g, st)
+        reduce_once(st, Variant.LINEAR)
+        comp, _strips, _dropped = export_residual(st)
         st2 = ReductionState(comp.graph)
         st2.covered[:] = comp.covered
-        rep2 = reduce_once(comp.graph, st2, Variant.LINEAR)
+        rep2 = reduce_once(st2, Variant.LINEAR)
         if rep2.fixed:
             hits.append((seed, sorted(rep2.fixed)))
     first = hits[0] if hits else None

@@ -259,6 +259,38 @@ def test_reduce_fix_isolated_commits_isolated_vertex(tmp_path, capsys):
         assert row["m"] == row["removed_edges"] + stats["residual_m"]
 
 
+def test_reduce_row_and_residual_account_for_every_vertex_and_edge(tmp_path, capsys):
+    # the row sums the reduction with the export's strips and drops; with
+    # the residual it must cover n and m for every rule and iteration mode
+    modes = [
+        ["naive"], ["plus"], ["extra"], ["extra", "--iterate"],
+        ["extra", "--iterate", "--max-rounds", "1"],
+        ["plus", "--iterate", "--fix-isolated"],
+    ]
+    report = tmp_path / "g.csv"
+    rounds = set()
+    for p, seed in (("0.04", "1"), ("0.06", "2"), ("0.1", "2")):
+        inst = str(tmp_path / f"g{p}-{seed}.gr")
+        run_ok(["gen", "gnp", "--n", "40", "--p", p, "--seed", seed, "--out", inst], capsys)
+        for rule, *flags in modes:
+            out = run_ok(
+                ["reduce", inst, "--rule", rule, "--report", str(report), *flags],
+                capsys,
+            )
+            stats = {k: int(v) for k, v in (tok.split("=") for tok in out.split())}
+            with open(report) as fh:
+                (row,) = list(csv.DictReader(fh))
+            row = {k: int(row[k]) for k in ("n", "m", "rounds", "fixed", "removed_nodes", "removed_edges")}
+            for k in ("rounds", "fixed", "removed_nodes", "removed_edges"):
+                assert row[k] == stats[k], (inst, rule, flags, k)
+            assert row["n"] == 40
+            assert row["n"] == row["fixed"] + row["removed_nodes"] + stats["residual_n"]
+            assert row["m"] == row["removed_edges"] + stats["residual_m"]
+            rounds.add(row["rounds"])
+    # iterated runs strip and drop between rounds, not only at export
+    assert max(rounds) >= 3
+
+
 def test_verify_rejects_out_of_range_solution(tmp_path, capsys):
     inst = str(tmp_path / "p3.gr")
     run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)

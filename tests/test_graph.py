@@ -130,7 +130,7 @@ def test_compact_remaps_flags():
     st.fix(1)
     st.delete_node(0)
     st.delete_edge(2, 3)
-    comp = compact(g, st)
+    comp = compact(st)
     assert comp.graph.n == 4 and comp.graph.m == 2
     assert comp.new_to_old == [1, 2, 3, 4]
     assert comp.old_to_new == [-1, 0, 1, 2, 3]
@@ -151,7 +151,7 @@ def test_compact_roundtrip_random():
         for u, v in list(g.edges()):
             if st.alive[u] and st.alive[v] and rng.random() < 0.2:
                 st.delete_edge(u, v)
-        comp = compact(g, st)
+        comp = compact(st)
         comp.graph.validate()
         # Edges survive exactly when both ends are alive and the edge
         # was not deleted on its own.

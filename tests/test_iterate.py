@@ -51,7 +51,7 @@ def state_and_residual(g, st):
         [list(st.live_neighbors(v)) for v in range(g.n) if st.alive[v]],
         list(st.deg),
     )
-    comp, strips, dropped = export_residual(g, st)
+    comp, strips, dropped = export_residual(st)
     residual = (
         comp.graph.adj,
         comp.new_to_old,
@@ -70,15 +70,15 @@ def reference_converged(g, variant, max_rounds, covered, fixed):
     round count, so look one round further.
     """
     st = prepared(g, covered, fixed)
-    rep = reduce_iterate_reference(g, st, variant, max_rounds + 1)
+    rep = reduce_iterate_reference(st, variant, max_rounds + 1)
     return rep.rounds <= max_rounds
 
 
 def check_same(g, variant, max_rounds=1024, covered=(), fixed=()):
     st = prepared(g, covered, fixed)
     ref_st = prepared(g, covered, fixed)
-    rep = reduce_iterate(g, st, variant, max_rounds)
-    ref = reduce_iterate_reference(g, ref_st, variant, max_rounds)
+    rep = reduce_iterate(st, variant, max_rounds)
+    ref = reduce_iterate_reference(ref_st, variant, max_rounds)
     where = f"n={g.n} m={g.m} {variant.value} cap={max_rounds}"
     assert report_fields(rep) == report_fields(ref), where
     assert rep.converged == (
@@ -92,7 +92,7 @@ def check_same(g, variant, max_rounds=1024, covered=(), fixed=()):
     # first round on its own.
     if fixed:
         once = prepared(g, covered, fixed)
-        reduce_once(g, once, variant)
+        reduce_once(once, variant)
         for v in fixed:
             if not once.alive[v]:
                 ref_st.delete_node(v)
@@ -208,7 +208,7 @@ def test_work_grows_linearly_on_paths():
             g = with_fig4_component(path(n), idle) if idle else path(n)
             for variant in VARIANTS:
                 rep = reduce_iterate(
-                    g, ReductionState(g), variant, 10**6, work=WorkCounter()
+                    ReductionState(g), variant, 10**6, work=WorkCounter()
                 )
                 assert rep.converged and rep.rounds > n // 8
                 per_nm[n, idle, variant] = rep.work_visits / (g.n + g.m)
@@ -224,7 +224,7 @@ def test_work_per_edge_on_a_sparse_random_graph():
     # bounded with 19% headroom.  Rerunning it on the whole radius-5 reach
     # of the changes costs 16.1.  Counts are exact, not timed.
     g = gnm(random.Random(38001), 6000, 12000)
-    rep = reduce_iterate(g, ReductionState(g), Variant.EXTRA, work=WorkCounter())
+    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
     assert rep.rounds == 4
     assert rep.work_visits / (g.n + g.m) < 9.2, rep.work_visits / (g.n + g.m)
 
@@ -257,5 +257,5 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
         fixed = random_subset(rng, n, rng.choice((0.0, 0.05)))
         for variant in VARIANTS:
             rounds.append(None)
-            reduce_iterate(g, prepared(g, covered, fixed), variant)
+            reduce_iterate(prepared(g, covered, fixed), variant)
     assert rounds.count(False) > rounds.count(True), "later rounds rarely ran"

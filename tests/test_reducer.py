@@ -37,11 +37,11 @@ def dead(g, st):
 def run(g, variant, *, iterate=False, max_rounds=1024):
     st = ReductionState(g)
     if variant is None:
-        rep = naive_reduce(g, st)
+        rep = naive_reduce(st)
     elif iterate:
-        rep = reduce_iterate(g, st, variant, max_rounds=max_rounds)
+        rep = reduce_iterate(st, variant, max_rounds=max_rounds)
     else:
-        rep = reduce_once(g, st, variant)
+        rep = reduce_once(st, variant)
     return st, rep
 
 
@@ -94,7 +94,7 @@ def test_four_path_commits_ends_and_strips_bridge():
     assert rep.removed_edges == 2
     # the 1-2 edge joins two committed vertices; it stays alive until
     # export, which strips it and reports the count
-    comp, strips, dropped = export_residual(g, st)
+    comp, strips, dropped = export_residual(st)
     assert strips == 1
     assert comp.graph.n == 0
 
@@ -234,7 +234,7 @@ def test_gamma_identity_all_variants():
         want, _ = exact_annotated_gamma(AnnotatedInstance.fresh(g))
         for st, rep in variants_all(g):
             nfixed = len(st.fixed)
-            comp, strips, dropped = export_residual(g, st)
+            comp, strips, dropped = export_residual(st)
             got, _ = exact_annotated_gamma(
                 AnnotatedInstance(comp.graph, comp.covered)
             )
@@ -316,7 +316,7 @@ def test_apply_reduction_order_independent():
             order = list(refs)
             random.Random(trial).shuffle(order)
             st = ReductionState(g)
-            rep = apply_reduction(g, st, order, Variant.PLUS)
+            rep = apply_reduction(st, order, Variant.PLUS)
             key = (sorted(st.fixed), dead(g, st), rep.extra_edges)
             if baseline is None:
                 baseline = key
@@ -326,7 +326,7 @@ def test_apply_reduction_order_independent():
 def test_apply_reduction_accepts_subset_of_refs():
     g = gadget_path("fig5", 1)
     st = ReductionState(g)
-    rep = apply_reduction(g, st, [1], Variant.LINEAR)
+    rep = apply_reduction(st, [1], Variant.LINEAR)
     assert sorted(st.fixed) == [1]
     # 2 keeps its unmarked neighbor 3, only the pendant 0 goes
     assert dead(g, st) == [0]
@@ -347,7 +347,7 @@ def test_report_identities_on_corpus():
             assert st.is_consistent()
             nfixed = len(st.fixed)
             assert set(rep.fixed).isdisjoint(rep.removed_nodes)
-            comp, strips, dropped = export_residual(g, st)
+            comp, strips, dropped = export_residual(st)
             assert g.n == comp.graph.n + len(rep.removed_nodes) + len(dropped) + nfixed
             assert g.m == comp.graph.m + rep.removed_edges + strips
             assert comp.graph.validate() is None
@@ -367,7 +367,7 @@ def test_round_cap_keeps_accounting_and_gamma():
                 st, rep = run(g, variant, iterate=True, max_rounds=k)
                 assert rep.rounds == k
                 nfixed = len(st.fixed)
-                comp, strips, dropped = export_residual(g, st)
+                comp, strips, dropped = export_residual(st)
                 assert strips == 0 and dropped == []
                 assert g.n == comp.graph.n + len(rep.removed_nodes) + nfixed
                 assert g.m == comp.graph.m + rep.removed_edges
@@ -382,7 +382,7 @@ def test_isolated_uncovered_needs_opt_in():
     st, rep = run(g, Variant.LINEAR)
     assert 0 not in st.fixed
     assert st.alive[0]
-    added = fix_isolated_uncovered(g, st)
+    added = fix_isolated_uncovered(st)
     assert added == [0]
     assert 0 in st.fixed
 
@@ -391,7 +391,7 @@ def test_isolated_helper_skips_covered():
     g = build(2, [])
     st = ReductionState(g)
     st.cover(1)
-    assert fix_isolated_uncovered(g, st) == [0]
+    assert fix_isolated_uncovered(st) == [0]
 
 
 # ---------------------------------------------------------------- errors
@@ -400,7 +400,7 @@ def test_isolated_helper_skips_covered():
 def test_apply_reduction_rejects_naive_variant():
     g = path(4)
     with pytest.raises(ValueError):
-        apply_reduction(g, ReductionState(g), [1], Variant.NAIVE)
+        apply_reduction(ReductionState(g), [1], Variant.NAIVE)
 
 
 def test_apply_reduction_rejects_dead_reference():
@@ -408,20 +408,20 @@ def test_apply_reduction_rejects_dead_reference():
     st = ReductionState(g)
     st.delete_node(1)
     with pytest.raises(ValueError):
-        apply_reduction(g, st, [1], Variant.LINEAR)
+        apply_reduction(st, [1], Variant.LINEAR)
 
 
 def test_iterate_rejects_single_round_variants():
     g = path(6)
     for v in (Variant.LINEAR, Variant.NAIVE):
         with pytest.raises(ValueError):
-            reduce_iterate(g, ReductionState(g), v)
+            reduce_iterate(ReductionState(g), v)
 
 
 def test_iterate_rejects_bad_round_cap():
     g = path(6)
     with pytest.raises(ValueError):
-        reduce_iterate(g, ReductionState(g), Variant.PLUS, max_rounds=0)
+        reduce_iterate(ReductionState(g), Variant.PLUS, max_rounds=0)
 
 
 def test_reducers_require_compact_state():
@@ -432,11 +432,11 @@ def test_reducers_require_compact_state():
     with_cut_edge.delete_edge(2, 3)
     for st in (with_dead_vertex, with_cut_edge):
         with pytest.raises(ValueError):
-            reduce_once(g, st, Variant.LINEAR)
+            reduce_once(st, Variant.LINEAR)
         with pytest.raises(ValueError):
-            naive_reduce(g, st)
+            naive_reduce(st)
         with pytest.raises(ValueError):
-            reduce_iterate(g, st, Variant.EXTRA)
+            reduce_iterate(st, Variant.EXTRA)
 
 
 def test_input_graph_and_state_copies_are_never_mutated():
@@ -454,15 +454,15 @@ def test_input_graph_and_state_copies_are_never_mutated():
             if rng.random() < 0.2:
                 base.cover(v)
         before = lists(base), bytes(base.alive), bytes(base.covered)
-        reduce_once(g, base.copy(), Variant.EXTRA)
+        reduce_once(base.copy(), Variant.EXTRA)
         st = base.copy()
-        reduce_iterate(g, st, Variant.EXTRA)
+        reduce_iterate(st, Variant.EXTRA)
         mid = st.copy()
-        export_residual(g, st)
+        export_residual(st)
         cut = base.copy()
         for u, v in list(g.edges())[::3]:
             assert cut.delete_edge(u, v)
-        export_residual(g, cut)
+        export_residual(cut)
         assert lists(g) == snapshot
         assert (lists(base), bytes(base.alive), bytes(base.covered)) == before
         assert mid.is_consistent()
