@@ -12,6 +12,7 @@ import math
 import os
 import sys
 import time
+from itertools import compress
 
 from .generators import (
     barbell_cycle,
@@ -29,7 +30,7 @@ from .graphio import (
     FormatError,
     id_base,
     read_graph,
-    read_sidecar,
+    sidecar_lines,
     write_gr,
     write_report_csv,
     write_sidecar,
@@ -208,15 +209,13 @@ def _cmd_reduce(args, parser) -> int:
     if args.out:
         _write_instance(comp.graph, args.out)
     if args.sidecar:
-        res_n = comp.graph.n
+        old_ids = [v + base for v in comp.new_to_old]
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             write_sidecar(
                 fh,
                 fixed=[v + base for v in state.fixed.sorted()],
-                covered=[
-                    comp.new_to_old[i] + base for i in range(res_n) if comp.covered[i]
-                ],
-                mapping=[(i + res_base, comp.new_to_old[i] + base) for i in range(res_n)],
+                covered=compress(old_ids, comp.covered),
+                mapping=zip(range(res_base, res_base + len(old_ids)), old_ids),
             )
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="") as fh:
@@ -346,14 +345,17 @@ def _cmd_bench(args, parser) -> int:
 
 def _cmd_verify(args, _parser) -> int:
     g, base = read_graph(args.instance)
+    # (id, sidecar line) per pick, fixed ids first
+    picks: dict[str, list[tuple[int, int]]] = {"fixed": [], "solution": []}
     with open(args.solution, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        side = read_sidecar(fh)
-    picks = side["fixed"] + side["solution"]
+        for lineno, section, vals in sidecar_lines(fh):
+            if section in picks:
+                picks[section] += [(v, lineno) for v in vals]
     chosen = set()
-    for v in picks:
+    for v, lineno in picks["fixed"] + picks["solution"]:
         iv = v - base
         if not 0 <= iv < g.n:
-            raise FormatError(f"solution id {v} outside the instance")
+            raise FormatError(f"line {lineno}: solution id {v} outside the instance")
         chosen.add(iv)
 
     bad = first_undominated(g, chosen)

@@ -1,9 +1,11 @@
 """Static graph container, annotated instances and vertex-set helpers.
 
 Graphs are simple and undirected.  Vertices are the integers ``0..n-1``.
-Adjacency lists are sorted once at construction and never mutated; every
-dynamic aspect of a reduction (deletions, covering, fixing) lives in
-``state.ReductionState`` instead, so one Graph can back many runs.
+``load_check`` builds the adjacency lists in one pass over the edges and
+sorts each once; after that they are never mutated.  Every dynamic
+aspect of a reduction (deletions, covering, fixing) lives in
+``state.ReductionState`` instead, so one Graph can back many runs, and a
+residual graph may share lists with the input.
 """
 
 from __future__ import annotations
@@ -97,25 +99,30 @@ class Graph:
 
 
 def load_check(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an edge iterable, dropping loops and duplicates."""
+    """Build a Graph from an edge iterable, dropping loops and duplicates.
+
+    One pass appends both directions of each edge to the lists, and each
+    list is then sorted.  Duplicates are removed only when the lists hold
+    any, which their sets tell.  Every endpoint is range-checked, loops
+    included.
+    """
     if n < 0:
         raise ValueError("negative vertex count")
-    seen: set[tuple[int, int]] = set()
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-        if u == v:
-            continue
-        if u > v:
-            u, v = v, u
-        seen.add((u, v))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
-        adj[u].append(v)
-        adj[v].append(u)
-    for a in adj:
-        a.sort()
-    return Graph(n, adj, len(seen))
+        if u != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    entries = sum(map(len, adj))
+    if entries != sum(map(len, map(set, adj))):
+        adj = [sorted(set(a)) for a in adj]
+        entries = sum(map(len, adj))
+    else:
+        for a in adj:
+            a.sort()
+    return Graph(n, adj, entries // 2)
 
 
 @dataclass

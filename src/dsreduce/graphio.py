@@ -10,7 +10,7 @@ ids back to users.
 from __future__ import annotations
 
 import csv
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from .graph import Graph, load_check
 
@@ -49,68 +49,78 @@ def _header(tok: list[str], lineno: int) -> tuple[int, int]:
 def read_gr(stream: IO[str]) -> Graph:
     n = -1
     m = -1
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
-        if not tok or tok[0] == "c":
-            continue
-        if tok[0] == "p":
-            if n >= 0:
-                raise FormatError(f"line {lineno}: duplicate header")
-            n, m = _header(tok, lineno)
-            continue
-        if n < 0:
-            raise FormatError(f"line {lineno}: edge before header")
-        if len(tok) != 2:
-            raise FormatError(f"line {lineno}: expected two endpoints")
         try:
-            u, v = int(tok[0]), int(tok[1])
+            a, b = tok
+            u = int(a)
+            v = int(b)
         except ValueError:
+            # not two integers: blank, comment, header or a malformed line
+            if not tok or tok[0] == "c":
+                continue
+            if tok[0] == "p":
+                if n >= 0:
+                    raise FormatError(f"line {lineno}: duplicate header")
+                n, m = _header(tok, lineno)
+                continue
+            if n < 0:
+                raise FormatError(f"line {lineno}: edge before header")
+            if len(tok) != 2:
+                raise FormatError(f"line {lineno}: expected two endpoints")
             raise FormatError(f"line {lineno}: non-numeric endpoint") from None
-        if not (1 <= u <= n and 1 <= v <= n):
+        if not (0 < u <= n and 0 < v <= n):
+            if n < 0:
+                raise FormatError(f"line {lineno}: edge before header")
             raise FormatError(f"line {lineno}: vertex id outside 1..{n}")
-        if len(edges) == m:
+        if len(ends) == 2 * m:
             raise FormatError(f"line {lineno}: more edges than the header declares")
-        edges.append((u - 1, v - 1))
+        ends.append(u - 1)
+        ends.append(v - 1)
     if n < 0:
         raise FormatError("missing 'p' header")
-    if len(edges) < m:
-        raise FormatError(f"truncated file: {len(edges)} of {m} edges present")
-    return load_check(n, edges)
+    if len(ends) < 2 * m:
+        raise FormatError(f"truncated file: {len(ends) // 2} of {m} edges present")
+    it = iter(ends)
+    return load_check(n, zip(it, it))
 
 
 def read_edge_list(stream: IO[str]) -> Graph:
     """0-based edges; an optional leading ``p`` header fixes n and m."""
     n = -1
     m = -1
-    edges: list[tuple[int, int]] = []
-    top = -1
+    ends: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
-        if not tok or tok[0] == "c":
-            continue
-        if tok[0] == "p":
-            if n >= 0 or edges:
-                raise FormatError(f"line {lineno}: header must lead the file")
-            n, m = _header(tok, lineno)
-            continue
-        if len(tok) != 2:
-            raise FormatError(f"line {lineno}: expected two endpoints")
         try:
-            u, v = int(tok[0]), int(tok[1])
+            a, b = tok
+            u = int(a)
+            v = int(b)
         except ValueError:
+            # not two integers: blank, comment, header or a malformed line
+            if not tok or tok[0] == "c":
+                continue
+            if tok[0] == "p":
+                if n >= 0 or ends:
+                    raise FormatError(f"line {lineno}: header must lead the file")
+                n, m = _header(tok, lineno)
+                continue
+            if len(tok) != 2:
+                raise FormatError(f"line {lineno}: expected two endpoints")
             raise FormatError(f"line {lineno}: non-numeric endpoint") from None
         if u < 0 or v < 0:
             raise FormatError(f"line {lineno}: negative vertex id")
         if n >= 0 and not (u < n and v < n):
             raise FormatError(f"line {lineno}: vertex id outside 0..{n - 1}")
-        top = max(top, u, v)
-        edges.append((u, v))
+        ends.append(u)
+        ends.append(v)
+    it = iter(ends)
     if n < 0:
-        return load_check(top + 1, edges)
-    if len(edges) != m:
-        raise FormatError(f"header declares {m} edges, file holds {len(edges)}")
-    return load_check(n, edges)
+        return load_check(max(ends, default=-1) + 1, zip(it, it))
+    if len(ends) != 2 * m:
+        raise FormatError(f"header declares {m} edges, file holds {len(ends) // 2}")
+    return load_check(n, zip(it, it))
 
 
 def id_base(path: str) -> int:
@@ -127,9 +137,10 @@ def read_graph(path: str) -> tuple[Graph, int]:
 
 def write_gr(g: Graph, stream: IO[str], base: int = 1) -> None:
     """Header and one edge per line; ``base=0`` gives the .el id space."""
+    name = [str(i + base) for i in range(g.n)]
+    lines = [f"{name[u]} {name[v]}\n" for u, a in enumerate(g.adj) for v in a if v > u]
     stream.write(f"p ds {g.n} {g.m}\n")
-    for u, v in g.edges():
-        stream.write(f"{u + base} {v + base}\n")
+    stream.write("".join(lines))
 
 
 def write_sidecar(
@@ -141,26 +152,24 @@ def write_sidecar(
 ) -> None:
     """Sections of ids in the input file's id space; map lines pair the
     residual file's id with the input id it came from."""
-    stream.write("fixed:\n")
-    for v in fixed:
-        stream.write(f"{v}\n")
-    stream.write("covered:\n")
-    for v in covered:
-        stream.write(f"{v}\n")
-    stream.write("map:\n")
-    for new, old in mapping:
-        stream.write(f"{new} {old}\n")
+    sections = [
+        "fixed:\n",
+        "".join([f"{v}\n" for v in fixed]),
+        "covered:\n",
+        "".join([f"{v}\n" for v in covered]),
+        "map:\n",
+        "".join([f"{new} {old}\n" for new, old in mapping]),
+    ]
     if solution is not None:
-        stream.write("solution:\n")
-        for v in solution:
-            stream.write(f"{v}\n")
+        sections += ["solution:\n", "".join([f"{v}\n" for v in solution])]
+    stream.writelines(sections)
 
 
 _SECTIONS = ("fixed:", "covered:", "map:", "solution:")
 
 
-def read_sidecar(stream: IO[str]) -> dict:
-    out = {"fixed": [], "covered": [], "map": [], "solution": []}
+def sidecar_lines(stream: IO[str]) -> Iterator[tuple[int, str, list[int]]]:
+    """Yield (line number, section, ids) for each data line of a sidecar."""
     section: Optional[str] = None
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
@@ -175,9 +184,15 @@ def read_sidecar(stream: IO[str]) -> dict:
             vals = [int(t) for t in tok]
         except ValueError:
             raise FormatError(f"line {lineno}: non-numeric id") from None
+        if section == "map" and len(vals) != 2:
+            raise FormatError(f"line {lineno}: map lines hold two ids")
+        yield lineno, section, vals
+
+
+def read_sidecar(stream: IO[str]) -> dict:
+    out = {"fixed": [], "covered": [], "map": [], "solution": []}
+    for _lineno, section, vals in sidecar_lines(stream):
         if section == "map":
-            if len(vals) != 2:
-                raise FormatError(f"line {lineno}: map lines hold two ids")
             out["map"].append((vals[0], vals[1]))
         else:
             out[section].extend(vals)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Optional
 
 # The passes are called as attributes of ``pipeline``, so a wrapper set
@@ -515,5 +516,7 @@ def export_residual(state: ReductionState) -> tuple[CompactResult, int, list[int
     covered vertices dropped because stripping isolated them.  Mutates
     ``state``; pass a copy to keep the original.
     """
-    strips, dropped = _strip_committed(state, state.fixed, range(state.n))
+    # only covered vertices can be dropped; compress keeps ascending order
+    near = compress(range(state.n), state.covered)
+    strips, dropped = _strip_committed(state, state.fixed, near)
     return compact(state), strips, dropped

@@ -142,14 +142,22 @@ def compact(state: ReductionState) -> CompactResult:
 
     ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed ids
     are carried across in the new numbering.  ``old_to_new`` is monotone,
-    so each filtered adjacency list comes out sorted without a sort.
+    so each filtered adjacency list comes out sorted without a sort.  When
+    every vertex is alive both maps are the identity, and the new graph
+    shares the state's lists; lists are never mutated in place, so that is
+    safe.
     """
     alive = state.alive
+    sadj = state.adj
+    if 0 not in alive:
+        ids = list(range(state.n))
+        adj = list(sadj)
+        ng = Graph(state.n, adj, sum(map(len, adj)) // 2)
+        return CompactResult(ng, ids, list(ids), bytearray(state.covered), list(state.fixed))
     old_to_new = [-1] * state.n
     new_to_old = list(compress(range(state.n), alive))
     for i, u in enumerate(new_to_old):
         old_to_new[u] = i
-    sadj = state.adj
     adj = [[old_to_new[v] for v in sadj[u] if alive[v]] for u in new_to_old]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))

@@ -300,6 +300,27 @@ def test_verify_rejects_out_of_range_solution(tmp_path, capsys):
     assert "outside the instance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("solution:\n9\n", "error: line 2: solution id 9 outside the instance\n"),
+        ("c x\nfixed:\n1 -2\nsolution:\n5\n",
+         "error: line 3: solution id -2 outside the instance\n"),
+        # fixed ids are checked before solution ids, whatever the file order
+        ("solution:\n7\nfixed:\n\n0\n",
+         "error: line 5: solution id 0 outside the instance\n"),
+    ],
+    ids=["above", "negative", "fixed-first"],
+)
+def test_verify_names_the_sidecar_line_of_a_bad_id(tmp_path, capsys, text, err):
+    inst = str(tmp_path / "p3.gr")
+    run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)
+    side = tmp_path / "sol.side"
+    side.write_text(text)
+    assert main(["verify", inst, "--solution", str(side)]) == 3
+    assert capsys.readouterr().err == err
+
+
 def test_verify_accepts_solution_only_sidecar(tmp_path, capsys):
     inst = str(tmp_path / "star.gr")
     run_ok(["gen", "star", "--n", "5", "--out", inst], capsys)

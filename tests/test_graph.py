@@ -20,6 +20,36 @@ def test_load_check_rejects_out_of_range():
         load_check(2, [(-1, 0)])
 
 
+def test_load_check_rejects_out_of_range_loops():
+    for loop in [(3, 3), (-1, -1)]:
+        with pytest.raises(ValueError, match="outside 0..2"):
+            load_check(3, [(0, 1), loop])
+
+
+def test_load_check_matches_pair_set_reference():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        edges = []
+        if n:
+            for _ in range(rng.randint(0, 3 * n)):
+                u, v = rng.randrange(n), rng.randrange(n)
+                edges += [(u, v)] * rng.randint(1, 2)
+                if rng.random() < 0.3:
+                    edges.append((v, u))
+        rng.shuffle(edges)
+        pairs = {(min(u, v), max(u, v)) for u, v in edges if u != v}
+        adj = [[] for _ in range(n)]
+        for u, v in sorted(pairs):
+            adj[u].append(v)
+            adj[v].append(u)
+        g = load_check(n, iter(edges))
+        g.validate()
+        assert (g.n, g.m, g.adj) == (n, len(pairs), [sorted(a) for a in adj])
+
+
 def test_validate_catches_asymmetry():
     g = Graph(3, [[1], [], []], 1)
     with pytest.raises(ValueError, match="symmetric"):
@@ -136,6 +166,31 @@ def test_compact_remaps_flags():
     assert comp.old_to_new == [-1, 0, 1, 2, 3]
     assert bytes(comp.covered) == bytes([1, 1, 0, 0])
     assert comp.fixed == [0]
+    comp.graph.validate()
+
+
+def test_compact_of_an_untouched_state_is_the_identity():
+    g = build(4, [(0, 1), (1, 2), (2, 3)])
+    st = ReductionState(g)
+    st.fix(1)
+    comp = compact(st)
+    assert comp.old_to_new == comp.new_to_old == [0, 1, 2, 3]
+    assert comp.graph.adj == g.adj and comp.graph.m == g.m
+    assert bytes(comp.covered) == bytes([1, 1, 1, 0])
+    assert comp.fixed == [1]
+    comp.graph.validate()
+
+
+def test_compact_shows_cut_edges_when_no_vertex_died():
+    # cut_within is how Extra deletes edges; it replaces lists in the
+    # state and leaves the input graph's lists alone
+    g = build(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    st = ReductionState(g)
+    st.cut_within({0: None, 1: None, 2: None})
+    comp = compact(st)
+    assert comp.new_to_old == [0, 1, 2, 3]
+    assert comp.graph.adj == [[], [], [3], [2]] and comp.graph.m == 1
+    assert g.adj == [[1, 2], [0, 2], [0, 1, 3], [2]]
     comp.graph.validate()
 
 

@@ -1,4 +1,6 @@
 import io
+import random
+import tracemalloc
 
 import pytest
 
@@ -183,3 +185,109 @@ def test_report_csv_header_and_rows():
     )
     assert lines[1].startswith("a.gr,5,4,linear,1,2,2,4,")
     assert REPORT_FIELDS == lines[0].split(",")
+
+
+def adjacency(g):
+    return g.n, g.m, g.adj
+
+
+# Each case gives the reader's input and either the graph it yields, as
+# (n, m, adjacency lists), or a pattern its FormatError message matches.
+GR_TABLE = [
+    # two-token lines that are not edges
+    ("p ds 3 1\nc 1\n1 2\n", (3, 1, [[1], [0], []])),
+    ("p ds 3 1\np 1\n", "^line 2: duplicate header$"),
+    ("p 1\n", r"^line 1: header needs 'p <kind> <n> <m>'$"),
+    ("x y\n", "^line 1: edge before header$"),
+    ("1 2\np ds 3 1\n", "^line 1: edge before header$"),
+    ("p ds 3 1\nx 2\n", "^line 2: non-numeric endpoint$"),
+    ("p ds 3 1\n2 x\n", "^line 2: non-numeric endpoint$"),
+    # the range check comes before the edge count check
+    ("p ds 3 1\n1 2\n1 9\n", r"^line 3: vertex id outside 1\.\.3$"),
+    ("p ds 3 1\n1 2\n0 1\n", r"^line 3: vertex id outside 1\.\.3$"),
+    ("p ds 3 1\n1 2\n2 3\n", "^line 3: more edges than the header declares$"),
+    ("p ds 3 0\n1 2\n", "^line 2: more edges than the header declares$"),
+    ("p ds 3 2\n1 2\n", "^truncated file: 1 of 2 edges present$"),
+    # ids are read as int() reads them
+    ("p ds 3 1\n+1 2\n", (3, 1, [[1], [0], []])),
+    ("p ds 3 1\n１ ３\n", (3, 1, [[2], [], [0]])),
+    ("p ds 1_2 1\n1_0 2\n", (12, 1, [[]] + [[9]] + [[]] * 7 + [[1]] + [[]] * 2)),
+    ("p ds 3 1\n1 -2\n", r"^line 2: vertex id outside 1\.\.3$"),
+    ("p ds 3 1\n1 2.0\n", "^line 2: non-numeric endpoint$"),
+    # whitespace variants
+    ("p ds 3 2\r\n1 2\r\n\r\n2\t3\r\n", (3, 2, [[1], [0, 2], [1]])),
+    ("p\tds 3 1\n \x0c1\x0b2 \n", (3, 1, [[1], [0], []])),
+    ("p ds 3 1\n1 2 \x0c 3\n", "^line 2: expected two endpoints$"),
+    # one edge in both orientations, and a loop
+    ("p ds 3 3\n2 1\n1 2\n3 3\n", (3, 1, [[1], [0], []])),
+    ("p ds 1 1\n1 1\n", (1, 0, [[]])),
+    ("p ds 1 1\n2 2\n", r"^line 2: vertex id outside 1\.\.1$"),
+    # a bare comment marker, then a three-token line
+    ("p ds 3 1\nc\n1 x y\n", "^line 3: expected two endpoints$"),
+    ("c\n1 x y\n", "^line 2: edge before header$"),
+    ("", "^missing 'p' header$"),
+]
+
+EL_TABLE = [
+    ("0 1\nc 1\n", (2, 1, [[1], [0]])),
+    ("p ds 3 1\np 1\n", "^line 2: header must lead the file$"),
+    ("0 1\np 1\n", "^line 2: header must lead the file$"),
+    ("p 1\n", r"^line 1: header needs 'p <kind> <n> <m>'$"),
+    ("x y\n", "^line 1: non-numeric endpoint$"),
+    ("0 y\n", "^line 1: non-numeric endpoint$"),
+    # the range check is per line, the edge count is checked at the end
+    ("p ds 3 1\n0 1\n0 5\n", r"^line 3: vertex id outside 0\.\.2$"),
+    ("p ds 3 1\n0 1\n1 2\n", "^header declares 1 edges, file holds 2$"),
+    ("p ds 3 2\n0 1\n", "^header declares 2 edges, file holds 1$"),
+    ("p ds 3 1\n-1 5\n", "^line 2: negative vertex id$"),
+    ("5 -1\n", "^line 1: negative vertex id$"),
+    ("+0 2\n", (3, 1, [[2], [], [0]])),
+    ("０ ２\n", (3, 1, [[2], [], [0]])),
+    ("1_0 0\n", (11, 1, [[10]] + [[]] * 9 + [[0]])),
+    ("0 1\r\n\r\n1\t2\r\n", (3, 2, [[1], [0, 2], [1]])),
+    (" \x0c0\x0b1 \n", (2, 1, [[1], [0]])),
+    ("0 1 \x0c 2\n", "^line 1: expected two endpoints$"),
+    ("1 0\n0 1\n2 2\n", (3, 1, [[1], [0], []])),
+    ("3 3\n", (4, 0, [[], [], [], []])),
+    ("c\n0 x y\n", "^line 2: expected two endpoints$"),
+    ("", (0, 0, [])),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, text, want",
+    [(read_gr, t, w) for t, w in GR_TABLE] + [(read_edge_list, t, w) for t, w in EL_TABLE],
+    ids=[f"gr{i}" for i in range(len(GR_TABLE))] + [f"el{i}" for i in range(len(EL_TABLE))],
+)
+def test_reader_table(reader, text, want):
+    if isinstance(want, str):
+        with pytest.raises(FormatError, match=want):
+            reader(io.StringIO(text))
+    else:
+        g = reader(io.StringIO(text))
+        g.validate()
+        assert adjacency(g) == want
+
+
+def test_read_gr_peak_memory_stays_near_the_graph():
+    # G(n=6000, m=12000), lines shuffled and half of them flipped
+    rng = random.Random(7)
+    n, m = 6000, 12000
+    pairs = set()
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    lines = [f"{v + 1} {u + 1}\n" if rng.random() < 0.5 else f"{u + 1} {v + 1}\n"
+             for u, v in sorted(pairs)]
+    rng.shuffle(lines)
+    buf = io.StringIO(f"p ds {n} {m}\n" + "".join(lines))
+    del lines, pairs
+    tracemalloc.start()
+    try:
+        g = read_gr(buf)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.m == m
+    assert peak <= 2 * retained, (peak, retained)

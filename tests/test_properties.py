@@ -1,11 +1,13 @@
-"""Property-based differential tests (they need ``hypothesis``).
+"""Property-based tests (they need ``hypothesis``).
 
 The example-based tests in ``test_iterate.py`` stop at 80 vertices,
 where rounds after the second rarely act.  Here graphs reach 300
 vertices at average degree 2-6, with given covered and fixed masks and
-round caps.  Runs are derandomized, so every run draws the same cases.
+round caps.  The instance and sidecar readers are fed line soup.  Runs
+are derandomized, so every run draws the same cases.
 """
 
+import io
 import random
 
 import pytest
@@ -13,6 +15,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from dsreduce.graphio import (  # noqa: E402
+    FormatError,
+    read_edge_list,
+    read_gr,
+    read_sidecar,
+)
 from test_iterate import (  # noqa: E402
     VARIANTS,
     check_same,
@@ -53,3 +61,64 @@ def annotated_graphs(draw):
 def test_reduce_iterate_matches_reference(case, variant, max_rounds):
     g, covered, fixed = case
     check_same(g, variant, max_rounds, covered=covered, fixed=fixed)
+
+
+# Tokens of the line soup: ids as int() reads them and ids it rejects,
+# header and comment words, sidecar section names and junk.
+_NUMBERS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["+1", "-0", "０", "1_0", "00", "1.0", "1e1", "0x1", "١"]),
+)
+_WORDS = st.sampled_from(
+    ["p", "ds", "c", "x", "fixed:", "covered:", "map:", "solution:", "p ds 4 3"]
+)
+_SPACES = st.sampled_from([" ", "  ", "\t", "\x0c", "\x0b", " \t "])
+_ENDS = st.sampled_from(["\n", "\r\n", " \n", "\t\n"])
+
+
+@st.composite
+def line_soup(draw):
+    """Lines of tokens joined by varied whitespace.  Most lines hold two
+    ids, and the first line is often a section name or a header, whose
+    edge count often matches those lines.  Half the soups hold only
+    those lines and comments."""
+    n = draw(st.integers(0, 12))
+    ids = st.one_of(st.integers(0, n).map(str), _NUMBERS)
+    kinds = ["edge", "edge", "comment"]
+    if draw(st.booleans()):
+        kinds += ["edge", "header", "junk"]
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "edge":
+            tok = [draw(ids), draw(ids)]
+        elif kind == "header":
+            tok = ["p", draw(st.sampled_from(["ds", "x"]))]
+            tok += draw(st.lists(_NUMBERS, max_size=3))
+        elif kind == "comment":
+            tok = ["c"] + draw(st.lists(st.one_of(_NUMBERS, _WORDS), max_size=2))
+        else:
+            tok = draw(st.lists(st.one_of(_NUMBERS, _WORDS), max_size=4))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(_SPACES).join(tok))
+    pairs = sum(len(line.split()) == 2 for line in lines)
+    m = draw(st.one_of(st.just(pairs), st.integers(0, 6)))
+    head = f"p ds {n} {m}"
+    lines[:0] = draw(st.sampled_from([[head], [head], ["fixed:"], ["map:"], []]))
+    return "".join(line + draw(_ENDS) for line in lines)
+
+
+@hypothesis.settings(
+    max_examples=400, deadline=None, derandomize=True, database=None
+)
+@hypothesis.given(line_soup())
+def test_readers_return_or_raise_format_error(text):
+    for reader in (read_gr, read_edge_list):
+        try:
+            g = reader(io.StringIO(text))
+        except FormatError:
+            continue
+        g.validate()
+    try:
+        read_sidecar(io.StringIO(text))
+    except FormatError:
+        pass
