@@ -16,15 +16,15 @@ from typing import Optional
 
 from .graph import AnnotatedInstance, Graph, VertexSet
 from .greedy import TieBreaker
-from .pipeline import RelationSet, WorkCounter, canonical_reference, suitable_set
+from .pipeline import RelationSet, WorkCounter, canonical_reference
 from .reducer import (
     ITERATED,
     MAX_ROUNDS,
     ReductionReport,
     Variant,
     _require_fresh,
-    apply_reduction,
     export_residual,
+    reduce_once,
 )
 from .state import ReductionState
 
@@ -244,14 +244,13 @@ def reduce_iterate_reference(
     """Alternate rounds and compaction until nothing changes.
 
     The iterated driver before rounds shared one id space: every round
-    reruns the full pipeline on a freshly compacted graph, so it is
-    quadratic on long paths.  ``reducer.reduce_iterate`` must match it.
-    Variants outside ``ITERATED`` are rejected.  Rounds after the first
-    classify covered-aware.  Between acting rounds ``export_residual``
-    strips the committed vertices (their doomed edges are only then
-    counted) and drops isolated covered vertices; the caller's state
-    mirrors every event in original ids.
-    The terminating idle round is included in the round count.
+    is ``reduce_once``, covered-aware, on a freshly compacted graph, so
+    it is quadratic on long paths.  ``reducer.reduce_iterate`` must
+    match it.  Variants outside ``ITERATED`` are rejected.  Between
+    acting rounds ``export_residual`` strips the committed vertices
+    (their doomed edges are only then counted) and drops isolated
+    covered vertices; the caller's state mirrors every event in original
+    ids.  The terminating idle round is included in the round count.
     """
     if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
@@ -272,18 +271,10 @@ def reduce_iterate_reference(
     before = work.visits if work is not None else 0
 
     while True:
-        t0 = time.perf_counter()
-        rels = suitable_set(
-            cur_state,
-            covered=cur_state.covered if rounds > 0 else None,
-            fixed=cur_state.fixed.mask,
-            work=work,
-        )
-        t1 = time.perf_counter()
-        rep = apply_reduction(cur_state, rels.references(), variant, work=work)
+        rep = reduce_once(cur_state, variant, work=work)
         rounds += 1
-        t_find += t1 - t0
-        t_apply += time.perf_counter() - t1
+        t_find += rep.time_find_s
+        t_apply += rep.time_apply_s
 
         for rho in rep.fixed:
             o = cur_to_orig[rho]

@@ -305,15 +305,9 @@ def filter_suitable(
         for x in chosen.get(rho, ()):
             ax = adj[x]
             visits += len(ax)
-            if covered is None:
-                ok = slot1.issuperset(ax)
-            else:
-                ok = True
-                for w in ax:
-                    if w not in slot1 and not covered[w]:
-                        ok = False
-                        break
-            if ok:
+            if slot1.issuperset(ax) or (
+                covered is not None and all(covered[w] for w in ax if w not in slot1)
+            ):
                 slot2.add(x)
 
         for u in cand:

@@ -177,8 +177,15 @@ def naive_reduce(
     committed and every non-escaping neighbor deleted on the spot, so
     later iterations see the mutated graph.  Vertices committed earlier
     in the sweep count as escaping and are never deleted.
+
+    The sweep reads no covered flags, so it refuses a state with any
+    covered flag set (given fixed vertices cover their neighborhoods,
+    so those are refused too): it would commit vertices that no
+    optimum needs.
     """
     _require_fresh(state)
+    if any(state.covered):
+        raise ValueError("naive reduction does not take covered or fixed vertices")
     n = state.n
     adj = state.adj
     alive = state.alive
@@ -258,8 +265,9 @@ def reduce_once(
 ) -> ReductionReport:
     """One find+apply round on a fresh state.
 
-    The witness search reads no covered flags: a vertex already
-    dominated still counts as needing domination.
+    The witness search reads the covered flags: a vertex already
+    dominated does not need domination, so it is never a witness and
+    never makes a neighbor escape.
     """
     _require_fresh(state)
     if variant is Variant.NAIVE:
@@ -267,7 +275,7 @@ def reduce_once(
 
     before = work.visits if work is not None else 0
     t0 = time.perf_counter()
-    rels = suitable_set(state, fixed=state.fixed.mask, work=work)
+    rels = suitable_set(state, covered=state.covered, fixed=state.fixed.mask, work=work)
     t1 = time.perf_counter()
     rep = apply_reduction(state, rels.references(), variant, work=work)
     rep.time_find_s = t1 - t0
@@ -286,12 +294,13 @@ def reduce_iterate(
 ) -> ReductionReport:
     """Repeat find+apply rounds on ``state`` until nothing changes.
 
-    Variants outside ``ITERATED`` are rejected.  Every round acts on the caller's state in the input's ids.
-    Rounds after the first classify covered-aware.  After each acting
-    round the committed vertices are stripped (their doomed edges are
-    only then counted) and covered vertices left isolated are dropped.
-    The terminating idle round is included in the round count;
-    ``converged`` is False when ``max_rounds`` ended the loop instead.
+    Variants outside ``ITERATED`` are rejected.  Every round acts on the
+    caller's state in the input's ids and classifies covered-aware.
+    After each acting round the committed vertices are stripped (their
+    doomed edges are only then counted) and covered vertices left
+    isolated are dropped.  The terminating idle round is included in the
+    round count; ``converged`` is False when ``max_rounds`` ended the
+    loop instead.
 
     Every round runs the passes on ``state`` itself; round 1 tests every
     pair, while its lists and degrees are still the input's.  Deleting a
@@ -313,9 +322,8 @@ def reduce_iterate(
     canonical reference R(u) and the witness-to-reference map.  Round 1
     fills both.  After an acting round, with T the alive touched
     vertices, whose lists the round refreshed, only
-    U = T + {u in N(T) : R(u) in T} is re-evaluated, and after round 1
-    also every alive covered vertex.  The carried map is then right at
-    every alive vertex:
+    U = T + {u in N(T) : R(u) in T} is re-evaluated.  The carried map is
+    then right at every alive vertex:
 
     (i) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
         covered and fixed flags of u.  Deletions only lower degrees, and
@@ -326,11 +334,10 @@ def reduce_iterate(
         So N[u] and N[R(u)] are the lists of one round earlier, and R(u)
         kept its degree while every other member of N[u] kept or lowered
         its own, so R(u) is still the maximum.  u's covered flag changes
-        only when u is next to a committed vertex, hence in T; round 1
-        reads no covered flags, which is why every alive covered vertex
-        is re-evaluated after it.  No alive vertex is fixed after round
-        1: committed vertices, given ones included, are stripped at every
-        boundary.  So R(u) and u's verdict are those of one round earlier.
+        only when u is next to a committed vertex, hence in T.  No alive
+        vertex is fixed after round 1: committed vertices, given ones
+        included, are stripped at every boundary.  So R(u) and u's
+        verdict are those of one round earlier.
 
     (ii) Partition and filter then test only the carried pairs whose
         witness lies within ``DIRTY_RADIUS`` = 2 edges of U, and no
@@ -338,10 +345,9 @@ def reduce_iterate(
         the lists of N[u], rho among them, and the degrees, covered flags
         and carried superset entries of the vertices within 2 edges of
         u, fixed flags included.  Between rounds all of these change only
-        on U: lists and degrees only on T, covered flags only on T and on
-        the alive covered vertices that round 1 read as uncovered, the
-        carried map only on U by (i), and fixed flags only on vertices
-        that die, whose alive neighbors are touched.  Now take u more
+        on U: lists, degrees and covered flags only on T, the carried map
+        only on U by (i), and fixed flags only on vertices that die, whose
+        alive neighbors are touched.  Now take u more
         than 2 edges from U.  The search from u reads the same lists as
         one round earlier, and the same values on them, so the verdict
         is that of one round earlier: the verdict of that round's test,
@@ -361,7 +367,6 @@ def reduce_iterate(
     fixed = state.fixed.mask
     sup: Optional[RelationSet] = None
     dirty: dict[int, None] = {}
-    recheck: list[int] = []
     fixed_all: list[int] = []
     removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
@@ -375,10 +380,12 @@ def reduce_iterate(
     while True:
         t0 = time.perf_counter()
         if sup is None:
-            sup = pipeline.compute_superset(state, fixed=fixed, work=work)
+            sup = pipeline.compute_superset(
+                state, covered=covered, fixed=fixed, work=work
+            )
             pairs = list(sup)
         else:
-            redo = _reevaluate_superset(state, sup, dirty, recheck, work)
+            redo = _reevaluate_superset(state, sup, dirty, work)
             ref_of = sup.by_witness
             pairs = [
                 (u, ref_of[u])
@@ -387,12 +394,7 @@ def reduce_iterate(
             ]
         f = pipeline.compute_proper_partition(state, sup, work=work, pairs=pairs)
         rels = pipeline.filter_suitable(
-            state,
-            pairs,
-            f,
-            covered=covered if rounds > 0 else None,
-            fixed=fixed,
-            work=work,
+            state, pairs, f, covered=covered, fixed=fixed, work=work
         )
         t1 = time.perf_counter()
         refs = rels.references()
@@ -419,7 +421,6 @@ def reduce_iterate(
             removed_all += dropped
             dirty = {v: None for v in touched if alive[v]}
             state.refresh(dirty)
-            recheck = [v for v in range(state.n) if alive[v] and covered[v]] if first else []
         t_apply += time.perf_counter() - t1
         if not rep.changed:
             break
@@ -447,14 +448,13 @@ def _reevaluate_superset(
     state: ReductionState,
     sup: RelationSet,
     dirty: dict[int, None],
-    recheck: list[int],
     work: Optional[WorkCounter],
 ) -> dict[int, None]:
     """Bring the carried superset map ``sup`` up to date after a round.
 
-    Re-evaluates the dirty vertices, their neighbors whose canonical
-    reference is dirty, and ``recheck``, covered-aware; see (i) in
-    ``reduce_iterate``.  Returns the re-evaluated vertices.
+    Re-evaluates the dirty vertices and their neighbors whose canonical
+    reference is dirty; see (i) in ``reduce_iterate``.  Returns the
+    re-evaluated vertices.
     """
     canonical = sup.canonical
     redo = dict(dirty)
@@ -465,7 +465,6 @@ def _reevaluate_superset(
         for u in at:
             if canonical[u] in dirty:
                 redo[u] = None
-    redo.update(dict.fromkeys(recheck))
     if work is not None:
         work.add(visits)
     part = pipeline.compute_superset(

@@ -3,10 +3,21 @@ import random
 import pytest
 
 from dsreduce.graph import Graph, load_check
+from dsreduce.state import ReductionState
 
 
 def build(n, edges) -> Graph:
     return load_check(n, edges)
+
+
+def prepared(g, covered=(), fixed=()) -> ReductionState:
+    """A fresh state of ``g`` with given covered and fixed vertices."""
+    st = ReductionState(g)
+    for v in covered:
+        st.cover(v)
+    for v in fixed:
+        st.fix(v)
+    return st
 
 
 @pytest.fixture

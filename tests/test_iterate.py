@@ -11,7 +11,7 @@ count gates bound the driver's work.
 
 import random
 
-from conftest import build, random_graphs
+from conftest import build, prepared, random_graphs
 from dsreduce import pipeline
 from dsreduce.generators import fig4_family, gadget_path, path
 from dsreduce.oracle import reduce_iterate_reference
@@ -20,15 +20,6 @@ from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_on
 from dsreduce.state import ReductionState
 
 VARIANTS = (Variant.PLUS, Variant.EXTRA)
-
-
-def prepared(g, covered=(), fixed=()):
-    st = ReductionState(g)
-    for v in covered:
-        st.cover(v)
-    for v in fixed:
-        st.fix(v)
-    return st
 
 
 def report_fields(rep):
@@ -157,9 +148,11 @@ def test_matches_reference_with_given_covered_and_fixed():
 
 
 def test_given_covered_vertices_seed_round_two():
-    # Round 1 reads no covered flags, so a part of the graph it leaves
-    # alone can still hold witnesses once covered flags count.  A 6-path
-    # makes round 1 act; each random part carries given covered vertices.
+    # Every round reads the given covered flags, round 1 included.  Round 2
+    # tests only the witnesses near round 1's changes, so the reference,
+    # which retests every pair, must find nothing more in a part that
+    # round 1 left alone.  A 6-path makes round 1 act; each random part
+    # carries given covered vertices.
     rng = random.Random(36000)
     for part in random_graphs(400, (3, 14), [0.15, 0.3, 0.5], 36000):
         k = part.n
@@ -238,9 +231,7 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
 
     def checked(st, sprime, **kwargs):
         first = rounds[-1] is None
-        fresh = pipeline.compute_superset(
-            st, covered=None if first else st.covered, fixed=st.fixed.mask
-        )
+        fresh = pipeline.compute_superset(st, covered=st.covered, fixed=st.fixed.mask)
         for v in range(st.n):
             if st.alive[v]:
                 got = (sprime.canonical[v], sprime.by_witness[v])

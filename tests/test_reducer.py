@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import build, random_graphs
+from conftest import build, prepared, random_graphs
 from dsreduce.generators import (
     barbell_cycle,
     complete,
@@ -229,16 +229,39 @@ def variants_all(g):
     yield run(g, Variant.EXTRA, iterate=True)
 
 
+def committed_plus_residual_gamma(st):
+    nfixed = len(st.fixed)
+    comp, _strips, _dropped = export_residual(st)
+    got, _ = exact_annotated_gamma(AnnotatedInstance(comp.graph, comp.covered))
+    return nfixed + got
+
+
 def test_gamma_identity_all_variants():
+    # Each graph runs fresh, then with given covered vertices and given
+    # fixed ones F, whose optimum is |F| + γ(G, covered ∪ N[F]).  The
+    # naive sweep reads no covered flags, so it must refuse the latter.
+    rng = random.Random(8800)
     for g in random_graphs(90, (2, 13), [0.15, 0.3, 0.5, 0.8], seed_base=8800):
         want, _ = exact_annotated_gamma(AnnotatedInstance.fresh(g))
         for st, rep in variants_all(g):
-            nfixed = len(st.fixed)
-            comp, strips, dropped = export_residual(st)
-            got, _ = exact_annotated_gamma(
-                AnnotatedInstance(comp.graph, comp.covered)
-            )
-            assert want == nfixed + got
+            assert want == committed_plus_residual_gamma(st)
+
+        covered = [v for v in range(g.n) if rng.random() < 0.3]
+        fixed = [v for v in range(g.n) if rng.random() < 0.08]
+        dominated = prepared(g, covered, fixed).covered
+        want = len(fixed) + exact_annotated_gamma(AnnotatedInstance(g, dominated))[0]
+        runs = [(reduce_once, v) for v in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA)]
+        runs += [(reduce_iterate, v) for v in (Variant.PLUS, Variant.EXTRA)]
+        for driver, variant in runs:
+            st = prepared(g, covered, fixed)
+            driver(st, variant)
+            where = (g.n, list(g.edges()), covered, fixed, driver.__name__, variant)
+            assert want == committed_plus_residual_gamma(st), where
+        if any(dominated):
+            with pytest.raises(ValueError):
+                naive_reduce(prepared(g, covered, fixed))
+            with pytest.raises(ValueError):
+                reduce_once(prepared(g, covered, fixed), Variant.NAIVE)
 
 
 def test_variant_monotonicity():
