@@ -3,29 +3,39 @@
 Selection is by merit, the count of still-undominated vertices in the
 closed neighborhood; ties go to the vertex with the higher entry in a
 seeded priority permutation, so a run is fully determined by instance +
-seed.
+seed.  The permutation for a seed is the one
+``random.Random(seed).shuffle(list(range(n)))`` leaves, drawn inline
+by ``TieBreaker.from_seed``; ``tests/test_greedy.py`` pins the two
+together.
 
 Merits are kept exact eagerly: when a vertex w becomes dominated,
 ``merit[w]`` and ``merit[x]`` for every neighbor x drop by one, which is
-O(n + m) over a whole run.  The heap holds one int per vertex,
-``-(merit * n + priority)``, so ``divmod`` by n gives back the merit the
-entry was pushed with and the priority, and the inverse permutation
-gives the vertex.  A popped entry whose merit is out of date is dropped
-when the merit is now 0 and otherwise re-keyed in place.
+O(n + m) over a whole run.  Entries are bucketed by merit level:
+``levels[m]`` holds the priorities of vertices whose entry sits at level
+m.  Only the current level, the highest nonempty one, is read; it is
+sorted once when it becomes current and then popped from the end, the
+highest priority first.  A popped entry whose vertex's merit is now
+below the level moves to the level of that merit, or is dropped at 0.
+Each move lowers an entry by at least one level, so a run handles
+O(n + m) entries and sorts each once: O((n + m) log n) in all.
 
-Why this picks argmax (merit, priority) at every step: merits only ever
-fall, so a key never under-estimates its vertex's merit, and every
-vertex with positive merit keeps exactly one entry.  An entry at the top
-whose merit is current therefore beats every other vertex's current
-(merit, priority).  That is also what the lazy-rescan greedy kept in
-``oracle.greedy_reference`` picks, so both give the same picks in the
-same order.
+Why this picks argmax (merit, priority) at every step.  Merits only ever
+fall, and an entry only ever moves to a lower level, so two invariants
+hold: (a) every vertex with positive merit has exactly one entry, at a
+level no lower than its merit; (b) every level above the current one is
+empty, and the current level receives no entries while it is current,
+so it stays sorted.  Take the entry at the end of the current level L
+and its vertex v with merit L.  Every other vertex u with positive merit
+has its entry at a level between merit[u] and L, by (a) and (b), so
+merit[u] <= L; when merit[u] = L its entry is also at level L, below v's
+priority.  So v has the largest (merit, priority).  That is also what
+the lazy-rescan greedy kept in ``oracle.greedy_reference`` picks, so
+both give the same picks in the same order.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heapreplace
 
 from .graph import AnnotatedInstance, VertexSet
 
@@ -53,9 +63,34 @@ class TieBreaker:
 
     @classmethod
     def from_seed(cls, n: int, seed: int) -> "TieBreaker":
+        """The permutation ``random.Random(seed).shuffle(list(range(n)))``
+        leaves, drawn inline.
+
+        CPython's shuffle is a backward Fisher-Yates swap: position i takes
+        index ``getrandbits((i + 1).bit_length())``, drawn again while it
+        exceeds i.  The bit count changes only at powers of two, so each
+        run of positions that share it computes it once.  The result is a
+        permutation by construction, so ``__init__``'s check is skipped.
+        """
         perm = list(range(n))
-        random.Random(seed).shuffle(perm)
-        return cls(perm)
+        bits = random.Random(seed).getrandbits
+        hi = n - 1
+        while hi > 0:
+            k = (hi + 1).bit_length()
+            lo = (1 << (k - 1)) - 1
+            for i in range(hi, lo - 1, -1):
+                j = bits(k)
+                while j > i:
+                    j = bits(k)
+                perm[i], perm[j] = perm[j], perm[i]
+            hi = lo - 1
+        vertex_of = [0] * n
+        for v, p in enumerate(perm):
+            vertex_of[p] = v
+        tb = cls.__new__(cls)
+        tb.priority = perm
+        tb.vertex_of = vertex_of
+        return tb
 
 
 def default_seed_list(master: int, count: int = 10) -> list[int]:
@@ -86,23 +121,29 @@ def greedy(inst: AnnotatedInstance, tb: TieBreaker, *, _shared=None) -> VertexSe
         return out
     need = bytearray(need)
     merit = list(merit)
-    pri = tb.priority
     vertex_of = tb.vertex_of
 
-    heap = [-(m * n + p) for m, p in zip(merit, pri) if m]
-    heapify(heap)
+    top = max(merit)
+    # walking priorities upward leaves every level sorted
+    levels: list[list[int]] = [[] for _ in range(top + 1)]
+    for p, v in enumerate(vertex_of):
+        m = merit[v]
+        if m:
+            levels[m].append(p)
+    level = levels[top]
 
     while remaining:
-        m, p = divmod(-heap[0], n)
+        while not level:
+            top -= 1
+            level = levels[top]
+            level.sort()
+        p = level.pop()
         v = vertex_of[p]
         cur = merit[v]
-        if cur != m:
+        if cur != top:
             if cur:
-                heapreplace(heap, -(cur * n + p))
-            else:
-                heappop(heap)
+                levels[cur].append(p)
             continue
-        heappop(heap)
         out.add(v)
         for w in (v, *adj[v]):
             if need[w]:

@@ -419,6 +419,9 @@ def reduce_iterate(
             )
             removed_edges += strips
             removed_all += dropped
+            # no later round reads a dead witness's entry
+            for v in (*died, *dropped):
+                sup.by_witness.pop(v, None)
             dirty = {v: None for v in touched if alive[v]}
             state.refresh(dirty)
         t_apply += time.perf_counter() - t1

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -95,6 +96,18 @@ def test_tiebreaker_rejects_non_permutation():
         TieBreaker([1, 2, 3])
 
 
+def test_from_seed_draws_the_shuffle_permutation():
+    # a change to random.shuffle fails here instead of moving seeded picks
+    seeds = [0, 1, 2**32 - 1, 2**40 + 3, *default_seed_list(1, 3)]
+    for n in [*range(71), 12_000]:
+        for s in seeds:
+            want = list(range(n))
+            random.Random(s).shuffle(want)
+            tb = TieBreaker.from_seed(n, s)
+            assert tb.priority == want, (n, s)
+            assert [tb.priority[v] for v in tb.vertex_of] == list(range(n)), (n, s)
+
+
 def test_tiebreaker_inverse_permutation():
     tb = TieBreaker.from_seed(50, 8)
     assert [tb.priority[v] for v in tb.vertex_of] == list(range(50))
@@ -135,6 +148,68 @@ def test_picks_match_reference_on_structured_graphs():
             inst = AnnotatedInstance(g, covered)
             assert_same_picks(inst, seeds)
             assert len(greedy(inst, TieBreaker.from_seed(g.n, 1))) == 1
+
+
+def preferential(n, k, rng):
+    """Preferential attachment as ``perfbench/corpus.py`` draws it: each
+    new vertex joins k distinct earlier vertices picked in proportion to
+    degree, starting from a (k+1)-clique."""
+    edges = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    ends = [v for e in edges for v in e]
+    for v in range(k + 1, n):
+        picked = set()
+        while len(picked) < k:
+            picked.add(ends[rng.randrange(len(ends))])
+        for u in sorted(picked):
+            edges.append((u, v))
+            ends += (u, v)
+    return build(n, edges)
+
+
+def star_of_stars(hubs, leaves):
+    edges = []
+    for h in range(1, hubs + 1):
+        edges.append((0, h))
+        first = hubs + 1 + (h - 1) * leaves
+        edges += [(h, x) for x in range(first, first + leaves)]
+    return build(1 + hubs * (1 + leaves), edges)
+
+
+def complete_bipartite(a, b):
+    return build(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build(rows * cols, edges)
+
+
+def test_picks_match_reference_where_levels_churn():
+    # hubs fall many levels at once; ties crowd a few levels
+    rng = random.Random(6262)
+    graphs = [
+        preferential(300, 1, rng), preferential(2000, 1, rng),
+        preferential(300, 2, rng), preferential(2000, 2, rng),
+        star_of_stars(12, 24), star_of_stars(40, 40),
+        complete_bipartite(7, 293), complete_bipartite(30, 400),
+        grid(15, 20), grid(40, 50),
+    ]
+    seeds = default_seed_list(5, count=3)
+    for g in graphs:
+        for frac in (0.0, 0.3, 0.9):
+            covered = bytearray(rng.random() < frac for _ in range(g.n))
+            assert_same_picks(AnnotatedInstance(g, covered), seeds)
+
+
+def test_seeded_picks_are_pinned():
+    # recorded from random.shuffle itself and one (merit, priority) heap
+    g = preferential(12_000, 2, random.Random("pinned:12000"))
+    order = greedy_best_of(fresh(g), default_seed_list(1, 3)).order
+    digest = hashlib.sha256(repr(order).encode()).hexdigest()
+    assert (len(order), digest) == (
+        2288, "8cdc18c08f296567e5cdc8c3a36d52fa878c6c2c884a6553a46bfa1252b64284"
+    )
 
 
 def test_best_of_is_earliest_per_seed_minimum():

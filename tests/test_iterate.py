@@ -224,13 +224,15 @@ def test_work_per_edge_on_a_sparse_random_graph():
 
 def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
     # Every round hands its superset map to the partition pass; at each
-    # alive vertex it must equal an unscoped superset pass on the live state.
+    # alive vertex it must equal an unscoped superset pass on the live state,
+    # and it holds no dead witness.
     # Round 1 is the first partition call of each reduce_iterate call.
     real = pipeline.compute_proper_partition
     rounds = []
 
     def checked(st, sprime, **kwargs):
         first = rounds[-1] is None
+        assert all(st.alive[u] for u in sprime.by_witness), len(rounds)
         fresh = pipeline.compute_superset(st, covered=st.covered, fixed=st.fixed.mask)
         for v in range(st.n):
             if st.alive[v]:
