@@ -169,13 +169,21 @@ _SECTIONS = ("fixed:", "covered:", "map:", "solution:")
 
 
 def sidecar_lines(stream: IO[str]) -> Iterator[tuple[int, str, list[int]]]:
-    """Yield (line number, section, ids) for each data line of a sidecar."""
+    """Yield (line number, section, ids) for each data line of a sidecar.
+
+    A section header stands alone on its line; ids after it are an error,
+    not data of the new section.
+    """
     section: Optional[str] = None
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
         if not tok or tok[0] == "c":
             continue
         if tok[0] in _SECTIONS:
+            if len(tok) > 1:
+                raise FormatError(
+                    f"line {lineno}: section header {tok[0]} must stand alone"
+                )
             section = tok[0][:-1]
             continue
         if section is None:

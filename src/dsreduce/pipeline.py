@@ -1,6 +1,6 @@
 """Linear-time computation of the suitable witness set.
 
-Three passes over a graph:
+Three passes over an annotated instance, a ``state.ReductionState``:
 
 1. ``compute_superset``   groups vertices by canonical reference and keeps
    pairs whose open neighborhood fits inside the reference's closed one.
@@ -17,17 +17,21 @@ visits as upper bounds; bulk adds keep the hot loops tight.
 
 Only the superset pass takes a ``scope``, a set or dict of vertices:
 it then evaluates exactly those.  Partition and filter take the witness
-pairs to test (all of the superset pass's by default) and read the
-superset map of every vertex within two edges of their witnesses; the
-verdict on a pair does not depend on which other pairs are tested.
-A scoped superset pass stamps a dict (``_Sparse``) instead of a list,
-and partition and filter allocate nothing of size n, so each costs
-time proportional to the adjacency it reads, not to n.  Every
-pass reads only ``n``, ``adj`` and ``deg`` of the graph, so the
-``state.ReductionState`` of a partly reduced graph works too; its lists
-must then name no dead vertex.  ``reducer.reduce_iterate`` keeps
-one superset map across rounds, re-evaluates it only where a degree or
-a canonical reference changed, and tests only the witnesses near that.
+pairs to test and read the superset map of every vertex within two
+edges of their witnesses; the verdict on a pair does not depend on
+which other pairs are tested.  A scoped superset pass stamps a dict
+(``_Sparse``) instead of a list, and partition and filter allocate
+nothing of size n, so each costs time proportional to the adjacency
+it reads, not to n.
+
+Every pass takes the state alone and reads its ``n``, ``adj`` and
+``deg`` and its covered and fixed flags: a covered vertex needs no
+domination and a fixed one is settled, and there is no mode that
+ignores them.  A bare graph goes in as ``ReductionState(g)``, whose
+flags are all clear.  On a partly reduced state the lists must name
+no dead vertex.  ``reducer.reduce_iterate`` keeps one superset map
+across rounds, re-evaluates it only where a degree or a canonical
+reference changed, and tests only the witnesses near that.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from collections import defaultdict
 from typing import Optional
 
 from .graph import Graph
+from .state import ReductionState
 
 
 class WorkCounter:
@@ -146,47 +151,43 @@ def canonical_reference(g: Graph, u: int) -> int:
 
 
 def compute_superset(
-    g: Graph,
+    state: ReductionState,
     *,
-    covered: Optional[bytearray] = None,
-    fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
     scope=None,
 ) -> RelationSet:
     """First pass: candidate pairs (u, r) with r the canonical reference.
 
     A pair survives when every neighbor of u sits inside N[r]; this stays
-    strict even with ``covered`` flags.  Relaxing it for covered
+    strict whatever the state's covered flags.  Relaxing it for covered
     neighbors looks tempting but is unsound: a covered neighbor outside
     N[r] escapes classification entirely while it may still be the only
     efficient dominator of vertices far from r.  Covered vertices are
     skipped as witnesses (nothing forces a dominator into their
-    neighborhood), as are ``fixed`` vertices, whose solution membership
-    is already settled.
+    neighborhood), as are fixed vertices, whose solution membership is
+    already settled.
 
     With ``scope`` the pass evaluates exactly the vertices in scope.
     ``canonical`` of the result holds the canonical reference of every
     evaluated vertex, witness or not.
     """
-    n = g.n
-    adj = g.adj
-    deg = g.deg
+    n = state.n
+    adj = state.adj
+    deg = state.deg
+    covered = state.covered
+    fixed = state.fixed.mask
     verts = range(n) if scope is None else scope
     visits = sum(map(deg.__getitem__, verts)) + len(verts)
     if scope is None:
-        canonical = [canonical_reference(g, u) for u in verts]
+        canonical = [canonical_reference(state, u) for u in verts]
         evaluated = enumerate(canonical)
     else:
-        canonical = {u: canonical_reference(g, u) for u in verts}
+        canonical = {u: canonical_reference(state, u) for u in verts}
         evaluated = canonical.items()
 
     buckets: defaultdict[int, list[int]] = defaultdict(list)
     for u, rho in evaluated:
-        if rho == u:
-            continue
-        if fixed is not None and fixed[u]:
-            continue
-        if covered is not None and covered[u]:
+        if rho == u or fixed[u] or covered[u]:
             continue
         buckets[rho].append(u)
 
@@ -216,29 +217,29 @@ def compute_superset(
 
 
 def compute_proper_partition(
-    g: Graph,
+    state: ReductionState,
     sprime: RelationSet,
     *,
+    pairs,
     work: Optional[WorkCounter] = None,
-    pairs=None,
 ) -> _Sparse:
     """Second pass: partial map f over vertices near candidate witnesses.
 
     For each x in the closed neighborhood of the witness of a pair in
-    ``pairs`` (default: all of ``sprime``), closed neighbors y propose
-    their own reference R[y]; proposals not adjacent to x are discarded
+    ``pairs``, closed neighbors y propose their own reference R[y];
+    proposals not adjacent to x are discarded
     and the survivor with minimum (degree, id) wins.  The min tiebreak is
     deliberate and opposite to canonical_reference; the filtering pass
     depends on exactly this choice.  Unmapped vertices read -1.
     ``sprime`` must map every vertex within two edges of those witnesses.
     """
-    adj = g.adj
-    deg = g.deg
+    adj = state.adj
+    deg = state.deg
     ref_of = sprime.by_witness.get
     f = _Sparse()
     visits = 0
 
-    for u, _rho in sprime if pairs is None else pairs:
+    for u, _rho in pairs:
         visits += deg[u] + 1
         for x in (u, *adj[u]):
             if x in f:
@@ -263,12 +264,10 @@ def compute_proper_partition(
 
 
 def filter_suitable(
-    g: Graph,
+    state: ReductionState,
     pairs,
     f: _Sparse,
     *,
-    covered: Optional[bytearray] = None,
-    fixed: Optional[bytearray] = None,
     work: Optional[WorkCounter] = None,
 ) -> RelationSet:
     """Third pass: keep only witnesses whose whole neighborhood collapses.
@@ -277,12 +276,14 @@ def filter_suitable(
     over their witnesses.  Per reference r: slot1 holds N[r]; vertices
     mapped to r by f whose neighbors all lie in slot1 join slot2; a
     candidate witness u survives iff everything in N[u] except r is in
-    slot2.  With covered flags, slot2 only demands that escape targets
-    be uncovered: that is the whole covered-aware relaxation, and it
-    applies to the classified vertices inside N[r] only.  Committed
+    slot2.  A vertex whose neighbors outside slot1 are all covered joins
+    slot2 too: that is the whole covered-aware relaxation, and it
+    applies to the classified vertices inside N[r] only.  Fixed
     vertices count as escaping, so witnesses next to one are dropped.
     """
-    adj = g.adj
+    adj = state.adj
+    covered = state.covered
+    fixed = state.fixed.mask
     visits = 0
 
     chosen: defaultdict[int, list[int]] = defaultdict(list)
@@ -305,9 +306,7 @@ def filter_suitable(
         for x in chosen.get(rho, ()):
             ax = adj[x]
             visits += len(ax)
-            if slot1.issuperset(ax) or (
-                covered is not None and all(covered[w] for w in ax if w not in slot1)
-            ):
+            if slot1.issuperset(ax) or all(covered[w] for w in ax if w not in slot1):
                 slot2.add(x)
 
         for u in cand:
@@ -319,7 +318,7 @@ def filter_suitable(
             for w in au:
                 if w == rho:
                     continue
-                if (fixed is not None and fixed[w]) or w not in slot2:
+                if fixed[w] or w not in slot2:
                     keep = False
                     break
             if keep:
@@ -331,13 +330,9 @@ def filter_suitable(
 
 
 def suitable_set(
-    g: Graph,
-    *,
-    covered: Optional[bytearray] = None,
-    fixed: Optional[bytearray] = None,
-    work: Optional[WorkCounter] = None,
+    state: ReductionState, *, work: Optional[WorkCounter] = None
 ) -> RelationSet:
     """Run all three passes and return the filtered witness set."""
-    sprime = compute_superset(g, covered=covered, fixed=fixed, work=work)
-    f = compute_proper_partition(g, sprime, work=work)
-    return filter_suitable(g, sprime, f, covered=covered, fixed=fixed, work=work)
+    sprime = compute_superset(state, work=work)
+    f = compute_proper_partition(state, sprime, pairs=sprime, work=work)
+    return filter_suitable(state, sprime, f, work=work)

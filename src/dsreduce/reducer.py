@@ -5,9 +5,7 @@ Each driver takes the ``ReductionState`` alone.  A round is find
 the solution, covers its closed neighborhood and deletes whatever the
 chosen variant allows.  Edges incident to a committed vertex are doomed
 from that moment on, but leave the state only at round boundaries
-(iterated driver) or when the residual is exported; keeping them visible
-until then is what makes a second unaware round a no-op instead of a
-source of fresh witnesses.
+(iterated driver) or when the residual is exported.
 """
 
 from __future__ import annotations
@@ -275,7 +273,7 @@ def reduce_once(
 
     before = work.visits if work is not None else 0
     t0 = time.perf_counter()
-    rels = suitable_set(state, covered=state.covered, fixed=state.fixed.mask, work=work)
+    rels = suitable_set(state, work=work)
     t1 = time.perf_counter()
     rep = apply_reduction(state, rels.references(), variant, work=work)
     rep.time_find_s = t1 - t0
@@ -363,8 +361,6 @@ def reduce_iterate(
     _require_fresh(state)
 
     alive = state.alive
-    covered = state.covered
-    fixed = state.fixed.mask
     sup: Optional[RelationSet] = None
     dirty: dict[int, None] = {}
     fixed_all: list[int] = []
@@ -380,9 +376,7 @@ def reduce_iterate(
     while True:
         t0 = time.perf_counter()
         if sup is None:
-            sup = pipeline.compute_superset(
-                state, covered=covered, fixed=fixed, work=work
-            )
+            sup = pipeline.compute_superset(state, work=work)
             pairs = list(sup)
         else:
             redo = _reevaluate_superset(state, sup, dirty, work)
@@ -392,10 +386,8 @@ def reduce_iterate(
                 for u in ball(state, redo, DIRTY_RADIUS, work=work)
                 if u in ref_of
             ]
-        f = pipeline.compute_proper_partition(state, sup, work=work, pairs=pairs)
-        rels = pipeline.filter_suitable(
-            state, pairs, f, covered=covered, fixed=fixed, work=work
-        )
+        f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
+        rels = pipeline.filter_suitable(state, pairs, f, work=work)
         t1 = time.perf_counter()
         refs = rels.references()
         rep = apply_reduction(state, refs, variant, work=work)
@@ -470,9 +462,7 @@ def _reevaluate_superset(
                 redo[u] = None
     if work is not None:
         work.add(visits)
-    part = pipeline.compute_superset(
-        state, covered=state.covered, fixed=state.fixed.mask, work=work, scope=redo
-    )
+    part = pipeline.compute_superset(state, work=work, scope=redo)
     sup.update(part, redo)
     return redo
 

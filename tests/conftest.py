@@ -20,6 +20,19 @@ def prepared(g, covered=(), fixed=()) -> ReductionState:
     return st
 
 
+def annotated(g, covered=None, fixed=None) -> ReductionState:
+    """A fresh state of ``g`` whose covered and fixed flags are exactly
+    the given masks; unlike ``prepared``, a fixed vertex covers nothing."""
+    st = ReductionState(g)
+    if covered is not None:
+        st.covered[:] = covered
+    if fixed is not None:
+        for v, flag in enumerate(fixed):
+            if flag:
+                st.fixed.add(v)
+    return st
+
+
 @pytest.fixture
 def fig1_graph() -> Graph:
     # Reference vertex 0 with six neighbors 1..6 and two outside

@@ -128,9 +128,10 @@ def greedy_runs():
 def test_criterion_01_pipeline_matches_direct_construction():
     t0 = time.perf_counter()
     for seed, g in _corpus(500, 1000, (1, 12), GAMMA_PS):
-        sprime = compute_superset(g)
-        f = compute_proper_partition(g, sprime)
-        got = sorted(filter_suitable(g, sprime, f))
+        st = ReductionState(g)
+        sprime = compute_superset(st)
+        f = compute_proper_partition(st, sprime, pairs=sprime)
+        got = sorted(filter_suitable(st, sprime, f))
         want = sorted(suitable_set_direct(g))
         assert got == want, f"seed {seed}: pipeline {got} vs direct {want}"
     elapsed = time.perf_counter() - t0
@@ -189,7 +190,7 @@ def test_criterion_03_pinned_fixtures(fig3_graph):
 
     for k in (2, 3, 4):
         g = fig4_family(k)
-        if sorted(suitable_set(g)) or sorted(suitable_set_direct(g)):
+        if sorted(suitable_set(ReductionState(g))) or sorted(suitable_set_direct(g)):
             bad.append(f"clique family k={k} witness set")
         st = ReductionState(g)
         rep = naive_reduce(st)
@@ -259,7 +260,7 @@ def test_criterion_04_linear_fixes_at_least_as_many_as_naive():
 def test_criterion_05_application_order_independence():
     shuffler = random.Random(31415)
     for seed, g in _corpus(100, 3000, (1, 12), GAMMA_PS):
-        refs = sorted({r for _u, r in suitable_set(g)})
+        refs = sorted({r for _u, r in suitable_set(ReductionState(g))})
         for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
             outcomes = set()
             for _trial in range(5):

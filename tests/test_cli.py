@@ -321,6 +321,22 @@ def test_verify_names_the_sidecar_line_of_a_bad_id(tmp_path, capsys, text, err):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("solution: 2\n", 1), ("solution:\n2\nfixed: 9\n", 3)],
+    ids=["solution", "out-of-range-fixed"],
+)
+def test_verify_rejects_ids_on_a_section_header(tmp_path, capsys, text, line):
+    # the ids would otherwise be dropped: a path 1-2-3 checked against
+    # nothing, or an out-of-range id never seen
+    inst = str(tmp_path / "p3.gr")
+    run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)
+    side = tmp_path / "sol.side"
+    side.write_text(text)
+    assert main(["verify", inst, "--solution", str(side)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {line}: section header ")
+
+
 def test_verify_accepts_solution_only_sidecar(tmp_path, capsys):
     inst = str(tmp_path / "star.gr")
     run_ok(["gen", "star", "--n", "5", "--out", inst], capsys)

@@ -12,6 +12,7 @@ from dsreduce.generators import (
 )
 from dsreduce.oracle import classify_types
 from dsreduce.pipeline import canonical_reference, suitable_set
+from dsreduce.state import ReductionState
 
 
 def test_gnp_is_deterministic_per_seed():
@@ -89,7 +90,7 @@ def test_adversarial_family_structure():
         part = classify_types(g, None, r)
         assert a in part.n1
         assert b not in part.n3
-    assert list(suitable_set(g)) == []
+    assert list(suitable_set(ReductionState(g))) == []
 
 
 def test_adversarial_family_has_enclosed_pairs_but_no_witnesses():
@@ -98,10 +99,10 @@ def test_adversarial_family_has_enclosed_pairs_but_no_witnesses():
 
     for k in (2, 3, 4):
         g = fig4_family(k)
-        sup = compute_superset(g)
+        sup = compute_superset(ReductionState(g))
         pairs = list(sup)
         assert pairs, "pre-filter candidates must exist"
         for i in range(k):
             b = 2 * k + 5 * i + 1
             assert (b, k + i) in pairs
-        assert list(suitable_set(g)) == []
+        assert list(suitable_set(ReductionState(g))) == []

@@ -159,6 +159,8 @@ def test_sidecar_errors():
         read_sidecar(io.StringIO("fixed:\nx\n"))
     with pytest.raises(FormatError, match="map lines hold two ids"):
         read_sidecar(io.StringIO("map:\n1 2 3\n"))
+    with pytest.raises(FormatError, match="line 2: section header map: must stand"):
+        read_sidecar(io.StringIO("fixed:\nmap: 1 2\n"))
 
 
 def test_report_csv_header_and_rows():

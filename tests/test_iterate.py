@@ -233,7 +233,7 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
     def checked(st, sprime, **kwargs):
         first = rounds[-1] is None
         assert all(st.alive[u] for u in sprime.by_witness), len(rounds)
-        fresh = pipeline.compute_superset(st, covered=st.covered, fixed=st.fixed.mask)
+        fresh = pipeline.compute_superset(st)
         for v in range(st.n):
             if st.alive[v]:
                 got = (sprime.canonical[v], sprime.by_witness[v])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import build, random_graphs
+from conftest import annotated, build, random_graphs
 from dsreduce.generators import complete, fig4_family, gnp, path, star
 from dsreduce.oracle import classify_types, suitable_set_direct
 from dsreduce.pipeline import (
@@ -16,6 +16,7 @@ from dsreduce.pipeline import (
     filter_suitable,
     suitable_set,
 )
+from dsreduce.state import ReductionState
 
 
 def test_canonical_reference_fixtures(fig3_graph):
@@ -33,10 +34,10 @@ def test_canonical_reference_fixtures(fig3_graph):
 
 
 def test_superset_fixtures(fig3_graph):
-    assert compute_superset(fig3_graph).sorted_pairs() == [
+    assert compute_superset(ReductionState(fig3_graph)).sorted_pairs() == [
         (0, 3), (1, 3), (2, 3), (4, 3), (5, 3),
     ]
-    assert compute_superset(path(6)).sorted_pairs() == [(0, 1), (5, 4)]
+    assert compute_superset(ReductionState(path(6))).sorted_pairs() == [(0, 1), (5, 4)]
 
 
 def test_superset_fig4():
@@ -47,12 +48,12 @@ def test_superset_fig4():
     top = 2 * k - 1
     expect = [(i, top) for i in range(k)]
     expect += [(2 * k + 5 * i + 1, k + i) for i in range(k)]
-    assert compute_superset(g).sorted_pairs() == sorted(expect)
+    assert compute_superset(ReductionState(g)).sorted_pairs() == sorted(expect)
 
 
 def test_superset_matches_definition():
     for g in random_graphs(120, (1, 12), [0.15, 0.35, 0.6, 0.85], seed_base=100):
-        got = compute_superset(g).sorted_pairs()
+        got = compute_superset(ReductionState(g)).sorted_pairs()
         expect = []
         for u in range(g.n):
             rho = canonical_reference(g, u)
@@ -68,9 +69,10 @@ def test_partition_map_prefers_small_degree_then_small_id():
     # Hub 0 has two witnesses pointing at it; vertex 4 also neighbors
     # reference 5 of smaller degree, which must win the f-slot.
     g = build(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6), (0, 5)])
-    sprime = compute_superset(g)
+    st = ReductionState(g)
+    sprime = compute_superset(st)
     refs = dict(sprime.sorted_pairs())
-    f = compute_proper_partition(g, sprime)
+    f = compute_proper_partition(st, sprime, pairs=sprime)
     for x, r in f.items():
         if r < 0:
             continue
@@ -86,10 +88,10 @@ def test_partition_map_prefers_small_degree_then_small_id():
 
 
 def test_partition_map_unmapped_far_from_witnesses():
-    g = path(9)
-    sprime = compute_superset(g)
+    st = ReductionState(path(9))
+    sprime = compute_superset(st)
     assert sprime.sorted_pairs() == [(0, 1), (8, 7)]
-    f = compute_proper_partition(g, sprime)
+    f = compute_proper_partition(st, sprime, pairs=sprime)
     # Domain is the closed neighborhoods of witnesses; 2 sits outside.
     assert f[2] == -1 and f[4] == -1
     assert f[0] == 1
@@ -98,25 +100,27 @@ def test_partition_map_unmapped_far_from_witnesses():
 
 
 def test_filter_fixtures(fig3_graph):
-    assert suitable_set(fig3_graph).sorted_pairs() == [
-        (0, 3), (1, 3), (2, 3), (4, 3), (5, 3),
-    ]
-    assert suitable_set(path(6)).sorted_pairs() == [(0, 1), (5, 4)]
-    assert suitable_set(fig4_family(3)).sorted_pairs() == []
-    assert suitable_set(fig4_family(5)).sorted_pairs() == []
-    assert suitable_set(star(5)).sorted_pairs() == [(i, 0) for i in range(1, 6)]
+    def pairs(g):
+        return suitable_set(ReductionState(g)).sorted_pairs()
+
+    assert pairs(fig3_graph) == [(0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+    assert pairs(path(6)) == [(0, 1), (5, 4)]
+    assert pairs(fig4_family(3)) == []
+    assert pairs(fig4_family(5)) == []
+    assert pairs(star(5)) == [(i, 0) for i in range(1, 6)]
 
 
 def test_pipeline_matches_direct_oracle():
     for g in random_graphs(250, (1, 12), [0.1, 0.25, 0.5, 0.75, 0.9], seed_base=200):
-        got = suitable_set(g).sorted_pairs()
+        got = suitable_set(ReductionState(g)).sorted_pairs()
         expect = suitable_set_direct(g).sorted_pairs()
         assert got == expect, f"n={g.n} m={g.m}"
 
 
 def test_pipeline_matches_direct_on_structured():
     for g in [path(1), path(2), path(7), complete(6), star(8), fig4_family(4)]:
-        assert suitable_set(g).sorted_pairs() == suitable_set_direct(g).sorted_pairs()
+        got = suitable_set(ReductionState(g)).sorted_pairs()
+        assert got == suitable_set_direct(g).sorted_pairs()
 
 
 def test_witness_uniqueness_enforced():
@@ -134,13 +138,28 @@ def test_relation_set_accessors():
     assert len(rs) == 3
 
 
+def assert_safe_pairs(g, rels, covered, fixed):
+    """Every pair of ``rels`` satisfies the exchange argument: uncovered
+    unfixed witness, neighborhood inside N[reference], and every
+    neighbor's uncovered reach inside N[reference] too.  This is what
+    makes fixing the reference preserve the annotated domination number."""
+    for u, rho in rels:
+        assert not covered[u] and not fixed[u]
+        assert g.has_edge(u, rho)
+        closed_rho = set(g.adj[rho]) | {rho}
+        for w in g.adj[u]:
+            assert w in closed_rho, f"witness {u} leaves N[{rho}]"
+            if w == rho:
+                continue
+            assert not fixed[w]
+            assert all(
+                x in closed_rho or covered[x] for x in g.adj[w]
+            ), f"witness {u} ref {rho} neighbor {w} escapes"
+
+
 def test_aware_pipeline_safety_predicates():
     # With covered flags the pipeline result need not equal the ideal
-    # definition pair-for-pair, but every emitted pair must satisfy the
-    # exchange argument: uncovered unfixed witness, neighborhood strictly
-    # inside N[reference], and every neighbor's uncovered reach stays
-    # inside N[reference] too.  This is what makes fixing the reference
-    # preserve the annotated domination number.
+    # definition pair-for-pair, but every emitted pair must be safe.
     rng = random.Random(4242)
     for g in random_graphs(150, (2, 12), [0.2, 0.4, 0.7], seed_base=300):
         covered = bytearray(rng.random() < 0.35 for _ in range(g.n))
@@ -148,19 +167,8 @@ def test_aware_pipeline_safety_predicates():
         for v in range(g.n):
             if covered[v] and rng.random() < 0.2:
                 fixed[v] = 1
-        rels = suitable_set(g, covered=covered, fixed=fixed)
-        for u, rho in rels:
-            assert not covered[u] and not fixed[u]
-            assert g.has_edge(u, rho)
-            closed_rho = set(g.adj[rho]) | {rho}
-            for w in g.adj[u]:
-                assert w in closed_rho, f"witness {u} leaves N[{rho}]"
-                if w == rho:
-                    continue
-                assert not fixed[w]
-                assert all(
-                    x in closed_rho or covered[x] for x in g.adj[w]
-                ), f"witness {u} ref {rho} neighbor {w} escapes"
+        rels = suitable_set(annotated(g, covered, fixed))
+        assert_safe_pairs(g, rels, covered, fixed)
 
 
 def test_aware_pipeline_covers_direct_enclosed():
@@ -169,48 +177,41 @@ def test_aware_pipeline_covers_direct_enclosed():
     rng = random.Random(999)
     for g in random_graphs(120, (2, 12), [0.25, 0.5], seed_base=410):
         covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
-        got = set(suitable_set(g, covered=covered).sorted_pairs())
+        got = set(suitable_set(annotated(g, covered)).sorted_pairs())
         expect = set(suitable_set_direct(g, covered).sorted_pairs())
         assert expect <= got
-
-
-def test_unaware_ignores_flags_when_none():
-    g = path(6)
-    a = suitable_set(g).sorted_pairs()
-    b = suitable_set(g, covered=bytearray(6), fixed=bytearray(6)).sorted_pairs()
-    assert a == b
 
 
 def test_fixed_vertices_never_witness():
     g = star(4)
     fixed = bytearray(5)
     fixed[2] = 1
-    rels = suitable_set(g, fixed=fixed)
+    rels = suitable_set(annotated(g, fixed=fixed))
     assert rels.sorted_pairs() == [(1, 0), (3, 0), (4, 0)]
 
 
 def test_work_counter_linear_budget():
     for g in random_graphs(60, (1, 12), [0.2, 0.5, 0.8], seed_base=700):
         wc = WorkCounter()
-        suitable_set(g, work=wc)
+        suitable_set(ReductionState(g), work=wc)
         assert wc.visits <= 64 * (g.n + g.m)
     for k in (5, 20):
         g = fig4_family(k)
         wc = WorkCounter()
-        suitable_set(g, work=wc)
+        suitable_set(ReductionState(g), work=wc)
         assert wc.visits <= 64 * (g.n + g.m)
 
 
 def test_stage_work_is_attributed():
-    g = fig4_family(4)
+    st = ReductionState(fig4_family(4))
     wc = WorkCounter()
-    sprime = compute_superset(g, work=wc)
+    sprime = compute_superset(st, work=wc)
     after1 = wc.visits
     assert after1 > 0
-    f = compute_proper_partition(g, sprime, work=wc)
+    f = compute_proper_partition(st, sprime, pairs=sprime, work=wc)
     after2 = wc.visits
     assert after2 > after1
-    filter_suitable(g, sprime, f, work=wc)
+    filter_suitable(st, sprime, f, work=wc)
     assert wc.visits > after2
 
 
@@ -220,17 +221,18 @@ def test_scoped_passes_match_full_result_restricted():
         covered = bytearray(rng.random() < 0.25 for _ in range(g.n))
         fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
         for cov, fix in ((None, None), (covered, None), (covered, fixed)):
-            full = suitable_set(g, covered=cov, fixed=fix).sorted_pairs()
-            sup = compute_superset(g, covered=cov, fixed=fix)
+            st = annotated(g, cov, fix)
+            full = suitable_set(st).sorted_pairs()
+            sup = compute_superset(st)
             for p in (0.0, 0.1, 0.3, 0.7, 1.0):
                 scope = {v for v in range(g.n) if rng.random() < p}
                 # partition and filter test exactly the pairs they are given
                 pairs = [(u, r) for u, r in sup if u in scope]
-                f = compute_proper_partition(g, sup, pairs=pairs)
-                got = filter_suitable(g, pairs, f, covered=cov, fixed=fix)
+                f = compute_proper_partition(st, sup, pairs=pairs)
+                got = filter_suitable(st, pairs, f)
                 assert got.sorted_pairs() == [(u, r) for u, r in full if u in scope]
                 # the superset pass evaluates exactly its scope
-                part = compute_superset(g, covered=cov, fixed=fix, scope=scope)
+                part = compute_superset(st, scope=scope)
                 assert part.sorted_pairs() == [
                     (u, r) for u, r in sup.sorted_pairs() if u in scope
                 ]
@@ -241,9 +243,9 @@ def test_scoped_passes_stay_local():
     # work near a small scope does not depend on the size of the graph
     visits = []
     for n in (1_000, 100_000):
-        g = path(n)
+        st = ReductionState(path(n))
         wc = WorkCounter()
-        got = compute_superset(g, scope={0, n // 2}, work=wc)
+        got = compute_superset(st, scope={0, n // 2}, work=wc)
         assert got.sorted_pairs() == [(0, 1)]
         visits.append(wc.visits)
     assert visits[0] == visits[1] < 100

@@ -3,8 +3,10 @@
 The example-based tests in ``test_iterate.py`` stop at 80 vertices,
 where rounds after the second rarely act.  Here graphs reach 300
 vertices at average degree 2-6, with given covered and fixed masks and
-round caps.  The instance and sidecar readers are fed line soup.  Runs
-are derandomized, so every run draws the same cases.
+round caps.  The pipeline is checked against the direct definition on
+annotated states of up to 150 vertices.  The instance and sidecar
+readers are fed line soup.  Runs are derandomized, so every run draws
+the same cases.
 """
 
 import io
@@ -15,12 +17,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from conftest import annotated, prepared  # noqa: E402
 from dsreduce.graphio import (  # noqa: E402
     FormatError,
     read_edge_list,
     read_gr,
     read_sidecar,
 )
+from dsreduce.oracle import suitable_set_direct  # noqa: E402
+from dsreduce.pipeline import suitable_set  # noqa: E402
+from dsreduce.state import ReductionState  # noqa: E402
 from test_iterate import (  # noqa: E402
     VARIANTS,
     check_same,
@@ -28,6 +34,7 @@ from test_iterate import (  # noqa: E402
     random_subset,
     random_tree_plus,
 )
+from test_pipeline import assert_safe_pairs  # noqa: E402
 
 
 @st.composite
@@ -61,6 +68,45 @@ def annotated_graphs(draw):
 def test_reduce_iterate_matches_reference(case, variant, max_rounds):
     g, covered, fixed = case
     check_same(g, variant, max_rounds, covered=covered, fixed=fixed)
+
+
+@st.composite
+def pipeline_states(draw):
+    """A G(n, m) or tree-plus-edges graph of up to 150 vertices, and a
+    fresh state of it: with no flags, with raw covered and fixed masks,
+    or with vertices covered and fixed through the state (a fixed vertex
+    then covers its neighbors)."""
+    n = draw(st.integers(2, 150))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = n * draw(st.integers(1, 6)) // 2
+        g = gnm(rng, n, min(m, n * (n - 1) // 2))
+    else:
+        g = random_tree_plus(rng, n, draw(st.integers(0, 2 * n)))
+    kind = draw(st.sampled_from(("none", "raw", "built")))
+    if kind == "none":
+        return ReductionState(g)
+    p_cov = draw(st.sampled_from((0.1, 0.3, 0.6)))
+    p_fix = draw(st.sampled_from((0.0, 0.05, 0.2)))
+    if kind == "raw":
+        covered = bytearray(rng.random() < p_cov for _ in range(n))
+        fixed = bytearray(rng.random() < p_fix for _ in range(n))
+        return annotated(g, covered, fixed)
+    return prepared(g, random_subset(rng, n, p_cov), random_subset(rng, n, p_fix))
+
+
+@hypothesis.settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+@hypothesis.given(pipeline_states())
+def test_pipeline_contains_direct_definition_on_states(state):
+    g, covered, fixed = state.g, state.covered, state.fixed.mask
+    got = set(suitable_set(state))
+    expect = set(suitable_set_direct(g, covered, fixed))
+    assert expect <= got
+    if not any(covered) and not any(fixed):
+        assert got == expect
+    assert_safe_pairs(g, got, covered, fixed)
 
 
 # Tokens of the line soup: ids as int() reads them and ids it rejects,

@@ -297,7 +297,7 @@ def test_naive_chaining_counterexample_pinned():
     # while the vertex before it is being reduced, 4 gains an enclosed
     # neighbor mid-sweep; one simultaneous round cannot see it
     g = gnp(10, 0.5, seed=2022)
-    assert list(suitable_set(g)) == [(7, 3)]
+    assert list(suitable_set(ReductionState(g))) == [(7, 3)]
     stn, _ = run(g, None)
     stl, _ = run(g, Variant.LINEAR)
     assert sorted(stn.fixed) == [3, 4]
@@ -331,7 +331,7 @@ def test_naive_single_sweep_stops_early():
 def test_apply_reduction_order_independent():
     for i in range(60):
         g = gnp(random.Random(100 + i).randint(3, 13), 0.4, seed=100 + i)
-        refs = sorted({r for _, r in suitable_set(g)})
+        refs = sorted({r for _, r in suitable_set(ReductionState(g))})
         if not refs:
             continue
         baseline = None
