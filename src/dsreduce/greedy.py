@@ -36,6 +36,7 @@ both give the same picks in the same order.
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 from .graph import AnnotatedInstance, VertexSet
 
@@ -100,9 +101,15 @@ def default_seed_list(master: int, count: int = 10) -> list[int]:
 
 def _start(inst: AnnotatedInstance) -> tuple[bytearray, list[int], int]:
     """Seed-independent start of a run: need flags, merits, needy count."""
+    g = inst.graph
+    adj = g.adj
     need = bytearray(inst.covered).translate(_NEEDY)
-    nget = need.__getitem__
-    merit = [x + sum(map(nget, a)) for x, a in zip(need, inst.graph.adj)]
+    # merit = |N[v]| - |N[v] & covered|: only covered vertices' lists are read
+    merit = [d + 1 for d in g.deg]
+    for v in compress(range(g.n), inst.covered):
+        merit[v] -= 1
+        for w in adj[v]:
+            merit[w] -= 1
     return need, merit, need.count(1)
 
 

@@ -30,8 +30,9 @@ domination and a fixed one is settled, and there is no mode that
 ignores them.  A bare graph goes in as ``ReductionState(g)``, whose
 flags are all clear.  On a partly reduced state the lists must name
 no dead vertex.  ``reducer.reduce_iterate`` keeps one superset map
-across rounds, re-evaluates it only where a degree or a canonical
-reference changed, and tests only the witnesses near that.
+across rounds, re-evaluates it only at the uncovered vertices whose
+verdict or canonical reference can have changed, and tests only the
+witnesses near the changes.
 """
 
 from __future__ import annotations
@@ -95,7 +96,9 @@ class RelationSet:
     ``by_witness`` maps each witness to its reference, in insertion order,
     and reads -1 for anything else.  ``canonical`` is set by
     ``compute_superset`` only: the canonical reference of every vertex it
-    evaluated.
+    evaluated.  In the map ``reducer.reduce_iterate`` carries across
+    rounds it is exact at alive uncovered vertices only; a covered
+    vertex is never a witness again.
     """
 
     __slots__ = ("by_witness", "canonical")

@@ -19,12 +19,12 @@ from typing import Iterable, Optional
 # The passes are called as attributes of ``pipeline``, so a wrapper set
 # there (a tracer, a test) sees every call.
 from . import pipeline
-from .pipeline import RelationSet, WorkCounter, ball, suitable_set
+from .pipeline import RelationSet, WorkCounter, ball, canonical_reference, suitable_set
 from .state import CompactResult, ReductionState, compact
 
 # Rounds after the first test only the witnesses within this many edges of
-# the vertices whose superset verdict was re-evaluated; ``reduce_iterate``
-# proves that no witness lies farther out.
+# the round's seeds, the dirty and the re-evaluated vertices;
+# ``reduce_iterate`` proves that no witness lies farther out.
 DIRTY_RADIUS = 2
 
 # ``reduce_iterate``'s round cap unless the caller passes another.
@@ -100,41 +100,48 @@ def apply_reduction(
         if not state.alive[rho]:
             raise ValueError(f"reference {rho} is not alive")
 
+    adj = state.adj
+    alive = state.alive
     covered = state.covered
+    fixed = state.fixed
     in_r = set(refs)
     marked: set[int] = set()  # N[refs]
     visits = 0
     new_fixed: list[int] = []
 
+    # commit each reference and cover its closed live neighborhood
     for rho in refs:
-        if rho not in state.fixed:
+        if fixed.add(rho):
             new_fixed.append(rho)
-        state.fix(rho)
+        covered[rho] = 1
         marked.add(rho)
         d = 0
-        for w in state.live_neighbors(rho):
-            marked.add(w)
-            d += 1
+        for w in adj[rho]:
+            if alive[w]:
+                covered[w] = 1
+                marked.add(w)
+                d += 1
         visits += d + 1
 
     allow = 0 if variant is Variant.LINEAR else 1
     seen: set[int] = set()
     deletable: list[int] = []
     for rho in refs:
-        for u in state.live_neighbors(rho):
-            if u in in_r or u in seen:
+        for u in adj[rho]:
+            if not alive[u] or u in in_r or u in seen:
                 continue
             seen.add(u)
             bad = 0
             ok = True
             d = 0
-            for w in state.live_neighbors(u):
-                d += 1
-                if not covered[w]:
-                    bad += 1
-                    if bad > allow:
-                        ok = False
-                        break
+            for w in adj[u]:
+                if alive[w]:
+                    d += 1
+                    if not covered[w]:
+                        bad += 1
+                        if bad > allow:
+                            ok = False
+                            break
             visits += d
             if ok:
                 deletable.append(u)
@@ -316,43 +323,75 @@ def reduce_iterate(
     dirty set is read off the lists of vertices alive at find time.
 
     The superset pass is not rerun on every round.  Its result is carried
-    across rounds in two maps over the input's ids: each vertex's
-    canonical reference R(u) and the witness-to-reference map.  Round 1
-    fills both.  After an acting round, with T the alive touched
-    vertices, whose lists the round refreshed, only
-    U = T + {u in N(T) : R(u) in T} is re-evaluated.  The carried map is
-    then right at every alive vertex:
+    across rounds in two maps over the input's ids: the canonical
+    reference R(u) of every alive uncovered vertex and the
+    witness-to-reference map.  Round 1 fills both.  After an acting
+    round, with T the alive touched vertices, whose lists the round
+    refreshed, the witness entries of T are dropped and U is
+    re-evaluated: the uncovered members of T, and each uncovered u in
+    N(T) outside T with R(u) in T that is a carried witness or whose
+    canonical reference, recomputed, is not R(u).  The round's seeds are
+    S = T + U.  The carried maps are then right at every alive vertex:
 
     (i) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
         covered and fixed flags of u.  Deletions only lower degrees, and
         only on T: an alive vertex that loses a live neighbor is touched,
-        as shown above.  Take an alive u outside U.  Then u is not in T,
-        and neither is R(u): by the definition of U when u has a
-        neighbor in T, and because R(u) lies in N[u] when it has none.
-        So N[u] and N[R(u)] are the lists of one round earlier, and R(u)
-        kept its degree while every other member of N[u] kept or lowered
-        its own, so R(u) is still the maximum.  u's covered flag changes
-        only when u is next to a committed vertex, hence in T.  No alive
-        vertex is fixed after round 1: committed vertices, given ones
-        included, are stripped at every boundary.  So R(u) and u's
-        verdict are those of one round earlier.
+        as shown above.  Lists only ever lose members.  u's covered flag
+        is only ever set, and only when u is next to a committed vertex,
+        hence in T.  No alive vertex is fixed after round 1: committed
+        vertices, given ones included, are stripped at every boundary.
+        Take an alive u outside U.
+        - u is covered.  The pass never takes a covered witness, so u
+          has no entry: dropped if u is in T, and never made if u was
+          covered a round earlier.  R(u) is never read again.
+        - R(u) is not in T.  Then neither is u: u in T is uncovered
+          here, hence in U.  So N[u] and N[R(u)] are the lists of one
+          round earlier, and R(u) kept its degree while every other
+          member of N[u] kept or lowered its own, so R(u) is still the
+          maximum, and u's verdict is that of one round earlier.
+        - R(u) is in T, u is not.  Then u is no carried witness, and
+          its canonical reference is still R(u).  One round earlier u
+          was uncovered and not fixed, and R(u) is not u, so the
+          containment N(u) in N[R(u)] failed.  N(u) is unchanged and
+          N[R(u)] only lost members, so it still fails.  (A carried
+          witness is re-evaluated: Extra may cut the edge from R(u) to
+          a neighbor of u and leave u itself untouched.)
 
     (ii) Partition and filter then test only the carried pairs whose
-        witness lies within ``DIRTY_RADIUS`` = 2 edges of U, and no
+        witness lies within ``DIRTY_RADIUS`` = 2 edges of S, and no
         witness lies farther out.  Their verdict on a pair (u, rho) reads
         the lists of N[u], rho among them, and the degrees, covered flags
-        and carried superset entries of the vertices within 2 edges of
-        u, fixed flags included.  Between rounds all of these change only
-        on U: lists, degrees and covered flags only on T, the carried map
-        only on U by (i), and fixed flags only on vertices that die, whose
-        alive neighbors are touched.  Now take u more
-        than 2 edges from U.  The search from u reads the same lists as
+        and carried witness entries of the vertices within 2 edges of
+        u, fixed flags included, but no canonical reference.  Between
+        rounds all of these change only on S: lists, degrees and covered
+        flags only on T, witness entries only on T and U by (i), and
+        fixed flags only on vertices that die, whose alive neighbors are
+        touched.  Now take u more
+        than 2 edges from S.  The search from u reads the same lists as
         one round earlier, and the same values on them, so the verdict
         is that of one round earlier: the verdict of that round's test,
         or, when that round did not test (u, rho), a failure, by
         induction over the rounds.  Had it passed, rho would have been
         committed and stripped, and u, alive and next to rho, would be
         in T.  So (u, rho) fails.
+
+    Those pairs are found from the smaller side: a breadth-first search
+    out to 2 edges from S when S has no more vertices than the carried
+    map has witnesses, otherwise a test of each carried witness's
+    closed neighborhood and its members' lists against S.  Both find the
+    same pairs, and the references are sorted before apply, so their
+    order does not matter.
+
+    Cost.  A round after the first reads the lists of T, one closed
+    neighborhood per uncovered neighbor of T whose reference is in T,
+    and those of U; then the adjacency within 2 edges of S, or, when
+    the witnesses are fewer than the seeds, the lists of the witnesses'
+    closed neighborhoods; then the lists around the pairs it tests.  So
+    the total work is the sum over rounds of the adjacency within 2
+    edges of the seeds.  That is linear on a path, which sheds a few
+    vertices at each end per round, but not on every input: a hub that
+    loses a neighbor every round is a seed every round, and its list is
+    read every time.
     """
     if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
@@ -379,13 +418,10 @@ def reduce_iterate(
             sup = pipeline.compute_superset(state, work=work)
             pairs = list(sup)
         else:
-            redo = _reevaluate_superset(state, sup, dirty, work)
-            ref_of = sup.by_witness
-            pairs = [
-                (u, ref_of[u])
-                for u in ball(state, redo, DIRTY_RADIUS, work=work)
-                if u in ref_of
-            ]
+            seeds = _reevaluate_superset(state, sup, dirty, work)
+            # search from the smaller side; both find the same pairs
+            near = _pairs_by_ball if len(seeds) <= len(sup) else _pairs_by_witness
+            pairs = near(state, sup.by_witness, seeds, work)
         f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
         rels = pipeline.filter_suitable(state, pairs, f, work=work)
         t1 = time.perf_counter()
@@ -447,24 +483,82 @@ def _reevaluate_superset(
 ) -> dict[int, None]:
     """Bring the carried superset map ``sup`` up to date after a round.
 
-    Re-evaluates the dirty vertices and their neighbors whose canonical
-    reference is dirty; see (i) in ``reduce_iterate``.  Returns the
-    re-evaluated vertices.
+    Drops the witness entries of the dirty vertices, then re-evaluates
+    the uncovered ones and the uncovered neighbors whose canonical
+    reference is dirty and that are carried witnesses or get another
+    canonical reference; see (i) in ``reduce_iterate``.  Returns the
+    seeds of the round's pair search: the dirty vertices and the
+    re-evaluated ones.
     """
+    adj = state.adj
+    deg = state.deg
+    covered = state.covered
     canonical = sup.canonical
-    redo = dict(dirty)
+    by_witness = sup.by_witness
+    for t in dirty:
+        by_witness.pop(t, None)
+    redo = {t: None for t in dirty if not covered[t]}
     visits = 0
     for t in dirty:
-        at = state.adj[t]
+        at = adj[t]
         visits += len(at)
+        # R(u) lies in N(u), so each such u is looked at from R(u) only
         for u in at:
-            if canonical[u] in dirty:
-                redo[u] = None
+            if covered[u] or u in dirty or canonical[u] != t:
+                continue
+            if u not in by_witness:
+                visits += deg[u] + 1
+                if canonical_reference(state, u) == t:
+                    continue
+            redo[u] = None
     if work is not None:
         work.add(visits)
     part = pipeline.compute_superset(state, work=work, scope=redo)
     sup.update(part, redo)
-    return redo
+    return dirty | redo
+
+
+def _pairs_by_ball(
+    state: ReductionState,
+    ref_of: dict[int, int],
+    seeds: dict[int, None],
+    work: Optional[WorkCounter],
+) -> list[tuple[int, int]]:
+    """The carried pairs whose witness lies within ``DIRTY_RADIUS``
+    edges of ``seeds``, found by a search outward from the seeds."""
+    near = ball(state, seeds, DIRTY_RADIUS, work=work)
+    return [(u, ref_of[u]) for u in near if u in ref_of]
+
+
+def _pairs_by_witness(
+    state: ReductionState,
+    ref_of: dict[int, int],
+    seeds: dict[int, None],
+    work: Optional[WorkCounter],
+) -> list[tuple[int, int]]:
+    """The same pairs as ``_pairs_by_ball``, found by testing each
+    carried witness's closed neighborhood and its neighbors' lists
+    (``DIRTY_RADIUS`` = 2 edges) against the seeds, up to the first hit."""
+    adj = state.adj
+    apart = seeds.keys().isdisjoint
+    visits = 0
+    pairs = []
+    for u, rho in ref_of.items():
+        au = adj[u]
+        visits += len(au) + 1
+        near = u in seeds or not apart(au)
+        if not near:
+            for x in au:
+                ax = adj[x]
+                visits += len(ax)
+                if not apart(ax):
+                    near = True
+                    break
+        if near:
+            pairs.append((u, rho))
+    if work is not None:
+        work.add(visits)
+    return pairs
 
 
 def fix_isolated_uncovered(state: ReductionState) -> list[int]:

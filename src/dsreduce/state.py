@@ -42,14 +42,16 @@ class ReductionState:
 
     def delete_node(self, u: int) -> int:
         """Remove ``u``; returns how many live edges disappeared with it."""
-        if not self.alive[u]:
+        alive = self.alive
+        if not alive[u]:
             return 0
         deg = self.deg
         dropped = 0
-        for v in self.live_neighbors(u):
-            deg[v] -= 1
-            dropped += 1
-        self.alive[u] = 0
+        for v in self.adj[u]:
+            if alive[v]:
+                deg[v] -= 1
+                dropped += 1
+        alive[u] = 0
         deg[u] = 0
         return dropped
 

@@ -9,6 +9,7 @@ from dsreduce.generators import complete, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
     TieBreaker,
+    _start,
     default_seed_list,
     greedy,
     greedy_best_of,
@@ -130,6 +131,19 @@ def test_picks_match_reference_on_random_covered_graphs():
         covered = bytearray(rng.random() < frac for _ in range(g.n))
         seeds = [rng.randrange(1 << 32) for _ in range(4)]
         assert_same_picks(AnnotatedInstance(g, covered), seeds)
+
+
+def test_start_merits_count_needy_closed_neighbors():
+    # The start reads only the covered vertices' lists; each merit must
+    # still be the number of needy vertices in the closed neighborhood.
+    rng = random.Random(4105)
+    for g in random_graphs(120, (1, 60), [0.03, 0.1, 0.3, 0.7], seed_base=9400):
+        frac = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
+        covered = bytearray(rng.random() < frac for _ in range(g.n))
+        need, merit, remaining = _start(AnnotatedInstance(g, covered))
+        assert list(need) == [int(not c) for c in covered]
+        assert merit == [need[v] + sum(need[w] for w in g.adj[v]) for v in range(g.n)]
+        assert remaining == covered.count(0)
 
 
 def test_picks_match_reference_on_structured_graphs():

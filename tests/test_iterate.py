@@ -15,8 +15,15 @@ from conftest import build, prepared, random_graphs
 from dsreduce import pipeline
 from dsreduce.generators import fig4_family, gadget_path, path
 from dsreduce.oracle import reduce_iterate_reference
-from dsreduce.pipeline import WorkCounter
-from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
+from dsreduce.pipeline import WorkCounter, ball
+from dsreduce.reducer import (
+    Variant,
+    _pairs_by_ball,
+    _pairs_by_witness,
+    export_residual,
+    reduce_iterate,
+    reduce_once,
+)
 from dsreduce.state import ReductionState
 
 VARIANTS = (Variant.PLUS, Variant.EXTRA)
@@ -188,11 +195,47 @@ def with_fig4_component(g, k):
     return build(g.n + h.n, list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()])
 
 
+def partly_reduced(rng, n):
+    """A G(n, m) state with random vertices deleted and covered; the
+    alive vertices' lists name no dead vertex, as in a round after the
+    first."""
+    g = gnm(rng, n, min(n * rng.randint(1, 4) // 2, n * (n - 1) // 2))
+    st = ReductionState(g)
+    for v in random_subset(rng, n, 0.3):
+        st.delete_node(v)
+    st.refresh([v for v in range(n) if st.alive[v]])
+    for v in random_subset(rng, n, 0.2):
+        st.cover(v)
+    return st
+
+
+def test_pair_search_sides_agree():
+    # A later round finds the carried witnesses within 2 edges of its
+    # seeds by a search from the seeds or by testing each witness,
+    # whichever side is smaller.  Both must give the same pairs, also
+    # where a witness is exactly 2 edges out.
+    rng = random.Random(39000)
+    two_out = 0
+    for _ in range(300):
+        n = rng.randint(2, 120)
+        st = partly_reduced(rng, n)
+        sup = pipeline.compute_superset(st)
+        ref_of = {u: rho for u, rho in sup if st.alive[u]}
+        p = rng.choice((0.02, 0.1, 0.3))
+        seeds = dict.fromkeys(v for v in random_subset(rng, n, p) if st.alive[v])
+        got = _pairs_by_witness(st, ref_of, seeds, None)
+        want = _pairs_by_ball(st, ref_of, seeds, None)
+        assert sorted(got) == sorted(want), n
+        one_out = ball(st, seeds, 1)
+        two_out += any(u not in one_out for u, _ in want)
+    assert two_out > 30, two_out
+
+
 def test_work_grows_linearly_on_paths():
     # A path loses a few vertices at each end per round, so it takes about
     # n/6 rounds; rescanning the whole graph each round would make the
     # visits per (n + m) grow linearly in n.  The fig4_family(40) component
-    # holds superset pairs that never pass the filter: 11.0 visits per
+    # holds superset pairs that never pass the filter: 11.2 visits per
     # (n + m) at n = 3000, while testing every carried pair each round
     # costs 1554.  Counts are exact, not timed.
     per_nm = {}
@@ -212,21 +255,52 @@ def test_work_grows_linearly_on_paths():
 
 
 def test_work_per_edge_on_a_sparse_random_graph():
-    # Later rounds re-evaluate the superset pass only where a degree or a
-    # canonical reference changed: 7.74 visits per (n + m) on this graph,
-    # bounded with 19% headroom.  Rerunning it on the whole radius-5 reach
-    # of the changes costs 16.1.  Counts are exact, not timed.
+    # Later rounds re-evaluate the superset pass only where a verdict can
+    # change, and test the carried witnesses from the smaller side: 6.30
+    # visits per (n + m) on this graph, bounded with 21% headroom.
+    # Re-evaluating every dirty vertex and every neighbor with a dirty
+    # reference, then searching a radius-2 ball around them, costs 7.74;
+    # rerunning the pass on the whole radius-5 reach of the changes costs
+    # 16.1.  Counts are exact, not timed.
     g = gnm(random.Random(38001), 6000, 12000)
     rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
     assert rep.rounds == 4
-    assert rep.work_visits / (g.n + g.m) < 9.2, rep.work_visits / (g.n + g.m)
+    assert rep.work_visits / (g.n + g.m) < 7.6, rep.work_visits / (g.n + g.m)
 
 
-def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
-    # Every round hands its superset map to the partition pass; at each
-    # alive vertex it must equal an unscoped superset pass on the live state,
-    # and it holds no dead witness.
-    # Round 1 is the first partition call of each reduce_iterate call.
+def with_hub(g, step, start=0):
+    """``g`` plus a hub, the new last vertex, joined to every ``step``-th
+    vertex from ``start`` on."""
+    hub = g.n
+    spokes = [(v, hub) for v in range(start, g.n, step)]
+    return build(g.n + 1, list(g.edges()) + spokes)
+
+
+def test_work_on_the_hub_path():
+    # A path of L = 2000 vertices with a hub joined to every third one
+    # sheds one reference per round.  The hub loses a neighbor every
+    # round, so it is dirty every round and its list is scanned each
+    # time: the total work is still quadratic in L (152, 294 and 580
+    # visits per (n + m) at L = 1001, 2000 and 4001).  Only the
+    # neighbors whose verdict can change are re-evaluated, and the
+    # carried witnesses are found from the smaller side; without that
+    # it costs 912 here.  Counts are exact, not timed.
+    g = with_hub(path(2000), 3)
+    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
+    assert rep.converged and rep.rounds == 668
+    assert rep.work_visits / (g.n + g.m) < 360, rep.work_visits / (g.n + g.m)
+
+
+def check_carried_maps(monkeypatch):
+    """Make each round check the superset map it hands to the partition
+    pass against an unscoped superset pass on the live state: the same
+    witness verdict at every alive vertex, the same canonical reference
+    at every alive uncovered one, and no dead witness.  A covered vertex
+    is never a witness again, so its canonical reference is not kept.
+
+    Returns a list to which each round appends whether it is a round 1;
+    append None before each ``reduce_iterate`` call.
+    """
     real = pipeline.compute_proper_partition
     rounds = []
 
@@ -236,12 +310,20 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
         fresh = pipeline.compute_superset(st)
         for v in range(st.n):
             if st.alive[v]:
-                got = (sprime.canonical[v], sprime.by_witness[v])
-                assert got == (fresh.canonical[v], fresh.by_witness[v]), (v, len(rounds))
+                got = sprime.by_witness[v]
+                assert got == fresh.by_witness[v], (v, len(rounds))
+                if not st.covered[v]:
+                    got = sprime.canonical[v]
+                    assert got == fresh.canonical[v], (v, len(rounds))
         rounds.append(first)
         return real(st, sprime, **kwargs)
 
     monkeypatch.setattr(pipeline, "compute_proper_partition", checked)
+    return rounds
+
+
+def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
+    rounds = check_carried_maps(monkeypatch)
     rng = random.Random(37000)
     for _ in range(60):
         n = rng.randint(20, 300)
@@ -252,3 +334,21 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
             rounds.append(None)
             reduce_iterate(prepared(g, covered, fixed), variant)
     assert rounds.count(False) > rounds.count(True), "later rounds rarely ran"
+
+
+# A G(21, 29) graph on which Extra cuts an edge between the canonical
+# reference of the carried witness 12 and a neighbor of 12, while 12
+# itself stays untouched: its witness entry must be re-evaluated.
+EXTRA_CUT_BREAKS_A_WITNESS = build(21, [
+    (0, 1), (0, 8), (1, 8), (1, 9), (2, 4), (2, 18), (3, 7), (3, 12),
+    (3, 15), (3, 20), (4, 9), (4, 13), (4, 14), (4, 15), (4, 20), (5, 11),
+    (7, 17), (8, 15), (8, 18), (8, 19), (9, 16), (9, 19), (9, 20), (10, 18),
+    (12, 20), (13, 14), (13, 15), (14, 19), (14, 20),
+])
+
+
+def test_extra_cut_next_to_a_carried_witness(monkeypatch):
+    rounds = check_carried_maps(monkeypatch)
+    rounds.append(None)
+    reduce_iterate(ReductionState(EXTRA_CUT_BREAKS_A_WITNESS), Variant.EXTRA)
+    assert rounds.count(False) >= 2, rounds

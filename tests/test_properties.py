@@ -2,11 +2,11 @@
 
 The example-based tests in ``test_iterate.py`` stop at 80 vertices,
 where rounds after the second rarely act.  Here graphs reach 300
-vertices at average degree 2-6, with given covered and fixed masks and
-round caps.  The pipeline is checked against the direct definition on
-annotated states of up to 150 vertices.  The instance and sidecar
-readers are fed line soup.  Runs are derandomized, so every run draws
-the same cases.
+vertices at average degree 2-6, or are paths and trees with a hub
+attached, with given covered and fixed masks and round caps.  The
+pipeline is checked against the direct definition on annotated states
+of up to 150 vertices.  The instance and sidecar readers are fed line
+soup.  Runs are derandomized, so every run draws the same cases.
 """
 
 import io
@@ -24,6 +24,7 @@ from dsreduce.graphio import (  # noqa: E402
     read_gr,
     read_sidecar,
 )
+from dsreduce.generators import path  # noqa: E402
 from dsreduce.oracle import suitable_set_direct  # noqa: E402
 from dsreduce.pipeline import suitable_set  # noqa: E402
 from dsreduce.state import ReductionState  # noqa: E402
@@ -33,25 +34,37 @@ from test_iterate import (  # noqa: E402
     gnm,
     random_subset,
     random_tree_plus,
+    with_hub,
 )
 from test_pipeline import assert_safe_pairs  # noqa: E402
 
 
 @st.composite
 def annotated_graphs(draw):
-    """G(n, m) or a random tree plus extra edges, at average degree 2-6,
-    with given covered and fixed vertices.
+    """G(n, m), a random tree plus extra edges, or a path or such a tree
+    with a hub joined to every k-th vertex, with given covered and fixed
+    vertices.
 
     The graph comes from a drawn seed: drawn adjacency lists lean to
-    small ids, which makes stars, and stars reduce in one round.
+    small ids, which makes stars, and stars reduce in one round.  A hub
+    loses a neighbor in most rounds, so it keeps the rounds after the
+    first busy next to a high-degree vertex.
     """
     n = draw(st.integers(2, 300))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("gnm", "tree", "hub path", "hub tree")))
+    if kind == "gnm":
         m = n * draw(st.integers(2, 6)) // 2
         g = gnm(rng, n, min(m, n * (n - 1) // 2))
-    else:
+    elif kind == "tree":
         g = random_tree_plus(rng, n, draw(st.integers(0, 2 * n)))
+    else:
+        if kind == "hub path":
+            base = path(n - 1)
+        else:
+            base = random_tree_plus(rng, n - 1, draw(st.integers(0, n // 4)))
+        step = draw(st.integers(2, 4))
+        g = with_hub(base, step, draw(st.integers(0, step - 1)))
     covered = random_subset(rng, n, draw(st.sampled_from((0.0, 0.1, 0.3))))
     fixed = random_subset(rng, n, draw(st.sampled_from((0.0, 0.05))))
     return g, covered, fixed
