@@ -38,7 +38,6 @@ from .graphio import (
 from .greedy import default_seed_list, greedy_best_of
 from .reducer import (
     ITERATED,
-    MAX_ROUNDS,
     ReductionReport,
     Variant,
     export_residual,
@@ -48,7 +47,7 @@ from .reducer import (
 )
 from .state import ReductionState
 
-RULES = ["naive", "linear", "plus", "extra"]
+RULES = [v.value for v in Variant]
 ITERATED_RULES = [v.value for v in ITERATED]
 
 # gen family -> (flags it requires, builder from the parsed arguments)
@@ -136,13 +135,14 @@ def _report_row(path: str, rule: str, **columns) -> dict:
 
 
 def _reduce_file(
-    path: str, rule, *, iterate=False, max_rounds=MAX_ROUNDS, fix_isolated=False
+    path: str, rule, *, iterate=False, max_rounds=None, fix_isolated=False
 ):
     """Read, reduce and export one instance file.
 
     ``rule`` None only exports.  Returns the file's id base, the final
     state (its ``g`` is the input graph), the residual and the report
-    row.  When ``max_rounds`` stops an iterated reduction that was still
+    row.  An iterated reduction runs to its fixed point unless
+    ``max_rounds`` is given; when that cap stops it while it was still
     changing, one note goes to stderr.
     """
     t0 = time.perf_counter()
@@ -196,13 +196,12 @@ def _cmd_reduce(args, parser) -> int:
         parser.error("--max-rounds only makes sense with --iterate")
     if args.max_rounds is not None and args.max_rounds < 1:
         parser.error("--max-rounds must be at least 1")
-    max_rounds = MAX_ROUNDS if args.max_rounds is None else args.max_rounds
 
     base, state, comp, row = _reduce_file(
         args.instance,
         args.rule,
         iterate=args.iterate,
-        max_rounds=max_rounds,
+        max_rounds=args.max_rounds,
         fix_isolated=args.fix_isolated,
     )
     res_base = id_base(args.out) if args.out else 1

@@ -19,7 +19,6 @@ from .greedy import TieBreaker
 from .pipeline import RelationSet, WorkCounter, canonical_reference
 from .reducer import (
     ITERATED,
-    MAX_ROUNDS,
     ReductionReport,
     Variant,
     _require_fresh,
@@ -237,7 +236,7 @@ def exact_annotated_gamma(inst: AnnotatedInstance) -> tuple[int, list[int]]:
 def reduce_iterate_reference(
     state: ReductionState,
     variant: Variant,
-    max_rounds: int = MAX_ROUNDS,
+    max_rounds: Optional[int] = None,
     *,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
@@ -250,11 +249,12 @@ def reduce_iterate_reference(
     acting rounds ``export_residual`` strips the committed vertices
     (their doomed edges are only then counted) and drops isolated
     covered vertices; the caller's state mirrors every event in original
-    ids.  The terminating idle round is included in the round count.
+    ids.  The terminating idle round is included in the round count;
+    ``max_rounds`` None runs to it.
     """
     if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
-    if max_rounds < 1:
+    if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
@@ -302,7 +302,7 @@ def reduce_iterate_reference(
             state.delete_node(cur_to_orig[v])
             removed_all.append(cur_to_orig[v])
         t_apply += time.perf_counter() - t0
-        if rounds >= max_rounds:
+        if rounds == max_rounds:
             break
         cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
         cur_state = ReductionState(comp.graph)

@@ -27,9 +27,6 @@ from .state import CompactResult, ReductionState, compact
 # ``reduce_iterate`` proves that no witness lies farther out.
 DIRTY_RADIUS = 2
 
-# ``reduce_iterate``'s round cap unless the caller passes another.
-MAX_ROUNDS = 1024
-
 
 class Variant(Enum):
     NAIVE = "naive"
@@ -57,8 +54,8 @@ class ReductionReport:
     time_apply_s: float = 0.0
     work_visits: int = 0
     extra_edges: list[tuple[int, int]] = field(default_factory=list)
-    # False when reduce_iterate stopped at max_rounds after a round that
-    # still changed something.
+    # False only when the caller's max_rounds ended reduce_iterate after a
+    # round that still changed something.
     converged: bool = True
 
     @property
@@ -293,7 +290,7 @@ def reduce_once(
 def reduce_iterate(
     state: ReductionState,
     variant: Variant,
-    max_rounds: int = MAX_ROUNDS,
+    max_rounds: Optional[int] = None,
     *,
     work: Optional[WorkCounter] = None,
 ) -> ReductionReport:
@@ -304,8 +301,18 @@ def reduce_iterate(
     After each acting round the committed vertices are stripped (their
     doomed edges are only then counted) and covered vertices left
     isolated are dropped.  The terminating idle round is included in the
-    round count; ``converged`` is False when ``max_rounds`` ended the
+    round count.  ``max_rounds`` None runs to that idle round;
+    ``converged`` is False only when a given ``max_rounds`` ended the
     loop instead.
+
+    The loop ends by itself, within n + 2 rounds.  A round without
+    references changes nothing, so an acting round commits at least one.
+    Round 1's boundary strips every alive fixed vertex, given ones
+    included, and each later boundary strips that round's references, so
+    from round 2 on no alive vertex is fixed: each reference is alive and
+    new, and dies at the round's end.  So every acting round after the
+    first removes at least one of the n vertices for good: at most n of
+    them follow round 1, then one idle round.
 
     Every round runs the passes on ``state`` itself; round 1 tests every
     pair, while its lists and degrees are still the input's.  Deleting a
@@ -391,11 +398,15 @@ def reduce_iterate(
     edges of the seeds.  That is linear on a path, which sheds a few
     vertices at each end per round, but not on every input: a hub that
     loses a neighbor every round is a seed every round, and its list is
-    read every time.
+    read every time.  The worst case known is the hub path: a path of L
+    vertices, L = 2 mod 3, plus a hub joined to every third one, which
+    sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
+    1,152 visits per (n + m), in 2.2-2.9 s (single runs, Python 3.11 on
+    a shared Xeon).
     """
     if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
-    if max_rounds < 1:
+    if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
@@ -455,7 +466,7 @@ def reduce_iterate(
         t_apply += time.perf_counter() - t1
         if not rep.changed:
             break
-        if rounds >= max_rounds:
+        if rounds == max_rounds:
             converged = False
             break
 

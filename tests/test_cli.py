@@ -170,14 +170,26 @@ def test_round_cap_is_reported_on_stderr(tmp_path, capsys):
     out = capsys.readouterr()
     assert "rounds=4" in out.out and out.err == ""
 
-    # greedy has no --max-rounds; a 7000-path needs about 1170 rounds
-    long_path = str(tmp_path / "p7000.gr")
-    run_ok(["gen", "path", "--n", "7000", "--out", long_path], capsys)
-    rc = main(["greedy", long_path, "--after", "extra", "--iterate", "--runs", "1"])
+
+def test_long_path_iterates_to_its_fixed_point(tmp_path, capsys):
+    # A 12000-path sheds a few vertices at each end per round and needs
+    # 2001 rounds; with no --max-rounds nothing caps them, so the whole
+    # path reduces and the committed vertices are an optimum, 12000 / 3.
+    inst = str(tmp_path / "p12000.gr")
+    run_ok(["gen", "path", "--n", "12000", "--out", inst], capsys)
+    assert main(["reduce", inst, "--rule", "extra", "--iterate"]) == 0
+    out = capsys.readouterr()
+    assert out.out == (
+        "fixed=4000 removed_nodes=8000 removed_edges=11999 rounds=2001 "
+        "residual_n=0 residual_m=0\n"
+    )
+    assert out.err == ""
+    # greedy has no --max-rounds and finds nothing left to pick
+    rc = main(["greedy", inst, "--after", "extra", "--iterate", "--runs", "1"])
     assert rc == 0
     out = capsys.readouterr()
-    assert out.out.startswith("size=")
-    assert "cap of 1024 rounds" in out.err
+    assert out.out == "size=4000 fixed=4000 greedy=0\n"
+    assert out.err == ""
 
 
 def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):

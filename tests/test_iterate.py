@@ -72,15 +72,18 @@ def reference_converged(g, variant, max_rounds, covered, fixed):
     return rep.rounds <= max_rounds
 
 
-def check_same(g, variant, max_rounds=1024, covered=(), fixed=()):
+def check_same(g, variant, max_rounds=None, covered=(), fixed=()):
     st = prepared(g, covered, fixed)
     ref_st = prepared(g, covered, fixed)
     rep = reduce_iterate(st, variant, max_rounds)
     ref = reduce_iterate_reference(ref_st, variant, max_rounds)
     where = f"n={g.n} m={g.m} {variant.value} cap={max_rounds}"
     assert report_fields(rep) == report_fields(ref), where
+    # the termination bound proved in reduce_iterate's docstring
+    assert rep.rounds <= g.n + 2, where
     assert rep.converged == (
-        ref.rounds < max_rounds
+        max_rounds is None
+        or ref.rounds < max_rounds
         or reference_converged(g, variant, max_rounds, covered, fixed)
     ), where
 
