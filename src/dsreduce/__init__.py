@@ -2,8 +2,9 @@
 
 Find/apply reduction rounds built on neighborhood classification, a
 quadratic baseline sweep, seeded greedy solving, instance generators and
-simple text formats.  The exact and direct reference oracles for tests
-live in ``dsreduce.oracle``, which nothing here imports.
+simple text formats.  The exact and direct reference oracles for tests,
+the graph and state invariant checkers and the state copy live in
+``dsreduce.oracle``, which nothing here imports.
 """
 
 from .graph import AnnotatedInstance, Graph, VertexSet, load_check

@@ -10,7 +10,6 @@ residual graph may share lists with the input.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -50,12 +49,6 @@ class VertexSet:
     def sorted(self) -> list[int]:
         return sorted(self.order)
 
-    def copy(self) -> "VertexSet":
-        out = VertexSet(len(self.mask))
-        out.mask[:] = self.mask
-        out.order = list(self.order)
-        return out
-
 
 class Graph:
     """Immutable simple graph with sorted adjacency lists."""
@@ -68,34 +61,12 @@ class Graph:
         self.adj = adj
         self.deg = [len(a) for a in adj]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, ascending."""
         for u in range(self.n):
             for v in self.adj[u]:
                 if v > u:
                     yield (u, v)
-
-    def validate(self) -> None:
-        """Assert structural invariants; raises ValueError when broken."""
-        count = 0
-        for u, a in enumerate(self.adj):
-            if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
-                raise ValueError(f"adjacency of {u} not strictly sorted")
-            for v in a:
-                if v == u:
-                    raise ValueError(f"self loop at {u}")
-                if not 0 <= v < self.n:
-                    raise ValueError(f"vertex {v} out of range")
-                if not self.has_edge(v, u):
-                    raise ValueError(f"edge ({u},{v}) not symmetric")
-            count += len(a)
-        if count != 2 * self.m:
-            raise ValueError(f"m={self.m} but adjacency holds {count // 2} edges")
 
 
 def load_check(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -131,10 +102,6 @@ class AnnotatedInstance:
 
     graph: Graph
     covered: bytearray
-
-    @classmethod
-    def fresh(cls, g: Graph) -> "AnnotatedInstance":
-        return cls(g, bytearray(g.n))
 
 
 def first_undominated(

@@ -197,16 +197,6 @@ def sidecar_lines(stream: IO[str]) -> Iterator[tuple[int, str, list[int]]]:
         yield lineno, section, vals
 
 
-def read_sidecar(stream: IO[str]) -> dict:
-    out = {"fixed": [], "covered": [], "map": [], "solution": []}
-    for _lineno, section, vals in sidecar_lines(stream):
-        if section == "map":
-            out["map"].append((vals[0], vals[1]))
-        else:
-            out[section].extend(vals)
-    return out
-
-
 def write_report_csv(rows: Iterable[dict], stream: IO[str]) -> None:
     writer = csv.DictWriter(stream, fieldnames=REPORT_FIELDS, lineterminator="\n")
     writer.writeheader()

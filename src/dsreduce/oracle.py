@@ -1,8 +1,10 @@
-"""Slow reference implementations for tests.
+"""Slow reference implementations and invariant checks for tests.
 
 Everything here favors being obviously correct over being fast: set
 arithmetic, full rescans, exponential search, an iterated driver
 that compacts after every round, and a greedy that rescans merits.
+The graph and state invariant checkers and the state copy live here
+too, since only tests and the reference driver use them.
 Production code paths must never import this module
 (``tests/test_layering.py`` checks that).
 """
@@ -28,6 +30,55 @@ from .reducer import (
 from .state import ReductionState
 
 EXACT_LIMIT = 24
+
+
+def check_graph(g: Graph) -> None:
+    """Check the structural invariants of ``g``; raises ValueError when
+    one is broken."""
+    count = 0
+    for u, a in enumerate(g.adj):
+        if any(a[i] >= a[i + 1] for i in range(len(a) - 1)):
+            raise ValueError(f"adjacency of {u} not strictly sorted")
+        for v in a:
+            if v == u:
+                raise ValueError(f"self loop at {u}")
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+            if u not in g.adj[v]:
+                raise ValueError(f"edge ({u},{v}) not symmetric")
+        count += len(a)
+    if count != 2 * g.m:
+        raise ValueError(f"m={g.m} but adjacency holds {count // 2} edges")
+
+
+def state_consistent(st: ReductionState) -> bool:
+    """Each alive vertex's live neighbors are input neighbors of it,
+    name it back and number its degree; dead vertices have degree 0."""
+    gadj = st.g.adj
+    live = [
+        set(st.live_neighbors(u)) if st.alive[u] else set()
+        for u in range(st.n)
+    ]
+    return all(
+        st.deg[u] == len(lu)
+        and lu <= set(gadj[u])
+        and all(u in live[v] for v in lu)
+        for u, lu in enumerate(live)
+    )
+
+
+def copy_state(st: ReductionState) -> ReductionState:
+    """An independent copy of ``st``.  The lists are shared, which is
+    safe because a state only ever replaces them."""
+    out = ReductionState.__new__(ReductionState)
+    out.g = st.g
+    out.n = st.n
+    out.adj = list(st.adj)
+    out.deg = list(st.deg)
+    out.alive = bytearray(st.alive)
+    out.covered = bytearray(st.covered)
+    out.fixed = VertexSet(st.n, st.fixed)
+    return out
 
 
 @dataclass
@@ -258,7 +309,7 @@ def reduce_iterate_reference(
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
-    cur_state = state.copy()
+    cur_state = copy_state(state)
     cur_to_orig = list(range(state.n))
 
     fixed_all: list[int] = []
@@ -285,7 +336,7 @@ def reduce_iterate_reference(
             state.delete_node(o)
             removed_all.append(o)
         for a, b in rep.extra_edges:
-            state.delete_edge(cur_to_orig[a], cur_to_orig[b])
+            state.cut_within({cur_to_orig[a], cur_to_orig[b]})
             extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
         removed_edges += rep.removed_edges
 

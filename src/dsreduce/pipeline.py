@@ -15,14 +15,14 @@ neighborhood they compare against.  Combined cost stays proportional to
 n + m.  Counters (``WorkCounter``) record adjacency
 visits as upper bounds; bulk adds keep the hot loops tight.
 
-Only the superset pass takes a ``scope``, a set or dict of vertices:
-it then evaluates exactly those.  Partition and filter take the witness
-pairs to test and read the superset map of every vertex within two
-edges of their witnesses; the verdict on a pair does not depend on
-which other pairs are tested.  A scoped superset pass stamps a dict
-(``_Sparse``) instead of a list, and partition and filter allocate
-nothing of size n, so each costs time proportional to the adjacency
-it reads, not to n.
+Only the superset pass takes ``canonical``, a dict from vertices to
+their canonical references: it then evaluates exactly those vertices.
+Partition and filter take the witness pairs to test and read the
+superset map of every vertex within two edges of their witnesses; the
+verdict on a pair does not depend on which other pairs are tested.  A
+scoped superset pass stamps a dict (``_Sparse``) instead of a list, and
+partition and filter allocate nothing of size n, so each costs time
+proportional to the adjacency it reads, not to n.
 
 Every pass takes the state alone and reads its ``n``, ``adj`` and
 ``deg`` and its covered and fixed flags: a covered vertex needs no
@@ -113,13 +113,13 @@ class RelationSet:
                 raise ValueError(f"witness {u} appears twice")
             self.by_witness[u] = rho
 
-    def update(self, part: "RelationSet", verts) -> None:
-        """Overwrite the entries of ``verts`` with those of ``part``, a
-        superset pass that evaluated them; ``self`` must be a full one."""
+    def update(self, part: "RelationSet") -> None:
+        """Overwrite the entries of the vertices that ``part``, a scoped
+        superset pass, evaluated; ``self`` must be a full one."""
         canonical = self.canonical
         by_witness = self.by_witness
-        for u in verts:
-            canonical[u] = part.canonical[u]
+        for u, rho in part.canonical.items():
+            canonical[u] = rho
             by_witness.pop(u, None)
         by_witness.update(part.by_witness)
 
@@ -132,12 +132,6 @@ class RelationSet:
     def references(self) -> list[int]:
         """Distinct reference ids, ascending."""
         return sorted(set(self.by_witness.values()))
-
-    def witnesses(self) -> list[int]:
-        return sorted(self.by_witness)
-
-    def sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.by_witness.items())
 
 
 def canonical_reference(g: Graph, u: int) -> int:
@@ -157,7 +151,7 @@ def compute_superset(
     state: ReductionState,
     *,
     work: Optional[WorkCounter] = None,
-    scope=None,
+    canonical: Optional[dict[int, int]] = None,
 ) -> RelationSet:
     """First pass: candidate pairs (u, r) with r the canonical reference.
 
@@ -170,7 +164,9 @@ def compute_superset(
     neighborhood), as are fixed vertices, whose solution membership is
     already settled.
 
-    With ``scope`` the pass evaluates exactly the vertices in scope.
+    Given ``canonical``, a dict from each vertex to evaluate to its
+    canonical reference, the pass evaluates exactly those vertices and
+    counts no visits for the references, which the caller computed.
     ``canonical`` of the result holds the canonical reference of every
     evaluated vertex, witness or not.
     """
@@ -179,14 +175,15 @@ def compute_superset(
     deg = state.deg
     covered = state.covered
     fixed = state.fixed.mask
-    verts = range(n) if scope is None else scope
-    visits = sum(map(deg.__getitem__, verts)) + len(verts)
-    if scope is None:
-        canonical = [canonical_reference(state, u) for u in verts]
+    if canonical is None:
+        visits = sum(deg) + n
+        canonical = [canonical_reference(state, u) for u in range(n)]
         evaluated = enumerate(canonical)
+        mark = [-1] * n
     else:
-        canonical = {u: canonical_reference(state, u) for u in verts}
+        visits = 0
         evaluated = canonical.items()
+        mark = _Sparse()
 
     buckets: defaultdict[int, list[int]] = defaultdict(list)
     for u, rho in evaluated:
@@ -194,7 +191,6 @@ def compute_superset(
             continue
         buckets[rho].append(u)
 
-    mark = [-1] * n if scope is None else _Sparse()
     pairs: list[tuple[int, int]] = []
     for rho, bucket in buckets.items():
         mark[rho] = rho

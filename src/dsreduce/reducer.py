@@ -491,15 +491,16 @@ def _reevaluate_superset(
     sup: RelationSet,
     dirty: dict[int, None],
     work: Optional[WorkCounter],
-) -> dict[int, None]:
+) -> dict:
     """Bring the carried superset map ``sup`` up to date after a round.
 
     Drops the witness entries of the dirty vertices, then re-evaluates
     the uncovered ones and the uncovered neighbors whose canonical
     reference is dirty and that are carried witnesses or get another
-    canonical reference; see (i) in ``reduce_iterate``.  Returns the
-    seeds of the round's pair search: the dirty vertices and the
-    re-evaluated ones.
+    canonical reference; see (i) in ``reduce_iterate``.  Each of those
+    canonical references is computed once, here, and handed to the
+    scoped superset pass.  Returns the seeds of the round's pair
+    search: the dirty vertices and the re-evaluated ones.
     """
     adj = state.adj
     deg = state.deg
@@ -508,8 +509,8 @@ def _reevaluate_superset(
     by_witness = sup.by_witness
     for t in dirty:
         by_witness.pop(t, None)
-    redo = {t: None for t in dirty if not covered[t]}
-    visits = 0
+    redo = {t: canonical_reference(state, t) for t in dirty if not covered[t]}
+    visits = sum(deg[t] + 1 for t in redo)
     for t in dirty:
         at = adj[t]
         visits += len(at)
@@ -517,15 +518,13 @@ def _reevaluate_superset(
         for u in at:
             if covered[u] or u in dirty or canonical[u] != t:
                 continue
-            if u not in by_witness:
-                visits += deg[u] + 1
-                if canonical_reference(state, u) == t:
-                    continue
-            redo[u] = None
+            visits += deg[u] + 1
+            rho = canonical_reference(state, u)
+            if rho != t or u in by_witness:
+                redo[u] = rho
     if work is not None:
         work.add(visits)
-    part = pipeline.compute_superset(state, work=work, scope=redo)
-    sup.update(part, redo)
+    sup.update(pipeline.compute_superset(state, work=work, canonical=redo))
     return dirty | redo
 
 

@@ -7,8 +7,9 @@ as a shallow copy of the input's lists.  Deleting a node flips its alive
 flag and lowers its neighbors' degrees but leaves the lists alone, so a
 list may still name dead vertices and ``live_neighbors`` skips them;
 ``refresh`` drops them.  Deleting edges
-replaces the two lists concerned.  Lists are only ever replaced, never
-mutated in place, so the input graph and copies of a state stay intact.
+(``cut_within``) replaces the lists concerned.  Lists are only ever
+replaced, never mutated in place, so the input graph and copies of a
+state stay intact.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ class ReductionState:
         self.covered = bytearray(g.n)
         self.fixed = VertexSet(g.n)
 
-    def edge_alive(self, u: int, v: int) -> bool:
-        return bool(self.alive[u] and self.alive[v]) and v in self.adj[u]
-
     def live_neighbors(self, u: int):
         alive = self.alive
         for v in self.adj[u]:
@@ -54,12 +52,6 @@ class ReductionState:
         alive[u] = 0
         deg[u] = 0
         return dropped
-
-    def delete_edge(self, u: int, v: int) -> bool:
-        if not self.edge_alive(u, v):
-            return False
-        self.cut_within({u, v})
-        return True
 
     def cut_within(self, verts) -> list[tuple[int, int]]:
         """Delete every live edge between two members of ``verts``, a set
@@ -102,32 +94,6 @@ class ReductionState:
         self.cover(rho)
         for v in self.live_neighbors(rho):
             self.cover(v)
-
-    def copy(self) -> "ReductionState":
-        out = ReductionState.__new__(ReductionState)
-        out.g = self.g
-        out.n = self.n
-        out.adj = list(self.adj)
-        out.deg = list(self.deg)
-        out.alive = bytearray(self.alive)
-        out.covered = bytearray(self.covered)
-        out.fixed = self.fixed.copy()
-        return out
-
-    def is_consistent(self) -> bool:
-        """Each alive vertex's live neighbors are input neighbors of it,
-        name it back and number its degree; dead vertices have degree 0."""
-        gadj = self.g.adj
-        live = [
-            set(self.live_neighbors(u)) if self.alive[u] else set()
-            for u in range(self.n)
-        ]
-        return all(
-            self.deg[u] == len(lu)
-            and lu <= set(gadj[u])
-            and all(u in live[v] for v in lu)
-            for u, lu in enumerate(live)
-        )
 
 
 @dataclass

@@ -2,12 +2,34 @@ import random
 
 import pytest
 
-from dsreduce.graph import Graph, load_check
+from dsreduce.graph import AnnotatedInstance, Graph, load_check
+from dsreduce.graphio import sidecar_lines
 from dsreduce.state import ReductionState
 
 
 def build(n, edges) -> Graph:
     return load_check(n, edges)
+
+
+def fresh(g) -> AnnotatedInstance:
+    """``g`` with no vertex covered."""
+    return AnnotatedInstance(g, bytearray(g.n))
+
+
+def edge_alive(st, u, v) -> bool:
+    """Both ends of uv are alive in ``st`` and the edge was not cut."""
+    return bool(st.alive[u] and st.alive[v]) and v in st.adj[u]
+
+
+def read_sidecar(stream) -> dict:
+    """Every section of a sidecar; map lines as (residual, input) pairs."""
+    out = {"fixed": [], "covered": [], "map": [], "solution": []}
+    for _lineno, section, vals in sidecar_lines(stream):
+        if section == "map":
+            out["map"].append((vals[0], vals[1]))
+        else:
+            out[section].extend(vals)
+    return out
 
 
 def prepared(g, covered=(), fixed=()) -> ReductionState:

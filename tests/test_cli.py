@@ -4,9 +4,10 @@ import os
 import pytest
 
 import dsreduce.cli as cli
+from conftest import read_sidecar
 from dsreduce.cli import _bench_child, main
 from dsreduce.graph import load_check
-from dsreduce.graphio import read_sidecar, write_gr
+from dsreduce.graphio import write_gr
 
 
 def run_ok(argv, capsys):

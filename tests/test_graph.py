@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import build, random_graphs
+from conftest import build, edge_alive, random_graphs
 from dsreduce.graph import Graph, VertexSet, first_undominated, load_check
+from dsreduce.oracle import check_graph, copy_state, state_consistent
 from dsreduce.state import ReductionState, compact
 
 
@@ -10,7 +11,7 @@ def test_load_check_drops_loops_and_duplicates():
     assert g.n == 4 and g.m == 2
     assert g.adj[1] == [0, 3]
     assert g.adj[2] == []
-    g.validate()
+    check_graph(g)
 
 
 def test_load_check_rejects_out_of_range():
@@ -46,20 +47,20 @@ def test_load_check_matches_pair_set_reference():
             adj[u].append(v)
             adj[v].append(u)
         g = load_check(n, iter(edges))
-        g.validate()
+        check_graph(g)
         assert (g.n, g.m, g.adj) == (n, len(pairs), [sorted(a) for a in adj])
 
 
 def test_validate_catches_asymmetry():
     g = Graph(3, [[1], [], []], 1)
     with pytest.raises(ValueError, match="symmetric"):
-        g.validate()
+        check_graph(g)
 
 
 def test_has_edge_and_edges_iteration():
     g = build(5, [(0, 1), (0, 4), (2, 3)])
-    assert g.has_edge(0, 4) and g.has_edge(4, 0)
-    assert not g.has_edge(1, 2)
+    assert 4 in g.adj[0] and 0 in g.adj[4]
+    assert 2 not in g.adj[1]
     assert list(g.edges()) == [(0, 1), (0, 4), (2, 3)]
 
 
@@ -69,7 +70,7 @@ def test_vertex_set_keeps_insertion_order():
     assert list(vs) == [4, 1]
     assert vs.sorted() == [1, 4]
     assert 4 in vs and 0 not in vs
-    cp = vs.copy()
+    cp = VertexSet(6, vs)
     cp.add(0)
     assert len(vs) == 2 and len(cp) == 3
 
@@ -90,18 +91,18 @@ def test_state_node_deletion_updates_degrees():
     assert st.deg == [0, 0, 1, 1]
     assert list(st.live_neighbors(2)) == [3]
     assert st.delete_node(1) == 0
-    assert st.is_consistent()
+    assert state_consistent(st)
 
 
 def test_state_edge_deletion():
     g = build(3, [(0, 1), (1, 2)])
     st = ReductionState(g)
-    assert st.delete_edge(2, 1)
-    assert not st.delete_edge(1, 2)
-    assert not st.edge_alive(1, 2)
-    assert st.edge_alive(0, 1)
+    assert st.cut_within({2, 1}) == [(1, 2)]
+    assert st.cut_within({1, 2}) == []
+    assert not edge_alive(st, 1, 2)
+    assert edge_alive(st, 0, 1)
     assert st.deg == [1, 1, 0]
-    assert st.is_consistent()
+    assert state_consistent(st)
 
 
 def test_state_cut_within_deletes_inner_edges():
@@ -110,8 +111,8 @@ def test_state_cut_within_deletes_inner_edges():
     assert st.cut_within({0: None, 2: None, 3: None}) == [(0, 2), (2, 3)]
     assert st.deg == [1, 2, 1, 1, 1]
     assert list(st.live_neighbors(2)) == [1]
-    assert not st.edge_alive(0, 2) and st.edge_alive(0, 1)
-    assert st.is_consistent()
+    assert not edge_alive(st, 0, 2) and edge_alive(st, 0, 1)
+    assert state_consistent(st)
 
 
 def test_is_consistent_catches_foreign_and_one_sided_edges():
@@ -120,14 +121,14 @@ def test_is_consistent_catches_foreign_and_one_sided_edges():
     foreign.adj[0] = [1, 2]  # 0-2 is no input edge, though 2 names 0 back
     foreign.adj[2] = [0, 1]
     foreign.deg = [2, 2, 2]
-    assert not foreign.is_consistent()
+    assert not state_consistent(foreign)
     one_sided = ReductionState(g)
     one_sided.adj[0] = []  # 1 still names 0
     one_sided.deg[0] = 0
-    assert not one_sided.is_consistent()
+    assert not state_consistent(one_sided)
     stale_degree = ReductionState(g)
     stale_degree.deg[1] = 1
-    assert not stale_degree.is_consistent()
+    assert not state_consistent(stale_degree)
 
 
 def test_state_fix_covers_live_neighborhood():
@@ -142,16 +143,16 @@ def test_state_fix_covers_live_neighborhood():
 def test_state_copy_is_independent():
     g = build(3, [(0, 1), (1, 2)])
     st = ReductionState(g)
-    cp = st.copy()
+    cp = copy_state(st)
     cp.delete_node(0)
     cp.fix(1)
-    assert cp.delete_edge(1, 2)
+    assert cp.cut_within({1, 2}) == [(1, 2)]
     assert st.alive[0] == 1 and len(st.fixed) == 0
     assert st.adj == [[1], [0, 2], [1]] and st.deg == [1, 2, 1]
-    cut = st.copy()
+    cut = copy_state(st)
     assert cut.cut_within({0: None, 1: None, 2: None}) == [(0, 1), (1, 2)]
     assert st.adj == [[1], [0, 2], [1]] and st.deg == [1, 2, 1]
-    assert st.edge_alive(1, 2) and cp.edge_alive(0, 1) is False
+    assert edge_alive(st, 1, 2) and edge_alive(cp, 0, 1) is False
 
 
 def test_compact_remaps_flags():
@@ -159,14 +160,14 @@ def test_compact_remaps_flags():
     st = ReductionState(g)
     st.fix(1)
     st.delete_node(0)
-    st.delete_edge(2, 3)
+    st.cut_within({2, 3})
     comp = compact(st)
     assert comp.graph.n == 4 and comp.graph.m == 2
     assert comp.new_to_old == [1, 2, 3, 4]
     assert comp.old_to_new == [-1, 0, 1, 2, 3]
     assert bytes(comp.covered) == bytes([1, 1, 0, 0])
     assert comp.fixed == [0]
-    comp.graph.validate()
+    check_graph(comp.graph)
 
 
 def test_compact_of_an_untouched_state_is_the_identity():
@@ -178,7 +179,7 @@ def test_compact_of_an_untouched_state_is_the_identity():
     assert comp.graph.adj == g.adj and comp.graph.m == g.m
     assert bytes(comp.covered) == bytes([1, 1, 1, 0])
     assert comp.fixed == [1]
-    comp.graph.validate()
+    check_graph(comp.graph)
 
 
 def test_compact_shows_cut_edges_when_no_vertex_died():
@@ -191,7 +192,7 @@ def test_compact_shows_cut_edges_when_no_vertex_died():
     assert comp.new_to_old == [0, 1, 2, 3]
     assert comp.graph.adj == [[], [], [3], [2]] and comp.graph.m == 1
     assert g.adj == [[1, 2], [0, 2], [0, 1, 3], [2]]
-    comp.graph.validate()
+    check_graph(comp.graph)
 
 
 def test_compact_roundtrip_random():
@@ -205,15 +206,15 @@ def test_compact_roundtrip_random():
                 st.delete_node(v)
         for u, v in list(g.edges()):
             if st.alive[u] and st.alive[v] and rng.random() < 0.2:
-                st.delete_edge(u, v)
+                st.cut_within({u, v})
         comp = compact(st)
-        comp.graph.validate()
+        check_graph(comp.graph)
         # Edges survive exactly when both ends are alive and the edge
         # was not deleted on its own.
         expect = sorted(
             (comp.old_to_new[u], comp.old_to_new[v])
             for u, v in g.edges()
-            if st.edge_alive(u, v)
+            if edge_alive(st, u, v)
         )
         assert sorted(comp.graph.edges()) == [
             (min(a, b), max(a, b)) for a, b in expect

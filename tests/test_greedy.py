@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import build, random_graphs
+from conftest import build, fresh, random_graphs
 from dsreduce.generators import complete, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
@@ -15,10 +15,6 @@ from dsreduce.greedy import (
     greedy_best_of,
 )
 from dsreduce.oracle import AnnotatedInstance, exact_annotated_gamma, greedy_reference
-
-
-def fresh(g):
-    return AnnotatedInstance.fresh(g)
 
 
 def test_four_path_always_two_picks():

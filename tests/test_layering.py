@@ -1,4 +1,6 @@
-"""The slow test oracle stays out of the production import graph."""
+"""The production package's shape: the slow test oracle stays out of
+its import graph, it imports only the standard library, and every
+function and method in it has a production caller."""
 
 import ast
 import os
@@ -9,11 +11,25 @@ import dsreduce
 
 PKG_DIR = os.path.dirname(dsreduce.__file__)
 
+# Definitions kept without a production caller, each for a named user.
+KEPT_WITHOUT_CALLER = {
+    # perfbench/corpus.py relabels its generated graphs through it
+    "Graph.edges",
+}
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def package_files():
+    return sorted(f for f in os.listdir(PKG_DIR) if f.endswith(".py"))
+
 
 def imported_modules(path):
     """Dotted names a module imports, relative ones resolved in the package."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    tree = parse(path)
     names = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -30,8 +46,8 @@ def imported_modules(path):
 
 def test_no_module_imports_the_oracle():
     offenders = []
-    for fname in sorted(os.listdir(PKG_DIR)):
-        if not fname.endswith(".py") or fname == "oracle.py":
+    for fname in package_files():
+        if fname == "oracle.py":
             continue
         for name in imported_modules(os.path.join(PKG_DIR, fname)):
             if name == "dsreduce.oracle" or name.startswith("dsreduce.oracle."):
@@ -57,3 +73,91 @@ def test_cli_import_leaves_oracle_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_runtime_imports_only_the_standard_library():
+    offenders = []
+    for fname in package_files():
+        for name in imported_modules(os.path.join(PKG_DIR, fname)):
+            top = name.partition(".")[0]
+            if top != "dsreduce" and top not in sys.stdlib_module_names:
+                offenders.append(f"{fname}: {name}")
+    assert offenders == []
+
+
+def uncalled_definitions(trees, exempt=()):
+    """Qualified names of the top-level functions and non-dunder methods
+    in ``trees`` (file name -> parsed module) whose name nothing refers
+    to outside their own body.
+
+    A reference is a name or an attribute with that name anywhere in the
+    modules.  References inside a flagged definition do not count, so
+    the scan repeats until no new name is flagged: a helper called only
+    by a flagged method is flagged too.  ``exempt`` names are never
+    flagged.
+    """
+    defs = []  # (qualified name, name, file, first line, last line)
+    refs = []  # (name, file, line)
+    for fname, tree in trees.items():
+        for node in tree.body:
+            members = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name + ".", item) for item in node.body]
+            for prefix, item in members:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if prefix and item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                qual = prefix + item.name
+                if qual not in exempt:
+                    defs.append((qual, item.name, fname, item.lineno, item.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((node.id, fname, node.end_lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((node.attr, fname, node.end_lineno))
+
+    def inside(spans, fname, line):
+        return any(f == fname and lo <= line <= hi for f, lo, hi in spans)
+
+    flagged = {}
+    while True:
+        dead = [d[2:] for d in flagged.values()]
+        new = [
+            d
+            for d in defs
+            if d[0] not in flagged
+            and not any(
+                name == d[1] and not inside([d[2:], *dead], fname, line)
+                for name, fname, line in refs
+            )
+        ]
+        if not new:
+            return sorted(flagged)
+        flagged.update((d[0], d) for d in new)
+
+
+def test_uncalled_definitions_follow_call_chains():
+    trees = {
+        "a.py": ast.parse(
+            "def used():\n    return 1\n"
+            "def helper():\n    return helper()\n"
+            "class C:\n"
+            "    def __len__(self):\n        return 0\n"
+            "    def dead(self):\n        return helper()\n"
+            "    def kept(self):\n        return 2\n"
+        ),
+        "b.py": ast.parse("x = used()\n"),
+    }
+    assert uncalled_definitions(trees) == ["C.dead", "C.kept", "helper"]
+    assert uncalled_definitions(trees, exempt={"C.dead"}) == ["C.kept"]
+
+
+def test_every_production_definition_has_a_production_caller():
+    trees = {
+        fname: parse(os.path.join(PKG_DIR, fname))
+        for fname in package_files()
+        if fname != "oracle.py"
+    }
+    exempt = set(dsreduce.__all__) | KEPT_WITHOUT_CALLER
+    assert uncalled_definitions(trees, exempt) == []

@@ -85,3 +85,21 @@ def test_gamma_identity_on_hub_paths(length, step):
     assert got == milp_gamma(g), (got, rounds)
     if (length, step) == (299, 3):
         assert (rounds, left) == (101, 0)
+
+
+def test_gamma_identity_on_drawn_annotated_graphs():
+    # The property tests' graphs, up to 300 vertices: G(n, m), trees,
+    # and paths and trees with a hub, with given covered and fixed masks.
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_properties import annotated_graphs
+
+    @hypothesis.settings(
+        max_examples=20, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(annotated_graphs())
+    def check(case):
+        g, covered, fixed = case
+        want = len(fixed) + milp_gamma(g, prepared(g, covered, fixed).covered)
+        assert reduced_gamma(g, covered, fixed)[0] == want
+
+    check()

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conftest import build, random_graphs
+from conftest import build, fresh, random_graphs
 from dsreduce.generators import complete, cycle, gnp, path, star
 from dsreduce.oracle import (
     EXACT_LIMIT,
@@ -80,12 +80,12 @@ def test_classify_disjoint_random():
 
 def test_direct_witnesses_fig3(fig3_graph):
     rels = suitable_set_direct(fig3_graph)
-    assert rels.sorted_pairs() == [(0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
+    assert sorted(rels) == [(0, 3), (1, 3), (2, 3), (4, 3), (5, 3)]
 
 
 def test_direct_witnesses_path6():
     rels = suitable_set_direct(path(6))
-    assert rels.sorted_pairs() == [(0, 1), (5, 4)]
+    assert sorted(rels) == [(0, 1), (5, 4)]
 
 
 def brute_gamma(g, covered=None):
@@ -105,15 +105,15 @@ def brute_gamma(g, covered=None):
 
 def test_exact_gamma_closed_forms():
     for n in range(1, 11):
-        size, _ = exact_annotated_gamma(AnnotatedInstance.fresh(path(n)))
+        size, _ = exact_annotated_gamma(fresh(path(n)))
         assert size == (n + 2) // 3, f"path({n})"
     for n in range(3, 11):
-        size, _ = exact_annotated_gamma(AnnotatedInstance.fresh(cycle(n)))
+        size, _ = exact_annotated_gamma(fresh(cycle(n)))
         assert size == (n + 2) // 3, f"cycle({n})"
     for n in range(1, 8):
-        size, _ = exact_annotated_gamma(AnnotatedInstance.fresh(complete(n)))
+        size, _ = exact_annotated_gamma(fresh(complete(n)))
         assert size == 1
-    size, _ = exact_annotated_gamma(AnnotatedInstance.fresh(star(6)))
+    size, _ = exact_annotated_gamma(fresh(star(6)))
     assert size == 1
 
 
@@ -127,7 +127,7 @@ def test_exact_gamma_annotated_cases():
     size, pick = exact_annotated_gamma(AnnotatedInstance(g, bytearray([1, 1])))
     assert size == 0 and pick == []
 
-    size, pick = exact_annotated_gamma(AnnotatedInstance.fresh(build(0, [])))
+    size, pick = exact_annotated_gamma(fresh(build(0, [])))
     assert size == 0
 
 
@@ -149,7 +149,7 @@ def test_exact_gamma_vs_brute_force():
 def test_exact_gamma_size_limit():
     g = path(EXACT_LIMIT + 1)
     with pytest.raises(ValueError):
-        exact_annotated_gamma(AnnotatedInstance.fresh(g))
+        exact_annotated_gamma(fresh(g))
 
 
 def test_exhaustive_star_and_path():
@@ -180,7 +180,7 @@ def test_exhaustive_path6_two_rounds():
 def test_exhaustive_preserves_gamma_small():
     for g in random_graphs(80, (1, 10), [0.2, 0.5], seed_base=640):
         fixed, removed = exhaustive_original_rule1(g)
-        base, _ = exact_annotated_gamma(AnnotatedInstance.fresh(g))
+        base, _ = exact_annotated_gamma(fresh(g))
         # Residual instance: survivors, with N[fixed] covered.
         alive = set(range(g.n)) - set(removed)
         covered = bytearray(g.n)

@@ -17,15 +17,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import annotated, prepared  # noqa: E402
+from conftest import annotated, prepared, read_sidecar  # noqa: E402
 from dsreduce.graphio import (  # noqa: E402
     FormatError,
     read_edge_list,
     read_gr,
-    read_sidecar,
 )
 from dsreduce.generators import path  # noqa: E402
-from dsreduce.oracle import suitable_set_direct  # noqa: E402
+from dsreduce.oracle import check_graph, suitable_set_direct  # noqa: E402
 from dsreduce.pipeline import suitable_set  # noqa: E402
 from dsreduce.state import ReductionState  # noqa: E402
 from test_iterate import (  # noqa: E402
@@ -176,7 +175,7 @@ def test_readers_return_or_raise_format_error(text):
             g = reader(io.StringIO(text))
         except FormatError:
             continue
-        g.validate()
+        check_graph(g)
     try:
         read_sidecar(io.StringIO(text))
     except FormatError:
