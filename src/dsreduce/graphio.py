@@ -46,7 +46,87 @@ def _header(tok: list[str], lineno: int) -> tuple[int, int]:
     return n, m
 
 
+# .gr bulk path: text is read in chunks of at most _CHUNK characters
+_CHUNK = 16384
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def read_gr(stream: IO[str]) -> Graph:
+    """Read a .gr instance.
+
+    A seekable stream whose first line is a ``p <kind> <n> <m>`` header
+    with ASCII-digit counts is read in bulk (``_read_gr_bulk``).  Any
+    doubt about the rest sends the stream back to where it started, and
+    ``_read_gr_lines`` reads it again: that reader alone reports errors,
+    so a file yields the same graph or the same message either way.
+    """
+    try:
+        start = stream.tell() if stream.seekable() else -1
+    except OSError:
+        start = -1
+    if start >= 0:
+        g = _read_gr_bulk(stream)
+        if g is not None:
+            return g
+        stream.seek(start)
+    return _read_gr_lines(stream)
+
+
+def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
+    """The graph of a canonical .gr text, or None where the text is not.
+
+    Canonical means the header, then exactly m lines of two ASCII-digit
+    ids in 1..n joined by one space, each ending in a newline.  Each
+    chunk is cut after its last newline (the rest carries over) and
+    checked with C-level calls: deleting the digits must leave one
+    ``" \\n"`` per line, and the chunk must split into two ids per line.
+    Ids map through one table, so all adjacency entries naming a vertex
+    are the same int object; the table follows the ids in the file, so a
+    header's n alone allocates nothing here.
+    """
+    tok = stream.readline().split()
+    if not (
+        len(tok) == 4
+        and tok[0] == "p"
+        and tok[2].isascii()
+        and tok[2].isdigit()
+        and tok[3].isascii()
+        and tok[3].isdigit()
+    ):
+        return None
+    n = int(tok[2])
+    m = int(tok[3])
+    ids = [-1]  # ids[k] is k - 1, grown to the largest id seen, not to n
+    ends: list[int] = []
+    tail = ""
+    while chunk := stream.read(_CHUNK):
+        cut = chunk.rfind("\n") + 1
+        if not cut:  # a last line without newline, or one longer than a chunk
+            return None
+        text = tail + chunk[:cut]
+        tail = chunk[cut:]
+        lines = text.count("\n")
+        if text.translate(_NO_DIGITS) != " \n" * lines:
+            return None
+        vals = list(map(int, text.split()))
+        if len(vals) != 2 * lines:
+            return None
+        top = max(vals)
+        if min(vals) < 1 or top > n:
+            return None
+        if top >= len(ids):
+            ids += range(len(ids) - 1, top)
+        ends += map(ids.__getitem__, vals)
+        if len(ends) > 2 * m:  # stop early: the header bounds the list
+            return None
+    if tail or len(ends) != 2 * m:
+        return None
+    it = iter(ends)
+    return load_check(n, zip(it, it))
+
+
+def _read_gr_lines(stream: IO[str]) -> Graph:
+    """Line by line; the only .gr path that reports malformed input."""
     n = -1
     m = -1
     ends: list[int] = []

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from conftest import read_sidecar
+from dsreduce import graphio
 from dsreduce.generators import gnp, path
 from dsreduce.graphio import (
     REPORT_FIELDS,
@@ -294,3 +295,199 @@ def test_read_gr_peak_memory_stays_near_the_graph():
         tracemalloc.stop()
     assert g.n == n and g.m == m
     assert peak <= 2 * retained, (peak, retained)
+    # one int object per vertex id, shared by every adjacency entry
+    assert retained <= 1_100_000, retained
+
+
+def test_read_gr_id_table_follows_the_ids_not_the_header():
+    # the per-vertex lists follow the header; the bulk path adds nothing
+    # of that size, here where the only edge names vertices 1 and 2
+    tracemalloc.start()
+    try:
+        g = read_gr(io.StringIO("p ds 100000 1\n1 2\n"))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 100_000 and g.m == 1
+    assert peak <= 1.1 * retained, (peak, retained)
+
+
+def outcome(reader, text):
+    """(n, m, adj, deg) of the graph ``reader`` makes of ``text``, or the
+    message of its FormatError."""
+    try:
+        g = reader(io.StringIO(text))
+    except FormatError as exc:
+        return str(exc)
+    return g.n, g.m, g.adj, g.deg
+
+
+def edge_lines(n, count, seed):
+    """``count`` canonical edge lines on ids 1..n, loops and repeats
+    included."""
+    rng = random.Random(seed)
+    return [f"{rng.randint(1, n)} {rng.randint(1, n)}\n" for _ in range(count)]
+
+
+# 12,000 lines of about 10 characters: more than 6 chunks of 16 KiB.  The
+# line at K starts past the third chunk; in the file it is line K + 2.
+BIG_N = 5000
+LINES = edge_lines(BIG_N, 12_000, 17)
+K = len(LINES) // 2
+
+
+def gr_text(lines, m=len(LINES), head=None):
+    return (head or f"p ds {BIG_N} {m}\n") + "".join(lines)
+
+
+def replaced(line):
+    return LINES[:K] + [line] + LINES[K + 1:]
+
+
+def inserted(line):
+    return LINES[:K] + [line] + LINES[K:]
+
+
+def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
+    assert len(gr_text(LINES[:K])) > 3 * graphio._CHUNK
+    texts = [gr_text(LINES), "p ds 3 0\n", "p ds 0 0\n"]
+    # leading zeros on the first edge move every chunk boundary, so some
+    # line ends exactly at a boundary and others straddle one
+    texts += [gr_text(["0" * pad + LINES[0]] + LINES[1:]) for pad in range(12)]
+    texts += [gr_text(LINES, head=f"p\tx {BIG_N}  {len(LINES)} \n")]
+    want = [outcome(graphio._read_gr_lines, t) for t in texts]
+
+    def per_line(_stream):
+        raise AssertionError("per-line reader called on a canonical file")
+
+    monkeypatch.setattr(graphio, "_read_gr_lines", per_line)
+    assert [outcome(read_gr, t) for t in texts] == want
+    # a file opened by path reads CRLF line ends as newlines
+    crlf = tmp_path / "crlf.gr"
+    crlf.write_bytes(gr_text(LINES).replace("\n", "\r\n").encode())
+    g, _base = read_graph(str(crlf))
+    assert (g.n, g.m, g.adj, g.deg) == want[0]
+
+
+# Texts the bulk path must hand back to the per-line reader, or read alike
+NEAR_CANONICAL = {
+    "non-numeric-id": gr_text(replaced("1 x\n")),
+    "three-ids": gr_text(replaced("1 2 3\n")),
+    "one-id": gr_text(replaced("7\n")),
+    "one-id-after-a-space": gr_text(replaced(" 7\n")),
+    "one-id-before-a-space": gr_text(replaced("7 \n")),
+    # two one-id lines and one line too many: still 2m ids
+    "two-one-id-lines": gr_text(LINES[:K] + ["7 \n", " 8\n"] + LINES[K + 1:]),
+    "id-0": gr_text(replaced("0 1\n")),
+    "id-n-+-1-second": gr_text(replaced(f"1 {BIG_N + 1}\n")),
+    "id-n-+-1-first": gr_text(replaced(f"{BIG_N + 1} 1\n")),
+    "second-header": gr_text(inserted("p ds 5 5\n")),
+    "comment": gr_text(inserted("c a comment\n")),
+    "bare-comment": gr_text(inserted("c\n")),
+    "blank-line": gr_text(inserted("\n")),
+    "plus-sign": gr_text(replaced("+1 2\n")),
+    "underscore": gr_text(replaced("1_0 2\n")),
+    "full-width-digits": gr_text(replaced("１ ２\n")),
+    "tab": gr_text(replaced("1\t2\n")),
+    "two-spaces": gr_text(replaced("1  2\n")),
+    "leading-space": gr_text(replaced(" 1 2\n")),
+    "one-CRLF": gr_text(replaced("1 2\r\n")),
+    "form-feed": gr_text(replaced("1\x0c2\n")),
+    "vertical-tab": gr_text(replaced("1 2\x0b\n")),
+    "all-CRLF": gr_text([line.replace("\n", "\r\n") for line in LINES]),
+    "leading-zeros": gr_text(["00" + line for line in LINES]),
+    "no-final-newline": gr_text(LINES)[:-1],
+    "trailing-space": gr_text(LINES) + " ",
+    "trailing-blank-line": gr_text(LINES) + "\n",
+    "trailing-edge-without-newline": gr_text(LINES) + "1 2",
+    "one-edge-too-many": gr_text(LINES, m=len(LINES) - 1),
+    "one-edge-too-few": gr_text(LINES, m=len(LINES) + 1),
+    "last-edge-missing": gr_text(LINES[:-1]),
+    "header-n-with-plus": gr_text(LINES, head=f"p ds +{BIG_N} {len(LINES)}\n"),
+    "header-m-full-width": gr_text(LINES, head=f"p ds {BIG_N} ５\n"),
+    "header-n-superscript": gr_text(LINES, head=f"p ds ² {len(LINES)}\n"),
+    "header-n-too-small": gr_text(LINES, head=f"p ds {BIG_N - 1} {len(LINES)}\n"),
+    "header-of-five-tokens": gr_text(LINES, head=f"p ds {BIG_N} {len(LINES)} 0\n"),
+    "comment-first": "c first\n" + gr_text(LINES),
+    "header-joined-to-an-edge": gr_text(["1 2"] + LINES),
+}
+
+
+@pytest.mark.parametrize("text", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
+def test_read_gr_bulk_path_matches_per_line_reader(text):
+    assert outcome(read_gr, text) == outcome(graphio._read_gr_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (gr_text(replaced("1 x\n")), f"line {K + 2}: non-numeric endpoint"),
+        (gr_text(replaced("0 1\n")), f"line {K + 2}: vertex id outside 1..{BIG_N}"),
+        (gr_text(inserted("p ds 5 5\n")), f"line {K + 2}: duplicate header"),
+        (gr_text(LINES, m=len(LINES) - 1),
+         f"line {len(LINES) + 1}: more edges than the header declares"),
+        (gr_text(LINES, m=len(LINES) + 1),
+         f"truncated file: {len(LINES)} of {len(LINES) + 1} edges present"),
+    ],
+)
+def test_read_gr_reports_the_line_past_the_first_chunks(text, message):
+    with pytest.raises(FormatError) as exc:
+        read_gr(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+class CountedReads(io.StringIO):
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_read_gr_bulk_path_stops_at_the_first_chunk_past_m():
+    stream = CountedReads(gr_text(LINES, m=1))
+    with pytest.raises(FormatError, match="^line 3: more edges than the header declares$"):
+        read_gr(stream)
+    assert stream.reads == 1
+
+
+class Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def test_read_gr_reads_unseekable_streams_line_by_line(monkeypatch):
+    calls = []
+    real = graphio._read_gr_lines
+
+    def per_line(stream):
+        calls.append(stream)
+        return real(stream)
+
+    monkeypatch.setattr(graphio, "_read_gr_lines", per_line)
+    text = gr_text(LINES)
+    want = outcome(real, text)
+    g = read_gr(Unseekable(text))
+    assert (g.n, g.m, g.adj, g.deg) == want
+    assert len(calls) == 1
+
+
+def test_read_gr_reads_on_after_a_file_was_iterated(tmp_path):
+    # after next() a text file refuses tell(): the rest is read line by line
+    grf = tmp_path / "g.gr"
+    grf.write_text("c lead\n" + gr_text(LINES))
+    with open(grf) as fh:
+        next(fh)
+        g = read_gr(fh)
+    assert (g.n, g.m, g.adj, g.deg) == outcome(graphio._read_gr_lines, gr_text(LINES))
+
+
+def test_read_graph_reruns_a_file_from_its_start(tmp_path):
+    # a byte-order mark, universal newlines and a comment past the first
+    # chunks: the rerun must skip the mark again and see the same lines
+    grf = tmp_path / "g.gr"
+    lines = [line.replace("\n", "\r\n") for line in inserted("c note\n")]
+    grf.write_bytes(("\ufeff" + gr_text(lines)).encode("utf-8"))
+    got, base = read_graph(str(grf))
+    want = graphio._read_gr_lines(io.StringIO(gr_text(inserted("c note\n"))))
+    assert base == 1 and (got.n, got.m, got.adj) == (want.n, want.m, want.adj)

@@ -93,6 +93,10 @@ def test_gamma_identity_on_drawn_annotated_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     from test_properties import annotated_graphs
 
+    # A derandomized run draws from a digest of the test's source, so any
+    # edit to it would redraw the examples (and their solve times, which
+    # range over 0.7-16 s); the seed takes precedence and pins them.
+    @hypothesis.seed(1)
     @hypothesis.settings(
         max_examples=20, deadline=None, derandomize=True, database=None
     )

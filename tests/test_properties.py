@@ -6,7 +6,9 @@ vertices at average degree 2-6, or are paths and trees with a hub
 attached, with given covered and fixed masks and round caps.  The
 pipeline is checked against the direct definition on annotated states
 of up to 150 vertices.  The instance and sidecar readers are fed line
-soup.  Runs are derandomized, so every run draws the same cases.
+soup, and the bulk .gr path is held to the per-line reader on it and
+on near-canonical files.  Runs are derandomized, so every run draws
+the same cases.
 """
 
 import io
@@ -18,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from conftest import annotated, prepared, read_sidecar  # noqa: E402
+from dsreduce import graphio  # noqa: E402
 from dsreduce.graphio import (  # noqa: E402
     FormatError,
     read_edge_list,
@@ -27,6 +30,7 @@ from dsreduce.generators import path  # noqa: E402
 from dsreduce.oracle import check_graph, suitable_set_direct  # noqa: E402
 from dsreduce.pipeline import suitable_set  # noqa: E402
 from dsreduce.state import ReductionState  # noqa: E402
+from test_graphio import outcome  # noqa: E402
 from test_iterate import (  # noqa: E402
     VARIANTS,
     check_same,
@@ -180,3 +184,42 @@ def test_readers_return_or_raise_format_error(text):
         read_sidecar(io.StringIO(text))
     except FormatError:
         pass
+
+
+@st.composite
+def near_canonical_gr(draw):
+    """A header and edge lines as the bulk path takes them, with up to
+    two flaws: a soup line, an id out of range or another line end in
+    place of an edge line.  The edge count is sometimes off by one, and
+    the last newline sometimes missing."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(1, n).map(str)
+    lines = [f"{draw(ids)} {draw(ids)}\n" for _ in range(draw(st.integers(0, 30)))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if lines else 0):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.one_of(
+            st.lists(st.one_of(_NUMBERS, _WORDS), max_size=3).map(" ".join),
+            st.sampled_from(["0", "01", str(n + 1)]).map(lambda v: f"{v} 1"),
+            st.just(lines[at][:-1]),
+        )) + draw(_ENDS)
+    m = len(lines) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    text = f"p ds {n} {max(m, 0)}\n" + "".join(lines)
+    return text[:-1] if draw(st.integers(0, 9)) == 0 else text
+
+
+@hypothesis.settings(
+    max_examples=300, deadline=None, derandomize=True, database=None
+)
+@hypothesis.given(
+    st.one_of(line_soup(), near_canonical_gr()),
+    st.sampled_from([4, 8, 16, 64, graphio._CHUNK]),
+)
+def test_read_gr_bulk_path_matches_per_line_reader_on_soup(text, chunk):
+    # small chunks put the lines across chunk boundaries
+    want = outcome(graphio._read_gr_lines, text)
+    saved = graphio._CHUNK
+    graphio._CHUNK = chunk
+    try:
+        assert outcome(read_gr, text) == want
+    finally:
+        graphio._CHUNK = saved
