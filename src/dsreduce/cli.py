@@ -135,15 +135,22 @@ def _report_row(path: str, rule: str, **columns) -> dict:
 
 
 def _reduce_file(
-    path: str, rule, *, iterate=False, max_rounds=None, fix_isolated=False
+    path: str,
+    rule,
+    *,
+    iterate=False,
+    max_rounds=None,
+    fix_isolated=False,
+    compacted=True,
 ):
     """Read, reduce and export one instance file.
 
     ``rule`` None only exports.  Returns the file's id base, the final
     state (its ``g`` is the input graph), the residual and the report
-    row.  An iterated reduction runs to its fixed point unless
-    ``max_rounds`` is given; when that cap stops it while it was still
-    changing, one note goes to stderr.
+    row.  With ``compacted`` false the residual is None and the stripped
+    state's alive vertices stand for it.  An iterated reduction runs to
+    its fixed point unless ``max_rounds`` is given; when that cap stops
+    it while it was still changing, one note goes to stderr.
     """
     t0 = time.perf_counter()
     g, base = read_graph(path)
@@ -159,7 +166,7 @@ def _reduce_file(
         rep = reduce_once(state, Variant(rule))
     if fix_isolated:
         fix_isolated_uncovered(state)
-    comp, strips, dropped = export_residual(state)
+    comp, strips, dropped = export_residual(state, compacted=compacted)
     time_reduce = time.perf_counter() - t1
     if not rep.converged:
         print(
@@ -183,10 +190,11 @@ def _reduce_file(
     return base, state, comp, row
 
 
-def _write_instance(g, path: str) -> None:
-    """Write ``g`` in the id base its file extension calls for."""
+def _write_instance(g, path: str, alive=None) -> None:
+    """Write ``g`` (its ``alive`` vertices alone, if given) in the id base
+    its file extension calls for."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_gr(g, fh, base=id_base(path))
+        write_gr(g, fh, base=id_base(path), alive=alive)
 
 
 def _cmd_reduce(args, parser) -> int:
@@ -197,33 +205,38 @@ def _cmd_reduce(args, parser) -> int:
     if args.max_rounds is not None and args.max_rounds < 1:
         parser.error("--max-rounds must be at least 1")
 
-    base, state, comp, row = _reduce_file(
+    # the residual is written from the stripped state: its alive vertices,
+    # renumbered in order
+    base, state, _comp, row = _reduce_file(
         args.instance,
         args.rule,
         iterate=args.iterate,
         max_rounds=args.max_rounds,
         fix_isolated=args.fix_isolated,
+        compacted=False,
     )
+    alive = state.alive
     res_base = id_base(args.out) if args.out else 1
     if args.out:
-        _write_instance(comp.graph, args.out)
+        _write_instance(state, args.out, alive)
+    old_ids = list(compress(range(base, base + state.n), alive))
     if args.sidecar:
-        old_ids = [v + base for v in comp.new_to_old]
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             write_sidecar(
                 fh,
                 fixed=[v + base for v in state.fixed.sorted()],
-                covered=compress(old_ids, comp.covered),
+                covered=compress(old_ids, compress(state.covered, alive)),
                 mapping=zip(range(res_base, res_base + len(old_ids)), old_ids),
             )
     if args.report:
         with open(args.report, "w", encoding="utf-8", newline="") as fh:
             write_report_csv([row], fh)
 
+    residual_m = sum(compress(state.deg, alive)) // 2
     print(
         f"fixed={row['fixed']} removed_nodes={row['removed_nodes']} "
         f"removed_edges={row['removed_edges']} rounds={row['rounds']} "
-        f"residual_n={comp.graph.n} residual_m={comp.graph.m}"
+        f"residual_n={len(old_ids)} residual_m={residual_m}"
     )
     return 0
 

@@ -10,6 +10,8 @@ ids back to users.
 from __future__ import annotations
 
 import csv
+import json
+from itertools import accumulate, compress
 from typing import IO, Iterable, Iterator, Optional
 
 from .graph import Graph, load_check
@@ -49,6 +51,7 @@ def _header(tok: list[str], lineno: int) -> tuple[int, int]:
 # .gr bulk path: text is read in chunks of at most _CHUNK characters
 _CHUNK = 16384
 _NO_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def read_gr(stream: IO[str]) -> Graph:
@@ -79,7 +82,10 @@ def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
     ids in 1..n joined by one space, each ending in a newline.  Each
     chunk is cut after its last newline (the rest carries over) and
     checked with C-level calls: deleting the digits must leave one
-    ``" \\n"`` per line, and the chunk must split into two ids per line.
+    ``" \\n"`` per line.  Its ids are then parsed in one JSON scan, as
+    the array the chunk is with spaces and newlines made commas; a chunk
+    JSON refuses (an empty id, or leading zeros such as ``007``) is split
+    and parsed with ``int`` instead, and must hold two ids per line.
     Ids map through one table, so all adjacency entries naming a vertex
     are the same int object; the table follows the ids in the file, so a
     header's n alone allocates nothing here.
@@ -108,7 +114,10 @@ def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
         lines = text.count("\n")
         if text.translate(_NO_DIGITS) != " \n" * lines:
             return None
-        vals = list(map(int, text.split()))
+        try:
+            vals = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
+        except ValueError:  # an empty id, or one JSON refuses, such as 007
+            vals = list(map(int, text.split()))
         if len(vals) != 2 * lines:
             return None
         top = max(vals)
@@ -215,11 +224,34 @@ def read_graph(path: str) -> tuple[Graph, int]:
         return (read_gr(fh) if base else read_edge_list(fh)), base
 
 
-def write_gr(g: Graph, stream: IO[str], base: int = 1) -> None:
-    """Header and one edge per line; ``base=0`` gives the .el id space."""
-    name = [str(i + base) for i in range(g.n)]
-    lines = [f"{name[u]} {name[v]}\n" for u, a in enumerate(g.adj) for v in a if v > u]
-    stream.write(f"p ds {g.n} {g.m}\n")
+def write_gr(
+    g: Graph, stream: IO[str], base: int = 1, alive: Optional[bytearray] = None
+) -> None:
+    """Header and one edge per line; ``base=0`` gives the .el id space.
+
+    ``alive``, one flag per vertex of ``g``, writes only the alive
+    vertices, renumbered in order from ``base``, and skips list entries
+    naming a dead vertex.  So ``g`` may be a stripped ``ReductionState``,
+    and the text is that of ``compact(g).graph`` with nothing rebuilt.
+    """
+    adj = g.adj
+    if alive is None or 0 not in alive:
+        n = g.n
+        name = list(map(str, range(base, base + n)))
+        lines = [f"{name[u]} {name[v]}\n" for u, a in enumerate(adj) for v in a if v > u]
+    else:
+        n = alive.count(1)
+        # the alive vertices up to u, less one, is u's new id; a dead
+        # vertex shares a name it never uses, so only residual ids get one
+        ids = list(map(str, range(base - 1, base + n)))
+        name = list(map(ids.__getitem__, accumulate(alive)))
+        lines = [
+            f"{name[u]} {name[v]}\n"
+            for u in compress(range(g.n), alive)
+            for v in adj[u]
+            if v > u and alive[v]
+        ]
+    stream.write(f"p ds {n} {len(lines)}\n")
     stream.write("".join(lines))
 
 

@@ -454,7 +454,10 @@ def reduce_iterate(
             died = committed + [w for rho in refs for w in adj[rho] if not alive[w]]
             touched = dict.fromkeys(w for v in died for w in adj[v])
             strips, dropped = _strip_committed(
-                state, committed, range(state.n) if first else touched
+                state,
+                committed,
+                # only covered vertices can be dropped; the order stays ascending
+                compress(range(state.n), state.covered) if first else touched,
             )
             removed_edges += strips
             removed_all += dropped
@@ -604,15 +607,19 @@ def _strip_committed(
     return strips, dropped
 
 
-def export_residual(state: ReductionState) -> tuple[CompactResult, int, list[int]]:
+def export_residual(
+    state: ReductionState, *, compacted: bool = True
+) -> tuple[Optional[CompactResult], int, list[int]]:
     """Strip committed vertices out of ``state`` and compact the rest.
 
     Returns the compact result, the number of live edges that were still
     pending around committed vertices (now counted as removed), and the
     covered vertices dropped because stripping isolated them.  Mutates
-    ``state``; pass a copy to keep the original.
+    ``state``; pass a copy to keep the original.  With ``compacted``
+    false nothing is rebuilt and the result is None: the stripped state's
+    alive vertices are the residual, as ``graphio.write_gr`` writes it.
     """
     # only covered vertices can be dropped; compress keeps ascending order
     near = compress(range(state.n), state.covered)
     strips, dropped = _strip_committed(state, state.fixed, near)
-    return compact(state), strips, dropped
+    return (compact(state) if compacted else None), strips, dropped

@@ -109,11 +109,12 @@ def compact(state: ReductionState) -> CompactResult:
     """Rebuild the live part of ``state`` as a fresh 0-based graph.
 
     ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed ids
-    are carried across in the new numbering.  ``old_to_new`` is monotone,
-    so each filtered adjacency list comes out sorted without a sort.  When
-    every vertex is alive both maps are the identity, and the new graph
-    shares the state's lists; lists are never mutated in place, so that is
-    safe.
+    are carried across in the new numbering.  Each alive list is mapped
+    whole, and only a list that names a dead vertex (mapped to -1) is
+    filtered.  ``old_to_new`` is monotone, so each list comes out sorted
+    without a sort.  When every vertex is alive both maps are the
+    identity, and the new graph shares the state's lists; lists are never
+    mutated in place, so that is safe.
     """
     alive = state.alive
     sadj = state.adj
@@ -126,7 +127,11 @@ def compact(state: ReductionState) -> CompactResult:
     new_to_old = list(compress(range(state.n), alive))
     for i, u in enumerate(new_to_old):
         old_to_new[u] = i
-    adj = [[old_to_new[v] for v in sadj[u] if alive[v]] for u in new_to_old]
+    new_id = old_to_new.__getitem__
+    adj = [list(map(new_id, sadj[u])) for u in new_to_old]
+    for i, a in enumerate(adj):
+        if -1 in a:  # the list still names a dead vertex
+            adj[i] = [v for v in a if v >= 0]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))
     fixed = [old_to_new[f] for f in state.fixed if alive[f]]

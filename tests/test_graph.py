@@ -219,3 +219,24 @@ def test_compact_roundtrip_random():
         assert sorted(comp.graph.edges()) == [
             (min(a, b), max(a, b)) for a, b in expect
         ]
+
+
+def test_compact_filters_alive_lists_that_name_dead_vertices():
+    # one non-iterated round deletes vertices and leaves them in the lists
+    # of their alive neighbors; compact drops exactly those entries
+    from dsreduce.reducer import Variant, reduce_once
+
+    stale = 0
+    for g in random_graphs(30, (6, 40), [0.1, 0.2], seed_base=90):
+        st = ReductionState(g)
+        reduce_once(st, Variant.LINEAR)
+        alive = st.alive
+        stale += any(not alive[v] for u in range(g.n) if alive[u] for v in st.adj[u])
+        comp = compact(st)
+        check_graph(comp.graph)
+        expect = [
+            [comp.old_to_new[v] for v in st.adj[u] if alive[v]]
+            for u in comp.new_to_old
+        ]
+        assert comp.graph.adj == expect
+    assert stale

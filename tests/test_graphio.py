@@ -355,6 +355,8 @@ def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     # line ends exactly at a boundary and others straddle one
     texts += [gr_text(["0" * pad + LINES[0]] + LINES[1:]) for pad in range(12)]
     texts += [gr_text(LINES, head=f"p\tx {BIG_N}  {len(LINES)} \n")]
+    # JSON refuses leading zeros: a middle chunk is split and parsed by int()
+    texts += [gr_text(replaced("00" + LINES[K]))]
     want = [outcome(graphio._read_gr_lines, t) for t in texts]
 
     def per_line(_stream):
@@ -396,6 +398,7 @@ NEAR_CANONICAL = {
     "vertical-tab": gr_text(replaced("1 2\x0b\n")),
     "all-CRLF": gr_text([line.replace("\n", "\r\n") for line in LINES]),
     "leading-zeros": gr_text(["00" + line for line in LINES]),
+    "leading-zeros-past-the-third-chunk": gr_text(replaced("00" + LINES[K])),
     "no-final-newline": gr_text(LINES)[:-1],
     "trailing-space": gr_text(LINES) + " ",
     "trailing-blank-line": gr_text(LINES) + "\n",

@@ -1,0 +1,155 @@
+"""``reduce`` writes its residual straight from the stripped state.
+
+``graphio.write_gr`` with ``alive`` reads the state's lists through the
+id map and builds no residual graph.  These tests hold its text, and the
+sidecar ``reduce`` writes, byte for byte to the export through
+``compact``: ``write_gr(compact(state).graph)`` and the sidecar sections
+built from that compact result.
+"""
+
+import io
+import random
+from itertools import compress
+
+import pytest
+
+import dsreduce.reducer as reducer
+from conftest import annotated, random_graphs
+from dsreduce.cli import main
+from dsreduce.generators import gnp
+from dsreduce.graphio import id_base, read_graph, write_gr, write_sidecar
+from dsreduce.oracle import copy_state
+from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
+from dsreduce.state import ReductionState
+
+# (rule, --iterate) for every rule, and both iterated ones
+RUNS = [
+    ("naive", False),
+    ("linear", False),
+    ("plus", False),
+    ("extra", False),
+    ("plus", True),
+    ("extra", True),
+]
+RUN_IDS = [rule + ("-iterate" if it else "") for rule, it in RUNS]
+
+
+def reduced(state, rule, iterate):
+    if iterate:
+        reduce_iterate(state, Variant(rule))
+    else:
+        reduce_once(state, Variant(rule))
+    return state
+
+
+def gr_text(g, base, alive=None):
+    buf = io.StringIO()
+    write_gr(g, buf, base=base, alive=alive)
+    return buf.getvalue()
+
+
+def compacted_sidecar(state, comp, base, res_base):
+    """The sidecar built from a compact result, ids in the file's base."""
+    old_ids = [v + base for v in comp.new_to_old]
+    buf = io.StringIO()
+    write_sidecar(
+        buf,
+        fixed=[v + base for v in state.fixed.sorted()],
+        covered=compress(old_ids, comp.covered),
+        mapping=zip(range(res_base, res_base + len(old_ids)), old_ids),
+    )
+    return buf.getvalue()
+
+
+def names_dead(state):
+    """Whether some alive vertex's list still names a dead vertex."""
+    alive = state.alive
+    return any(
+        not alive[v] for u in compress(range(state.n), alive) for v in state.adj[u]
+    )
+
+
+def states(rule):
+    """Fresh states of G(n, p) graphs and, except for naive (which takes
+    no covered flag), the same graphs under random covered and fixed masks."""
+    rng = random.Random(5)
+    for g in random_graphs(16, (8, 60), [0.04, 0.08, 0.15, 0.3], seed_base=500):
+        yield ReductionState(g)
+        if rule != "naive":
+            covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
+            fixed = [rng.random() < 0.1 for _ in range(g.n)]
+            yield annotated(g, covered, fixed)
+
+
+@pytest.mark.parametrize("rule, iterate", RUNS, ids=RUN_IDS)
+def test_state_writer_matches_the_compacted_graph(rule, iterate):
+    skips = 0
+    for st in states(rule):
+        old = reduced(copy_state(st), rule, iterate)
+        comp, strips, dropped = export_residual(old)
+        got = export_residual(reduced(st, rule, iterate), compacted=False)
+        assert got == (None, strips, dropped)
+        skips += names_dead(st)
+        for base in (0, 1):
+            assert gr_text(st, base, st.alive) == gr_text(comp.graph, base)
+        assert st.alive.count(1) == comp.graph.n
+        assert sum(compress(st.deg, st.alive)) // 2 == comp.graph.m
+    if not iterate:
+        # lists naming dead vertices were written, so the skip is pinned
+        assert skips
+
+
+@pytest.mark.parametrize("rule, iterate", RUNS, ids=RUN_IDS)
+def test_reduce_writes_the_compacted_residual_byte_for_byte(
+    rule, iterate, tmp_path, capsys
+):
+    flags = ["--iterate"] if iterate else []
+    for i, p in enumerate([0.03, 0.05, 0.08, 0.12, 0.2] * 2):
+        inst = str(tmp_path / f"g{i}.gr")
+        with open(inst, "w") as fh:
+            write_gr(gnp(60, p, 700 + i), fh)
+        g, base = read_graph(inst)
+        st = reduced(ReductionState(g), rule, iterate)
+        comp, _strips, _dropped = export_residual(st)
+        for ext in (".gr", ".el"):
+            out = str(tmp_path / f"r{i}{ext}")
+            side = str(tmp_path / f"r{i}.side")
+            assert main(["reduce", inst, "--rule", rule, *flags,
+                         "--out", out, "--sidecar", side]) == 0
+            stdout = capsys.readouterr().out
+            res_base = id_base(out)
+            with open(out) as fh:
+                assert fh.read() == gr_text(comp.graph, res_base)
+            with open(side) as fh:
+                assert fh.read() == compacted_sidecar(st, comp, base, res_base)
+            assert stdout.endswith(
+                f" residual_n={comp.graph.n} residual_m={comp.graph.m}\n"
+            )
+
+
+def test_reduce_builds_no_residual_graph(tmp_path, capsys, monkeypatch):
+    inst = str(tmp_path / "g.gr")
+    with open(inst, "w") as fh:
+        write_gr(gnp(80, 0.05, 3), fh)
+    files = [str(tmp_path / name) for name in ("r.gr", "r.side", "r.csv")]
+    argv = ["reduce", inst, "--rule", "extra", "--iterate", "--out", files[0],
+            "--sidecar", files[1], "--report", files[2]]
+    assert main(argv) == 0
+    want = [capsys.readouterr().out]
+    for f in files[:2]:
+        with open(f) as fh:
+            want.append(fh.read())
+
+    def no_compact(_state):
+        raise AssertionError("compact called")
+
+    monkeypatch.setattr(reducer, "compact", no_compact)
+    assert main(argv) == 0
+    got = [capsys.readouterr().out]
+    for f in files[:2]:
+        with open(f) as fh:
+            got.append(fh.read())
+    assert got == want
+    # greedy still compacts, through the same name
+    with pytest.raises(AssertionError, match="compact called"):
+        main(["greedy", inst, "--after", "extra", "--iterate"])
