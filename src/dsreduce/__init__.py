@@ -7,7 +7,7 @@ the graph and state invariant checkers and the state copy live in
 ``dsreduce.oracle``, which nothing here imports.
 """
 
-from .graph import AnnotatedInstance, Graph, VertexSet, load_check
+from .graph import Graph, VertexSet, load_check
 from .graphio import FormatError, read_graph, write_gr
 from .greedy import TieBreaker, greedy, greedy_best_of
 from .pipeline import RelationSet, WorkCounter, suitable_set
@@ -24,7 +24,6 @@ from .state import ReductionState, compact
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedInstance",
     "FormatError",
     "Graph",
     "ReductionReport",

@@ -24,7 +24,7 @@ from .generators import (
     path,
     star,
 )
-from .graph import AnnotatedInstance, first_undominated
+from .graph import first_undominated
 from .graphio import (
     REPORT_FIELDS,
     FormatError,
@@ -141,14 +141,12 @@ def _reduce_file(
     iterate=False,
     max_rounds=None,
     fix_isolated=False,
-    compacted=True,
 ):
     """Read, reduce and export one instance file.
 
     ``rule`` None only exports.  Returns the file's id base, the final
-    state (its ``g`` is the input graph), the residual and the report
-    row.  With ``compacted`` false the residual is None and the stripped
-    state's alive vertices stand for it.  An iterated reduction runs to
+    state (its ``g`` is the input graph, its alive vertices are the
+    residual) and the report row.  An iterated reduction runs to
     its fixed point unless ``max_rounds`` is given; when that cap stops
     it while it was still changing, one note goes to stderr.
     """
@@ -166,7 +164,7 @@ def _reduce_file(
         rep = reduce_once(state, Variant(rule))
     if fix_isolated:
         fix_isolated_uncovered(state)
-    comp, strips, dropped = export_residual(state, compacted=compacted)
+    strips, dropped = export_residual(state)
     time_reduce = time.perf_counter() - t1
     if not rep.converged:
         print(
@@ -187,7 +185,7 @@ def _reduce_file(
         time_build_ms=round(time_build * 1000, 3),
         time_reduce_ms=round(time_reduce * 1000, 3),
     )
-    return base, state, comp, row
+    return base, state, row
 
 
 def _write_instance(g, path: str, alive=None) -> None:
@@ -207,13 +205,12 @@ def _cmd_reduce(args, parser) -> int:
 
     # the residual is written from the stripped state: its alive vertices,
     # renumbered in order
-    base, state, _comp, row = _reduce_file(
+    base, state, row = _reduce_file(
         args.instance,
         args.rule,
         iterate=args.iterate,
         max_rounds=args.max_rounds,
         fix_isolated=args.fix_isolated,
-        compacted=False,
     )
     alive = state.alive
     res_base = id_base(args.out) if args.out else 1
@@ -247,15 +244,14 @@ def _cmd_greedy(args, parser) -> int:
     if args.iterate and args.after not in ITERATED_RULES:
         parser.error("--iterate requires --after plus or extra")
 
-    base, state, comp, _row = _reduce_file(
+    base, state, _row = _reduce_file(
         args.instance,
         None if args.after == "none" else args.after,
         iterate=args.iterate,
     )
 
-    inst = AnnotatedInstance(comp.graph, comp.covered)
-    best = greedy_best_of(inst, default_seed_list(args.seed, args.runs))
-    solution = sorted(set(state.fixed) | {comp.new_to_old[v] for v in best})
+    best = greedy_best_of(state, default_seed_list(args.seed, args.runs))
+    solution = sorted({*state.fixed, *best})
 
     bad = first_undominated(state.g, solution)
     if bad >= 0:

@@ -1,4 +1,4 @@
-"""Static graph container, annotated instances and vertex-set helpers.
+"""Static graph container, the domination check and vertex-set helpers.
 
 Graphs are simple and undirected.  Vertices are the integers ``0..n-1``.
 ``load_check`` builds the adjacency lists in one pass over the edges and
@@ -10,7 +10,6 @@ residual graph may share lists with the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
@@ -94,14 +93,6 @@ def load_check(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         for a in adj:
             a.sort()
     return Graph(n, adj, entries // 2)
-
-
-@dataclass
-class AnnotatedInstance:
-    """A graph plus a flag per vertex saying it is already dominated."""
-
-    graph: Graph
-    covered: bytearray
 
 
 def first_undominated(

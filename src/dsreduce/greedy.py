@@ -8,6 +8,13 @@ seed.  The permutation for a seed is the one
 by ``TieBreaker.from_seed``; ``tests/test_greedy.py`` pins the two
 together.
 
+A run reads a ``ReductionState`` in the input's ids: a vertex needs
+domination when it is alive and not covered, and only alive vertices are
+picked.  The permutation ranks the alive vertices alone, in ascending id
+order, because that order is the residual file's numbering
+(``reduce --out``): a seed picks the same vertices on the state as on
+that residual read back.
+
 Merits are kept exact eagerly: when a vertex w becomes dominated,
 ``merit[w]`` and ``merit[x]`` for every neighbor x drop by one, which is
 O(n + m) over a whole run.  Entries are bucketed by merit level:
@@ -37,11 +44,9 @@ from __future__ import annotations
 
 import random
 from itertools import compress
+from operator import add, and_, gt
 
-from .graph import AnnotatedInstance, VertexSet
-
-# byte -> 1 if it means "not covered", else 0
-_NEEDY = bytes([1] + [0] * 255)
+from .state import ReductionState
 
 
 class TieBreaker:
@@ -99,36 +104,41 @@ def default_seed_list(master: int, count: int = 10) -> list[int]:
     return [rng.randrange(1 << 32) for _ in range(count)]
 
 
-def _start(inst: AnnotatedInstance) -> tuple[bytearray, list[int], int]:
-    """Seed-independent start of a run: need flags, merits, needy count."""
-    g = inst.graph
-    adj = g.adj
-    need = bytearray(inst.covered).translate(_NEEDY)
-    # merit = |N[v]| - |N[v] & covered|: only covered vertices' lists are read
-    merit = [d + 1 for d in g.deg]
-    for v in compress(range(g.n), inst.covered):
+def _start(
+    state: ReductionState,
+) -> tuple[bytearray, list[int], int, list[int]]:
+    """Seed-independent start of a run: need flags, merits, needy count
+    and the alive vertices in ascending order."""
+    alive = state.alive
+    adj = state.adj
+    need = bytearray(map(gt, alive, state.covered))  # alive and not covered
+    # merit = |N[v] & needy|: the live degree plus one, less the alive
+    # covered vertices in N[v].  A dead vertex's list may be stale, so only
+    # alive lists are read; dead vertices' merits are never read.
+    merit = list(map(add, state.deg, alive))
+    for v in compress(range(state.n), map(and_, alive, state.covered)):
         merit[v] -= 1
         for w in adj[v]:
             merit[w] -= 1
-    return need, merit, need.count(1)
+    return need, merit, need.count(1), list(compress(range(state.n), alive))
 
 
-def greedy(inst: AnnotatedInstance, tb: TieBreaker, *, _shared=None) -> VertexSet:
-    """Pick highest-merit vertices until every needy vertex is dominated.
+def greedy(state: ReductionState, tb: TieBreaker, *, _shared=None) -> list[int]:
+    """Pick highest-merit alive vertices until every alive uncovered
+    vertex is dominated; returns the picks in pick order.
 
-    ``_shared`` is a ``_start(inst)`` result reused across seeded runs;
-    it is copied, never changed.
+    ``tb`` ranks the alive vertices in ascending id order: its entry i is
+    the i-th alive vertex.  ``_shared`` is a ``_start(state)`` result
+    reused across seeded runs; it is copied, never changed.
     """
-    g = inst.graph
-    n = g.n
-    adj = g.adj
-    need, merit, remaining = _start(inst) if _shared is None else _shared
-    out = VertexSet(n)
+    adj = state.adj
+    need, merit, remaining, ids = _start(state) if _shared is None else _shared
+    out: list[int] = []
     if remaining == 0:
         return out
     need = bytearray(need)
     merit = list(merit)
-    vertex_of = tb.vertex_of
+    vertex_of = list(map(ids.__getitem__, tb.vertex_of))
 
     top = max(merit)
     # walking priorities upward leaves every level sorted
@@ -151,7 +161,7 @@ def greedy(inst: AnnotatedInstance, tb: TieBreaker, *, _shared=None) -> VertexSe
             if cur:
                 levels[cur].append(p)
             continue
-        out.add(v)
+        out.append(v)
         for w in (v, *adj[v]):
             if need[w]:
                 need[w] = 0
@@ -162,14 +172,15 @@ def greedy(inst: AnnotatedInstance, tb: TieBreaker, *, _shared=None) -> VertexSe
     return out
 
 
-def greedy_best_of(inst: AnnotatedInstance, seeds: list[int]) -> VertexSet:
+def greedy_best_of(state: ReductionState, seeds: list[int]) -> list[int]:
     """Smallest result over the seed list; earlier seed wins ties."""
     if not seeds:
         raise ValueError("at least one seed is required")
-    shared = _start(inst)
+    shared = _start(state)
+    alive = state.alive.count(1)
     best = None
     for s in seeds:
-        got = greedy(inst, TieBreaker.from_seed(inst.graph.n, s), _shared=shared)
+        got = greedy(state, TieBreaker.from_seed(alive, s), _shared=shared)
         if best is None or len(got) < len(best):
             best = got
     return best

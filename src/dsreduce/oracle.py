@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .graph import AnnotatedInstance, Graph, VertexSet
+from .graph import Graph, VertexSet
 from .greedy import TieBreaker
 from .pipeline import RelationSet, WorkCounter, canonical_reference
 from .reducer import (
@@ -27,7 +27,7 @@ from .reducer import (
     export_residual,
     reduce_once,
 )
-from .state import ReductionState
+from .state import ReductionState, compact
 
 EXACT_LIMIT = 24
 
@@ -208,14 +208,13 @@ def exhaustive_original_rule1(g: Graph) -> tuple[list[int], list[int]]:
             return fixed, removed
 
 
-def exact_annotated_gamma(inst: AnnotatedInstance) -> tuple[int, list[int]]:
-    """Minimum set dominating every vertex that still needs it.
+def exact_annotated_gamma(g: Graph, covered: bytearray) -> tuple[int, list[int]]:
+    """Minimum set dominating every vertex of ``g`` not ``covered``.
 
     Branch and bound over bitmasks: pick the needy vertex with the
     fewest closed neighbors, try each of them as the next pick.  Only
     meant for tiny instances; refuses anything above EXACT_LIMIT.
     """
-    g = inst.graph
     n = g.n
     if n > EXACT_LIMIT:
         raise ValueError(f"instance too large for exact search: n={n} > {EXACT_LIMIT}")
@@ -231,7 +230,7 @@ def exact_annotated_gamma(inst: AnnotatedInstance) -> tuple[int, list[int]]:
 
     need0 = 0
     for v in range(n):
-        if not inst.covered[v]:
+        if not covered[v]:
             need0 |= 1 << v
     if need0 == 0:
         return 0, []
@@ -345,7 +344,8 @@ def reduce_iterate_reference(
 
         t0 = time.perf_counter()
         committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
-        comp, strips, dropped = export_residual(cur_state)
+        strips, dropped = export_residual(cur_state)
+        comp = compact(cur_state)
         removed_edges += strips
         for rho in committed:
             state.delete_node(cur_to_orig[rho])
@@ -374,19 +374,20 @@ def reduce_iterate_reference(
     return rep
 
 
-def greedy_reference(inst: AnnotatedInstance, tb: TieBreaker) -> VertexSet:
-    """Pick highest-merit vertices until every needy vertex is dominated.
+def greedy_reference(g: Graph, covered: bytearray, tb: TieBreaker) -> list[int]:
+    """Pick highest-merit vertices until every vertex of ``g`` not
+    ``covered`` is dominated; returns the picks in pick order.
 
-    The greedy before eager merit counts: merit is recomputed by a
-    neighbor scan on every pop, and a stale entry is pushed back.
+    The greedy before eager merit counts, on a whole graph: merit is
+    recomputed by a neighbor scan on every pop, and a stale entry is
+    pushed back.
     """
-    g = inst.graph
     n = g.n
     adj = g.adj
     pri = tb.priority
-    need = bytearray(1 if not c else 0 for c in inst.covered)
+    need = bytearray(1 if not c else 0 for c in covered)
     remaining = sum(need)
-    out = VertexSet(n)
+    out: list[int] = []
     if remaining == 0:
         return out
 
@@ -405,7 +406,7 @@ def greedy_reference(inst: AnnotatedInstance, tb: TieBreaker) -> VertexSet:
         if merit != -negm:
             heappush(heap, (-merit, negp, v))
             continue
-        out.add(v)
+        out.append(v)
         if need[v]:
             need[v] = 0
             remaining -= 1

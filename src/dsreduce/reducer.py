@@ -20,7 +20,8 @@ from typing import Iterable, Optional
 # there (a tracer, a test) sees every call.
 from . import pipeline
 from .pipeline import RelationSet, WorkCounter, ball, canonical_reference, suitable_set
-from .state import CompactResult, ReductionState, compact
+# nothing here calls ``compact``; perfbench/spans.py wraps ``reducer.compact``
+from .state import ReductionState, compact  # noqa: F401
 
 # Rounds after the first test only the witnesses within this many edges of
 # the round's seeds, the dirty and the re-evaluated vertices;
@@ -607,19 +608,15 @@ def _strip_committed(
     return strips, dropped
 
 
-def export_residual(
-    state: ReductionState, *, compacted: bool = True
-) -> tuple[Optional[CompactResult], int, list[int]]:
-    """Strip committed vertices out of ``state`` and compact the rest.
+def export_residual(state: ReductionState) -> tuple[int, list[int]]:
+    """Strip committed vertices out of ``state``; its alive vertices are
+    then the residual, as ``graphio.write_gr`` writes it.
 
-    Returns the compact result, the number of live edges that were still
-    pending around committed vertices (now counted as removed), and the
-    covered vertices dropped because stripping isolated them.  Mutates
-    ``state``; pass a copy to keep the original.  With ``compacted``
-    false nothing is rebuilt and the result is None: the stripped state's
-    alive vertices are the residual, as ``graphio.write_gr`` writes it.
+    Returns the number of live edges that were still pending around
+    committed vertices (now counted as removed) and the covered vertices
+    dropped because stripping isolated them.  Mutates ``state``; pass a
+    copy to keep the original.
     """
     # only covered vertices can be dropped; compress keeps ascending order
     near = compress(range(state.n), state.covered)
-    strips, dropped = _strip_committed(state, state.fixed, near)
-    return (compact(state) if compacted else None), strips, dropped
+    return _strip_committed(state, state.fixed, near)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dsreduce.graph import AnnotatedInstance, Graph, load_check
+from dsreduce.graph import Graph, load_check
 from dsreduce.graphio import sidecar_lines
 from dsreduce.state import ReductionState
 
@@ -11,9 +11,9 @@ def build(n, edges) -> Graph:
     return load_check(n, edges)
 
 
-def fresh(g) -> AnnotatedInstance:
-    """``g`` with no vertex covered."""
-    return AnnotatedInstance(g, bytearray(g.n))
+def fresh(g) -> ReductionState:
+    """A state of ``g`` with no vertex covered."""
+    return ReductionState(g)
 
 
 def edge_alive(st, u, v) -> bool:

@@ -22,7 +22,6 @@ from dsreduce.generators import barbell_cycle, fig4_family, gadget_path, gnp
 from dsreduce.graphio import write_gr, write_sidecar
 from dsreduce.greedy import default_seed_list, greedy_best_of
 from dsreduce.oracle import (
-    AnnotatedInstance,
     exact_annotated_gamma,
     state_consistent,
     suitable_set_direct,
@@ -42,7 +41,7 @@ from dsreduce.reducer import (
     reduce_iterate,
     reduce_once,
 )
-from dsreduce.state import ReductionState
+from dsreduce.state import ReductionState, compact
 
 GAMMA_PS = [0.1, 0.25, 0.5, 0.75, 0.9]
 
@@ -82,7 +81,7 @@ def gamma_runs():
     records = []
     t0 = time.perf_counter()
     for seed, g in _corpus(300, 2000, (2, 14), GAMMA_PS):
-        want, _ = exact_annotated_gamma(fresh(g))
+        want, _ = exact_annotated_gamma(g, bytearray(g.n))
         runs = []
         for label in ("naive", "linear", "plus", "extra", "extra-iterated"):
             st = ReductionState(g)
@@ -93,10 +92,9 @@ def gamma_runs():
             else:
                 reduce_once(st, Variant[label.upper()])
             fixed = sorted(st.fixed)
-            comp, _strips, _dropped = export_residual(st)
-            size, picks = exact_annotated_gamma(
-                AnnotatedInstance(comp.graph, comp.covered)
-            )
+            export_residual(st)
+            comp = compact(st)
+            size, picks = exact_annotated_gamma(comp.graph, comp.covered)
             solution = fixed + [comp.new_to_old[v] for v in picks]
             runs.append((label, len(fixed) + size, solution))
         records.append((seed, g, want, runs))
@@ -117,9 +115,9 @@ def greedy_runs():
         st = ReductionState(g)
         reduce_once(st, Variant.EXTRA)
         fixed = sorted(st.fixed)
-        comp, _strips, _dropped = export_residual(st)
-        picks = greedy_best_of(AnnotatedInstance(comp.graph, comp.covered), seeds)
-        solution = fixed + [comp.new_to_old[v] for v in picks]
+        export_residual(st)
+        picks = greedy_best_of(st, seeds)
+        solution = fixed + picks
         records.append((seed, g, base, len(fixed) + len(picks), solution))
     return records, time.perf_counter() - t0
 
@@ -359,7 +357,8 @@ def test_criterion_08_iteration_reaches_a_fixpoint():
     for variant in (Variant.PLUS, Variant.EXTRA):
         st = ReductionState(g)
         rep = reduce_iterate(st, variant)
-        comp, _strips, _dropped = export_residual(st)
+        export_residual(st)
+        comp = compact(st)
         st2 = ReductionState(comp.graph)
         st2.covered[:] = comp.covered
         again = reduce_iterate(st2, variant)
@@ -384,7 +383,8 @@ def test_criterion_08_second_round_after_compaction_is_idle():
     for seed, g in _corpus(100, 4000, (2, 14), [0.1, 0.3, 0.5, 0.7, 0.9]):
         st = ReductionState(g)
         reduce_once(st, Variant.LINEAR)
-        comp, _strips, _dropped = export_residual(st)
+        export_residual(st)
+        comp = compact(st)
         st2 = ReductionState(comp.graph)
         st2.covered[:] = comp.covered
         rep2 = reduce_once(st2, Variant.LINEAR)

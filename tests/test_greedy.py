@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import build, fresh, random_graphs
+from conftest import annotated, build, fresh, random_graphs
 from dsreduce.generators import complete, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
@@ -14,7 +14,9 @@ from dsreduce.greedy import (
     greedy,
     greedy_best_of,
 )
-from dsreduce.oracle import AnnotatedInstance, exact_annotated_gamma, greedy_reference
+from dsreduce.oracle import exact_annotated_gamma, greedy_reference
+from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
+from dsreduce.state import ReductionState, compact
 
 
 def test_four_path_always_two_picks():
@@ -28,12 +30,12 @@ def test_four_path_always_two_picks():
 def test_star_center_wins():
     g = star(7)
     out = greedy(fresh(g), TieBreaker.from_seed(g.n, 5))
-    assert out.sorted() == [0]
+    assert sorted(out) == [0]
 
 
 def test_fully_covered_needs_nothing():
     g = path(5)
-    inst = AnnotatedInstance(g, bytearray([1] * 5))
+    inst = annotated(g, bytearray([1] * 5))
     out = greedy(inst, TieBreaker.from_seed(5, 0))
     assert len(out) == 0
 
@@ -41,17 +43,17 @@ def test_fully_covered_needs_nothing():
 def test_partially_covered_skips_satisfied_region():
     # only vertex 4 still needs domination
     g = path(5)
-    inst = AnnotatedInstance(g, bytearray([1, 1, 1, 1, 0]))
+    inst = annotated(g, bytearray([1, 1, 1, 1, 0]))
     out = greedy(inst, TieBreaker.from_seed(5, 3))
     assert len(out) == 1
-    assert out.sorted()[0] in (3, 4)
+    assert sorted(out)[0] in (3, 4)
 
 
 def test_output_dominates_every_uncovered_vertex():
     rng = random.Random(77)
     for g in random_graphs(60, (1, 30), [0.1, 0.3, 0.6], seed_base=500):
         covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
-        inst = AnnotatedInstance(g, covered)
+        inst = annotated(g, covered)
         out = greedy(inst, TieBreaker.from_seed(g.n, rng.randrange(1000)))
         assert first_undominated(g, out, covered) == -1
 
@@ -60,7 +62,7 @@ def test_same_seed_same_answer():
     g = gnp(40, 0.15, seed=11)
     a = greedy(fresh(g), TieBreaker.from_seed(g.n, 909))
     b = greedy(fresh(g), TieBreaker.from_seed(g.n, 909))
-    assert a.sorted() == b.sorted()
+    assert sorted(a) == sorted(b)
 
 
 def test_best_of_never_worse_than_single_seed():
@@ -78,7 +80,7 @@ def test_best_of_tie_prefers_earlier_seed():
     best = greedy_best_of(fresh(g), seeds)
     first = greedy(fresh(g), TieBreaker.from_seed(g.n, seeds[0]))
     assert len(best) == len(first)
-    assert best.sorted() == first.sorted()
+    assert sorted(best) == sorted(first)
 
 
 def test_best_of_rejects_empty_seed_list():
@@ -115,8 +117,8 @@ def test_tiebreaker_inverse_permutation():
 
 def assert_same_picks(inst, seeds):
     for s in seeds:
-        tb = TieBreaker.from_seed(inst.graph.n, s)
-        assert greedy(inst, tb).order == greedy_reference(inst, tb).order, s
+        tb = TieBreaker.from_seed(inst.n, s)
+        assert greedy(inst, tb) == greedy_reference(inst.g, inst.covered, tb), s
 
 
 def test_picks_match_reference_on_random_covered_graphs():
@@ -126,7 +128,7 @@ def test_picks_match_reference_on_random_covered_graphs():
         frac = rng.choice([0.0, 0.2, 0.5, 0.9])
         covered = bytearray(rng.random() < frac for _ in range(g.n))
         seeds = [rng.randrange(1 << 32) for _ in range(4)]
-        assert_same_picks(AnnotatedInstance(g, covered), seeds)
+        assert_same_picks(annotated(g, covered), seeds)
 
 
 def test_start_merits_count_needy_closed_neighbors():
@@ -136,7 +138,7 @@ def test_start_merits_count_needy_closed_neighbors():
     for g in random_graphs(120, (1, 60), [0.03, 0.1, 0.3, 0.7], seed_base=9400):
         frac = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0])
         covered = bytearray(rng.random() < frac for _ in range(g.n))
-        need, merit, remaining = _start(AnnotatedInstance(g, covered))
+        need, merit, remaining, _alive = _start(annotated(g, covered))
         assert list(need) == [int(not c) for c in covered]
         assert merit == [need[v] + sum(need[w] for w in g.adj[v]) for v in range(g.n)]
         assert remaining == covered.count(0)
@@ -148,14 +150,14 @@ def test_picks_match_reference_on_structured_graphs():
               complete(2), complete(8)]:
         assert_same_picks(fresh(g), seeds)
         # fully covered: nothing to pick
-        done = AnnotatedInstance(g, bytearray([1] * g.n))
+        done = annotated(g, bytearray([1] * g.n))
         assert_same_picks(done, seeds)
         assert len(greedy(done, TieBreaker.from_seed(g.n, 1))) == 0
         # exactly one needy vertex, at either end of the id range
         for needy in {0, g.n - 1}:
             covered = bytearray([1] * g.n)
             covered[needy] = 0
-            inst = AnnotatedInstance(g, covered)
+            inst = annotated(g, covered)
             assert_same_picks(inst, seeds)
             assert len(greedy(inst, TieBreaker.from_seed(g.n, 1))) == 1
 
@@ -209,13 +211,63 @@ def test_picks_match_reference_where_levels_churn():
     for g in graphs:
         for frac in (0.0, 0.3, 0.9):
             covered = bytearray(rng.random() < frac for _ in range(g.n))
-            assert_same_picks(AnnotatedInstance(g, covered), seeds)
+            assert_same_picks(annotated(g, covered), seeds)
+
+
+# (rule, --iterate) for every ``greedy --after`` value; naive and linear
+# do not iterate
+AFTER = [(None, False), ("naive", False), ("linear", False), ("plus", False),
+         ("extra", False), ("plus", True), ("extra", True)]
+
+
+def exported(g, after, covered, fixed):
+    """The stripped state ``greedy --after`` solves: ``g`` under exactly
+    the given masks, reduced by ``after`` and exported."""
+    st = annotated(g, covered, fixed)
+    rule, iterate = after
+    if iterate:
+        reduce_iterate(st, Variant(rule))
+    elif rule is not None:
+        reduce_once(st, Variant(rule))
+    export_residual(st)
+    return st
+
+
+def test_state_picks_match_the_compacted_residual():
+    # Greedy on the stripped state must pick what it picks on the
+    # compacted residual, mapped back.  The fixed masks cover nothing, so
+    # stripping leaves dead vertices that are not covered.
+    rng = random.Random(4106)
+    cases = renumbered = 0
+    for g in random_graphs(60, (2, 50), [0.04, 0.08, 0.15, 0.3], seed_base=9700):
+        covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
+        fixed = bytearray(rng.random() < 0.15 for _ in range(g.n))
+        seeds = [rng.randrange(1 << 32) for _ in range(3)]
+        for after in AFTER:
+            # naive refuses covered input
+            for cov in (None,) if after[0] == "naive" else (None, covered):
+                for fix in (None, fixed):
+                    st = exported(g, after, cov, fix)
+                    comp = compact(st)
+                    residual = annotated(comp.graph, comp.covered)
+                    back = comp.new_to_old.__getitem__
+                    for s in seeds:
+                        tb = TieBreaker.from_seed(comp.graph.n, s)
+                        want = list(map(back, greedy(residual, tb)))
+                        assert greedy(st, tb) == want, (cases, after, s)
+                    want = list(map(back, greedy_best_of(residual, seeds)))
+                    assert greedy_best_of(st, seeds) == want, (cases, after)
+                    cases += 1
+                    renumbered += comp.new_to_old != list(range(comp.graph.n))
+    assert cases == 60 * 26
+    # most states lost vertices below alive ones, so the tie order is pinned
+    assert renumbered > cases // 2
 
 
 def test_seeded_picks_are_pinned():
     # recorded from random.shuffle itself and one (merit, priority) heap
     g = preferential(12_000, 2, random.Random("pinned:12000"))
-    order = greedy_best_of(fresh(g), default_seed_list(1, 3)).order
+    order = greedy_best_of(fresh(g), default_seed_list(1, 3))
     digest = hashlib.sha256(repr(order).encode()).hexdigest()
     assert (len(order), digest) == (
         2288, "8cdc18c08f296567e5cdc8c3a36d52fa878c6c2c884a6553a46bfa1252b64284"
@@ -226,12 +278,12 @@ def test_best_of_is_earliest_per_seed_minimum():
     rng = random.Random(5)
     for g in random_graphs(40, (5, 40), [0.05, 0.15, 0.3], seed_base=7300):
         covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
-        inst = AnnotatedInstance(g, covered)
+        inst = annotated(g, covered)
         seeds = [rng.randrange(50) for _ in range(6)]
-        runs = [greedy_reference(inst, TieBreaker.from_seed(g.n, s)) for s in seeds]
+        runs = [greedy_reference(g, covered, TieBreaker.from_seed(g.n, s)) for s in seeds]
         sizes = [len(r) for r in runs]
         want = runs[sizes.index(min(sizes))]
-        assert greedy_best_of(inst, seeds).order == want.order
+        assert greedy_best_of(inst, seeds) == want
 
 
 def test_default_seed_list_is_reproducible():
@@ -244,6 +296,6 @@ def test_greedy_close_to_optimum_on_small_instances():
     # sanity bound only; the heuristic has no approximation guarantee
     # this tight, but on tiny corpora best-of-10 rarely strays far
     for g in random_graphs(40, (2, 12), [0.25, 0.5], seed_base=640):
-        opt, _ = exact_annotated_gamma(fresh(g))
+        opt, _ = exact_annotated_gamma(g, bytearray(g.n))
         got = greedy_best_of(fresh(g), default_seed_list(1, count=10))
         assert opt <= len(got) <= 2 * opt + 1

@@ -24,7 +24,7 @@ from dsreduce.reducer import (
     reduce_iterate,
     reduce_once,
 )
-from dsreduce.state import ReductionState
+from dsreduce.state import ReductionState, compact
 
 VARIANTS = (Variant.PLUS, Variant.EXTRA)
 
@@ -49,7 +49,8 @@ def state_and_residual(g, st):
         [list(st.live_neighbors(v)) for v in range(g.n) if st.alive[v]],
         list(st.deg),
     )
-    comp, strips, dropped = export_residual(st)
+    strips, dropped = export_residual(st)
+    comp = compact(st)
     residual = (
         comp.graph.adj,
         comp.new_to_old,

@@ -20,6 +20,7 @@ from conftest import prepared  # noqa: E402
 from dsreduce.generators import gnp, path  # noqa: E402
 from dsreduce.graph import first_undominated  # noqa: E402
 from dsreduce.reducer import Variant, export_residual, reduce_iterate  # noqa: E402
+from dsreduce.state import compact  # noqa: E402
 from test_iterate import random_subset, with_hub  # noqa: E402
 
 
@@ -55,7 +56,8 @@ def reduced_gamma(g, covered=(), fixed=()):
     rep = reduce_iterate(st, Variant.EXTRA)
     assert rep.converged
     nfixed = len(st.fixed)
-    comp, _strips, _dropped = export_residual(st)
+    export_residual(st)
+    comp = compact(st)
     return nfixed + milp_gamma(comp.graph, comp.covered), rep.rounds, comp.graph.n
 
 

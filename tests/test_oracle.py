@@ -9,11 +9,10 @@ import random
 
 import pytest
 
-from conftest import build, fresh, random_graphs
+from conftest import build, random_graphs
 from dsreduce.generators import complete, cycle, gnp, path, star
 from dsreduce.oracle import (
     EXACT_LIMIT,
-    AnnotatedInstance,
     classify_types,
     exact_annotated_gamma,
     exhaustive_original_rule1,
@@ -105,29 +104,30 @@ def brute_gamma(g, covered=None):
 
 def test_exact_gamma_closed_forms():
     for n in range(1, 11):
-        size, _ = exact_annotated_gamma(fresh(path(n)))
+        size, _ = exact_annotated_gamma(path(n), bytearray(n))
         assert size == (n + 2) // 3, f"path({n})"
     for n in range(3, 11):
-        size, _ = exact_annotated_gamma(fresh(cycle(n)))
+        size, _ = exact_annotated_gamma(cycle(n), bytearray(n))
         assert size == (n + 2) // 3, f"cycle({n})"
     for n in range(1, 8):
-        size, _ = exact_annotated_gamma(fresh(complete(n)))
+        size, _ = exact_annotated_gamma(complete(n), bytearray(n))
         assert size == 1
-    size, _ = exact_annotated_gamma(fresh(star(6)))
+    g = star(6)
+    size, _ = exact_annotated_gamma(g, bytearray(g.n))
     assert size == 1
 
 
 def test_exact_gamma_annotated_cases():
     g = path(3)
     covered = bytearray([0, 1, 0])
-    size, pick = exact_annotated_gamma(AnnotatedInstance(g, covered))
+    size, pick = exact_annotated_gamma(g, covered)
     assert size == 1 and pick == [1]
 
     g = path(2)
-    size, pick = exact_annotated_gamma(AnnotatedInstance(g, bytearray([1, 1])))
+    size, pick = exact_annotated_gamma(g, bytearray([1, 1]))
     assert size == 0 and pick == []
 
-    size, pick = exact_annotated_gamma(fresh(build(0, [])))
+    size, pick = exact_annotated_gamma(build(0, []), bytearray())
     assert size == 0
 
 
@@ -135,8 +135,7 @@ def test_exact_gamma_vs_brute_force():
     rng = random.Random(77)
     for g in random_graphs(60, (1, 8), [0.15, 0.4, 0.7], seed_base=500):
         covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
-        inst = AnnotatedInstance(g, covered)
-        size, pick = exact_annotated_gamma(inst)
+        size, pick = exact_annotated_gamma(g, covered)
         assert size == brute_gamma(g, covered)
         dom = set()
         for v in pick:
@@ -149,7 +148,7 @@ def test_exact_gamma_vs_brute_force():
 def test_exact_gamma_size_limit():
     g = path(EXACT_LIMIT + 1)
     with pytest.raises(ValueError):
-        exact_annotated_gamma(fresh(g))
+        exact_annotated_gamma(g, bytearray(g.n))
 
 
 def test_exhaustive_star_and_path():
@@ -180,7 +179,7 @@ def test_exhaustive_path6_two_rounds():
 def test_exhaustive_preserves_gamma_small():
     for g in random_graphs(80, (1, 10), [0.2, 0.5], seed_base=640):
         fixed, removed = exhaustive_original_rule1(g)
-        base, _ = exact_annotated_gamma(fresh(g))
+        base, _ = exact_annotated_gamma(g, bytearray(g.n))
         # Residual instance: survivors, with N[fixed] covered.
         alive = set(range(g.n)) - set(removed)
         covered = bytearray(g.n)
@@ -198,5 +197,5 @@ def test_exhaustive_preserves_gamma_small():
         ]
         sub = build(len(keep), edges)
         subcov = bytearray(covered[v] for v in keep)
-        rest, _ = exact_annotated_gamma(AnnotatedInstance(sub, subcov))
+        rest, _ = exact_annotated_gamma(sub, subcov)
         assert len(fixed) + rest == base

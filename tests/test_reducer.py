@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import build, edge_alive, fresh, prepared, random_graphs
+from conftest import build, edge_alive, prepared, random_graphs
 from dsreduce.generators import (
     barbell_cycle,
     complete,
@@ -13,7 +13,6 @@ from dsreduce.generators import (
     star,
 )
 from dsreduce.oracle import (
-    AnnotatedInstance,
     check_graph,
     copy_state,
     exact_annotated_gamma,
@@ -97,7 +96,8 @@ def test_four_path_commits_ends_and_strips_bridge():
     assert rep.removed_edges == 2
     # the 1-2 edge joins two committed vertices; it stays alive until
     # export, which strips it and reports the count
-    comp, strips, dropped = export_residual(st)
+    strips, dropped = export_residual(st)
+    comp = compact(st)
     assert strips == 1
     assert comp.graph.n == 0
 
@@ -234,8 +234,9 @@ def variants_all(g):
 
 def committed_plus_residual_gamma(st):
     nfixed = len(st.fixed)
-    comp, _strips, _dropped = export_residual(st)
-    got, _ = exact_annotated_gamma(AnnotatedInstance(comp.graph, comp.covered))
+    export_residual(st)
+    comp = compact(st)
+    got, _ = exact_annotated_gamma(comp.graph, comp.covered)
     return nfixed + got
 
 
@@ -245,14 +246,14 @@ def test_gamma_identity_all_variants():
     # naive sweep reads no covered flags, so it must refuse the latter.
     rng = random.Random(8800)
     for g in random_graphs(90, (2, 13), [0.15, 0.3, 0.5, 0.8], seed_base=8800):
-        want, _ = exact_annotated_gamma(fresh(g))
+        want, _ = exact_annotated_gamma(g, bytearray(g.n))
         for st, rep in variants_all(g):
             assert want == committed_plus_residual_gamma(st)
 
         covered = [v for v in range(g.n) if rng.random() < 0.3]
         fixed = [v for v in range(g.n) if rng.random() < 0.08]
         dominated = prepared(g, covered, fixed).covered
-        want = len(fixed) + exact_annotated_gamma(AnnotatedInstance(g, dominated))[0]
+        want = len(fixed) + exact_annotated_gamma(g, dominated)[0]
         runs = [(reduce_once, v) for v in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA)]
         runs += [(reduce_iterate, v) for v in (Variant.PLUS, Variant.EXTRA)]
         for driver, variant in runs:
@@ -373,7 +374,8 @@ def test_report_identities_on_corpus():
             assert state_consistent(st)
             nfixed = len(st.fixed)
             assert set(rep.fixed).isdisjoint(rep.removed_nodes)
-            comp, strips, dropped = export_residual(st)
+            strips, dropped = export_residual(st)
+            comp = compact(st)
             assert g.n == comp.graph.n + len(rep.removed_nodes) + len(dropped) + nfixed
             assert g.m == comp.graph.m + rep.removed_edges + strips
             assert check_graph(comp.graph) is None
@@ -386,20 +388,19 @@ def test_round_cap_keeps_accounting_and_gamma():
     graphs = [gadget_path(fig, c) for fig in ("fig5", "fig6") for c in (1, 2, 3)]
     graphs += random_graphs(24, (4, 14), [0.15, 0.3, 0.5], seed_base=9300)
     for g in graphs:
-        want, _ = exact_annotated_gamma(fresh(g))
+        want, _ = exact_annotated_gamma(g, bytearray(g.n))
         for variant in (Variant.PLUS, Variant.EXTRA):
             full = run(g, variant, iterate=True)[1].rounds
             for k in range(1, full + 1):
                 st, rep = run(g, variant, iterate=True, max_rounds=k)
                 assert rep.rounds == k
                 nfixed = len(st.fixed)
-                comp, strips, dropped = export_residual(st)
+                strips, dropped = export_residual(st)
+                comp = compact(st)
                 assert strips == 0 and dropped == []
                 assert g.n == comp.graph.n + len(rep.removed_nodes) + nfixed
                 assert g.m == comp.graph.m + rep.removed_edges
-                got, _ = exact_annotated_gamma(
-                    AnnotatedInstance(comp.graph, comp.covered)
-                )
+                got, _ = exact_annotated_gamma(comp.graph, comp.covered)
                 assert want == nfixed + got
 
 

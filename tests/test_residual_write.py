@@ -4,10 +4,12 @@
 id map and builds no residual graph.  These tests hold its text, and the
 sidecar ``reduce`` writes, byte for byte to the export through
 ``compact``: ``write_gr(compact(state).graph)`` and the sidecar sections
-built from that compact result.
+built from that compact result.  No command calls ``compact`` itself.
 """
 
+import csv
 import io
+import os
 import random
 from itertools import compress
 
@@ -20,7 +22,7 @@ from dsreduce.generators import gnp
 from dsreduce.graphio import id_base, read_graph, write_gr, write_sidecar
 from dsreduce.oracle import copy_state
 from dsreduce.reducer import Variant, export_residual, reduce_iterate, reduce_once
-from dsreduce.state import ReductionState
+from dsreduce.state import ReductionState, compact
 
 # (rule, --iterate) for every rule, and both iterated ones
 RUNS = [
@@ -86,9 +88,10 @@ def test_state_writer_matches_the_compacted_graph(rule, iterate):
     skips = 0
     for st in states(rule):
         old = reduced(copy_state(st), rule, iterate)
-        comp, strips, dropped = export_residual(old)
-        got = export_residual(reduced(st, rule, iterate), compacted=False)
-        assert got == (None, strips, dropped)
+        strips, dropped = export_residual(old)
+        comp = compact(old)
+        got = export_residual(reduced(st, rule, iterate))
+        assert got == (strips, dropped)
         skips += names_dead(st)
         for base in (0, 1):
             assert gr_text(st, base, st.alive) == gr_text(comp.graph, base)
@@ -110,7 +113,8 @@ def test_reduce_writes_the_compacted_residual_byte_for_byte(
             write_gr(gnp(60, p, 700 + i), fh)
         g, base = read_graph(inst)
         st = reduced(ReductionState(g), rule, iterate)
-        comp, _strips, _dropped = export_residual(st)
+        export_residual(st)
+        comp = compact(st)
         for ext in (".gr", ".el"):
             out = str(tmp_path / f"r{i}{ext}")
             side = str(tmp_path / f"r{i}.side")
@@ -127,29 +131,46 @@ def test_reduce_writes_the_compacted_residual_byte_for_byte(
             )
 
 
-def test_reduce_builds_no_residual_graph(tmp_path, capsys, monkeypatch):
-    inst = str(tmp_path / "g.gr")
+def untimed_rows(path):
+    """A report CSV's rows without the time columns."""
+    with open(path, newline="") as fh:
+        return [
+            {k: v for k, v in row.items() if not k.startswith("time_")}
+            for row in csv.DictReader(fh)
+        ]
+
+
+def test_no_command_builds_a_residual_graph(tmp_path, capsys, monkeypatch):
+    # reduce writes from the stripped state and greedy picks on it, so
+    # every command's output stands with ``compact`` raising
+    os.mkdir(tmp_path / "in")
+    inst = str(tmp_path / "in" / "g.gr")
     with open(inst, "w") as fh:
         write_gr(gnp(80, 0.05, 3), fh)
-    files = [str(tmp_path / name) for name in ("r.gr", "r.side", "r.csv")]
-    argv = ["reduce", inst, "--rule", "extra", "--iterate", "--out", files[0],
-            "--sidecar", files[1], "--report", files[2]]
-    assert main(argv) == 0
-    want = [capsys.readouterr().out]
-    for f in files[:2]:
-        with open(f) as fh:
-            want.append(fh.read())
+    files = [str(tmp_path / name) for name in ("r.gr", "r.side")]
+    reports = [str(tmp_path / name) for name in ("r.csv", "b.csv")]
+    runs = [
+        ["reduce", inst, "--rule", "extra", "--iterate", "--out", files[0],
+         "--sidecar", files[1], "--report", reports[0]],
+        ["greedy", inst, "--after", "none"],
+        ["greedy", inst, "--after", "plus"],
+        ["greedy", inst, "--after", "extra", "--iterate"],
+        ["bench", "--dir", str(tmp_path / "in"), "--rules", "naive,linear,plus,extra",
+         "--report", reports[1]],
+    ]
+
+    def outputs():
+        got = [(main(argv), capsys.readouterr().out) for argv in runs]
+        for f in files:
+            with open(f) as fh:
+                got.append(fh.read())
+        return got + [untimed_rows(f) for f in reports]
+
+    want = outputs()
 
     def no_compact(_state):
         raise AssertionError("compact called")
 
     monkeypatch.setattr(reducer, "compact", no_compact)
-    assert main(argv) == 0
-    got = [capsys.readouterr().out]
-    for f in files[:2]:
-        with open(f) as fh:
-            got.append(fh.read())
-    assert got == want
-    # greedy still compacts, through the same name
-    with pytest.raises(AssertionError, match="compact called"):
-        main(["greedy", inst, "--after", "extra", "--iterate"])
+    monkeypatch.setattr("dsreduce.state.compact", no_compact)
+    assert outputs() == want
