@@ -7,7 +7,7 @@ the graph and state invariant checkers and the state copy live in
 ``dsreduce.oracle``, which nothing here imports.
 """
 
-from .graph import Graph, VertexSet, load_check
+from .graph import Graph, load_check
 from .graphio import FormatError, read_graph, write_gr
 from .greedy import TieBreaker, greedy, greedy_best_of
 from .pipeline import RelationSet, WorkCounter, suitable_set
@@ -31,7 +31,6 @@ __all__ = [
     "RelationSet",
     "TieBreaker",
     "Variant",
-    "VertexSet",
     "WorkCounter",
     "compact",
     "export_residual",

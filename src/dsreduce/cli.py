@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 broken
-input files.  Benchmark tasks run in child processes so a timeout can
-kill them without taking the harness down.
+input files, one too large for memory included.  Benchmark tasks run in
+child processes so a timeout can kill them without taking the harness
+down.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _cmd_reduce(args, parser) -> int:
         with open(args.sidecar, "w", encoding="utf-8") as fh:
             write_sidecar(
                 fh,
-                fixed=[v + base for v in state.fixed.sorted()],
+                fixed=[v + base for v in sorted(state.fixed)],
                 covered=compress(old_ids, compress(state.covered, alive)),
                 mapping=zip(range(res_base, res_base + len(old_ids)), old_ids),
             )

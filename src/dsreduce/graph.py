@@ -1,4 +1,4 @@
-"""Static graph container, the domination check and vertex-set helpers.
+"""Static graph container and the domination check.
 
 Graphs are simple and undirected.  Vertices are the integers ``0..n-1``.
 ``load_check`` builds the adjacency lists in one pass over the edges and
@@ -11,42 +11,6 @@ residual graph may share lists with the input.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional
-
-
-class VertexSet:
-    """Set of vertex ids with O(1) membership and stable insertion order.
-
-    A plain ``set`` would do for membership, but reduction output must be
-    reproducible, so iteration follows insertion order.
-    """
-
-    __slots__ = ("mask", "order")
-
-    def __init__(self, n: int, items: Iterable[int] = ()) -> None:
-        self.mask = bytearray(n)
-        self.order: list[int] = []
-        for v in items:
-            self.add(v)
-
-    def add(self, v: int) -> bool:
-        """Insert ``v``; return True if it was not already present."""
-        if self.mask[v]:
-            return False
-        self.mask[v] = 1
-        self.order.append(v)
-        return True
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self.mask[v])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def sorted(self) -> list[int]:
-        return sorted(self.order)
 
 
 class Graph:

@@ -31,7 +31,8 @@ REPORT_FIELDS = [
 
 
 class FormatError(Exception):
-    """Malformed input file; message carries the line number."""
+    """Malformed input file; message carries the line number, or the
+    file name when the instance does not fit in memory."""
 
 
 def _header(tok: list[str], lineno: int) -> tuple[int, int]:
@@ -218,10 +219,17 @@ def id_base(path: str) -> int:
 
 
 def read_graph(path: str) -> tuple[Graph, int]:
-    """Load by extension; returns the graph and the file's id base."""
+    """Load by extension; returns the graph and the file's id base.
+
+    An instance too large for memory (a header may declare any vertex
+    count) is a ``FormatError`` naming the file, not a crash.
+    """
     base = id_base(path)
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-        return (read_gr(fh) if base else read_edge_list(fh)), base
+        try:
+            return (read_gr(fh) if base else read_edge_list(fh)), base
+        except MemoryError:
+            raise FormatError(f"{path}: instance does not fit in memory") from None
 
 
 def write_gr(

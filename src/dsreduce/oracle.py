@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 from .greedy import TieBreaker
 from .pipeline import RelationSet, WorkCounter, canonical_reference
 from .reducer import (
@@ -77,7 +77,7 @@ def copy_state(st: ReductionState) -> ReductionState:
     out.deg = list(st.deg)
     out.alive = bytearray(st.alive)
     out.covered = bytearray(st.covered)
-    out.fixed = VertexSet(st.n, st.fixed)
+    out.fixed = set(st.fixed)
     return out
 
 

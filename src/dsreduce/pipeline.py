@@ -25,14 +25,15 @@ partition and filter allocate nothing of size n, so each costs time
 proportional to the adjacency it reads, not to n.
 
 Every pass takes the state alone and reads its ``n``, ``adj`` and
-``deg`` and its covered and fixed flags: a covered vertex needs no
-domination and a fixed one is settled, and there is no mode that
-ignores them.  A bare graph goes in as ``ReductionState(g)``, whose
-flags are all clear.  On a partly reduced state the lists must name
-no dead vertex.  ``reducer.reduce_iterate`` keeps one superset map
-across rounds, re-evaluates it only at the uncovered vertices whose
-verdict or canonical reference can have changed, and tests only the
-witnesses near the changes.
+``deg``, its covered flags and its set of fixed vertices: a covered
+vertex needs no domination and a fixed one is settled, and there is no
+mode that ignores them.  A bare graph goes in as ``ReductionState(g)``,
+whose flags are all clear and whose fixed set is empty.  On a partly
+reduced state the lists must name no dead vertex.
+``reducer.reduce_iterate`` keeps one superset map across rounds,
+re-evaluates it only at the uncovered vertices whose verdict or
+canonical reference can have changed, and tests only the witnesses near
+the changes.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def compute_superset(
     adj = state.adj
     deg = state.deg
     covered = state.covered
-    fixed = state.fixed.mask
+    fixed = state.fixed
     if canonical is None:
         visits = sum(deg) + n
         canonical = [canonical_reference(state, u) for u in range(n)]
@@ -187,7 +188,7 @@ def compute_superset(
 
     buckets: defaultdict[int, list[int]] = defaultdict(list)
     for u, rho in evaluated:
-        if rho == u or fixed[u] or covered[u]:
+        if rho == u or u in fixed or covered[u]:
             continue
         buckets[rho].append(u)
 
@@ -282,7 +283,7 @@ def filter_suitable(
     """
     adj = state.adj
     covered = state.covered
-    fixed = state.fixed.mask
+    fixed = state.fixed
     visits = 0
 
     chosen: defaultdict[int, list[int]] = defaultdict(list)
@@ -317,7 +318,7 @@ def filter_suitable(
             for w in au:
                 if w == rho:
                     continue
-                if fixed[w] or w not in slot2:
+                if w in fixed or w not in slot2:
                     keep = False
                     break
             if keep:

@@ -109,7 +109,8 @@ def apply_reduction(
 
     # commit each reference and cover its closed live neighborhood
     for rho in refs:
-        if fixed.add(rho):
+        if rho not in fixed:
+            fixed.add(rho)
             new_fixed.append(rho)
         covered[rho] = 1
         marked.add(rho)
@@ -192,18 +193,18 @@ def naive_reduce(
     n = state.n
     adj = state.adj
     alive = state.alive
-    fixed_mask = state.fixed.mask
+    fixed = state.fixed
     nst = [-1] * n
     t1st = [-1] * n
     visits = 0
     t0 = time.perf_counter()
 
-    fixed: list[int] = []
+    committed: list[int] = []
     removed: list[int] = []
     removed_edges = 0
 
     for u in range(n):
-        if not alive[u] or fixed_mask[u]:
+        if not alive[u] or u in fixed:
             continue
         au = adj[u]
         nst[u] = u
@@ -217,7 +218,7 @@ def naive_reduce(
         for w in au:
             if not alive[w]:
                 continue
-            if fixed_mask[w]:
+            if w in fixed:
                 t1st[w] = u
                 continue
             k = 0
@@ -246,7 +247,7 @@ def naive_reduce(
 
         if saw_enclosed:
             state.fix(u)
-            fixed.append(u)
+            committed.append(u)
             for w in au:
                 if alive[w] and t1st[w] != u:
                     removed_edges += state.delete_node(w)
@@ -256,7 +257,7 @@ def naive_reduce(
         work.add(visits)
     return ReductionReport(
         variant=Variant.NAIVE.value,
-        fixed=fixed,
+        fixed=committed,
         removed_nodes=sorted(removed),
         removed_edges=removed_edges,
         time_apply_s=time.perf_counter() - t0,

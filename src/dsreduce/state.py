@@ -2,14 +2,15 @@
 
 ``ReductionState`` is all a reduction driver takes.  It keeps the input
 as ``g`` and has the ``Graph`` shape the pipeline passes read (``n``,
-``adj`` and ``deg``) plus alive, covered and fixed flags.  ``adj`` starts
-as a shallow copy of the input's lists.  Deleting a node flips its alive
-flag and lowers its neighbors' degrees but leaves the lists alone, so a
-list may still name dead vertices and ``live_neighbors`` skips them;
-``refresh`` drops them.  Deleting edges
-(``cut_within``) replaces the lists concerned.  Lists are only ever
-replaced, never mutated in place, so the input graph and copies of a
-state stay intact.
+``adj`` and ``deg``) plus alive and covered flags and ``fixed``, the set
+of committed vertices; every reader of ``fixed`` sorts it or does not
+depend on its order.  ``adj`` starts as a shallow copy of the input's
+lists.  Deleting a node flips its alive flag and lowers its neighbors'
+degrees but leaves the lists alone, so a list may still name dead
+vertices and ``live_neighbors`` skips them; ``refresh`` drops them.
+Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
+only ever replaced, never mutated in place, so the input graph and
+copies of a state stay intact.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 
 
 class ReductionState:
@@ -30,7 +31,7 @@ class ReductionState:
         self.deg = list(g.deg)
         self.alive = bytearray([1] * g.n)
         self.covered = bytearray(g.n)
-        self.fixed = VertexSet(g.n)
+        self.fixed: set[int] = set()
 
     def live_neighbors(self, u: int):
         alive = self.alive
@@ -108,13 +109,14 @@ class CompactResult:
 def compact(state: ReductionState) -> CompactResult:
     """Rebuild the live part of ``state`` as a fresh 0-based graph.
 
-    ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed ids
-    are carried across in the new numbering.  Each alive list is mapped
-    whole, and only a list that names a dead vertex (mapped to -1) is
-    filtered.  ``old_to_new`` is monotone, so each list comes out sorted
-    without a sort.  When every vertex is alive both maps are the
-    identity, and the new graph shares the state's lists; lists are never
-    mutated in place, so that is safe.
+    ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed
+    ids are carried across in the new numbering, the fixed ids
+    ascending.  Each alive list is mapped whole, and only a list that
+    names a dead vertex (mapped to -1) is filtered.  ``old_to_new`` is
+    monotone, so each list comes out sorted without a sort.  When every
+    vertex is alive both maps are the identity, and the new graph shares
+    the state's lists; lists are never mutated in place, so that is
+    safe.
     """
     alive = state.alive
     sadj = state.adj
@@ -122,7 +124,8 @@ def compact(state: ReductionState) -> CompactResult:
         ids = list(range(state.n))
         adj = list(sadj)
         ng = Graph(state.n, adj, sum(map(len, adj)) // 2)
-        return CompactResult(ng, ids, list(ids), bytearray(state.covered), list(state.fixed))
+        fixed = sorted(state.fixed)
+        return CompactResult(ng, ids, list(ids), bytearray(state.covered), fixed)
     old_to_new = [-1] * state.n
     new_to_old = list(compress(range(state.n), alive))
     for i, u in enumerate(new_to_old):
@@ -134,5 +137,5 @@ def compact(state: ReductionState) -> CompactResult:
             adj[i] = [v for v in a if v >= 0]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))
-    fixed = [old_to_new[f] for f in state.fixed if alive[f]]
+    fixed = sorted(old_to_new[f] for f in state.fixed if alive[f])
     return CompactResult(ng, old_to_new, new_to_old, covered, fixed)

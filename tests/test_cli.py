@@ -5,6 +5,7 @@ import pytest
 
 import dsreduce.cli as cli
 from conftest import read_sidecar
+from dsreduce import graphio
 from dsreduce.cli import _bench_child, main
 from dsreduce.graph import load_check
 from dsreduce.graphio import write_gr
@@ -96,6 +97,22 @@ def test_greedy_fully_reduced_instance_is_fixed_only(tmp_path, capsys):
     assert out.strip() == "size=2 fixed=2 greedy=0"
 
 
+@pytest.mark.parametrize("name", ["p3.gr", "p3.el"])
+def test_greedy_exits_one_on_a_non_dominating_solution(
+    tmp_path, capsys, monkeypatch, name
+):
+    # the greedy picks are checked, not trusted; the undominated id is
+    # reported in the input's base
+    inst = str(tmp_path / name)
+    run_ok(["gen", "path", "--n", "3", "--out", inst], capsys)
+    monkeypatch.setattr(cli, "greedy_best_of", lambda state, seeds: [])
+    assert main(["greedy", inst]) == 1
+    out = capsys.readouterr()
+    first = 1 if name.endswith(".gr") else 0
+    assert out.err == f"INVALID: vertex {first} not dominated\n"
+    assert out.out == ""
+
+
 def test_usage_errors_exit_two(tmp_path, capsys):
     cases = [
         ["reduce", "x.gr", "--rule", "linear", "--iterate"],
@@ -131,6 +148,8 @@ def test_usage_errors_print_the_subcommand_usage(tmp_path, capsys):
          "usage: dsreduce gen", "star needs --n"),
         (["bench", "--dir", ".", "--rules", "warp", "--report", "r.csv"],
          "usage: dsreduce bench", "unknown rule 'warp'"),
+        (["bench", "--dir", ".", "--rules", ",", "--report", "r.csv"],
+         "usage: dsreduce bench", "--rules must name at least one rule"),
         (["bench", "--dir", ".", "--rules", "linear", "--report", "r.csv",
           "--timeout-s", "-1"],
          "usage: dsreduce bench", "--timeout-s must be a positive number of seconds"),
@@ -202,6 +221,26 @@ def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):
     assert main(["reduce", str(bad), "--rule", "linear"]) == 3
     err = capsys.readouterr().err
     assert "vertex id outside" in err
+
+
+@pytest.mark.parametrize(
+    "name, text", [("big.gr", "p ds 3 1\n1 2\n"), ("big.el", "p ds 3 1\n0 1\n")]
+)
+def test_instance_too_large_for_memory_exits_three(
+    tmp_path, capsys, monkeypatch, name, text
+):
+    # a header may declare any vertex count; the builder's MemoryError is
+    # simulated here instead of allocating a graph that size
+    def out_of_memory(n, edges):
+        raise MemoryError
+
+    monkeypatch.setattr(graphio, "load_check", out_of_memory)
+    inst = tmp_path / name
+    inst.write_text(text)
+    assert main(["reduce", str(inst), "--rule", "linear"]) == 3
+    out = capsys.readouterr()
+    assert out.err == f"error: {inst}: instance does not fit in memory\n"
+    assert out.out == ""
 
 
 def test_non_utf8_bytes_exit_three_with_line_number(tmp_path, capsys):

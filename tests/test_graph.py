@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import build, edge_alive, random_graphs
-from dsreduce.graph import Graph, VertexSet, first_undominated, load_check
+from dsreduce.graph import Graph, first_undominated, load_check
 from dsreduce.oracle import check_graph, copy_state, state_consistent
 from dsreduce.state import ReductionState, compact
 
@@ -19,6 +19,11 @@ def test_load_check_rejects_out_of_range():
         load_check(3, [(0, 3)])
     with pytest.raises(ValueError):
         load_check(2, [(-1, 0)])
+
+
+def test_load_check_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="negative vertex count"):
+        load_check(-1, [])
 
 
 def test_load_check_rejects_out_of_range_loops():
@@ -62,17 +67,6 @@ def test_has_edge_and_edges_iteration():
     assert 4 in g.adj[0] and 0 in g.adj[4]
     assert 2 not in g.adj[1]
     assert list(g.edges()) == [(0, 1), (0, 4), (2, 3)]
-
-
-def test_vertex_set_keeps_insertion_order():
-    vs = VertexSet(6)
-    assert vs.add(4) and vs.add(1) and not vs.add(4)
-    assert list(vs) == [4, 1]
-    assert vs.sorted() == [1, 4]
-    assert 4 in vs and 0 not in vs
-    cp = VertexSet(6, vs)
-    cp.add(0)
-    assert len(vs) == 2 and len(cp) == 3
 
 
 def test_first_undominated():

@@ -9,11 +9,14 @@ carries across rounds must match a fresh pass in every round, and two
 count gates bound the driver's work.
 """
 
+import io
 import random
+from functools import partial
 
 from conftest import build, prepared, random_graphs
 from dsreduce import pipeline
 from dsreduce.generators import fig4_family, gadget_path, path
+from dsreduce.graphio import write_gr
 from dsreduce.oracle import reduce_iterate_reference
 from dsreduce.pipeline import WorkCounter, ball
 from dsreduce.reducer import (
@@ -21,6 +24,7 @@ from dsreduce.reducer import (
     _pairs_by_ball,
     _pairs_by_witness,
     export_residual,
+    naive_reduce,
     reduce_iterate,
     reduce_once,
 )
@@ -45,7 +49,7 @@ def state_and_residual(g, st):
     fields = (
         bytes(st.alive),
         bytes(st.covered),
-        list(st.fixed),
+        sorted(st.fixed),
         [list(st.live_neighbors(v)) for v in range(g.n) if st.alive[v]],
         list(st.deg),
     )
@@ -356,3 +360,44 @@ def test_extra_cut_next_to_a_carried_witness(monkeypatch):
     rounds.append(None)
     reduce_iterate(ReductionState(EXTRA_CUT_BREAKS_A_WITNESS), Variant.EXTRA)
     assert rounds.count(False) >= 2, rounds
+
+
+def test_outputs_do_not_depend_on_the_fixed_set_order():
+    # ``state.fixed`` is a set: given fixed vertices added in another order
+    # may iterate in another order, but no report, visit count or residual
+    # may change with it.  Each driver runs on states whose fixed vertices
+    # go in shuffled, once without covered flags and once with them (the
+    # naive sweep refuses covered flags, so it gets none).
+    rng = random.Random(38000)
+    graphs = random_graphs(40, (20, 60), [0.04, 0.08, 0.15], 38000)
+    drivers = [partial(reduce_once, variant=v) for v in (Variant.LINEAR, *VARIANTS)]
+    drivers += [partial(reduce_iterate, variant=v) for v in VARIANTS]
+
+    def outcome(g, covered, order, driver):
+        st = ReductionState(g)
+        for v in covered:
+            st.cover(v)
+        for v in order:
+            st.fixed.add(v)
+        work = WorkCounter()
+        rep = driver(st, work=work)
+        strips, dropped = export_residual(st)
+        buf = io.StringIO()
+        write_gr(st, buf, alive=st.alive)
+        return (report_fields(rep), work.visits, sorted(st.fixed), strips,
+                dropped, buf.getvalue())
+
+    shuffled = 0
+    for g in graphs:
+        fixed = random_subset(rng, g.n, 0.15)
+        orders = [fixed] + [rng.sample(fixed, len(fixed)) for _ in range(4)]
+        # the shuffles must reach the set's iteration order
+        shuffled += len({tuple(set(order)) for order in orders}) > 1
+        cases = [((), naive_reduce)]
+        for covered in ((), random_subset(rng, g.n, 0.2)):
+            cases += [(covered, driver) for driver in drivers]
+        for covered, driver in cases:
+            first = outcome(g, covered, orders[0], driver)
+            for order in orders[1:]:
+                assert outcome(g, covered, order, driver) == first, (g.n, order)
+    assert shuffled >= 10, shuffled

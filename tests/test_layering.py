@@ -1,6 +1,7 @@
 """The production package's shape: the slow test oracle stays out of
-its import graph, it imports only the standard library, and every
-function and method in it has a production caller."""
+its import graph, it imports only the standard library, every function
+and method in it has a production caller, and every defaulted
+parameter is passed by one."""
 
 import ast
 import os
@@ -15,6 +16,21 @@ PKG_DIR = os.path.dirname(dsreduce.__file__)
 KEPT_WITHOUT_CALLER = {
     # perfbench/corpus.py relabels its generated graphs through it
     "Graph.edges",
+}
+
+
+# Defaulted parameters no production call passes, each for a named user.
+KEPT_WITHOUT_PASSING = {
+    # tests and perfbench call the entry point with an argument list
+    ("main", "argv"),
+    # the tier-1 visit gates read the visits of one driver call
+    ("reduce_once", "work"),
+    ("reduce_iterate", "work"),
+    # the tests check annotated domination through the one domination check
+    ("first_undominated", "covered"),
+    # perfbench's stub forwards it positionally; it goes with the
+    # benchmark's next change (ROADMAP item 6)
+    ("write_sidecar", "solution"),
 }
 
 
@@ -161,3 +177,93 @@ def test_every_production_definition_has_a_production_caller():
     }
     exempt = set(dsreduce.__all__) | KEPT_WITHOUT_CALLER
     assert uncalled_definitions(trees, exempt) == []
+
+
+def unpassed_defaults(trees, exempt=()):
+    """(qualified name, parameter) of each defaulted parameter of the
+    top-level functions and methods in ``trees`` that no call in them
+    passes, by keyword or by position.
+
+    A call matches by name: a function's name or a method's attribute
+    name, and a class name for ``__init__``.  A method's positions skip
+    ``self``.  A call with ``*args`` or ``**kwargs`` passes every
+    parameter it could reach.  ``exempt`` pairs are never reported.
+    """
+    params = []  # (qualified name, called name, parameter, position or None)
+    calls = []  # (called name, call node)
+    for tree in trees.values():
+        for node in tree.body:
+            members = [(None, node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name, item) for item in node.body]
+            for cls, item in members:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                args = item.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None:
+                    positional = positional[1:]
+                called = cls if item.name == "__init__" else item.name
+                qual = item.name if cls is None else f"{cls}.{item.name}"
+                first = len(positional) - len(args.defaults)
+                params += [
+                    (qual, called, name, i)
+                    for i, name in enumerate(positional)
+                    if i >= first
+                ]
+                params += [
+                    (qual, called, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.append((func.id, node))
+                elif isinstance(func, ast.Attribute):
+                    calls.append((func.attr, node))
+
+    def passes(call, name, pos):
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return pos is not None and (starred or len(call.args) > pos)
+
+    return sorted(
+        (qual, name)
+        for qual, called, name, pos in params
+        if (qual, name) not in exempt
+        and not any(c == called and passes(call, name, pos) for c, call in calls)
+    )
+
+
+def test_unpassed_defaults_see_keywords_positions_and_methods():
+    trees = {
+        "a.py": ast.parse(
+            "def f(a, b=1, *, c=2, d=3):\n    return a\n"
+            "class C:\n"
+            "    def __init__(self, x=0, y=0):\n        pass\n"
+            "    def m(self, k=0):\n        return k\n"
+        ),
+        "b.py": ast.parse(
+            "f(0, c=1)\nC(1)\nC().m(*[])\n"
+        ),
+    }
+    assert unpassed_defaults(trees) == [
+        ("C.__init__", "y"), ("f", "b"), ("f", "d")
+    ]
+    assert unpassed_defaults(trees, exempt={("f", "b")}) == [
+        ("C.__init__", "y"), ("f", "d")
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_by_production_code():
+    trees = {
+        fname: parse(os.path.join(PKG_DIR, fname))
+        for fname in package_files()
+        if fname != "oracle.py"
+    }
+    assert unpassed_defaults(trees, KEPT_WITHOUT_PASSING) == []
+    # the allow-list holds only parameters that still need it
+    assert unpassed_defaults(trees) == sorted(KEPT_WITHOUT_PASSING)

@@ -28,7 +28,11 @@ from dsreduce.graphio import (  # noqa: E402
 )
 from dsreduce.generators import path  # noqa: E402
 from dsreduce.oracle import check_graph, suitable_set_direct  # noqa: E402
-from dsreduce.pipeline import suitable_set  # noqa: E402
+from dsreduce.pipeline import (  # noqa: E402
+    compute_proper_partition,
+    compute_superset,
+    suitable_set,
+)
 from dsreduce.state import ReductionState  # noqa: E402
 from test_graphio import outcome  # noqa: E402
 from test_iterate import (  # noqa: E402
@@ -116,13 +120,37 @@ def pipeline_states(draw):
 )
 @hypothesis.given(pipeline_states())
 def test_pipeline_contains_direct_definition_on_states(state):
-    g, covered, fixed = state.g, state.covered, state.fixed.mask
+    g, covered = state.g, state.covered
+    fixed = bytearray(v in state.fixed for v in range(g.n))
     got = set(suitable_set(state))
     expect = set(suitable_set_direct(g, covered, fixed))
     assert expect <= got
     if not any(covered) and not any(fixed):
         assert got == expect
     assert_safe_pairs(g, got, covered, fixed)
+
+
+@hypothesis.settings(
+    max_examples=200, deadline=None, derandomize=True, database=None
+)
+@hypothesis.given(pipeline_states())
+def test_partition_maps_each_witness_to_its_own_reference(state):
+    """After a full superset pass, f maps every witness u to R(u).
+
+    The proposals for u are the references R(y) of witnesses y in N[u]
+    that are adjacent to u.  y = u proposes R(u).  y = R(u) proposes
+    nothing: R(R(u)) beats R(u) in (degree, id), so it is not in N(u),
+    or it would be u's canonical reference.  Any other y lies in N(u),
+    inside N[R(u)], so R(u) is in N[y] and R(y), the maximum over N[y],
+    is at least R(u); adjacent to u, it is at most R(u).  So every
+    proposal is R(u).  So ``filter_suitable``'s test that a witness
+    joined its reference's second slot never drops a pair of an exact
+    superset map.  The test stays, so that the filter's verdict follows
+    its definition whatever partition it is given.
+    """
+    sprime = compute_superset(state)
+    f = compute_proper_partition(state, sprime, pairs=sprime)
+    assert [(u, f[u]) for u, _ in sprime] == list(sprime)
 
 
 # Tokens of the line soup: ids as int() reads them and ids it rejects,

@@ -19,7 +19,7 @@ from dsreduce.oracle import (
     exhaustive_original_rule1,
     state_consistent,
 )
-from dsreduce.pipeline import suitable_set
+from dsreduce.pipeline import WorkCounter, suitable_set
 from dsreduce.reducer import (
     Variant,
     apply_reduction,
@@ -120,6 +120,20 @@ def test_single_vertex_untouched():
     st, rep = run(g, Variant.LINEAR)
     assert not rep.changed
     assert len(st.fixed) == 0
+
+
+def test_naive_visits_on_the_five_path():
+    # Counted by hand, per swept vertex: its closed live neighborhood, then
+    # the neighbor scans up to the first escape and the enclosure tests.
+    # 0: 2 + 2 (1 escapes via 2) + 0.  1: 3 + 1 + 2 (2 escapes via 3)
+    # + 1 (0 is enclosed: commit 1, delete 0).  2: 3 + 0 (1 is fixed)
+    # + 2 + 0.  3: 3 + 1 (2 escapes via 1) + 1 + 1 (4 is enclosed:
+    # commit 3, delete 4).
+    # 4 is dead.  4 + 7 + 5 + 6 = 22.
+    work = WorkCounter()
+    rep = naive_reduce(ReductionState(path(5)), work=work)
+    assert (rep.fixed, rep.removed_nodes, rep.removed_edges) == ([1, 3], [0, 4], 2)
+    assert work.visits == 22
 
 
 def test_naive_complete_graph_first_vertex():

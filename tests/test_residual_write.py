@@ -56,7 +56,7 @@ def compacted_sidecar(state, comp, base, res_base):
     buf = io.StringIO()
     write_sidecar(
         buf,
-        fixed=[v + base for v in state.fixed.sorted()],
+        fixed=[v + base for v in sorted(state.fixed)],
         covered=compress(old_ids, comp.covered),
         mapping=zip(range(res_base, res_base + len(old_ids)), old_ids),
     )
