@@ -22,7 +22,7 @@ class Graph:
         self.n = n
         self.m = m
         self.adj = adj
-        self.deg = [len(a) for a in adj]
+        self.deg = list(map(len, adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, ascending."""
@@ -32,23 +32,38 @@ class Graph:
                     yield (u, v)
 
 
+class CheckedEnds(list):
+    """Edge endpoints flattened as u0, v0, u1, v1, ..., each already
+    known to lie in ``0..n-1``: the readers in ``graphio`` check every id
+    as they parse, so ``load_check`` does not test them again."""
+
+    __slots__ = ()
+
+
 def load_check(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an edge iterable, dropping loops and duplicates.
 
     One pass appends both directions of each edge to the lists, and each
     list is then sorted.  Duplicates are removed only when the lists hold
     any, which their sets tell.  Every endpoint is range-checked, loops
-    included.
+    included, unless ``edges`` is a ``CheckedEnds``.
     """
     if n < 0:
         raise ValueError("negative vertex count")
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
+    if type(edges) is CheckedEnds:
+        it = iter(edges)
+        for u, v in zip(it, it):
+            if u != v:
+                adj[u].append(v)
+                adj[v].append(u)
+    else:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+            if u != v:
+                adj[u].append(v)
+                adj[v].append(u)
     entries = sum(map(len, adj))
     if entries != sum(map(len, map(set, adj))):
         adj = [sorted(set(a)) for a in adj]

@@ -14,7 +14,7 @@ import json
 from itertools import accumulate, compress
 from typing import IO, Iterable, Iterator, Optional
 
-from .graph import Graph, load_check
+from .graph import CheckedEnds, Graph, load_check
 
 REPORT_FIELDS = [
     "instance",
@@ -104,7 +104,7 @@ def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
     n = int(tok[2])
     m = int(tok[3])
     ids = [-1]  # ids[k] is k - 1, grown to the largest id seen, not to n
-    ends: list[int] = []
+    ends = CheckedEnds()
     tail = ""
     while chunk := stream.read(_CHUNK):
         cut = chunk.rfind("\n") + 1
@@ -131,15 +131,14 @@ def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
             return None
     if tail or len(ends) != 2 * m:
         return None
-    it = iter(ends)
-    return load_check(n, zip(it, it))
+    return load_check(n, ends)
 
 
 def _read_gr_lines(stream: IO[str]) -> Graph:
     """Line by line; the only .gr path that reports malformed input."""
     n = -1
     m = -1
-    ends: list[int] = []
+    ends = CheckedEnds()
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
         try:
@@ -172,15 +171,14 @@ def _read_gr_lines(stream: IO[str]) -> Graph:
         raise FormatError("missing 'p' header")
     if len(ends) < 2 * m:
         raise FormatError(f"truncated file: {len(ends) // 2} of {m} edges present")
-    it = iter(ends)
-    return load_check(n, zip(it, it))
+    return load_check(n, ends)
 
 
 def read_edge_list(stream: IO[str]) -> Graph:
     """0-based edges; an optional leading ``p`` header fixes n and m."""
     n = -1
     m = -1
-    ends: list[int] = []
+    ends = CheckedEnds()
     for lineno, raw in enumerate(stream, start=1):
         tok = raw.split()
         try:
@@ -205,12 +203,11 @@ def read_edge_list(stream: IO[str]) -> Graph:
             raise FormatError(f"line {lineno}: vertex id outside 0..{n - 1}")
         ends.append(u)
         ends.append(v)
-    it = iter(ends)
     if n < 0:
-        return load_check(max(ends, default=-1) + 1, zip(it, it))
+        return load_check(max(ends, default=-1) + 1, ends)
     if len(ends) != 2 * m:
         raise FormatError(f"header declares {m} edges, file holds {len(ends) // 2}")
-    return load_check(n, zip(it, it))
+    return load_check(n, ends)
 
 
 def id_base(path: str) -> int:

@@ -39,6 +39,7 @@ the changes.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import eq
 from typing import Optional
 
 from .graph import Graph
@@ -104,15 +105,18 @@ class RelationSet:
 
     __slots__ = ("by_witness", "canonical")
 
-    def __init__(self, pairs) -> None:
-        self.by_witness = _Sparse()
+    def __init__(self, pairs: list[tuple[int, int]]) -> None:
+        self.by_witness = by_witness = _Sparse(pairs)
         self.canonical = None
-        for u, rho in pairs:
-            if u == rho:
-                raise ValueError(f"vertex {u} cannot witness itself")
-            if u in self.by_witness:
-                raise ValueError(f"witness {u} appears twice")
-            self.by_witness[u] = rho
+        if len(by_witness) != len(pairs) or any(map(eq, by_witness, by_witness.values())):
+            # name the first offending pair
+            seen = set()
+            for u, rho in pairs:
+                if u == rho:
+                    raise ValueError(f"vertex {u} cannot witness itself")
+                if u in seen:
+                    raise ValueError(f"witness {u} appears twice")
+                seen.add(u)
 
     def update(self, part: "RelationSet") -> None:
         """Overwrite the entries of the vertices that ``part``, a scoped
@@ -306,7 +310,10 @@ def filter_suitable(
         for x in chosen.get(rho, ()):
             ax = adj[x]
             visits += len(ax)
-            if slot1.issuperset(ax) or all(covered[w] for w in ax if w not in slot1):
+            for w in ax:
+                if w not in slot1 and not covered[w]:
+                    break
+            else:
                 slot2.add(x)
 
         for u in cand:

@@ -94,80 +94,75 @@ def apply_reduction(
     if variant is Variant.NAIVE:
         raise ValueError("naive reduction does not take a precomputed reference set")
     refs = list(refs)
-    for rho in refs:
-        if not state.alive[rho]:
-            raise ValueError(f"reference {rho} is not alive")
-
     adj = state.adj
+    deg = state.deg
     alive = state.alive
     covered = state.covered
     fixed = state.fixed
-    in_r = set(refs)
-    marked: set[int] = set()  # N[refs]
+
+    # N(refs): a list names only alive vertices when its length is the degree
+    marked: set[int] = set()
     visits = 0
-    new_fixed: list[int] = []
-
-    # commit each reference and cover its closed live neighborhood
     for rho in refs:
-        if rho not in fixed:
-            fixed.add(rho)
-            new_fixed.append(rho)
-        covered[rho] = 1
-        marked.add(rho)
-        d = 0
-        for w in adj[rho]:
-            if alive[w]:
-                covered[w] = 1
-                marked.add(w)
-                d += 1
+        if not alive[rho]:
+            raise ValueError(f"reference {rho} is not alive")
+        ar = adj[rho]
+        d = deg[rho]
         visits += d + 1
+        marked.update(ar if d == len(ar) else [w for w in ar if alive[w]])
 
+    # commit and cover each reference; the walk below covers N(refs)
+    in_r = set(refs)
+    new_fixed = sorted(in_r.difference(fixed))
+    fixed.update(in_r)
+    for rho in in_r:
+        covered[rho] = 1
+
+    # One walk over the marked neighbors covers each and classifies it: a
+    # live neighbor still needs domination unless covered or marked.
+    others = marked - in_r
     allow = 0 if variant is Variant.LINEAR else 1
-    seen: set[int] = set()
     deletable: list[int] = []
-    for rho in refs:
-        for u in adj[rho]:
-            if not alive[u] or u in in_r or u in seen:
-                continue
-            seen.add(u)
-            bad = 0
-            ok = True
-            d = 0
-            for w in adj[u]:
-                if alive[w]:
-                    d += 1
-                    if not covered[w]:
-                        bad += 1
-                        if bad > allow:
-                            ok = False
-                            break
-            visits += d
-            if ok:
-                deletable.append(u)
+    for u in others:
+        covered[u] = 1
+        bad = 0
+        d = 0
+        for w in adj[u]:
+            if alive[w]:
+                d += 1
+                if not covered[w] and w not in marked:
+                    if bad == allow:
+                        break
+                    bad += 1
+        else:
+            deletable.append(u)
+        visits += d
 
-    removed_nodes: list[int] = []
     removed_edges = 0
     for u in deletable:
-        removed_edges += state.delete_node(u)
-        if u not in state.fixed:
-            removed_nodes.append(u)
+        for w in adj[u]:
+            if alive[w]:
+                deg[w] -= 1
+                removed_edges += 1
+        alive[u] = 0
+        deg[u] = 0
 
     extra_edges: list[tuple[int, int]] = []
-    if variant is Variant.EXTRA:
-        inner = {u for u in marked if state.alive[u] and u not in in_r}
+    if variant is Variant.EXTRA and (inner := others.difference(deletable)):
         extra_edges = state.cut_within(inner)
         # a cut edge is visited from one end only
-        visits += sum(state.deg[u] for u in inner) + len(extra_edges)
+        visits += sum(map(deg.__getitem__, inner)) + len(extra_edges)
         removed_edges += len(extra_edges)
+        extra_edges.sort()
 
     if work is not None:
         work.add(visits)
     return ReductionReport(
         variant=variant.value,
-        fixed=sorted(new_fixed),
-        removed_nodes=sorted(removed_nodes),
+        fixed=new_fixed,
+        removed_nodes=sorted([u for u in deletable if u not in fixed]),
         removed_edges=removed_edges,
-        extra_edges=sorted(extra_edges),
+        extra_edges=extra_edges,
     )
 
 
@@ -389,7 +384,9 @@ def reduce_iterate(
     map has witnesses, otherwise a test of each carried witness's
     closed neighborhood and its members' lists against S.  Both find the
     same pairs, and the references are sorted before apply, so their
-    order does not matter.
+    order does not matter.  Nor does the order in which the boundary
+    lists T: every pass decides and counts visits per vertex and per
+    pair.
 
     Cost.  A round after the first reads the lists of T, one closed
     neighborhood per uncovered neighbor of T whose reference is in T,
@@ -403,8 +400,19 @@ def reduce_iterate(
     read every time.  The worst case known is the hub path: a path of L
     vertices, L = 2 mod 3, plus a hub joined to every third one, which
     sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
-    1,152 visits per (n + m), in 2.2-2.9 s (single runs, Python 3.11 on
-    a shared Xeon).
+    1,152 visits per (n + m), in 1.9-2.3 s (single runs, Python 3.11.7
+    on a shared 2-core Xeon container).
+
+    On top of that work a round has a fixed cost, which dominates when a
+    round sheds only a few vertices.  A round after the first calls each
+    pass and ``apply_reduction`` once, and the boundary is one walk over
+    the committed vertices, which strips them and lists T, and one over
+    T, which drops the isolated covered vertices, pops dead witness
+    entries and refreshes the dirty lists.  On the benchmark's
+    ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds) a
+    round takes 59-72 us, against 68-86 us for the earlier loop, which
+    made a separate pass for each of those steps (five single runs
+    each, alternating, same host).
     """
     if variant not in ITERATED:
         raise ValueError("iterated reduction requires the plus or extra variant")
@@ -412,9 +420,12 @@ def reduce_iterate(
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
+    n = state.n
+    adj = state.adj
+    deg = state.deg
     alive = state.alive
+    covered = state.covered
     sup: Optional[RelationSet] = None
-    dirty: dict[int, None] = {}
     fixed_all: list[int] = []
     removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
@@ -429,48 +440,71 @@ def reduce_iterate(
         t0 = time.perf_counter()
         if sup is None:
             sup = pipeline.compute_superset(state, work=work)
-            pairs = list(sup)
+            by_witness = sup.by_witness
+            pairs = list(by_witness.items())
         else:
             seeds = _reevaluate_superset(state, sup, dirty, work)
             # search from the smaller side; both find the same pairs
-            near = _pairs_by_ball if len(seeds) <= len(sup) else _pairs_by_witness
-            pairs = near(state, sup.by_witness, seeds, work)
+            near = _pairs_by_ball if len(seeds) <= len(by_witness) else _pairs_by_witness
+            pairs = near(state, by_witness, seeds, work)
         f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
-        rels = pipeline.filter_suitable(state, pairs, f, work=work)
+        refs = pipeline.filter_suitable(state, pairs, f, work=work).references()
         t1 = time.perf_counter()
-        refs = rels.references()
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
+        t_find += t1 - t0
+        if not rep.changed:
+            t_apply += time.perf_counter() - t1
+            break
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
         extra_all += rep.extra_edges
         removed_edges += rep.removed_edges
-        t_find += t1 - t0
-        if rep.changed:
-            # Whatever dies in this round lists its live neighbors, or they
-            # are next to a reference (Extra's cut partners); those still
-            # alive after the strip are the dirty set.
-            first = rounds == 1
-            adj = state.adj
-            committed = [v for v in state.fixed if alive[v]] if first else refs
-            died = committed + [w for rho in refs for w in adj[rho] if not alive[w]]
-            touched = dict.fromkeys(w for v in died for w in adj[v])
-            strips, dropped = _strip_committed(
-                state,
-                committed,
-                # only covered vertices can be dropped; the order stays ascending
-                compress(range(state.n), state.covered) if first else touched,
-            )
-            removed_edges += strips
-            removed_all += dropped
-            # no later round reads a dead witness's entry
-            for v in (*died, *dropped):
-                sup.by_witness.pop(v, None)
-            dirty = {v: None for v in touched if alive[v]}
-            state.refresh(dirty)
+
+        # The boundary.  Strip the committed vertices; whatever died in the
+        # round lists its live neighbors, or they are next to a reference
+        # (Extra's cut partners), so the touched vertices are read off the
+        # lists of the committed vertices and of their dead neighbors.
+        committed = [v for v in state.fixed if alive[v]] if rounds == 1 else refs
+        touched: dict[int, None] = {}
+        for rho in committed:
+            by_witness.pop(rho, None)
+            for w in adj[rho]:
+                touched[w] = None
+                if alive[w]:
+                    deg[w] -= 1
+                    removed_edges += 1
+                else:
+                    for x in adj[w]:
+                        touched[x] = None
+            alive[rho] = 0
+            deg[rho] = 0
+        if rounds == 1:
+            # a given covered vertex may be isolated without being touched
+            for v in compress(range(n), covered):
+                if alive[v] and not deg[v]:
+                    alive[v] = 0
+                    removed_all.append(v)
+                    by_witness.pop(v, None)
+        # Drop the covered touched vertices left isolated and the dead
+        # ones' witness entries; the rest are dirty, and their lists drop
+        # the dead vertices (a list names one when it is longer than the
+        # degree).  A dropped vertex has no live neighbor, so no alive
+        # vertex's list names it.
+        dirty = {}
+        for t in touched:
+            if alive[t]:
+                d = deg[t]
+                if d or not covered[t]:
+                    dirty[t] = None
+                    at = adj[t]
+                    if len(at) != d:
+                        adj[t] = [w for w in at if alive[w]]
+                    continue
+                alive[t] = 0
+                removed_all.append(t)
+            by_witness.pop(t, None)
         t_apply += time.perf_counter() - t1
-        if not rep.changed:
-            break
         if rounds == max_rounds:
             converged = False
             break
@@ -512,13 +546,15 @@ def _reevaluate_superset(
     covered = state.covered
     canonical = sup.canonical
     by_witness = sup.by_witness
+    redo: dict[int, int] = {}
+    visits = 0
     for t in dirty:
         by_witness.pop(t, None)
-    redo = {t: canonical_reference(state, t) for t in dirty if not covered[t]}
-    visits = sum(deg[t] + 1 for t in redo)
-    for t in dirty:
         at = adj[t]
         visits += len(at)
+        if not covered[t]:
+            redo[t] = canonical_reference(state, t)
+            visits += deg[t] + 1
         # R(u) lies in N(u), so each such u is looked at from R(u) only
         for u in at:
             if covered[u] or u in dirty or canonical[u] != t:
@@ -589,26 +625,6 @@ def fix_isolated_uncovered(state: ReductionState) -> list[int]:
     return out
 
 
-def _strip_committed(
-    state: ReductionState, committed: Iterable[int], near: Iterable[int]
-) -> tuple[int, list[int]]:
-    """Delete the ``committed`` vertices, then the covered vertices in
-    ``near`` that are left without live neighbors.
-
-    Returns the live edges that were still pending around the committed
-    vertices and the dropped vertices, in ``near``'s order.
-    """
-    strips = 0
-    for rho in committed:
-        strips += state.delete_node(rho)
-    dropped: list[int] = []
-    for v in near:
-        if state.alive[v] and state.covered[v] and state.deg[v] == 0:
-            state.delete_node(v)
-            dropped.append(v)
-    return strips, dropped
-
-
 def export_residual(state: ReductionState) -> tuple[int, list[int]]:
     """Strip committed vertices out of ``state``; its alive vertices are
     then the residual, as ``graphio.write_gr`` writes it.
@@ -618,6 +634,13 @@ def export_residual(state: ReductionState) -> tuple[int, list[int]]:
     dropped because stripping isolated them.  Mutates ``state``; pass a
     copy to keep the original.
     """
+    strips = 0
+    for rho in state.fixed:
+        strips += state.delete_node(rho)
+    dropped: list[int] = []
     # only covered vertices can be dropped; compress keeps ascending order
-    near = compress(range(state.n), state.covered)
-    return _strip_committed(state, state.fixed, near)
+    for v in compress(range(state.n), state.covered):
+        if state.alive[v] and state.deg[v] == 0:
+            state.delete_node(v)
+            dropped.append(v)
+    return strips, dropped

@@ -7,10 +7,11 @@ of committed vertices; every reader of ``fixed`` sorts it or does not
 depend on its order.  ``adj`` starts as a shallow copy of the input's
 lists.  Deleting a node flips its alive flag and lowers its neighbors'
 degrees but leaves the lists alone, so a list may still name dead
-vertices and ``live_neighbors`` skips them; ``refresh`` drops them.
-Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
-only ever replaced, never mutated in place, so the input graph and
-copies of a state stay intact.
+vertices and ``live_neighbors`` skips them; ``reducer.reduce_iterate``
+drops them from the lists it reads again.  Deleting edges
+(``cut_within``) replaces the lists concerned.  Lists are only ever
+replaced, never mutated in place, so the input graph and copies of a
+state stay intact.
 """
 
 from __future__ import annotations
@@ -77,13 +78,6 @@ class ReductionState:
                 adj[u] = kept
                 deg[u] -= lost
         return cuts
-
-    def refresh(self, verts) -> None:
-        """Drop dead vertices from the lists of ``verts``."""
-        adj = self.adj
-        alive = self.alive
-        for v in verts:
-            adj[v] = [w for w in adj[v] if alive[w]]
 
     def cover(self, u: int) -> None:
         self.covered[u] = 1

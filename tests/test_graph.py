@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import build, edge_alive, random_graphs
-from dsreduce.graph import Graph, first_undominated, load_check
+from dsreduce.graph import CheckedEnds, Graph, first_undominated, load_check
 from dsreduce.oracle import check_graph, copy_state, state_consistent
 from dsreduce.state import ReductionState, compact
 
@@ -54,6 +54,21 @@ def test_load_check_matches_pair_set_reference():
         g = load_check(n, iter(edges))
         check_graph(g)
         assert (g.n, g.m, g.adj) == (n, len(pairs), [sorted(a) for a in adj])
+
+
+def test_checked_ends_build_the_graph_the_pairs_give():
+    # The readers hand load_check their ids flat and already range-checked;
+    # only the range test is skipped, loops and duplicates still go.
+    import random
+
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))] if n else []
+        want = load_check(n, edges)
+        got = load_check(n, CheckedEnds(v for e in edges for v in e))
+        check_graph(got)
+        assert (got.n, got.m, got.adj, got.deg) == (want.n, want.m, want.adj, want.deg)
 
 
 def test_validate_catches_asymmetry():

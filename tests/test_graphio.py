@@ -7,6 +7,7 @@ import pytest
 from conftest import read_sidecar
 from dsreduce import graphio
 from dsreduce.generators import gnp, path
+from dsreduce.graph import CheckedEnds
 from dsreduce.graphio import (
     REPORT_FIELDS,
     FormatError,
@@ -494,3 +495,24 @@ def test_read_graph_reruns_a_file_from_its_start(tmp_path):
     got, base = read_graph(str(grf))
     want = graphio._read_gr_lines(io.StringIO(gr_text(inserted("c note\n"))))
     assert base == 1 and (got.n, got.m, got.adj) == (want.n, want.m, want.adj)
+
+
+def test_readers_hand_load_check_their_checked_ids(monkeypatch):
+    # Every reader range-checks each id as it parses, so each hands the
+    # ids to ``graphio.load_check`` as ``CheckedEnds``, which skips the
+    # second test; the graph is still built inside that call.
+    seen = []
+    real = graphio.load_check
+
+    def spy(n, edges):
+        seen.append(type(edges))
+        return real(n, edges)
+
+    monkeypatch.setattr(graphio, "load_check", spy)
+    text = "p ds 4 3\n1 2\n2 3\n4 4\n"
+    bulk = read_gr(io.StringIO(text))
+    per_line = read_gr(io.StringIO("c lead\n" + text))
+    edge_list = read_edge_list(io.StringIO("0 1\n1 2\n3 3\n"))
+    assert seen == [CheckedEnds] * 3
+    for g in (bulk, per_line, edge_list):
+        assert (g.n, g.m, g.adj) == (4, 2, [[1], [0, 2], [1], []])

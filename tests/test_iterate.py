@@ -11,10 +11,11 @@ count gates bound the driver's work.
 
 import io
 import random
+from collections import Counter
 from functools import partial
 
 from conftest import build, prepared, random_graphs
-from dsreduce import pipeline
+from dsreduce import pipeline, reducer
 from dsreduce.generators import fig4_family, gadget_path, path
 from dsreduce.graphio import write_gr
 from dsreduce.oracle import reduce_iterate_reference
@@ -211,7 +212,9 @@ def partly_reduced(rng, n):
     st = ReductionState(g)
     for v in random_subset(rng, n, 0.3):
         st.delete_node(v)
-    st.refresh([v for v in range(n) if st.alive[v]])
+    for v in range(n):
+        if st.alive[v]:
+            st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
     for v in random_subset(rng, n, 0.2):
         st.cover(v)
     return st
@@ -260,6 +263,66 @@ def test_work_grows_linearly_on_paths():
     for idle in (0, 40):
         for variant in VARIANTS:
             assert per_nm[12000, idle, variant] < 1.25 * per_nm[3000, idle, variant], per_nm
+
+
+def test_work_scales_linearly_on_chains():
+    # Paths and fig5 / fig6 gadget chains shed a few vertices at each end
+    # per round, so they run about n / 6 rounds.  At two sizes 4x apart
+    # the visits per (n + m) may grow at most 1.5x (they stay near 9.6);
+    # the smaller size must match the compact-every-round reference.
+    # Counts are exact, not timed.
+    families = {
+        "path": (path(1000), path(4000)),
+        "fig5": (gadget_path("fig5", 200), gadget_path("fig5", 800)),
+        "fig6": (gadget_path("fig6", 150), gadget_path("fig6", 600)),
+    }
+    for name, (small, large) in families.items():
+        for variant in VARIANTS:
+            per_nm = []
+            for g in (small, large):
+                rep = reduce_iterate(ReductionState(g), variant, work=WorkCounter())
+                assert rep.converged and rep.rounds > g.n // 8, (name, g.n)
+                per_nm.append(rep.work_visits / (g.n + g.m))
+            assert per_nm[1] <= 1.5 * per_nm[0], (name, variant, per_nm)
+            check_same(small, variant)
+
+
+def test_each_pass_runs_once_per_round(monkeypatch):
+    # A round calls each pipeline pass and apply_reduction once, through
+    # the module attributes that a tracer such as perfbench/spans.py
+    # wraps, and the superset pass is scoped (``canonical=``) in every
+    # round after the first.  The wrappers read what the tracer reads:
+    # len() of the pass results and the report's fixed and removed nodes.
+    calls = Counter()
+
+    def count(owner, name, read):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            out = real(*args, **kwargs)
+            scoped = kwargs.get("canonical") is not None
+            calls[name + (" scoped" if scoped else "")] += 1
+            read(out)
+            return out
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(pipeline, "compute_superset", len)
+    count(pipeline, "compute_proper_partition", len)
+    count(pipeline, "filter_suitable", len)
+    count(reducer, "apply_reduction", lambda rep: (rep.fixed, rep.removed_nodes))
+    g = gadget_path("fig6", 40)
+    rep = reduce_iterate(ReductionState(g), Variant.EXTRA)
+    assert rep.rounds > 30
+    assert calls == {
+        "compute_superset": 1,
+        "compute_superset scoped": rep.rounds - 1,
+        "compute_proper_partition": rep.rounds,
+        "filter_suitable": rep.rounds,
+        "apply_reduction": rep.rounds,
+    }
+    # perfbench/spans.py also wraps reducer.compact, which no command calls
+    assert reducer.compact is compact
 
 
 def test_work_per_edge_on_a_sparse_random_graph():
