@@ -17,7 +17,6 @@ from .reducer import (
     export_residual,
     naive_reduce,
     reduce_iterate,
-    reduce_once,
 )
 from .state import ReductionState, compact
 
@@ -40,7 +39,6 @@ __all__ = [
     "naive_reduce",
     "read_graph",
     "reduce_iterate",
-    "reduce_once",
     "suitable_set",
     "write_gr",
 ]

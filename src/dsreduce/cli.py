@@ -37,19 +37,19 @@ from .graphio import (
     write_sidecar,
 )
 from .greedy import default_seed_list, greedy_best_of
+# reduce_iterate is called through this module's name, where
+# perfbench/spans.py wraps it
 from .reducer import (
-    ITERATED,
     ReductionReport,
     Variant,
     export_residual,
     fix_isolated_uncovered,
+    naive_reduce,
     reduce_iterate,
-    reduce_once,
 )
 from .state import ReductionState
 
 RULES = [v.value for v in Variant]
-ITERATED_RULES = [v.value for v in ITERATED]
 
 # gen family -> (flags it requires, builder from the parsed arguments)
 GEN_FAMILIES = {
@@ -135,21 +135,14 @@ def _report_row(path: str, rule: str, **columns) -> dict:
     return row
 
 
-def _reduce_file(
-    path: str,
-    rule,
-    *,
-    iterate=False,
-    max_rounds=None,
-    fix_isolated=False,
-):
+def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
     """Read, reduce and export one instance file.
 
-    ``rule`` None only exports.  Returns the file's id base, the final
-    state (its ``g`` is the input graph, its alive vertices are the
-    residual) and the report row.  An iterated reduction runs to
-    its fixed point unless ``max_rounds`` is given; when that cap stops
-    it while it was still changing, one note goes to stderr.
+    ``rule`` None only exports.  A round-based rule runs ``max_rounds``
+    rounds of ``reduce_iterate``, None running to its fixed point.
+    Returns the file's id base, the final state (its ``g`` is the input
+    graph, its alive vertices are the residual), the reduction report
+    and the report row.
     """
     t0 = time.perf_counter()
     g, base = read_graph(path)
@@ -159,20 +152,14 @@ def _reduce_file(
     t1 = time.perf_counter()
     if rule is None:
         rep = ReductionReport("none", rounds=0)
-    elif iterate:
-        rep = reduce_iterate(state, Variant(rule), max_rounds)
+    elif rule == "naive":
+        rep = naive_reduce(state)
     else:
-        rep = reduce_once(state, Variant(rule))
+        rep = reduce_iterate(state, Variant(rule), max_rounds)
     if fix_isolated:
         fix_isolated_uncovered(state)
     strips, dropped = export_residual(state)
     time_reduce = time.perf_counter() - t1
-    if not rep.converged:
-        print(
-            f"note: --iterate stopped at the cap of {max_rounds} rounds "
-            "before converging; the residual may reduce further",
-            file=sys.stderr,
-        )
 
     row = _report_row(
         path,
@@ -186,7 +173,7 @@ def _reduce_file(
         time_build_ms=round(time_build * 1000, 3),
         time_reduce_ms=round(time_reduce * 1000, 3),
     )
-    return base, state, row
+    return base, state, rep, row
 
 
 def _write_instance(g, path: str, alive=None) -> None:
@@ -197,8 +184,8 @@ def _write_instance(g, path: str, alive=None) -> None:
 
 
 def _cmd_reduce(args, parser) -> int:
-    if args.iterate and args.rule not in ITERATED_RULES:
-        parser.error("--iterate requires --rule plus or extra")
+    if args.iterate and args.rule == "naive":
+        parser.error("--iterate requires --rule linear, plus or extra")
     if args.max_rounds is not None and not args.iterate:
         parser.error("--max-rounds only makes sense with --iterate")
     if args.max_rounds is not None and args.max_rounds < 1:
@@ -206,13 +193,19 @@ def _cmd_reduce(args, parser) -> int:
 
     # the residual is written from the stripped state: its alive vertices,
     # renumbered in order
-    base, state, row = _reduce_file(
+    base, state, rep, row = _reduce_file(
         args.instance,
         args.rule,
-        iterate=args.iterate,
-        max_rounds=args.max_rounds,
+        max_rounds=args.max_rounds if args.iterate else 1,
         fix_isolated=args.fix_isolated,
     )
+    # only an explicit cap is worth a note; a plain rule is one round
+    if args.iterate and not rep.converged:
+        print(
+            f"note: --iterate stopped at the cap of {args.max_rounds} rounds "
+            "before converging; the residual may reduce further",
+            file=sys.stderr,
+        )
     alive = state.alive
     res_base = id_base(args.out) if args.out else 1
     if args.out:
@@ -242,13 +235,13 @@ def _cmd_reduce(args, parser) -> int:
 def _cmd_greedy(args, parser) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    if args.iterate and args.after not in ITERATED_RULES:
-        parser.error("--iterate requires --after plus or extra")
+    if args.iterate and args.after in ("none", "naive"):
+        parser.error("--iterate requires --after linear, plus or extra")
 
-    base, state, _row = _reduce_file(
+    base, state, _rep, _row = _reduce_file(
         args.instance,
         None if args.after == "none" else args.after,
-        iterate=args.iterate,
+        max_rounds=None if args.iterate else 1,
     )
 
     best = greedy_best_of(state, default_seed_list(args.seed, args.runs))

@@ -1,8 +1,9 @@
 """Slow reference implementations and invariant checks for tests.
 
 Everything here favors being obviously correct over being fast: set
-arithmetic, full rescans, exponential search, an iterated driver
-that compacts after every round, and a greedy that rescans merits.
+arithmetic, full rescans, exponential search, a single round left
+unstripped, an iterated driver that compacts after every round, and a
+greedy that rescans merits.
 The graph and state invariant checkers and the state copy live here
 too, since only tests and the reference driver use them.
 Production code paths must never import this module
@@ -11,21 +12,19 @@ Production code paths must never import this module
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .graph import Graph
 from .greedy import TieBreaker
-from .pipeline import RelationSet, WorkCounter, canonical_reference
+from .pipeline import RelationSet, WorkCounter, canonical_reference, suitable_set
 from .reducer import (
-    ITERATED,
     ReductionReport,
     Variant,
     _require_fresh,
+    apply_reduction,
     export_residual,
-    reduce_once,
 )
 from .state import ReductionState, compact
 
@@ -283,6 +282,18 @@ def exact_annotated_gamma(g: Graph, covered: bytearray) -> tuple[int, list[int]]
     return best, sorted(best_set)
 
 
+def one_round(
+    state: ReductionState, variant: Variant, *, work: Optional[WorkCounter] = None
+) -> ReductionReport:
+    """One find+apply round on ``state``, covered-aware, left unstripped:
+    the committed vertices stay alive, and their doomed edges in the
+    state, until ``export_residual``.  ``reducer.reduce_iterate`` under
+    ``max_rounds=1`` must match it after the export."""
+    return apply_reduction(
+        state, suitable_set(state, work=work).references(), variant, work=work
+    )
+
+
 def reduce_iterate_reference(
     state: ReductionState,
     variant: Variant,
@@ -293,17 +304,17 @@ def reduce_iterate_reference(
     """Alternate rounds and compaction until nothing changes.
 
     The iterated driver before rounds shared one id space: every round
-    is ``reduce_once``, covered-aware, on a freshly compacted graph, so
-    it is quadratic on long paths.  ``reducer.reduce_iterate`` must
-    match it.  Variants outside ``ITERATED`` are rejected.  Between
-    acting rounds ``export_residual`` strips the committed vertices
-    (their doomed edges are only then counted) and drops isolated
-    covered vertices; the caller's state mirrors every event in original
-    ids.  The terminating idle round is included in the round count;
-    ``max_rounds`` None runs to it.
+    is ``one_round`` on a freshly compacted graph, so it is quadratic on
+    long paths.  ``reducer.reduce_iterate`` must match it.  The naive
+    sweep is rejected.  Between acting rounds ``export_residual`` strips
+    the committed vertices (their doomed edges are only then counted)
+    and drops isolated covered vertices; the caller's state mirrors every
+    event in original ids.  The terminating idle round is included in
+    the round count; ``max_rounds`` None runs to it.  No time is
+    measured.
     """
-    if variant not in ITERATED:
-        raise ValueError("iterated reduction requires the plus or extra variant")
+    if variant is Variant.NAIVE:
+        raise ValueError("the naive sweep does not run in rounds")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
@@ -316,15 +327,11 @@ def reduce_iterate_reference(
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
-    t_find = 0.0
-    t_apply = 0.0
     before = work.visits if work is not None else 0
 
     while True:
-        rep = reduce_once(cur_state, variant, work=work)
+        rep = one_round(cur_state, variant, work=work)
         rounds += 1
-        t_find += rep.time_find_s
-        t_apply += rep.time_apply_s
 
         for rho in rep.fixed:
             o = cur_to_orig[rho]
@@ -342,7 +349,6 @@ def reduce_iterate_reference(
         if not rep.changed:
             break
 
-        t0 = time.perf_counter()
         committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
         strips, dropped = export_residual(cur_state)
         comp = compact(cur_state)
@@ -352,7 +358,6 @@ def reduce_iterate_reference(
         for v in dropped:
             state.delete_node(cur_to_orig[v])
             removed_all.append(cur_to_orig[v])
-        t_apply += time.perf_counter() - t0
         if rounds == max_rounds:
             break
         cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
@@ -365,8 +370,6 @@ def reduce_iterate_reference(
         removed_nodes=sorted(removed_all),
         removed_edges=removed_edges,
         rounds=rounds,
-        time_find_s=t_find,
-        time_apply_s=t_apply,
         extra_edges=sorted(extra_all),
     )
     if work is not None:

@@ -1,11 +1,12 @@
-"""Reduction drivers: apply a reference set, run single rounds, iterate.
+"""Reduction drivers: apply a reference set, sweep naively, run rounds.
 
 Each driver takes the ``ReductionState`` alone.  A round is find
-(pipeline) then apply (this module).  Apply commits every reference to
-the solution, covers its closed neighborhood and deletes whatever the
-chosen variant allows.  Edges incident to a committed vertex are doomed
-from that moment on, but leave the state only at round boundaries
-(iterated driver) or when the residual is exported.
+(pipeline) then apply (this module); a plain rule is one round of
+``reduce_iterate``.  Apply commits every reference to the solution,
+covers its closed neighborhood and deletes whatever the chosen variant
+allows.  Edges incident to a committed vertex are doomed from that
+moment on, but leave the state only at round boundaries or when the
+residual is exported.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Optional
 # The passes are called as attributes of ``pipeline``, so a wrapper set
 # there (a tracer, a test) sees every call.
 from . import pipeline
-from .pipeline import RelationSet, WorkCounter, ball, canonical_reference, suitable_set
+from .pipeline import RelationSet, WorkCounter, ball, canonical_reference
 # nothing here calls ``compact``; perfbench/spans.py wraps ``reducer.compact``
 from .state import ReductionState, compact  # noqa: F401
 
@@ -36,10 +37,6 @@ class Variant(Enum):
     EXTRA = "extra"
 
 
-# The variants that profit from repetition, the only ones reduce_iterate runs.
-ITERATED = (Variant.PLUS, Variant.EXTRA)
-
-
 @dataclass
 class ReductionReport:
     variant: str
@@ -47,10 +44,9 @@ class ReductionReport:
     removed_nodes: list[int] = field(default_factory=list)
     removed_edges: int = 0
     rounds: int = 1
-    # Find: the pipeline passes, and in reduce_iterate also the superset
-    # re-evaluation and the witness search.  Apply: apply_reduction, and in
-    # reduce_iterate also the boundary strip, the dirty-set scan and the
-    # refresh of the dirty vertices' lists.
+    # Find: the pipeline passes, with the superset re-evaluation and the
+    # witness search of later rounds.  Apply: apply_reduction, the boundary
+    # strip, the dirty-set scan and the refresh of the dirty vertices' lists.
     time_find_s: float = 0.0
     time_apply_s: float = 0.0
     work_visits: int = 0
@@ -259,31 +255,6 @@ def naive_reduce(
     )
 
 
-def reduce_once(
-    state: ReductionState, variant: Variant, *, work: Optional[WorkCounter] = None
-) -> ReductionReport:
-    """One find+apply round on a fresh state.
-
-    The witness search reads the covered flags: a vertex already
-    dominated does not need domination, so it is never a witness and
-    never makes a neighbor escape.
-    """
-    _require_fresh(state)
-    if variant is Variant.NAIVE:
-        return naive_reduce(state, work=work)
-
-    before = work.visits if work is not None else 0
-    t0 = time.perf_counter()
-    rels = suitable_set(state, work=work)
-    t1 = time.perf_counter()
-    rep = apply_reduction(state, rels.references(), variant, work=work)
-    rep.time_find_s = t1 - t0
-    rep.time_apply_s = time.perf_counter() - t1
-    if work is not None:
-        rep.work_visits = work.visits - before
-    return rep
-
-
 def reduce_iterate(
     state: ReductionState,
     variant: Variant,
@@ -293,12 +264,15 @@ def reduce_iterate(
 ) -> ReductionReport:
     """Repeat find+apply rounds on ``state`` until nothing changes.
 
-    Variants outside ``ITERATED`` are rejected.  Every round acts on the
-    caller's state in the input's ids and classifies covered-aware.
+    The naive sweep is rejected: it is no find+apply round.  A plain
+    Linear, Plus or Extra round is this driver under ``max_rounds`` 1.
+    Every round acts on the caller's state in the input's ids and
+    classifies covered-aware.
     After each acting round the committed vertices are stripped (their
     doomed edges are only then counted) and covered vertices left
-    isolated are dropped.  The terminating idle round is included in the
-    round count.  ``max_rounds`` None runs to that idle round;
+    isolated are dropped, so a capped run, a single round included,
+    leaves the state stripped.  The terminating idle round is included
+    in the round count.  ``max_rounds`` None runs to that idle round;
     ``converged`` is False only when a given ``max_rounds`` ended the
     loop instead.
 
@@ -414,8 +388,8 @@ def reduce_iterate(
     made a separate pass for each of those steps (five single runs
     each, alternating, same host).
     """
-    if variant not in ITERATED:
-        raise ValueError("iterated reduction requires the plus or extra variant")
+    if variant is Variant.NAIVE:
+        raise ValueError("the naive sweep does not run in rounds")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)

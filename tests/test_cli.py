@@ -115,10 +115,11 @@ def test_greedy_exits_one_on_a_non_dominating_solution(
 
 def test_usage_errors_exit_two(tmp_path, capsys):
     cases = [
-        ["reduce", "x.gr", "--rule", "linear", "--iterate"],
+        ["reduce", "x.gr", "--rule", "naive", "--iterate"],
         ["reduce", "x.gr", "--rule", "plus", "--max-rounds", "5"],
         ["greedy", "x.gr", "--runs", "0"],
         ["greedy", "x.gr", "--iterate"],
+        ["greedy", "x.gr", "--after", "naive", "--iterate"],
         ["gen", "gnp", "--n", "5", "--out", str(tmp_path / "o.gr")],
         ["gen", "cycle", "--n", "2", "--out", str(tmp_path / "o.gr")],
         ["gen", "star", "--n", "-1", "--out", str(tmp_path / "o.gr")],
@@ -174,21 +175,35 @@ def test_max_rounds_below_one_is_usage_error(tmp_path, capsys):
         assert "--max-rounds must be at least 1" in capsys.readouterr().err
 
 
-def test_round_cap_is_reported_on_stderr(tmp_path, capsys):
+def test_round_cap_is_reported_on_stderr(tmp_path, capfd):
+    # capfd, not capsys: bench's child processes write to the inherited fds
     inst = str(tmp_path / "chain.gr")
-    run_ok(["gen", "fig6", "--copies", "3", "--out", inst], capsys)
+    run_ok(["gen", "fig6", "--copies", "3", "--out", inst], capfd)
     capped = ["reduce", inst, "--rule", "plus", "--iterate", "--max-rounds"]
-    assert main(capped + ["2"]) == 0
-    out = capsys.readouterr()
-    assert out.out.startswith("fixed=4 ") and "rounds=2" in out.out
-    assert out.err == (
-        "note: --iterate stopped at the cap of 2 rounds before converging; "
-        "the residual may reduce further\n"
-    )
+    for cap in ("1", "2"):
+        assert main(capped + [cap]) == 0
+        out = capfd.readouterr()
+        assert f"rounds={cap} " in out.out
+        assert out.err == (
+            f"note: --iterate stopped at the cap of {cap} rounds before "
+            "converging; the residual may reduce further\n"
+        )
+    assert out.out.startswith("fixed=4 ")
     # four rounds converge (the fourth is idle), so a cap of 4 is not hit
     assert main(capped + ["4"]) == 0
-    out = capsys.readouterr()
+    out = capfd.readouterr()
     assert "rounds=4" in out.out and out.err == ""
+    # A plain rule is one round of the iterated driver.  Round 1 acts here,
+    # so that internal cap stops it, but only an explicit cap is noted.
+    for rule in ("linear", "plus", "extra"):
+        assert main(["reduce", inst, "--rule", rule]) == 0
+        out = capfd.readouterr()
+        assert "rounds=1 " in out.out and out.err == ""
+    report = str(tmp_path / "bench.csv")
+    assert main(["bench", "--dir", str(tmp_path), "--rules", "plus,extra",
+                 "--report", report]) == 0
+    out = capfd.readouterr()
+    assert out.out == f"wrote {report}: 2 rows\n" and out.err == ""
 
 
 def test_long_path_iterates_to_its_fixed_point(tmp_path, capsys):
@@ -315,7 +330,8 @@ def test_reduce_row_and_residual_account_for_every_vertex_and_edge(tmp_path, cap
     # the row sums the reduction with the export's strips and drops; with
     # the residual it must cover n and m for every rule and iteration mode
     modes = [
-        ["naive"], ["plus"], ["extra"], ["extra", "--iterate"],
+        ["naive"], ["plus"], ["extra"], ["linear", "--iterate"],
+        ["extra", "--iterate"],
         ["extra", "--iterate", "--max-rounds", "1"],
         ["plus", "--iterate", "--fix-isolated"],
     ]

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import build, edge_alive, random_graphs
 from dsreduce.graph import CheckedEnds, Graph, first_undominated, load_check
-from dsreduce.oracle import check_graph, copy_state, state_consistent
+from dsreduce.oracle import check_graph, copy_state, one_round, state_consistent
 from dsreduce.state import ReductionState, compact
 
 
@@ -233,12 +233,12 @@ def test_compact_roundtrip_random():
 def test_compact_filters_alive_lists_that_name_dead_vertices():
     # one non-iterated round deletes vertices and leaves them in the lists
     # of their alive neighbors; compact drops exactly those entries
-    from dsreduce.reducer import Variant, reduce_once
+    from dsreduce.reducer import Variant
 
     stale = 0
     for g in random_graphs(30, (6, 40), [0.1, 0.2], seed_base=90):
         st = ReductionState(g)
-        reduce_once(st, Variant.LINEAR)
+        one_round(st, Variant.LINEAR)
         alive = st.alive
         stale += any(not alive[v] for u in range(g.n) if alive[u] for v in st.adj[u])
         comp = compact(st)

@@ -4,7 +4,8 @@
 rescans only near the previous round's changes;
 ``oracle.reduce_iterate_reference`` reruns the full pipeline on a freshly
 compacted graph each round.  Their reports, the caller's state afterwards
-and the exported residual must agree.  The superset map the driver
+and the exported residual must agree, and one capped round must leave
+what ``oracle.one_round`` and the export leave.  The superset map the driver
 carries across rounds must match a fresh pass in every round, and two
 count gates bound the driver's work.
 """
@@ -13,12 +14,13 @@ import io
 import random
 from collections import Counter
 from functools import partial
+from itertools import compress
 
 from conftest import build, prepared, random_graphs
 from dsreduce import pipeline, reducer
-from dsreduce.generators import fig4_family, gadget_path, path
+from dsreduce.generators import fig4_family, gadget_path, gnp, path
 from dsreduce.graphio import write_gr
-from dsreduce.oracle import reduce_iterate_reference
+from dsreduce.oracle import one_round, reduce_iterate_reference
 from dsreduce.pipeline import WorkCounter, ball
 from dsreduce.reducer import (
     Variant,
@@ -27,11 +29,13 @@ from dsreduce.reducer import (
     export_residual,
     naive_reduce,
     reduce_iterate,
-    reduce_once,
 )
 from dsreduce.state import ReductionState, compact
 
-VARIANTS = (Variant.PLUS, Variant.EXTRA)
+VARIANTS = (Variant.LINEAR, Variant.PLUS, Variant.EXTRA)
+# Linear keeps a marked vertex next to an unmarked one, so a path stops
+# after one acting round under it; the long-run work gates run these.
+SHEDDING = (Variant.PLUS, Variant.EXTRA)
 
 
 def report_fields(rep):
@@ -99,7 +103,7 @@ def check_same(g, variant, max_rounds=None, covered=(), fixed=()):
     # first round on its own.
     if fixed:
         once = prepared(g, covered, fixed)
-        reduce_once(once, variant)
+        one_round(once, variant)
         for v in fixed:
             if not once.alive[v]:
                 ref_st.delete_node(v)
@@ -140,6 +144,43 @@ def test_matches_reference_on_random_graphs():
     for g in graphs:
         for variant in VARIANTS:
             check_same(g, variant)
+
+
+def test_one_capped_round_matches_one_plain_round():
+    # A plain rule runs as round 1 of reduce_iterate and is stripped at its
+    # boundary, which counts what the export of one unstripped round
+    # counts.  After the export both must agree on the totals, the flags,
+    # the visits, the live degrees (reduce prints their sum) and the
+    # written residual.
+    rng = random.Random(35000)
+    for i in range(200):
+        n = rng.randint(8, 60)
+        g = gnp(n, rng.choice((0.03, 0.06, 0.1, 0.2)), seed=35000 + i)
+        covered = random_subset(rng, n, 0.2)
+        for cov in ((), covered):
+            for variant in VARIANTS:
+                outs = []
+                for driver in (partial(reduce_iterate, max_rounds=1), one_round):
+                    st = prepared(g, cov)
+                    work = WorkCounter()
+                    rep = driver(st, variant, work=work)
+                    strips, dropped = export_residual(st)
+                    buf = io.StringIO()
+                    write_gr(st, buf, alive=st.alive)
+                    outs.append((
+                        rep.fixed,
+                        sorted(rep.removed_nodes + dropped),
+                        rep.removed_edges + strips,
+                        rep.rounds,
+                        rep.extra_edges,
+                        work.visits,
+                        bytes(st.alive),
+                        bytes(st.covered),
+                        sorted(st.fixed),
+                        list(compress(st.deg, st.alive)),
+                        buf.getvalue(),
+                    ))
+                assert outs[0] == outs[1], (i, cov, variant)
 
 
 def test_matches_reference_on_trees_with_extra_edges():
@@ -253,7 +294,7 @@ def test_work_grows_linearly_on_paths():
     for n in (3000, 6000, 12000):
         for idle in (0, 40):
             g = with_fig4_component(path(n), idle) if idle else path(n)
-            for variant in VARIANTS:
+            for variant in SHEDDING:
                 rep = reduce_iterate(
                     ReductionState(g), variant, 10**6, work=WorkCounter()
                 )
@@ -261,7 +302,7 @@ def test_work_grows_linearly_on_paths():
                 per_nm[n, idle, variant] = rep.work_visits / (g.n + g.m)
     assert max(per_nm.values()) < 13, per_nm
     for idle in (0, 40):
-        for variant in VARIANTS:
+        for variant in SHEDDING:
             assert per_nm[12000, idle, variant] < 1.25 * per_nm[3000, idle, variant], per_nm
 
 
@@ -277,7 +318,7 @@ def test_work_scales_linearly_on_chains():
         "fig6": (gadget_path("fig6", 150), gadget_path("fig6", 600)),
     }
     for name, (small, large) in families.items():
-        for variant in VARIANTS:
+        for variant in SHEDDING:
             per_nm = []
             for g in (small, large):
                 rep = reduce_iterate(ReductionState(g), variant, work=WorkCounter())
@@ -433,8 +474,11 @@ def test_outputs_do_not_depend_on_the_fixed_set_order():
     # naive sweep refuses covered flags, so it gets none).
     rng = random.Random(38000)
     graphs = random_graphs(40, (20, 60), [0.04, 0.08, 0.15], 38000)
-    drivers = [partial(reduce_once, variant=v) for v in (Variant.LINEAR, *VARIANTS)]
-    drivers += [partial(reduce_iterate, variant=v) for v in VARIANTS]
+    drivers = [
+        partial(reduce_iterate, variant=v, max_rounds=cap)
+        for v in VARIANTS
+        for cap in (1, None)
+    ]
 
     def outcome(g, covered, order, driver):
         st = ReductionState(g)

@@ -17,6 +17,7 @@ from dsreduce.oracle import (
     copy_state,
     exact_annotated_gamma,
     exhaustive_original_rule1,
+    one_round,
     state_consistent,
 )
 from dsreduce.pipeline import WorkCounter, suitable_set
@@ -27,7 +28,6 @@ from dsreduce.reducer import (
     fix_isolated_uncovered,
     naive_reduce,
     reduce_iterate,
-    reduce_once,
 )
 from dsreduce.state import ReductionState, compact
 
@@ -37,13 +37,15 @@ def dead(g, st):
 
 
 def run(g, variant, *, iterate=False, max_rounds=1024):
+    """Reduce a fresh state of ``g``; without ``iterate`` the state is
+    left as one round leaves it, committed vertices unstripped."""
     st = ReductionState(g)
     if variant is None:
         rep = naive_reduce(st)
     elif iterate:
         rep = reduce_iterate(st, variant, max_rounds=max_rounds)
     else:
-        rep = reduce_once(st, variant)
+        rep = one_round(st, variant)
     return st, rep
 
 
@@ -242,8 +244,8 @@ def variants_all(g):
     yield run(g, None)
     for v in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
         yield run(g, v)
-    yield run(g, Variant.PLUS, iterate=True)
-    yield run(g, Variant.EXTRA, iterate=True)
+    for v in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
+        yield run(g, v, iterate=True)
 
 
 def committed_plus_residual_gamma(st):
@@ -268,18 +270,15 @@ def test_gamma_identity_all_variants():
         fixed = [v for v in range(g.n) if rng.random() < 0.08]
         dominated = prepared(g, covered, fixed).covered
         want = len(fixed) + exact_annotated_gamma(g, dominated)[0]
-        runs = [(reduce_once, v) for v in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA)]
-        runs += [(reduce_iterate, v) for v in (Variant.PLUS, Variant.EXTRA)]
-        for driver, variant in runs:
-            st = prepared(g, covered, fixed)
-            driver(st, variant)
-            where = (g.n, list(g.edges()), covered, fixed, driver.__name__, variant)
-            assert want == committed_plus_residual_gamma(st), where
+        for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
+            for cap in (1, None):
+                st = prepared(g, covered, fixed)
+                reduce_iterate(st, variant, cap)
+                where = (g.n, list(g.edges()), covered, fixed, cap, variant)
+                assert want == committed_plus_residual_gamma(st), where
         if any(dominated):
             with pytest.raises(ValueError):
                 naive_reduce(prepared(g, covered, fixed))
-            with pytest.raises(ValueError):
-                reduce_once(prepared(g, covered, fixed), Variant.NAIVE)
 
 
 def test_variant_monotonicity():
@@ -403,7 +402,7 @@ def test_round_cap_keeps_accounting_and_gamma():
     graphs += random_graphs(24, (4, 14), [0.15, 0.3, 0.5], seed_base=9300)
     for g in graphs:
         want, _ = exact_annotated_gamma(g, bytearray(g.n))
-        for variant in (Variant.PLUS, Variant.EXTRA):
+        for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
             full = run(g, variant, iterate=True)[1].rounds
             for k in range(1, full + 1):
                 st, rep = run(g, variant, iterate=True, max_rounds=k)
@@ -453,10 +452,8 @@ def test_apply_reduction_rejects_dead_reference():
 
 
 def test_iterate_rejects_single_round_variants():
-    g = path(6)
-    for v in (Variant.LINEAR, Variant.NAIVE):
-        with pytest.raises(ValueError):
-            reduce_iterate(ReductionState(g), v)
+    with pytest.raises(ValueError):
+        reduce_iterate(ReductionState(path(6)), Variant.NAIVE)
 
 
 def test_iterate_rejects_bad_round_cap():
@@ -473,7 +470,7 @@ def test_reducers_require_compact_state():
     with_cut_edge.cut_within({2, 3})
     for st in (with_dead_vertex, with_cut_edge):
         with pytest.raises(ValueError):
-            reduce_once(st, Variant.LINEAR)
+            reduce_iterate(st, Variant.LINEAR, max_rounds=1)
         with pytest.raises(ValueError):
             naive_reduce(st)
         with pytest.raises(ValueError):
@@ -495,7 +492,7 @@ def test_input_graph_and_state_copies_are_never_mutated():
             if rng.random() < 0.2:
                 base.cover(v)
         before = lists(base), bytes(base.alive), bytes(base.covered)
-        reduce_once(copy_state(base), Variant.EXTRA)
+        reduce_iterate(copy_state(base), Variant.EXTRA, max_rounds=1)
         st = copy_state(base)
         reduce_iterate(st, Variant.EXTRA)
         mid = copy_state(st)
