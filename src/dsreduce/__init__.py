@@ -10,7 +10,7 @@ the graph and state invariant checkers and the state copy live in
 from .graph import Graph, load_check
 from .graphio import FormatError, read_graph, write_gr
 from .greedy import TieBreaker, greedy, greedy_best_of
-from .pipeline import RelationSet, WorkCounter, suitable_set
+from .pipeline import WorkCounter, suitable_set
 from .reducer import (
     ReductionReport,
     Variant,
@@ -27,7 +27,6 @@ __all__ = [
     "Graph",
     "ReductionReport",
     "ReductionState",
-    "RelationSet",
     "TieBreaker",
     "Variant",
     "WorkCounter",

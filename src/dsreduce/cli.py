@@ -151,7 +151,7 @@ def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
     state = ReductionState(g)
     t1 = time.perf_counter()
     if rule is None:
-        rep = ReductionReport("none", rounds=0)
+        rep = ReductionReport(rounds=0)
     elif rule == "naive":
         rep = naive_reduce(state)
     else:

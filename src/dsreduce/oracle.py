@@ -18,7 +18,7 @@ from typing import Optional
 
 from .graph import Graph
 from .greedy import TieBreaker
-from .pipeline import RelationSet, WorkCounter, canonical_reference, suitable_set
+from .pipeline import WorkCounter, canonical_reference, suitable_set
 from .reducer import (
     ReductionReport,
     Variant,
@@ -125,8 +125,9 @@ def suitable_set_direct(
     g: Graph,
     covered: Optional[bytearray] = None,
     fixed: Optional[bytearray] = None,
-) -> RelationSet:
-    """Witness set straight from the definitions, one classify per vertex.
+) -> list[tuple[int, int]]:
+    """Witness set straight from the definitions, one classify per vertex,
+    as (witness, reference) pairs in ascending order.
 
     Committed vertices behave like escapers: they are never witnesses
     and disqualify adjacent witnesses, matching the leaf gadget a
@@ -154,7 +155,7 @@ def suitable_set_direct(
                 continue
             if canonical_reference(g, u) == rho:
                 pairs.append((u, rho))
-    return RelationSet(sorted(pairs))
+    return sorted(pairs)
 
 
 def exhaustive_original_rule1(g: Graph) -> tuple[list[int], list[int]]:
@@ -289,9 +290,8 @@ def one_round(
     the committed vertices stay alive, and their doomed edges in the
     state, until ``export_residual``.  ``reducer.reduce_iterate`` under
     ``max_rounds=1`` must match it after the export."""
-    return apply_reduction(
-        state, suitable_set(state, work=work).references(), variant, work=work
-    )
+    refs = sorted({rho for _u, rho in suitable_set(state, work=work)})
+    return apply_reduction(state, refs, variant, work=work)
 
 
 def reduce_iterate_reference(
@@ -310,8 +310,7 @@ def reduce_iterate_reference(
     the committed vertices (their doomed edges are only then counted)
     and drops isolated covered vertices; the caller's state mirrors every
     event in original ids.  The terminating idle round is included in
-    the round count; ``max_rounds`` None runs to it.  No time is
-    measured.
+    the round count; ``max_rounds`` None runs to it.
     """
     if variant is Variant.NAIVE:
         raise ValueError("the naive sweep does not run in rounds")
@@ -327,7 +326,6 @@ def reduce_iterate_reference(
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
-    before = work.visits if work is not None else 0
 
     while True:
         rep = one_round(cur_state, variant, work=work)
@@ -364,17 +362,13 @@ def reduce_iterate_reference(
         cur_state = ReductionState(comp.graph)
         cur_state.covered[:] = comp.covered
 
-    rep = ReductionReport(
-        variant=variant.value,
+    return ReductionReport(
         fixed=sorted(fixed_all),
         removed_nodes=sorted(removed_all),
         removed_edges=removed_edges,
         rounds=rounds,
         extra_edges=sorted(extra_all),
     )
-    if work is not None:
-        rep.work_visits = work.visits - before
-    return rep
 
 
 def greedy_reference(g: Graph, covered: bytearray, tb: TieBreaker) -> list[int]:

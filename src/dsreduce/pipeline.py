@@ -4,10 +4,18 @@ Three passes over an annotated instance, a ``state.ReductionState``:
 
 1. ``compute_superset``   groups vertices by canonical reference and keeps
    pairs whose open neighborhood fits inside the reference's closed one.
+   It returns a ``Superset``: a dict from witness to reference.
 2. ``compute_proper_partition``   assigns each vertex near a witness the
-   cheapest adjacent reference proposed by its closed neighborhood.
+   cheapest adjacent reference proposed by its closed neighborhood, and
+   returns that partial map.
 3. ``filter_suitable``   two-slot marking pass that drops witnesses still
    adjacent to vertices reaching outside the reference's neighborhood.
+   It returns the surviving (witness, reference) pairs as a list.
+
+A witness has one reference and is never its own: the superset pass
+skips each vertex that is its own canonical reference, its dict keeps
+one reference per witness, and partition and filter only read or narrow
+the pairs it found.  The tests check both properties; no pass does.
 
 The superset pass stamps a ``[-1] * n`` list instead of clearing a set
 per reference; partition and filter test membership in a set of each
@@ -39,7 +47,6 @@ the changes.
 from __future__ import annotations
 
 from collections import defaultdict
-from operator import eq
 from typing import Optional
 
 from .graph import Graph
@@ -92,51 +99,15 @@ def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) ->
     return out
 
 
-class RelationSet:
-    """Witness-reference pairs with at most one reference per witness.
-
-    ``by_witness`` maps each witness to its reference, in insertion order,
-    and reads -1 for anything else.  ``canonical`` is set by
-    ``compute_superset`` only: the canonical reference of every vertex it
-    evaluated.  In the map ``reducer.reduce_iterate`` carries across
-    rounds it is exact at alive uncovered vertices only; a covered
-    vertex is never a witness again.
+class Superset(dict):
+    """The superset pass's result: each witness mapped to its reference,
+    in insertion order.  ``canonical`` holds the canonical reference of
+    every vertex the pass evaluated, witness or not.  In the map
+    ``reducer.reduce_iterate`` carries across rounds it is exact at alive
+    uncovered vertices only; a covered vertex is never a witness again.
     """
 
-    __slots__ = ("by_witness", "canonical")
-
-    def __init__(self, pairs: list[tuple[int, int]]) -> None:
-        self.by_witness = by_witness = _Sparse(pairs)
-        self.canonical = None
-        if len(by_witness) != len(pairs) or any(map(eq, by_witness, by_witness.values())):
-            # name the first offending pair
-            seen = set()
-            for u, rho in pairs:
-                if u == rho:
-                    raise ValueError(f"vertex {u} cannot witness itself")
-                if u in seen:
-                    raise ValueError(f"witness {u} appears twice")
-                seen.add(u)
-
-    def update(self, part: "RelationSet") -> None:
-        """Overwrite the entries of the vertices that ``part``, a scoped
-        superset pass, evaluated; ``self`` must be a full one."""
-        canonical = self.canonical
-        by_witness = self.by_witness
-        for u, rho in part.canonical.items():
-            canonical[u] = rho
-            by_witness.pop(u, None)
-        by_witness.update(part.by_witness)
-
-    def __len__(self) -> int:
-        return len(self.by_witness)
-
-    def __iter__(self):
-        return iter(self.by_witness.items())
-
-    def references(self) -> list[int]:
-        """Distinct reference ids, ascending."""
-        return sorted(set(self.by_witness.values()))
+    __slots__ = ("canonical",)
 
 
 def canonical_reference(g: Graph, u: int) -> int:
@@ -157,7 +128,7 @@ def compute_superset(
     *,
     work: Optional[WorkCounter] = None,
     canonical: Optional[dict[int, int]] = None,
-) -> RelationSet:
+) -> Superset:
     """First pass: candidate pairs (u, r) with r the canonical reference.
 
     A pair survives when every neighbor of u sits inside N[r]; this stays
@@ -196,7 +167,8 @@ def compute_superset(
             continue
         buckets[rho].append(u)
 
-    pairs: list[tuple[int, int]] = []
+    out = Superset()
+    out.canonical = canonical
     for rho, bucket in buckets.items():
         mark[rho] = rho
         for w in adj[rho]:
@@ -205,24 +177,20 @@ def compute_superset(
         for u in bucket:
             au = adj[u]
             visits += len(au)
-            ok = True
             for w in au:
                 if mark[w] != rho:
-                    ok = False
                     break
-            if ok:
-                pairs.append((u, rho))
+            else:
+                out[u] = rho
 
     if work is not None:
         work.add(visits)
-    out = RelationSet(pairs)
-    out.canonical = canonical
     return out
 
 
 def compute_proper_partition(
     state: ReductionState,
-    sprime: RelationSet,
+    sprime: Superset,
     *,
     pairs,
     work: Optional[WorkCounter] = None,
@@ -239,7 +207,7 @@ def compute_proper_partition(
     """
     adj = state.adj
     deg = state.deg
-    ref_of = sprime.by_witness.get
+    ref_of = sprime.get
     f = _Sparse()
     visits = 0
 
@@ -273,7 +241,7 @@ def filter_suitable(
     f: _Sparse,
     *,
     work: Optional[WorkCounter] = None,
-) -> RelationSet:
+) -> list[tuple[int, int]]:
     """Third pass: keep only witnesses whose whole neighborhood collapses.
 
     ``pairs`` are the candidate pairs to test and ``f`` the partition
@@ -333,13 +301,15 @@ def filter_suitable(
 
     if work is not None:
         work.add(visits)
-    return RelationSet(out)
+    return out
 
 
 def suitable_set(
     state: ReductionState, *, work: Optional[WorkCounter] = None
-) -> RelationSet:
-    """Run all three passes and return the filtered witness set."""
+) -> list[tuple[int, int]]:
+    """Run all three passes and return the filtered (witness, reference)
+    pairs."""
     sprime = compute_superset(state, work=work)
-    f = compute_proper_partition(state, sprime, pairs=sprime, work=work)
-    return filter_suitable(state, sprime, f, work=work)
+    pairs = sprime.items()
+    f = compute_proper_partition(state, sprime, pairs=pairs, work=work)
+    return filter_suitable(state, pairs, f, work=work)

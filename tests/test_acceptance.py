@@ -130,8 +130,8 @@ def test_criterion_01_pipeline_matches_direct_construction():
     for seed, g in _corpus(500, 1000, (1, 12), GAMMA_PS):
         st = ReductionState(g)
         sprime = compute_superset(st)
-        f = compute_proper_partition(st, sprime, pairs=sprime)
-        got = sorted(filter_suitable(st, sprime, f))
+        f = compute_proper_partition(st, sprime, pairs=sprime.items())
+        got = sorted(filter_suitable(st, sprime.items(), f))
         want = sorted(suitable_set_direct(g))
         assert got == want, f"seed {seed}: pipeline {got} vs direct {want}"
     elapsed = time.perf_counter() - t0

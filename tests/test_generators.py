@@ -100,7 +100,7 @@ def test_adversarial_family_has_enclosed_pairs_but_no_witnesses():
     for k in (2, 3, 4):
         g = fig4_family(k)
         sup = compute_superset(ReductionState(g))
-        pairs = list(sup)
+        pairs = list(sup.items())
         assert pairs, "pre-filter candidates must exist"
         for i in range(k):
             b = 2 * k + 5 * i + 1

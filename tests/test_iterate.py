@@ -39,9 +39,8 @@ SHEDDING = (Variant.PLUS, Variant.EXTRA)
 
 
 def report_fields(rep):
-    # everything but the wall times and the visit count, which differ by design
+    # every field but ``converged``, which check_same tests on its own
     return (
-        rep.variant,
         rep.fixed,
         rep.removed_nodes,
         rep.removed_edges,
@@ -272,7 +271,7 @@ def test_pair_search_sides_agree():
         n = rng.randint(2, 120)
         st = partly_reduced(rng, n)
         sup = pipeline.compute_superset(st)
-        ref_of = {u: rho for u, rho in sup if st.alive[u]}
+        ref_of = {u: rho for u, rho in sup.items() if st.alive[u]}
         p = rng.choice((0.02, 0.1, 0.3))
         seeds = dict.fromkeys(v for v in random_subset(rng, n, p) if st.alive[v])
         got = _pairs_by_witness(st, ref_of, seeds, None)
@@ -295,11 +294,10 @@ def test_work_grows_linearly_on_paths():
         for idle in (0, 40):
             g = with_fig4_component(path(n), idle) if idle else path(n)
             for variant in SHEDDING:
-                rep = reduce_iterate(
-                    ReductionState(g), variant, 10**6, work=WorkCounter()
-                )
+                work = WorkCounter()
+                rep = reduce_iterate(ReductionState(g), variant, 10**6, work=work)
                 assert rep.converged and rep.rounds > n // 8
-                per_nm[n, idle, variant] = rep.work_visits / (g.n + g.m)
+                per_nm[n, idle, variant] = work.visits / (g.n + g.m)
     assert max(per_nm.values()) < 13, per_nm
     for idle in (0, 40):
         for variant in SHEDDING:
@@ -321,9 +319,10 @@ def test_work_scales_linearly_on_chains():
         for variant in SHEDDING:
             per_nm = []
             for g in (small, large):
-                rep = reduce_iterate(ReductionState(g), variant, work=WorkCounter())
+                work = WorkCounter()
+                rep = reduce_iterate(ReductionState(g), variant, work=work)
                 assert rep.converged and rep.rounds > g.n // 8, (name, g.n)
-                per_nm.append(rep.work_visits / (g.n + g.m))
+                per_nm.append(work.visits / (g.n + g.m))
             assert per_nm[1] <= 1.5 * per_nm[0], (name, variant, per_nm)
             check_same(small, variant)
 
@@ -375,9 +374,10 @@ def test_work_per_edge_on_a_sparse_random_graph():
     # rerunning the pass on the whole radius-5 reach of the changes costs
     # 16.1.  Counts are exact, not timed.
     g = gnm(random.Random(38001), 6000, 12000)
-    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
+    work = WorkCounter()
+    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=work)
     assert rep.rounds == 4
-    assert rep.work_visits / (g.n + g.m) < 7.4, rep.work_visits / (g.n + g.m)
+    assert work.visits / (g.n + g.m) < 7.4, work.visits / (g.n + g.m)
 
 
 def with_hub(g, step, start=0):
@@ -398,9 +398,10 @@ def test_work_on_the_hub_path():
     # carried witnesses are found from the smaller side; without that
     # it costs 912 here.  Counts are exact, not timed.
     g = with_hub(path(2000), 3)
-    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
+    work = WorkCounter()
+    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=work)
     assert rep.converged and rep.rounds == 668
-    assert rep.work_visits / (g.n + g.m) < 360, rep.work_visits / (g.n + g.m)
+    assert work.visits / (g.n + g.m) < 360, work.visits / (g.n + g.m)
 
 
 def check_carried_maps(monkeypatch):
@@ -418,12 +419,12 @@ def check_carried_maps(monkeypatch):
 
     def checked(st, sprime, **kwargs):
         first = rounds[-1] is None
-        assert all(st.alive[u] for u in sprime.by_witness), len(rounds)
+        assert all(st.alive[u] for u in sprime), len(rounds)
         fresh = pipeline.compute_superset(st)
         for v in range(st.n):
             if st.alive[v]:
-                got = sprime.by_witness[v]
-                assert got == fresh.by_witness[v], (v, len(rounds))
+                got = sprime.get(v)
+                assert got == fresh.get(v), (v, len(rounds))
                 if not st.covered[v]:
                     got = sprime.canonical[v]
                     assert got == fresh.canonical[v], (v, len(rounds))

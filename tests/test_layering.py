@@ -1,7 +1,7 @@
 """The production package's shape: the slow test oracle stays out of
 its import graph, it imports only the standard library, every function
-and method in it has a production caller, and every defaulted
-parameter is passed by one."""
+and method in it has a production caller, every defaulted parameter is
+passed by one, and every field is read by one."""
 
 import ast
 import os
@@ -35,6 +35,21 @@ KEPT_WITHOUT_PASSING = {
 }
 
 
+# Fields no production code reads, each for a named reader.
+KEPT_WITHOUT_READER = {
+    # perfbench/spans.py wraps reducer.compact, which returns them; they
+    # go with the benchmark's next change (ROADMAP item 6)
+    "CompactResult.graph",
+    "CompactResult.old_to_new",
+    "CompactResult.new_to_old",
+    # oracle.greedy_reference and tests/test_greedy.py read it
+    "TieBreaker.priority",
+    # the passes only add to it; perfbench/spans.py and the tier-1 visit
+    # gates read it
+    "WorkCounter.visits",
+}
+
+
 def parse(path):
     with open(path, encoding="utf-8") as fh:
         return ast.parse(fh.read(), filename=path)
@@ -42,6 +57,15 @@ def parse(path):
 
 def package_files():
     return sorted(f for f in os.listdir(PKG_DIR) if f.endswith(".py"))
+
+
+def production_trees():
+    """File name -> parsed module, for every package module but the oracle."""
+    return {
+        fname: parse(os.path.join(PKG_DIR, fname))
+        for fname in package_files()
+        if fname != "oracle.py"
+    }
 
 
 def imported_modules(path):
@@ -171,11 +195,7 @@ def test_uncalled_definitions_follow_call_chains():
 
 
 def test_every_production_definition_has_a_production_caller():
-    trees = {
-        fname: parse(os.path.join(PKG_DIR, fname))
-        for fname in package_files()
-        if fname != "oracle.py"
-    }
+    trees = production_trees()
     exempt = set(dsreduce.__all__) | KEPT_WITHOUT_CALLER
     assert uncalled_definitions(trees, exempt) == []
 
@@ -260,11 +280,80 @@ def test_unpassed_defaults_see_keywords_positions_and_methods():
 
 
 def test_every_defaulted_parameter_is_passed_by_production_code():
-    trees = {
-        fname: parse(os.path.join(PKG_DIR, fname))
-        for fname in package_files()
-        if fname != "oracle.py"
-    }
+    trees = production_trees()
     assert unpassed_defaults(trees, KEPT_WITHOUT_PASSING) == []
     # the allow-list holds only parameters that still need it
     assert unpassed_defaults(trees) == sorted(KEPT_WITHOUT_PASSING)
+
+
+def declared_fields(tree):
+    """``Class.name`` of each ``@dataclass`` field and ``__slots__`` name
+    declared at the top level of ``tree``."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        is_dataclass = any(
+            ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+            for d in node.decorator_list
+        )
+        for item in node.body:
+            if is_dataclass and isinstance(item, ast.AnnAssign):
+                out.append(f"{node.name}.{item.target.id}")
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                slots = ast.literal_eval(item.value)
+                slots = [slots] if isinstance(slots, str) else slots
+                out += [f"{node.name}.{name}" for name in slots]
+    return out
+
+
+def unread_fields(trees, exempt=()):
+    """``Class.name`` of each dataclass field and ``__slots__`` name in
+    ``trees`` that no attribute read in them names.
+
+    A read is an attribute in Load context, matched by name whatever
+    the object: an assignment or an augmented assignment (``+=``) to the
+    field is no read.  ``exempt`` names are never reported.
+    """
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        qual
+        for tree in trees.values()
+        for qual in declared_fields(tree)
+        if qual not in exempt and qual.partition(".")[2] not in reads
+    )
+
+
+def test_unread_fields_see_dataclasses_slots_and_loads():
+    trees = {
+        "a.py": ast.parse(
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class R:\n    a: int\n    b: int = 0\n    c: int = 0\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class F:\n    d: int\n"
+            "class S:\n"
+            "    __slots__ = ('x', 'y')\n"
+            "    def __init__(self):\n        self.x = self.y = 0\n"
+            "    def bump(self):\n        self.y += 1\n"
+            "class P:\n    z: int = 0\n    __slots__ = 'w'\n"
+        ),
+        "b.py": ast.parse("def f(r, s, p):\n    r.b = 1\n    return r.a + s.x + p.w\n"),
+    }
+    assert unread_fields(trees) == ["F.d", "R.b", "R.c", "S.y"]
+    assert unread_fields(trees, exempt={"S.y", "F.d"}) == ["R.b", "R.c"]
+
+
+def test_every_field_is_read_by_production_code():
+    trees = production_trees()
+    assert unread_fields(trees, KEPT_WITHOUT_READER) == []
+    # the allow-list holds only fields that still need it
+    assert unread_fields(trees) == sorted(KEPT_WITHOUT_READER)

@@ -2,13 +2,10 @@
 
 import random
 
-import pytest
-
 from conftest import annotated, build, random_graphs
 from dsreduce.generators import complete, fig4_family, gnp, path, star
 from dsreduce.oracle import classify_types, suitable_set_direct
 from dsreduce.pipeline import (
-    RelationSet,
     WorkCounter,
     canonical_reference,
     compute_proper_partition,
@@ -34,10 +31,10 @@ def test_canonical_reference_fixtures(fig3_graph):
 
 
 def test_superset_fixtures(fig3_graph):
-    assert sorted(compute_superset(ReductionState(fig3_graph))) == [
+    assert sorted(compute_superset(ReductionState(fig3_graph)).items()) == [
         (0, 3), (1, 3), (2, 3), (4, 3), (5, 3),
     ]
-    assert sorted(compute_superset(ReductionState(path(6)))) == [(0, 1), (5, 4)]
+    assert sorted(compute_superset(ReductionState(path(6))).items()) == [(0, 1), (5, 4)]
 
 
 def test_superset_fig4():
@@ -48,12 +45,12 @@ def test_superset_fig4():
     top = 2 * k - 1
     expect = [(i, top) for i in range(k)]
     expect += [(2 * k + 5 * i + 1, k + i) for i in range(k)]
-    assert sorted(compute_superset(ReductionState(g))) == sorted(expect)
+    assert sorted(compute_superset(ReductionState(g)).items()) == sorted(expect)
 
 
 def test_superset_matches_definition():
     for g in random_graphs(120, (1, 12), [0.15, 0.35, 0.6, 0.85], seed_base=100):
-        got = sorted(compute_superset(ReductionState(g)))
+        got = sorted(compute_superset(ReductionState(g)).items())
         expect = []
         for u in range(g.n):
             rho = canonical_reference(g, u)
@@ -71,8 +68,8 @@ def test_partition_map_prefers_small_degree_then_small_id():
     g = build(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6), (0, 5)])
     st = ReductionState(g)
     sprime = compute_superset(st)
-    refs = dict(sorted(sprime))
-    f = compute_proper_partition(st, sprime, pairs=sprime)
+    refs = dict(sorted(sprime.items()))
+    f = compute_proper_partition(st, sprime, pairs=sprime.items())
     for x, r in f.items():
         if r < 0:
             continue
@@ -90,8 +87,8 @@ def test_partition_map_prefers_small_degree_then_small_id():
 def test_partition_map_unmapped_far_from_witnesses():
     st = ReductionState(path(9))
     sprime = compute_superset(st)
-    assert sorted(sprime) == [(0, 1), (8, 7)]
-    f = compute_proper_partition(st, sprime, pairs=sprime)
+    assert sorted(sprime.items()) == [(0, 1), (8, 7)]
+    f = compute_proper_partition(st, sprime, pairs=sprime.items())
     # Domain is the closed neighborhoods of witnesses; 2 sits outside.
     assert f[2] == -1 and f[4] == -1
     assert f[0] == 1
@@ -121,21 +118,6 @@ def test_pipeline_matches_direct_on_structured():
     for g in [path(1), path(2), path(7), complete(6), star(8), fig4_family(4)]:
         got = sorted(suitable_set(ReductionState(g)))
         assert got == sorted(suitable_set_direct(g))
-
-
-def test_witness_uniqueness_enforced():
-    with pytest.raises(ValueError, match="twice"):
-        RelationSet([(0, 1), (0, 2)])
-    with pytest.raises(ValueError, match="itself"):
-        RelationSet([(1, 1)])
-
-
-def test_relation_set_accessors():
-    rs = RelationSet([(4, 2), (0, 2), (3, 5)])
-    assert rs.references() == [2, 5]
-    assert sorted(rs.by_witness) == [0, 3, 4]
-    assert rs.by_witness[4] == 2 and rs.by_witness[1] == -1
-    assert len(rs) == 3
 
 
 def assert_safe_pairs(g, rels, covered, fixed):
@@ -208,10 +190,10 @@ def test_stage_work_is_attributed():
     sprime = compute_superset(st, work=wc)
     after1 = wc.visits
     assert after1 > 0
-    f = compute_proper_partition(st, sprime, pairs=sprime, work=wc)
+    f = compute_proper_partition(st, sprime, pairs=sprime.items(), work=wc)
     after2 = wc.visits
     assert after2 > after1
-    filter_suitable(st, sprime, f, work=wc)
+    filter_suitable(st, sprime.items(), f, work=wc)
     assert wc.visits > after2
 
 
@@ -227,7 +209,7 @@ def test_scoped_passes_match_full_result_restricted():
             for p in (0.0, 0.1, 0.3, 0.7, 1.0):
                 scope = {v for v in range(g.n) if rng.random() < p}
                 # partition and filter test exactly the pairs they are given
-                pairs = [(u, r) for u, r in sup if u in scope]
+                pairs = [(u, r) for u, r in sup.items() if u in scope]
                 f = compute_proper_partition(st, sup, pairs=pairs)
                 got = filter_suitable(st, pairs, f)
                 assert sorted(got) == [(u, r) for u, r in full if u in scope]
@@ -235,8 +217,8 @@ def test_scoped_passes_match_full_result_restricted():
                 part = compute_superset(
                     st, canonical={u: canonical_reference(st, u) for u in scope}
                 )
-                assert sorted(part) == [
-                    (u, r) for u, r in sorted(sup) if u in scope
+                assert sorted(part.items()) == [
+                    (u, r) for u, r in sorted(sup.items()) if u in scope
                 ]
                 assert part.canonical == {u: sup.canonical[u] for u in scope}
 
@@ -251,6 +233,6 @@ def test_scoped_passes_stay_local():
         got = compute_superset(
             st, canonical={u: canonical_reference(st, u) for u in scope}, work=wc
         )
-        assert sorted(got) == [(0, 1)]
+        assert sorted(got.items()) == [(0, 1)]
         visits.append(wc.visits)
     assert visits[0] == visits[1] < 100

@@ -29,6 +29,7 @@ from dsreduce.graphio import (  # noqa: E402
 from dsreduce.generators import path  # noqa: E402
 from dsreduce.oracle import check_graph, suitable_set_direct  # noqa: E402
 from dsreduce.pipeline import (  # noqa: E402
+    canonical_reference,
     compute_proper_partition,
     compute_superset,
     suitable_set,
@@ -122,7 +123,19 @@ def pipeline_states(draw):
 def test_pipeline_contains_direct_definition_on_states(state):
     g, covered = state.g, state.covered
     fixed = bytearray(v in state.fixed for v in range(g.n))
-    got = set(suitable_set(state))
+    pairs = suitable_set(state)
+    # no pass checks these: a witness has one reference and is never its
+    # own, in the list itself (a set would hide a repeated pair)
+    witnesses = [u for u, _rho in pairs]
+    assert len(set(witnesses)) == len(witnesses), pairs
+    assert all(u != rho for u, rho in pairs), pairs
+    sup = compute_superset(state)
+    assert all(u != rho for u, rho in sup.items())
+    assert set(pairs) <= sup.items()
+    assert all(
+        sup.canonical[u] == canonical_reference(state, u) for u in range(g.n)
+    )
+    got = set(pairs)
     expect = set(suitable_set_direct(g, covered, fixed))
     assert expect <= got
     if not any(covered) and not any(fixed):
@@ -149,8 +162,8 @@ def test_partition_maps_each_witness_to_its_own_reference(state):
     its definition whatever partition it is given.
     """
     sprime = compute_superset(state)
-    f = compute_proper_partition(state, sprime, pairs=sprime)
-    assert [(u, f[u]) for u, _ in sprime] == list(sprime)
+    f = compute_proper_partition(state, sprime, pairs=sprime.items())
+    assert [(u, f[u]) for u in sprime] == list(sprime.items())
 
 
 # Tokens of the line soup: ids as int() reads them and ids it rejects,
