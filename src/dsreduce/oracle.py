@@ -52,7 +52,8 @@ def check_graph(g: Graph) -> None:
 
 def state_consistent(st: ReductionState) -> bool:
     """Each alive vertex's live neighbors are input neighbors of it,
-    name it back and number its degree; dead vertices have degree 0."""
+    name it back and number its degree, and its list is sorted; dead
+    vertices have degree 0."""
     gadj = st.g.adj
     live = [
         set(st.live_neighbors(u)) if st.alive[u] else set()
@@ -62,6 +63,7 @@ def state_consistent(st: ReductionState) -> bool:
         st.deg[u] == len(lu)
         and lu <= set(gadj[u])
         and all(u in live[v] for v in lu)
+        and (not st.alive[u] or st.adj[u] == sorted(st.adj[u]))
         for u, lu in enumerate(live)
     )
 
@@ -281,6 +283,54 @@ def exact_annotated_gamma(g: Graph, covered: bytearray) -> tuple[int, list[int]]
 
     bb(need0)
     return best, sorted(best_set)
+
+
+def apply_reference(
+    state: ReductionState, refs, variant: Variant
+) -> ReductionReport:
+    """``reducer.apply_reduction`` from its definition, on ``state``.
+
+    Mark N(refs), commit and cover the references, cover the marked
+    neighbors, then classify each marked neighbor that is no reference
+    by a direct scan of its live neighbors: it is deletable when at most
+    ``allow`` of them (0 for Linear, 1 otherwise) are still uncovered.
+    Delete the deletable ones, then, under Extra, cut every live edge
+    between two marked survivors.  Lists are replaced, never edited.
+    Counts no visits.
+    """
+    if variant is Variant.NAIVE:
+        raise ValueError("naive reduction does not take a precomputed reference set")
+    refs = set(refs)
+    if not all(state.alive[rho] for rho in refs):
+        raise ValueError("a reference is not alive")
+    live = {u: set(state.live_neighbors(u)) for u in range(state.n) if state.alive[u]}
+    marked = set().union(*(live[rho] for rho in refs)) - refs
+    new_fixed = sorted(refs - state.fixed)
+    state.fixed |= refs
+    for v in refs | marked:
+        state.covered[v] = 1
+    allow = 0 if variant is Variant.LINEAR else 1
+    deletable = {
+        u for u in marked
+        if sum(1 for w in live[u] if not state.covered[w]) <= allow
+    }
+    lost = {frozenset((u, w)) for u in deletable for w in live[u]}
+    for u in deletable:
+        state.alive[u] = 0
+    cuts = []
+    if variant is Variant.EXTRA:
+        inner = marked - deletable
+        cuts = sorted((u, w) for u in inner for w in live[u] & inner if u < w)
+        for u in inner:
+            state.adj[u] = [w for w in state.adj[u] if w not in inner]
+    for u in range(state.n):
+        state.deg[u] = len(list(state.live_neighbors(u))) if state.alive[u] else 0
+    return ReductionReport(
+        fixed=new_fixed,
+        removed_nodes=sorted(deletable - state.fixed),
+        removed_edges=len(lost) + len(cuts),
+        extra_edges=cuts,
+    )
 
 
 def one_round(

@@ -28,9 +28,11 @@ their canonical references: it then evaluates exactly those vertices.
 Partition and filter take the witness pairs to test and read the
 superset map of every vertex within two edges of their witnesses; the
 verdict on a pair does not depend on which other pairs are tested.  A
-scoped superset pass stamps a dict (``_Sparse``) instead of a list, and
-partition and filter allocate nothing of size n, so each costs time
-proportional to the adjacency it reads, not to n.
+scoped superset pass builds a set of each reference's closed
+neighborhood instead of stamping a list, and partition and filter
+allocate nothing of size n, so each costs time proportional to the
+adjacency it reads, not to n.  Within a pass, the order of pairs and
+witnesses changes neither the verdicts nor the visits.
 
 Every pass takes the state alone and reads its ``n``, ``adj`` and
 ``deg``, its covered flags and its set of fixed vertices: a covered
@@ -151,36 +153,45 @@ def compute_superset(
     deg = state.deg
     covered = state.covered
     fixed = state.fixed
+    out = Superset()
     if canonical is None:
         visits = sum(deg) + n
-        canonical = [canonical_reference(state, u) for u in range(n)]
-        evaluated = enumerate(canonical)
+        out.canonical = canonical = [canonical_reference(state, u) for u in range(n)]
+        buckets: defaultdict[int, list[int]] = defaultdict(list)
+        for u, rho in enumerate(canonical):
+            if rho == u or u in fixed or covered[u]:
+                continue
+            buckets[rho].append(u)
         mark = [-1] * n
+        for rho, bucket in buckets.items():
+            mark[rho] = rho
+            for w in adj[rho]:
+                mark[w] = rho
+            visits += deg[rho] + 1
+            for u in bucket:
+                au = adj[u]
+                visits += len(au)
+                for w in au:
+                    if mark[w] != rho:
+                        break
+                else:
+                    out[u] = rho
     else:
+        # a handful of vertices: a set of each reference's closed
+        # neighborhood beats stamping
+        out.canonical = canonical
         visits = 0
-        evaluated = canonical.items()
-        mark = _Sparse()
-
-    buckets: defaultdict[int, list[int]] = defaultdict(list)
-    for u, rho in evaluated:
-        if rho == u or u in fixed or covered[u]:
-            continue
-        buckets[rho].append(u)
-
-    out = Superset()
-    out.canonical = canonical
-    for rho, bucket in buckets.items():
-        mark[rho] = rho
-        for w in adj[rho]:
-            mark[w] = rho
-        visits += deg[rho] + 1
-        for u in bucket:
+        closed_of: dict[int, set[int]] = {}
+        for u, rho in canonical.items():
+            if rho == u or u in fixed or covered[u]:
+                continue
+            closed = closed_of.get(rho)
+            if closed is None:
+                closed = closed_of[rho] = {rho, *adj[rho]}
+                visits += deg[rho] + 1
             au = adj[u]
             visits += len(au)
-            for w in au:
-                if mark[w] != rho:
-                    break
-            else:
+            if closed.issuperset(au):
                 out[u] = rho
 
     if work is not None:
@@ -211,24 +222,33 @@ def compute_proper_partition(
     f = _Sparse()
     visits = 0
 
+    # the closed neighborhoods of the witnesses; repeats are skipped below
+    todo: list[int] = []
     for u, _rho in pairs:
         visits += deg[u] + 1
-        for x in (u, *adj[u]):
-            if x in f:
-                continue
-            ax = adj[x]
-            near = set(ax)
+        todo.append(u)
+        todo += adj[u]
+    for x in todo:
+        if x in f:
+            continue
+        ax = adj[x]
+        near = set(ax)
+        # x's own proposal first, then its neighbors'
+        best = ref_of(x, -1)
+        if best in near:
+            bd = deg[best]
+        else:
             best = -1
             bd = 0
-            for y in (x, *ax):
-                r = ref_of(y, -1)
-                if r in near:
-                    d = deg[r]
-                    if best < 0 or d < bd or (d == bd and r < best):
-                        best = r
-                        bd = d
-            f[x] = best
-            visits += 2 * len(ax) + 2
+        for y in ax:
+            r = ref_of(y, -1)
+            if r in near:
+                d = deg[r]
+                if best < 0 or d < bd or (d == bd and r < best):
+                    best = r
+                    bd = d
+        f[x] = best
+        visits += 2 * len(ax) + 2
 
     if work is not None:
         work.add(visits)
@@ -252,52 +272,43 @@ def filter_suitable(
     slot2 too: that is the whole covered-aware relaxation, and it
     applies to the classified vertices inside N[r] only.  Fixed
     vertices count as escaping, so witnesses next to one are dropped.
+    The slots of r are built at r's first pair and kept for its others;
+    the surviving pairs come out in the order of ``pairs``.
     """
     adj = state.adj
     covered = state.covered
     fixed = state.fixed
     visits = 0
-
     chosen: defaultdict[int, list[int]] = defaultdict(list)
     for x, r in f.items():
         if r >= 0:
             chosen[r].append(x)
-
-    wits: defaultdict[int, list[int]] = defaultdict(list)
-    for u, rho in pairs:
-        wits[rho].append(u)
-
+    slots: dict[int, set[int]] = {}
     out: list[tuple[int, int]] = []
-
-    for rho, cand in wits.items():
-        slot1 = set(adj[rho])
-        slot1.add(rho)
-        visits += len(adj[rho]) + 1
-
-        slot2 = set()
-        for x in chosen.get(rho, ()):
-            ax = adj[x]
-            visits += len(ax)
-            for w in ax:
-                if w not in slot1 and not covered[w]:
-                    break
-            else:
-                slot2.add(x)
-
-        for u in cand:
-            if u not in slot2:
-                continue
-            au = adj[u]
-            visits += len(au)
-            keep = True
-            for w in au:
-                if w == rho:
-                    continue
-                if w in fixed or w not in slot2:
-                    keep = False
-                    break
-            if keep:
-                out.append((u, rho))
+    for u, rho in pairs:
+        slot2 = slots.get(rho)
+        if slot2 is None:
+            ar = adj[rho]
+            slot1 = {rho, *ar}
+            visits += len(ar) + 1
+            slot2 = slots[rho] = set()
+            for x in chosen.get(rho, ()):
+                ax = adj[x]
+                visits += len(ax)
+                for w in ax:
+                    if w not in slot1 and not covered[w]:
+                        break
+                else:
+                    slot2.add(x)
+        if u not in slot2:
+            continue
+        au = adj[u]
+        visits += len(au)
+        for w in au:
+            if w != rho and (w in fixed or w not in slot2):
+                break
+        else:
+            out.append((u, rho))
 
     if work is not None:
         work.add(visits)

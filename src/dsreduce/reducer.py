@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Iterable, Optional
 
 # The passes are called as attributes of ``pipeline``, so a wrapper set
@@ -90,30 +90,32 @@ def apply_reduction(
     covered = state.covered
     fixed = state.fixed
 
-    # N(refs): a list names only alive vertices when its length is the degree
-    marked: set[int] = set()
-    visits = 0
     for rho in refs:
         if not alive[rho]:
             raise ValueError(f"reference {rho} is not alive")
+
+    # Commit and cover each reference and mark N(refs); ``marked`` then
+    # narrows to the neighbors that are no reference.  A list names only
+    # alive vertices when its length is the degree.
+    marked: set[int] = set()
+    new_fixed: list[int] = []
+    visits = 0
+    for rho in refs:
         ar = adj[rho]
         d = deg[rho]
         visits += d + 1
-        marked.update(ar if d == len(ar) else [w for w in ar if alive[w]])
-
-    # commit and cover each reference; the walk below covers N(refs)
-    in_r = set(refs)
-    new_fixed = sorted(in_r.difference(fixed))
-    fixed.update(in_r)
-    for rho in in_r:
+        marked.update(ar if d == len(ar) else filter(alive.__getitem__, ar))
         covered[rho] = 1
-
+        if rho not in fixed:
+            fixed.add(rho)
+            new_fixed.append(rho)
+    new_fixed.sort()
+    marked.difference_update(refs)
     # One walk over the marked neighbors covers each and classifies it: a
     # live neighbor still needs domination unless covered or marked.
-    others = marked - in_r
     allow = 0 if variant is Variant.LINEAR else 1
     deletable: list[int] = []
-    for u in others:
+    for u in marked:
         covered[u] = 1
         bad = 0
         d = 0
@@ -128,31 +130,37 @@ def apply_reduction(
             deletable.append(u)
         visits += d
 
+    # each deleted vertex takes its live degree's worth of edges with it
     removed_edges = 0
     for u in deletable:
+        alive[u] = 0
+        removed_edges += deg[u]
+        deg[u] = 0
         for w in adj[u]:
             if alive[w]:
                 deg[w] -= 1
-                removed_edges += 1
-        alive[u] = 0
-        deg[u] = 0
 
     extra_edges: list[tuple[int, int]] = []
-    if variant is Variant.EXTRA and (inner := others.difference(deletable)):
-        extra_edges = state.cut_within(inner)
-        # a cut edge is visited from one end only
-        visits += sum(map(deg.__getitem__, inner)) + len(extra_edges)
-        removed_edges += len(extra_edges)
-        extra_edges.sort()
+    if variant is Variant.EXTRA:
+        # the marked survivors lose their edges to each other
+        marked.difference_update(deletable)
+        if marked:
+            # ``cut_within`` scans a list no longer than the set and probes
+            # a longer one once per other member; a cut edge counts once
+            k = len(marked)
+            for u in marked:
+                d = deg[u]
+                visits += d if d <= k else k - 1
+            extra_edges = state.cut_within(marked)
+            visits -= len(extra_edges)
+            removed_edges += len(extra_edges)
+            extra_edges.sort()
 
     if work is not None:
         work.add(visits)
-    return ReductionReport(
-        fixed=new_fixed,
-        removed_nodes=sorted([u for u in deletable if u not in fixed]),
-        removed_edges=removed_edges,
-        extra_edges=extra_edges,
-    )
+    removed = sorted(filterfalse(fixed.__contains__, deletable))
+    # positional: the keyword call costs a round about a microsecond
+    return ReductionReport(new_fixed, removed, removed_edges, 1, extra_edges)
 
 
 def naive_reduce(
@@ -364,18 +372,20 @@ def reduce_iterate(
     read every time.  The worst case known is the hub path: a path of L
     vertices, L = 2 mod 3, plus a hub joined to every third one, which
     sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
-    1,152 visits per (n + m), in 1.9-2.3 s (single runs, Python 3.11.7
-    on a shared 2-core Xeon container).
+    961 visits per (n + m), in 1.5-2.6 s (single runs, Python 3.11.7 on
+    a shared 2-core Xeon container); apply's share is 1.3 of those, since
+    Extra's cut probes the hub's list instead of scanning it.
 
     On top of that work a round has a fixed cost, which dominates when a
     round sheds only a few vertices.  A round after the first calls each
-    pass and ``apply_reduction`` once, and the boundary is one walk over
-    the committed vertices, which strips them and lists T, and one over
-    T, which drops the isolated covered vertices, pops dead witness
-    entries and refreshes the dirty lists.  On the benchmark's
+    pass and ``apply_reduction`` once, and the boundary walks the lists
+    of the committed vertices, which it strips, and of the vertices the
+    round deleted, which list T; then one walk over T drops the isolated
+    covered vertices and refreshes the dirty lists.  On the benchmark's
     ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
-    all) a round of Extra takes 35-65 us (13 single runs, Python 3.11.7
-    on a shared 2-core Xeon container).
+    all) a round of Extra takes 24-27 us (best of 30 runs of a whole
+    instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
+    container).
     """
     if variant is Variant.NAIVE:
         raise ValueError("the naive sweep does not run in rounds")
@@ -417,24 +427,30 @@ def reduce_iterate(
         extra_all += rep.extra_edges
         removed_edges += rep.removed_edges
 
-        # The boundary.  Strip the committed vertices; whatever died in the
-        # round lists its live neighbors, or they are next to a reference
-        # (Extra's cut partners), so the touched vertices are read off the
-        # lists of the committed vertices and of their dead neighbors.
-        committed = [v for v in state.fixed if alive[v]] if rounds == 1 else refs
+        # The boundary.  Strip the committed vertices, and drop the witness
+        # entries of every vertex that died in the round.  Whatever died
+        # lists its live neighbors, or they are next to a reference
+        # (Extra's cut partners): those are the touched vertices.
+        committed = refs
+        gone = rep.removed_nodes
+        if rounds == 1:
+            committed = [v for v in state.fixed if alive[v]]
+            gone = gone + [v for v in state.fixed if not alive[v]]
         touched: dict[int, None] = {}
         for rho in committed:
             sup.pop(rho, None)
             for w in adj[rho]:
-                touched[w] = None
                 if alive[w]:
                     deg[w] -= 1
                     removed_edges += 1
-                else:
-                    for x in adj[w]:
-                        touched[x] = None
+                    touched[w] = None
             alive[rho] = 0
             deg[rho] = 0
+        for u in gone:
+            sup.pop(u, None)
+            for x in adj[u]:
+                if alive[x]:
+                    touched[x] = None
         if rounds == 1:
             # a given covered vertex may be isolated without being touched
             for v in compress(range(n), covered):
@@ -442,11 +458,10 @@ def reduce_iterate(
                     alive[v] = 0
                     removed_all.append(v)
                     sup.pop(v, None)
-        # Drop the covered touched vertices left isolated and the dead
-        # ones' witness entries; the rest are dirty, and their lists drop
-        # the dead vertices (a list names one when it is longer than the
-        # degree).  A dropped vertex has no live neighbor, so no alive
-        # vertex's list names it.
+        # Drop the covered touched vertices left isolated; the rest are
+        # dirty, and their lists drop the dead vertices (a list names one
+        # when it is longer than the degree).  A dropped vertex has no
+        # live neighbor, so no alive vertex's list names it.
         dirty = {}
         for t in touched:
             if alive[t]:
@@ -455,11 +470,11 @@ def reduce_iterate(
                     dirty[t] = None
                     at = adj[t]
                     if len(at) != d:
-                        adj[t] = [w for w in at if alive[w]]
+                        adj[t] = list(filter(alive.__getitem__, at))
                     continue
                 alive[t] = 0
                 removed_all.append(t)
-            sup.pop(t, None)
+                sup.pop(t, None)
         if rounds == max_rounds:
             converged = False
             break
@@ -489,20 +504,23 @@ def _reevaluate_superset(
     canonical references is computed once, here, and handed to the
     scoped superset pass, whose verdicts then replace the entries of the
     re-evaluated vertices in ``sup``.  Returns the seeds of the round's
-    pair search: the dirty vertices and the re-evaluated ones.
+    pair search: ``dirty`` itself, to which the re-evaluated vertices
+    outside it are added.
     """
     adj = state.adj
     deg = state.deg
     covered = state.covered
     canonical = sup.canonical
     redo: dict[int, int] = {}
+    moved: list[int] = []
     visits = 0
     for t in dirty:
         sup.pop(t, None)
         at = adj[t]
         visits += len(at)
         if not covered[t]:
-            redo[t] = canonical_reference(state, t)
+            # the loop reads canonical[u] only for u outside ``dirty``
+            redo[t] = canonical[t] = canonical_reference(state, t)
             visits += deg[t] + 1
         # R(u) lies in N(u), so each such u is looked at from R(u) only
         for u in at:
@@ -512,15 +530,17 @@ def _reevaluate_superset(
             rho = canonical_reference(state, u)
             if rho != t or u in sup:
                 redo[u] = rho
+                moved.append(u)
     if work is not None:
         work.add(visits)
     part = pipeline.compute_superset(state, work=work, canonical=redo)
-    # the loop above reads the old canonical references; replace them now
-    for u, rho in redo.items():
-        canonical[u] = rho
+    # the loop above reads the old canonical references of these
+    for u in moved:
+        canonical[u] = redo[u]
         sup.pop(u, None)
+        dirty[u] = None
     sup.update(part)
-    return dirty | redo
+    return dirty
 
 
 def _pairs_by_ball(

@@ -11,15 +11,22 @@ vertices and ``live_neighbors`` skips them; ``reducer.reduce_iterate``
 drops them from the lists it reads again.  Deleting edges
 (``cut_within``) replaces the lists concerned.  Lists are only ever
 replaced, never mutated in place, so the input graph and copies of a
-state stay intact.
+state stay intact.  Every list stays sorted: the input's lists are, and
+a list is only ever filtered.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
 from .graph import Graph
+
+
+def _in_sorted(a: list[int], x: int) -> bool:
+    i = bisect_left(a, x)
+    return i < len(a) and a[i] == x
 
 
 class ReductionState:
@@ -57,26 +64,28 @@ class ReductionState:
 
     def cut_within(self, verts) -> list[tuple[int, int]]:
         """Delete every live edge between two members of ``verts``, a set
-        of alive vertices, rebuilding each member's list at most once.
+        of alive vertices, rebuilding a member's list only if it loses one.
 
-        Returns the cut edges as pairs (u, w) with u < w.
+        A member's partners are found from the smaller side: its list is
+        scanned when its degree is at most ``len(verts)``, and otherwise
+        bisected for each other member, so a hub costs a few probes.
+        Returns the cut edges as pairs (u, w) with u < w, each member's in
+        ascending w.
         """
         adj = self.adj
         deg = self.deg
+        k = len(verts)
         cuts: list[tuple[int, int]] = []
         for u in verts:
             au = adj[u]
-            kept = []
-            for w in au:
-                if w in verts:
-                    if w > u:
-                        cuts.append((u, w))
-                else:
-                    kept.append(w)
-            lost = len(au) - len(kept)
-            if lost:
-                adj[u] = kept
-                deg[u] -= lost
+            if deg[u] <= k:
+                hits = [w for w in au if w in verts]
+            else:
+                hits = sorted(w for w in verts if w != u and _in_sorted(au, w))
+            if hits:
+                cuts += [(u, w) for w in hits if w > u]
+                adj[u] = [w for w in au if w not in verts]
+                deg[u] -= len(hits)
         return cuts
 
     def cover(self, u: int) -> None:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from dsreduce.generators import (
     star,
 )
 from dsreduce.oracle import (
+    apply_reference,
     check_graph,
     copy_state,
     exact_annotated_gamma,
@@ -361,6 +363,103 @@ def test_apply_reduction_order_independent():
             if baseline is None:
                 baseline = key
             assert key == baseline
+
+
+def apply_outcome(st, rep):
+    return (
+        (rep.fixed, rep.removed_nodes, rep.removed_edges, rep.rounds,
+         rep.extra_edges, rep.converged),
+        bytes(st.alive),
+        bytes(st.covered),
+        sorted(st.fixed),
+        list(st.deg),
+        [set(st.live_neighbors(v)) if st.alive[v] else None for v in range(st.n)],
+    )
+
+
+def test_apply_reduction_matches_its_definition():
+    # ``oracle.apply_reference`` applies a reference set straight from
+    # the definition, without apply_reduction or cut_within.  Both run on
+    # fresh states and on partly reduced ones (deleted vertices, whose
+    # lists are refreshed or left stale, and cut edges), with covered and
+    # fixed masks, for reference sets from the pipeline and drawn at random.
+    rng = random.Random(9700)
+    graphs = random_graphs(70, (3, 40), [0.06, 0.12, 0.25, 0.5], seed_base=9700)
+    graphs += [build(L + 1, [(v, v + 1) for v in range(L - 1)] + [(v, L) for v in range(0, L, 3)])
+               for L in (8, 14, 29)]
+    cases = cut_by_long = 0
+    for g in graphs:
+        for _ in range(10):
+            st = ReductionState(g)
+            if rng.random() < 0.6:
+                for v in range(g.n):
+                    if rng.random() < 0.15:
+                        st.delete_node(v)
+                if rng.random() < 0.5:
+                    for v in range(g.n):
+                        if st.alive[v]:
+                            st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
+                for u, v in list(g.edges()):
+                    if st.alive[u] and st.alive[v] and rng.random() < 0.05:
+                        st.cut_within({u, v})
+            alive = [v for v in range(g.n) if st.alive[v]]
+            for v in alive:
+                if rng.random() < 0.2:
+                    st.cover(v)
+            for v in alive:
+                if rng.random() < 0.05:
+                    (st.fix if rng.random() < 0.5 else st.fixed.add)(v)
+            if not alive:
+                continue
+            picks = [rng.sample(alive, min(len(alive), rng.randint(1, 4)))]
+            if len(alive) == g.n:
+                # a full pipeline pass reads every vertex, so only here
+                picks.append(sorted({r for _u, r in suitable_set(st)}))
+            for refs in picks:
+                for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
+                    got = copy_state(st)
+                    want = copy_state(st)
+                    rep = apply_reduction(got, refs, variant)
+                    ref = apply_reference(want, refs, variant)
+                    assert apply_outcome(got, rep) == apply_outcome(want, ref), (g.n, refs, variant)
+                    assert state_consistent(got)
+                    cases += 1
+                    # Extra's cut set: the marked neighbors that survived
+                    inner = {w for r in refs for w in st.live_neighbors(r)}
+                    inner = {w for w in inner if got.alive[w]}.difference(refs)
+                    ends = Counter(v for e in rep.extra_edges for v in e)
+                    cut_by_long += any(
+                        got.deg[v] + k > len(inner) for v, k in ends.items()
+                    )
+    assert cases > 2500 and cut_by_long > 100, (cases, cut_by_long)
+
+
+def test_apply_reference_is_independent_of_the_production_apply():
+    names = apply_reference.__code__.co_names
+    assert "apply_reduction" not in names and "cut_within" not in names
+
+
+def test_cut_within_probes_long_lists():
+    # A member whose degree exceeds the set's size is probed by bisection
+    # and keeps its very list when nothing is cut; the cuts and the lists
+    # after them are those of the definition.
+    rng = random.Random(9800)
+    probed_and_kept = 0
+    for g in random_graphs(60, (4, 40), [0.1, 0.3, 0.6], seed_base=9800):
+        for _ in range(10):
+            st = ReductionState(g)
+            verts = set(rng.sample(range(g.n), rng.randint(1, min(g.n, 6))))
+            before = {u: st.adj[u] for u in verts}
+            want = sorted((u, w) for u in verts for w in g.adj[u] if w in verts and u < w)
+            got = st.cut_within(verts)
+            assert sorted(got) == want
+            for u in verts:
+                assert st.adj[u] == [w for w in g.adj[u] if w not in verts]
+                if g.deg[u] > len(verts) and not any(u in e for e in want):
+                    assert st.adj[u] is before[u]
+                    probed_and_kept += 1
+            assert state_consistent(st)
+    assert probed_and_kept > 100, probed_and_kept
 
 
 def test_apply_reduction_accepts_subset_of_refs():
