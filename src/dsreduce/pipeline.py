@@ -2,8 +2,9 @@
 
 Three passes over an annotated instance, a ``state.ReductionState``:
 
-1. ``compute_superset``   groups vertices by canonical reference and keeps
-   pairs whose open neighborhood fits inside the reference's closed one.
+1. ``compute_superset``   gives each vertex its canonical reference and
+   keeps pairs whose open neighborhood fits inside the reference's closed
+   one.
    It returns a ``Superset``: a dict from witness to reference.
 2. ``compute_proper_partition``   assigns each vertex near a witness the
    cheapest adjacent reference proposed by its closed neighborhood, and
@@ -17,29 +18,34 @@ skips each vertex that is its own canonical reference, its dict keeps
 one reference per witness, and partition and filter only read or narrow
 the pairs it found.  The tests check both properties; no pass does.
 
-The superset pass stamps a ``[-1] * n`` list instead of clearing a set
-per reference; partition and filter test membership in a set of each
-neighborhood they compare against.  Combined cost stays proportional to
-n + m.  Counters (``WorkCounter``) record adjacency
-visits as upper bounds; bulk adds keep the hot loops tight.
+The superset pass probes before it compares: a candidate's lowest
+neighbor other than its reference must be adjacent to the reference.
+The probe scans a list of at most ``_SHORT_LIST`` entries, or looks up
+a set of the reference's closed neighborhood, built once per reference
+per call.  Only a candidate that passes is compared in full.  Partition
+and filter test membership in a set of each neighborhood they compare
+against.  Combined cost stays proportional to n + m.  Counters
+(``WorkCounter``) record adjacency visits as upper bounds; bulk adds
+keep the hot loops tight.
 
 Only the superset pass takes ``canonical``, a dict from vertices to
 their canonical references: it then evaluates exactly those vertices.
 Partition and filter take the witness pairs to test and read the
 superset map of every vertex within two edges of their witnesses; the
 verdict on a pair does not depend on which other pairs are tested.  A
-scoped superset pass builds a set of each reference's closed
-neighborhood instead of stamping a list, and partition and filter
-allocate nothing of size n, so each costs time proportional to the
-adjacency it reads, not to n.  Within a pass, the order of pairs and
-witnesses changes neither the verdicts nor the visits.
+scoped superset pass runs the same loop as a full one over its scope,
+and no pass allocates anything of size n but the full superset pass's
+list of canonical references, so a scoped call costs time proportional
+to the adjacency it reads, not to n.  Within a pass, the order of pairs
+and witnesses changes neither the verdicts nor the visits.
 
 Every pass takes the state alone and reads its ``n``, ``adj`` and
 ``deg``, its covered flags and its set of fixed vertices: a covered
 vertex needs no domination and a fixed one is settled, and there is no
 mode that ignores them.  A bare graph goes in as ``ReductionState(g)``,
 whose flags are all clear and whose fixed set is empty.  On a partly
-reduced state the lists must name no dead vertex.
+reduced state the alive vertices' lists must name no dead vertex; a
+dead vertex is never a witness, whatever its own list names.
 ``reducer.reduce_iterate`` keeps one superset map across rounds,
 re-evaluates it only at the uncovered vertices whose verdict or
 canonical reference can have changed, and tests only the witnesses near
@@ -101,9 +107,16 @@ def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) ->
     return out
 
 
+# A reference list at most this long is probed by a scan; see
+# ``compute_superset``.
+_SHORT_LIST = 16
+
+
 class Superset(dict):
     """The superset pass's result: each witness mapped to its reference,
-    in insertion order.  ``canonical`` holds the canonical reference of
+    in the order the pass evaluated them (by id in a full pass, in the
+    order of its ``canonical`` argument in a scoped one); no reader
+    depends on that order.  ``canonical`` holds the canonical reference of
     every vertex the pass evaluated, witness or not.  In the map
     ``reducer.reduce_iterate`` carries across rounds it is exact at alive
     uncovered vertices only; a covered vertex is never a witness again.
@@ -139,60 +152,89 @@ def compute_superset(
     N[r] escapes classification entirely while it may still be the only
     efficient dominator of vertices far from r.  Covered vertices are
     skipped as witnesses (nothing forces a dominator into their
-    neighborhood), as are fixed vertices, whose solution membership is
-    already settled.
+    neighborhood), as are fixed and dead vertices.
 
-    Given ``canonical``, a dict from each vertex to evaluate to its
-    canonical reference, the pass evaluates exactly those vertices and
-    counts no visits for the references, which the caller computed.
-    ``canonical`` of the result holds the canonical reference of every
-    evaluated vertex, witness or not.
+    Without ``canonical`` the pass evaluates every vertex and computes
+    its canonical reference on the way; given ``canonical``, a dict from
+    each vertex to evaluate to its canonical reference, it evaluates
+    exactly those vertices and counts no visits for the references,
+    which the caller computed.  ``canonical`` of the result holds the
+    canonical reference of every evaluated vertex, witness or not.
+
+    Cost.  One loop decides every candidate u (alive, uncovered, unfixed,
+    r not u) in up to three steps.  A u of degree 1 is a witness without
+    a test, since N(u) = {r}.  Otherwise a probe comes first: u's lowest
+    neighbor w other than r must lie in N(r).  When r's list is short
+    (at most ``_SHORT_LIST`` entries) the probe scans w's list for r,
+    which is no longer, since r has the largest degree in N[u]; when it
+    is longer, the probe tests a set of N[r], built once per reference
+    per call.  Only a u that passes the probe pays the full containment
+    test, against that set.  So each candidate costs a bounded probe
+    plus, if it passes, its own degree, and each reference's set is
+    built at most once: O(n + m) in a full pass, with no factor for how
+    many candidates share a long-listed reference.  Nearly every
+    candidate of degree 2 or more fails the probe on a sparse graph,
+    where few triangles pass through u and r.  Visits count a scanned
+    list at its length, a set probe as 1 and a built set at the degree
+    plus 1.
     """
-    n = state.n
     adj = state.adj
     deg = state.deg
+    alive = state.alive
     covered = state.covered
     fixed = state.fixed
-    out = Superset()
-    if canonical is None:
-        visits = sum(deg) + n
-        out.canonical = canonical = [canonical_reference(state, u) for u in range(n)]
-        buckets: defaultdict[int, list[int]] = defaultdict(list)
-        for u, rho in enumerate(canonical):
-            if rho == u or u in fixed or covered[u]:
-                continue
-            buckets[rho].append(u)
-        mark = [-1] * n
-        for rho, bucket in buckets.items():
-            mark[rho] = rho
-            for w in adj[rho]:
-                mark[w] = rho
-            visits += deg[rho] + 1
-            for u in bucket:
-                au = adj[u]
-                visits += len(au)
-                for w in au:
-                    if mark[w] != rho:
-                        break
-                else:
-                    out[u] = rho
+    full = canonical is None
+    if full:
+        todo = range(state.n)
+        canonical = []
+        visits = sum(deg) + state.n
     else:
-        # a handful of vertices: a set of each reference's closed
-        # neighborhood beats stamping
-        out.canonical = canonical
+        todo = canonical
         visits = 0
-        closed_of: dict[int, set[int]] = {}
-        for u, rho in canonical.items():
-            if rho == u or u in fixed or covered[u]:
+    out = Superset()
+    out.canonical = canonical
+    closed_of: dict[int, set[int]] = {}
+    for u in todo:
+        au = adj[u]
+        if full:
+            # canonical_reference, inline
+            rho = u
+            bd = deg[u]
+            for v in au:
+                d = deg[v]
+                if d >= bd and (d > bd or v > rho):
+                    rho = v
+                    bd = d
+            canonical.append(rho)
+        else:
+            rho = canonical[u]
+            bd = deg[rho]
+        if rho == u or not alive[u] or covered[u] or u in fixed:
+            continue
+        if len(au) == 1:
+            out[u] = rho
+            continue
+        # the probe: u's lowest neighbor other than rho
+        w = au[0]
+        if w == rho:
+            w = au[1]
+        short = bd <= _SHORT_LIST
+        if short:
+            aw = adj[w]
+            visits += len(aw)
+            if rho not in aw:
                 continue
-            closed = closed_of.get(rho)
-            if closed is None:
-                closed = closed_of[rho] = {rho, *adj[rho]}
-                visits += deg[rho] + 1
-            au = adj[u]
-            visits += len(au)
-            if closed.issuperset(au):
-                out[u] = rho
+        closed = closed_of.get(rho)
+        if closed is None:
+            closed = closed_of[rho] = {rho, *adj[rho]}
+            visits += bd + 1
+        if not short:
+            visits += 1
+            if w not in closed:
+                continue
+        visits += len(au)
+        if closed.issuperset(au):
+            out[u] = rho
 
     if work is not None:
         work.add(visits)

@@ -270,8 +270,7 @@ def test_pair_search_sides_agree():
     for _ in range(300):
         n = rng.randint(2, 120)
         st = partly_reduced(rng, n)
-        sup = pipeline.compute_superset(st)
-        ref_of = {u: rho for u, rho in sup.items() if st.alive[u]}
+        ref_of = pipeline.compute_superset(st)
         p = rng.choice((0.02, 0.1, 0.3))
         seeds = dict.fromkeys(v for v in random_subset(rng, n, p) if st.alive[v])
         got = _pairs_by_witness(st, ref_of, seeds, None)
@@ -286,7 +285,7 @@ def test_work_grows_linearly_on_paths():
     # A path loses a few vertices at each end per round, so it takes about
     # n/6 rounds; rescanning the whole graph each round would make the
     # visits per (n + m) grow linearly in n.  The fig4_family(40) component
-    # holds superset pairs that never pass the filter: 11.0 visits per
+    # holds superset pairs that never pass the filter: 9.7 visits per
     # (n + m) at n = 3000, while testing every carried pair each round
     # costs 1554.  Counts are exact, not timed.
     per_nm = {}
@@ -307,7 +306,7 @@ def test_work_grows_linearly_on_paths():
 def test_work_scales_linearly_on_chains():
     # Paths and fig5 / fig6 gadget chains shed a few vertices at each end
     # per round, so they run about n / 6 rounds.  At two sizes 4x apart
-    # the visits per (n + m) may grow at most 1.5x (they stay near 9.6);
+    # the visits per (n + m) may grow at most 1.5x (they stay near 7.4);
     # the smaller size must match the compact-every-round reference.
     # Counts are exact, not timed.
     families = {
@@ -392,11 +391,12 @@ def test_work_on_the_hub_path():
     # A path of L = 2000 vertices with a hub joined to every third one
     # sheds one reference per round.  The hub loses a neighbor every
     # round, so it is dirty every round and its list is scanned each
-    # time: the total work is still quadratic in L (128, 247 and 485
+    # time: the total work is still quadratic in L (126, 245 and 483
     # visits per (n + m) at L = 1001, 2000 and 4001).  Only the
     # neighbors whose verdict can change are re-evaluated, and the
     # carried witnesses are found from the smaller side; without that
-    # it costs 912 here.  Counts are exact, not timed.
+    # it cost 912 here (measured before the superset pass probed).
+    # Counts are exact, not timed.
     g = with_hub(path(2000), 3)
     work = WorkCounter()
     rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=work)

@@ -4,8 +4,9 @@ import random
 
 from conftest import annotated, build, random_graphs
 from dsreduce.generators import complete, fig4_family, gnp, path, star
-from dsreduce.oracle import classify_types, suitable_set_direct
+from dsreduce.oracle import classify_types, copy_state, suitable_set_direct
 from dsreduce.pipeline import (
+    _SHORT_LIST,
     WorkCounter,
     canonical_reference,
     compute_proper_partition,
@@ -13,6 +14,7 @@ from dsreduce.pipeline import (
     filter_suitable,
     suitable_set,
 )
+from dsreduce.reducer import Variant, apply_reduction
 from dsreduce.state import ReductionState
 
 
@@ -48,18 +50,84 @@ def test_superset_fig4():
     assert sorted(compute_superset(ReductionState(g)).items()) == sorted(expect)
 
 
+def k2n(k, triangles=0):
+    """K_{2,k} with hubs 0 and 1, plus ``triangles`` pendant triangles
+    on hub 1, numbered after the leaves."""
+    edges = [(h, v) for v in range(2, k + 2) for h in (0, 1)]
+    for i in range(triangles):
+        x = k + 2 + 2 * i
+        edges += [(1, x), (1, x + 1), (x, x + 1)]
+    return build(k + 2 + 2 * triangles, edges)
+
+
+def probe_graphs():
+    """Graphs aimed at the superset pass's probe of u's lowest neighbor
+    other than its reference."""
+    # u = 1 takes rho = 0: its probe (2, the triangle's third vertex)
+    # lies in N(0), its later neighbor 3 does not.
+    out = [build(7, [(0, 1), (0, 2), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6)])]
+    # a reference list on both sides of the short-list bound
+    rng = random.Random(2500)
+    for k in range(_SHORT_LIST - 2, _SHORT_LIST + 4):
+        for _ in range(4):
+            n = k + 1 + rng.randint(2, 10)
+            edges = {(0, v) for v in rng.sample(range(1, n), k)}
+            edges |= {
+                (a, b) for a in range(1, n) for b in range(a + 1, n) if rng.random() < 0.15
+            }
+            out.append(build(n, sorted(edges)))
+    out += [complete(k) for k in range(1, 21)]
+    out += [k2n(k, t) for k in range(1, 21) for t in (0, 1, 3)]
+    return out
+
+
 def test_superset_matches_definition():
-    for g in random_graphs(120, (1, 12), [0.15, 0.35, 0.6, 0.85], seed_base=100):
-        got = sorted(compute_superset(ReductionState(g)).items())
-        expect = []
-        for u in range(g.n):
-            rho = canonical_reference(g, u)
-            if rho == u:
-                continue
-            closed = set(g.adj[rho]) | {rho}
-            if all(w in closed for w in g.adj[u]):
-                expect.append((u, rho))
-        assert got == sorted(expect)
+    rng = random.Random(100)
+    graphs = random_graphs(120, (1, 12), [0.15, 0.35, 0.6, 0.85], seed_base=100)
+    for g in graphs + probe_graphs():
+        covered = bytearray(rng.random() < 0.2 for _ in range(g.n))
+        fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
+        for cov, fix in ((None, None), (covered, None), (None, fixed), (covered, fixed)):
+            st = annotated(g, cov, fix)
+            got = sorted(compute_superset(st).items())
+            expect = []
+            for u in range(g.n):
+                rho = canonical_reference(g, u)
+                if rho == u or st.covered[u] or u in st.fixed:
+                    continue
+                closed = set(g.adj[rho]) | {rho}
+                if all(w in closed for w in g.adj[u]):
+                    expect.append((u, rho))
+            assert got == sorted(expect), (g.n, g.m)
+
+
+def test_pipeline_on_partly_reduced_states_names_only_alive_vertices():
+    # A dead vertex keeps its stale list, which could make it a witness
+    # of an alive reference, or make an alive vertex the reference of a
+    # dead witness; ``apply_reduction`` rejects a dead reference.
+    rng = random.Random(2501)
+    stale_fits = 0
+    for g in random_graphs(200, (5, 30), [0.1, 0.2, 0.4], seed_base=2501):
+        st = ReductionState(g)
+        for v in rng.sample(range(g.n), g.n // 5):
+            st.delete_node(v)
+        for v in range(g.n):
+            if st.alive[v]:
+                st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
+        # dead vertices whose stale list fits their reference's, by the
+        # superset definition
+        stale_fits += any(
+            v != rho and set(st.adj[v]) <= {rho, *st.adj[rho]}
+            for v in range(g.n)
+            if not st.alive[v]
+            for rho in [canonical_reference(st, v)]
+        )
+        pairs = suitable_set(st)
+        assert all(st.alive[u] and st.alive[rho] for u, rho in pairs), pairs
+        refs = sorted({rho for _u, rho in pairs})
+        for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
+            apply_reduction(copy_state(st), refs, variant)
+    assert stale_fits > 30, stale_fits
 
 
 def test_partition_map_prefers_small_degree_then_small_id():
@@ -184,6 +252,32 @@ def test_work_counter_linear_budget():
         assert wc.visits <= 64 * (g.n + g.m)
 
 
+def test_superset_work_is_linear_with_a_shared_long_reference():
+    # Every leaf of K_{2,k} takes hub 1 as its canonical reference, and
+    # its probe (hub 0) fails; the pendant triangles' vertices pass it
+    # and are witnesses.  A probe that scanned a hub's list would read k
+    # entries per leaf.  Counts are exact, not timed.
+    per_nm = []
+    for k in (400, 1600):
+        t = k // 4
+        g = k2n(k, t)
+        wc = WorkCounter()
+        sup = compute_superset(ReductionState(g), work=wc)
+        assert sorted(sup) == list(range(k + 2, g.n))
+        # the canonical references read every list; then hub 1's set is
+        # built once, a leaf's failed probe costs 1 and a triangle
+        # vertex 1 plus its degree
+        assert wc.visits == (2 * g.m + g.n) + (k + 2 * t + 1) + k + 3 * (2 * t)
+        per_nm.append(wc.visits / (g.n + g.m))
+    assert per_nm[1] < 1.5 * per_nm[0], per_nm
+    # Short reference lists: a failed probe scans the probed neighbor's
+    # list (1, 2 and 2 entries for vertices 1, 2 and 3); the ends have
+    # degree 1 and need no test.
+    wc = WorkCounter()
+    assert sorted(compute_superset(ReductionState(path(6)), work=wc).items()) == [(0, 1), (5, 4)]
+    assert wc.visits == (2 * 5 + 6) + 1 + 2 + 2
+
+
 def test_stage_work_is_attributed():
     st = ReductionState(fig4_family(4))
     wc = WorkCounter()
@@ -199,7 +293,8 @@ def test_stage_work_is_attributed():
 
 def test_scoped_passes_match_full_result_restricted():
     rng = random.Random(4100)
-    for g in random_graphs(150, (1, 30), [0.05, 0.1, 0.2, 0.4], seed_base=4100):
+    graphs = random_graphs(150, (1, 30), [0.05, 0.1, 0.2, 0.4], seed_base=4100)
+    for g in graphs + probe_graphs():
         covered = bytearray(rng.random() < 0.25 for _ in range(g.n))
         fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
         for cov, fix in ((None, None), (covered, None), (covered, fixed)):
