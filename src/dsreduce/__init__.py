@@ -1,9 +1,9 @@
 """Dominating Set reduction toolkit.
 
-Find/apply reduction rounds built on neighborhood classification, a
-quadratic baseline sweep, seeded greedy solving, instance generators and
-simple text formats.  The exact and direct reference oracles for tests,
-the graph and state invariant checkers and the state copy live in
+Find/apply reduction rounds built on neighborhood classification,
+seeded greedy solving, instance generators and simple text formats.
+The exact and direct reference oracles for tests, a one-sweep original
+rule, the graph and state invariant checkers and the state copy live in
 ``dsreduce.oracle``, which nothing here imports.
 """
 
@@ -15,7 +15,6 @@ from .reducer import (
     ReductionReport,
     Variant,
     export_residual,
-    naive_reduce,
     reduce_iterate,
 )
 from .state import ReductionState, compact
@@ -35,7 +34,6 @@ __all__ = [
     "greedy",
     "greedy_best_of",
     "load_check",
-    "naive_reduce",
     "read_graph",
     "reduce_iterate",
     "suitable_set",

@@ -44,7 +44,6 @@ from .reducer import (
     Variant,
     export_residual,
     fix_isolated_uncovered,
-    naive_reduce,
     reduce_iterate,
 )
 from .state import ReductionState
@@ -138,8 +137,8 @@ def _report_row(path: str, rule: str, **columns) -> dict:
 def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
     """Read, reduce and export one instance file.
 
-    ``rule`` None only exports.  A round-based rule runs ``max_rounds``
-    rounds of ``reduce_iterate``, None running to its fixed point.
+    ``rule`` None only exports; a rule runs ``max_rounds`` rounds of
+    ``reduce_iterate``, None running to its fixed point.
     Returns the file's id base, the final state (its ``g`` is the input
     graph, its alive vertices are the residual), the reduction report
     and the report row.
@@ -152,8 +151,6 @@ def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
     t1 = time.perf_counter()
     if rule is None:
         rep = ReductionReport(rounds=0)
-    elif rule == "naive":
-        rep = naive_reduce(state)
     else:
         rep = reduce_iterate(state, Variant(rule), max_rounds)
     if fix_isolated:
@@ -184,8 +181,6 @@ def _write_instance(g, path: str, alive=None) -> None:
 
 
 def _cmd_reduce(args, parser) -> int:
-    if args.iterate and args.rule == "naive":
-        parser.error("--iterate requires --rule linear, plus or extra")
     if args.max_rounds is not None and not args.iterate:
         parser.error("--max-rounds only makes sense with --iterate")
     if args.max_rounds is not None and args.max_rounds < 1:
@@ -235,7 +230,7 @@ def _cmd_reduce(args, parser) -> int:
 def _cmd_greedy(args, parser) -> int:
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    if args.iterate and args.after in ("none", "naive"):
+    if args.iterate and args.after == "none":
         parser.error("--iterate requires --after linear, plus or extra")
 
     base, state, _rep, _row = _reduce_file(
@@ -287,7 +282,7 @@ def _cmd_bench(args, parser) -> int:
         parser.error("--rules must name at least one rule")
     for r in rules:
         if r not in RULES:
-            parser.error(f"unknown rule {r!r}")
+            parser.error(f"unknown rule {r!r} (choose from {', '.join(RULES)})")
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     # written to reject nan and inf too: the deadlines below need a finite value

@@ -3,7 +3,8 @@
 Everything here favors being obviously correct over being fast: set
 arithmetic, full rescans, exponential search, a single round left
 unstripped, an iterated driver that compacts after every round, and a
-greedy that rescans merits.
+greedy that rescans merits.  ``naive_reduce``, a single id-order sweep
+of the original rule, is here for the tests that compare against it.
 The graph and state invariant checkers and the state copy live here
 too, since only tests and the reference driver use them.
 Production code paths must never import this module
@@ -210,6 +211,96 @@ def exhaustive_original_rule1(g: Graph) -> tuple[list[int], list[int]]:
             return fixed, removed
 
 
+def naive_reduce(
+    state: ReductionState, *, work: Optional[WorkCounter] = None
+) -> ReductionReport:
+    """Single sweep in id order, reducing around each vertex in turn.
+
+    For each alive vertex the neighbors are classified by direct scan
+    with early abort; when an enclosed neighbor exists the vertex is
+    committed and every non-escaping neighbor deleted on the spot, so
+    later iterations see the mutated graph.  Vertices committed earlier
+    in the sweep count as escaping and are never deleted.
+
+    The sweep reads no covered flags, so it refuses a state with any
+    covered flag set (given fixed vertices cover their neighborhoods,
+    so those are refused too): it would commit vertices that no
+    optimum needs.
+    """
+    _require_fresh(state)
+    if any(state.covered):
+        raise ValueError("naive reduction does not take covered or fixed vertices")
+    n = state.n
+    adj = state.adj
+    alive = state.alive
+    fixed = state.fixed
+    nst = [-1] * n
+    t1st = [-1] * n
+    visits = 0
+
+    committed: list[int] = []
+    removed: list[int] = []
+    removed_edges = 0
+
+    for u in range(n):
+        if not alive[u] or u in fixed:
+            continue
+        au = adj[u]
+        nst[u] = u
+        d = 0
+        for w in au:
+            if alive[w]:
+                nst[w] = u
+                d += 1
+        visits += d + 1
+
+        for w in au:
+            if not alive[w]:
+                continue
+            if w in fixed:
+                t1st[w] = u
+                continue
+            k = 0
+            for x in adj[w]:
+                k += 1
+                if alive[x] and nst[x] != u:
+                    t1st[w] = u
+                    break
+            visits += k
+
+        saw_enclosed = False
+        for w in au:
+            if not alive[w] or t1st[w] == u:
+                continue
+            near_escape = False
+            k = 0
+            for x in adj[w]:
+                k += 1
+                if alive[x] and t1st[x] == u:
+                    near_escape = True
+                    break
+            visits += k
+            if not near_escape:
+                saw_enclosed = True
+                break
+
+        if saw_enclosed:
+            state.fix(u)
+            committed.append(u)
+            for w in au:
+                if alive[w] and t1st[w] != u:
+                    removed_edges += state.delete_node(w)
+                    removed.append(w)
+
+    if work is not None:
+        work.add(visits)
+    return ReductionReport(
+        fixed=committed,
+        removed_nodes=sorted(removed),
+        removed_edges=removed_edges,
+    )
+
+
 def exact_annotated_gamma(g: Graph, covered: bytearray) -> tuple[int, list[int]]:
     """Minimum set dominating every vertex of ``g`` not ``covered``.
 
@@ -298,8 +389,6 @@ def apply_reference(
     between two marked survivors.  Lists are replaced, never edited.
     Counts no visits.
     """
-    if variant is Variant.NAIVE:
-        raise ValueError("naive reduction does not take a precomputed reference set")
     refs = set(refs)
     if not all(state.alive[rho] for rho in refs):
         raise ValueError("a reference is not alive")
@@ -355,15 +444,13 @@ def reduce_iterate_reference(
 
     The iterated driver before rounds shared one id space: every round
     is ``one_round`` on a freshly compacted graph, so it is quadratic on
-    long paths.  ``reducer.reduce_iterate`` must match it.  The naive
-    sweep is rejected.  Between acting rounds ``export_residual`` strips
+    long paths.  ``reducer.reduce_iterate`` must match it.  Between
+    acting rounds ``export_residual`` strips
     the committed vertices (their doomed edges are only then counted)
     and drops isolated covered vertices; the caller's state mirrors every
     event in original ids.  The terminating idle round is included in
     the round count; ``max_rounds`` None runs to it.
     """
-    if variant is Variant.NAIVE:
-        raise ValueError("the naive sweep does not run in rounds")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)

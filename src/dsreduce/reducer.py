@@ -1,4 +1,4 @@
-"""Reduction drivers: apply a reference set, sweep naively, run rounds.
+"""Reduction drivers: apply a reference set, run rounds.
 
 Each driver takes the ``ReductionState`` alone.  A round is find
 (pipeline) then apply (this module); a plain rule is one round of
@@ -30,7 +30,6 @@ DIRTY_RADIUS = 2
 
 
 class Variant(Enum):
-    NAIVE = "naive"
     LINEAR = "linear"
     PLUS = "plus"
     EXTRA = "extra"
@@ -81,8 +80,6 @@ def apply_reduction(
     plus Extra's edge removals; edges pending around committed vertices
     are accounted when they are physically stripped later.
     """
-    if variant is Variant.NAIVE:
-        raise ValueError("naive reduction does not take a precomputed reference set")
     refs = list(refs)
     adj = state.adj
     deg = state.deg
@@ -163,96 +160,6 @@ def apply_reduction(
     return ReductionReport(new_fixed, removed, removed_edges, 1, extra_edges)
 
 
-def naive_reduce(
-    state: ReductionState, *, work: Optional[WorkCounter] = None
-) -> ReductionReport:
-    """Single sweep in id order, reducing around each vertex in turn.
-
-    For each alive vertex the neighbors are classified by direct scan
-    with early abort; when an enclosed neighbor exists the vertex is
-    committed and every non-escaping neighbor deleted on the spot, so
-    later iterations see the mutated graph.  Vertices committed earlier
-    in the sweep count as escaping and are never deleted.
-
-    The sweep reads no covered flags, so it refuses a state with any
-    covered flag set (given fixed vertices cover their neighborhoods,
-    so those are refused too): it would commit vertices that no
-    optimum needs.
-    """
-    _require_fresh(state)
-    if any(state.covered):
-        raise ValueError("naive reduction does not take covered or fixed vertices")
-    n = state.n
-    adj = state.adj
-    alive = state.alive
-    fixed = state.fixed
-    nst = [-1] * n
-    t1st = [-1] * n
-    visits = 0
-
-    committed: list[int] = []
-    removed: list[int] = []
-    removed_edges = 0
-
-    for u in range(n):
-        if not alive[u] or u in fixed:
-            continue
-        au = adj[u]
-        nst[u] = u
-        d = 0
-        for w in au:
-            if alive[w]:
-                nst[w] = u
-                d += 1
-        visits += d + 1
-
-        for w in au:
-            if not alive[w]:
-                continue
-            if w in fixed:
-                t1st[w] = u
-                continue
-            k = 0
-            for x in adj[w]:
-                k += 1
-                if alive[x] and nst[x] != u:
-                    t1st[w] = u
-                    break
-            visits += k
-
-        saw_enclosed = False
-        for w in au:
-            if not alive[w] or t1st[w] == u:
-                continue
-            near_escape = False
-            k = 0
-            for x in adj[w]:
-                k += 1
-                if alive[x] and t1st[x] == u:
-                    near_escape = True
-                    break
-            visits += k
-            if not near_escape:
-                saw_enclosed = True
-                break
-
-        if saw_enclosed:
-            state.fix(u)
-            committed.append(u)
-            for w in au:
-                if alive[w] and t1st[w] != u:
-                    removed_edges += state.delete_node(w)
-                    removed.append(w)
-
-    if work is not None:
-        work.add(visits)
-    return ReductionReport(
-        fixed=committed,
-        removed_nodes=sorted(removed),
-        removed_edges=removed_edges,
-    )
-
-
 def reduce_iterate(
     state: ReductionState,
     variant: Variant,
@@ -262,8 +169,8 @@ def reduce_iterate(
 ) -> ReductionReport:
     """Repeat find+apply rounds on ``state`` until nothing changes.
 
-    The naive sweep is rejected: it is no find+apply round.  A plain
-    Linear, Plus or Extra round is this driver under ``max_rounds`` 1.
+    A plain Linear, Plus or Extra round is this driver under
+    ``max_rounds`` 1.
     Every round acts on the caller's state in the input's ids and
     classifies covered-aware.
     After each acting round the committed vertices are stripped (their
@@ -387,8 +294,6 @@ def reduce_iterate(
     instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
     container).
     """
-    if variant is Variant.NAIVE:
-        raise ValueError("the naive sweep does not run in rounds")
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)

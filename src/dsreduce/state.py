@@ -116,19 +116,10 @@ def compact(state: ReductionState) -> CompactResult:
     ids are carried across in the new numbering, the fixed ids
     ascending.  Each alive list is mapped whole, and only a list that
     names a dead vertex (mapped to -1) is filtered.  ``old_to_new`` is
-    monotone, so each list comes out sorted without a sort.  When every
-    vertex is alive both maps are the identity, and the new graph shares
-    the state's lists; lists are never mutated in place, so that is
-    safe.
+    monotone, so each list comes out sorted without a sort.
     """
     alive = state.alive
     sadj = state.adj
-    if 0 not in alive:
-        ids = list(range(state.n))
-        adj = list(sadj)
-        ng = Graph(state.n, adj, sum(map(len, adj)) // 2)
-        fixed = sorted(state.fixed)
-        return CompactResult(ng, ids, list(ids), bytearray(state.covered), fixed)
     old_to_new = [-1] * state.n
     new_to_old = list(compress(range(state.n), alive))
     for i, u in enumerate(new_to_old):

@@ -23,6 +23,7 @@ from dsreduce.graphio import write_gr, write_sidecar
 from dsreduce.greedy import default_seed_list, greedy_best_of
 from dsreduce.oracle import (
     exact_annotated_gamma,
+    naive_reduce,
     one_round,
     state_consistent,
     suitable_set_direct,
@@ -38,7 +39,6 @@ from dsreduce.reducer import (
     Variant,
     apply_reduction,
     export_residual,
-    naive_reduce,
     reduce_iterate,
 )
 from dsreduce.state import ReductionState, compact

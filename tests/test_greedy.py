@@ -14,8 +14,8 @@ from dsreduce.greedy import (
     greedy,
     greedy_best_of,
 )
-from dsreduce.oracle import exact_annotated_gamma, greedy_reference
-from dsreduce.reducer import Variant, export_residual, naive_reduce, reduce_iterate
+from dsreduce.oracle import exact_annotated_gamma, greedy_reference, naive_reduce
+from dsreduce.reducer import Variant, export_residual, reduce_iterate
 from dsreduce.state import ReductionState, compact
 
 
@@ -214,8 +214,8 @@ def test_picks_match_reference_where_levels_churn():
             assert_same_picks(annotated(g, covered), seeds)
 
 
-# (rule, --iterate) for every ``greedy --after`` value; naive does not
-# iterate
+# (rule, --iterate) for every ``greedy --after`` value, and the naive
+# sweep, which does not iterate
 AFTER = [(None, False), ("naive", False), ("linear", False), ("plus", False),
          ("extra", False), ("linear", True), ("plus", True), ("extra", True)]
 

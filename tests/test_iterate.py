@@ -20,14 +20,18 @@ from conftest import build, prepared, random_graphs
 from dsreduce import pipeline, reducer
 from dsreduce.generators import fig4_family, gadget_path, gnp, path
 from dsreduce.graphio import write_gr
-from dsreduce.oracle import one_round, reduce_iterate_reference, state_consistent
+from dsreduce.oracle import (
+    naive_reduce,
+    one_round,
+    reduce_iterate_reference,
+    state_consistent,
+)
 from dsreduce.pipeline import WorkCounter, ball
 from dsreduce.reducer import (
     Variant,
     _pairs_by_ball,
     _pairs_by_witness,
     export_residual,
-    naive_reduce,
     reduce_iterate,
 )
 from dsreduce.state import ReductionState, compact

@@ -24,7 +24,6 @@ KEPT_WITHOUT_PASSING = {
     # tests and perfbench call the entry point with an argument list
     ("main", "argv"),
     # the tier-1 visit gates read the visits of one driver or pass call
-    ("naive_reduce", "work"),
     ("reduce_iterate", "work"),
     ("suitable_set", "work"),
     # the tests check annotated domination through the one domination check

@@ -19,6 +19,7 @@ from dsreduce.oracle import (
     copy_state,
     exact_annotated_gamma,
     exhaustive_original_rule1,
+    naive_reduce,
     one_round,
     state_consistent,
 )
@@ -28,7 +29,6 @@ from dsreduce.reducer import (
     apply_reduction,
     export_residual,
     fix_isolated_uncovered,
-    naive_reduce,
     reduce_iterate,
 )
 from dsreduce.state import ReductionState, compact
@@ -538,23 +538,12 @@ def test_isolated_helper_skips_covered():
 # ---------------------------------------------------------------- errors
 
 
-def test_apply_reduction_rejects_naive_variant():
-    g = path(4)
-    with pytest.raises(ValueError):
-        apply_reduction(ReductionState(g), [1], Variant.NAIVE)
-
-
 def test_apply_reduction_rejects_dead_reference():
     g = path(4)
     st = ReductionState(g)
     st.delete_node(1)
     with pytest.raises(ValueError):
         apply_reduction(st, [1], Variant.LINEAR)
-
-
-def test_iterate_rejects_single_round_variants():
-    with pytest.raises(ValueError):
-        reduce_iterate(ReductionState(path(6)), Variant.NAIVE)
 
 
 def test_iterate_rejects_bad_round_cap():
