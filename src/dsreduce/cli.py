@@ -38,11 +38,12 @@ from .graphio import (
 )
 from .greedy import default_seed_list, greedy_best_of
 # reduce_iterate is called through this module's name, where
-# perfbench/spans.py wraps it
+# perfbench/spans.py wraps it.  Nothing here calls export_residual, since
+# the drivers leave the state stripped; spans.py wraps cli.export_residual
 from .reducer import (
     ReductionReport,
     Variant,
-    export_residual,
+    export_residual,  # noqa: F401
     fix_isolated_uncovered,
     reduce_iterate,
 )
@@ -135,13 +136,14 @@ def _report_row(path: str, rule: str, **columns) -> dict:
 
 
 def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
-    """Read, reduce and export one instance file.
+    """Read and reduce one instance file.
 
-    ``rule`` None only exports; a rule runs ``max_rounds`` rounds of
-    ``reduce_iterate``, None running to its fixed point.
-    Returns the file's id base, the final state (its ``g`` is the input
-    graph, its alive vertices are the residual), the reduction report
-    and the report row.
+    ``rule`` None leaves the state fresh; a rule runs ``max_rounds``
+    rounds of ``reduce_iterate``, None running to its fixed point.  It
+    and ``fix_isolated_uncovered`` strip what they commit, so nothing is
+    left to export.  Returns the file's id base, the final state (its
+    ``g`` is the input graph, its alive vertices are the residual), the
+    reduction report and the report row.
     """
     t0 = time.perf_counter()
     g, base = read_graph(path)
@@ -155,7 +157,6 @@ def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
         rep = reduce_iterate(state, Variant(rule), max_rounds)
     if fix_isolated:
         fix_isolated_uncovered(state)
-    strips, dropped = export_residual(state)
     time_reduce = time.perf_counter() - t1
 
     row = _report_row(
@@ -165,8 +166,8 @@ def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
         m=g.m,
         rounds=rep.rounds,
         fixed=len(state.fixed),
-        removed_nodes=len(rep.removed_nodes) + len(dropped),
-        removed_edges=rep.removed_edges + strips,
+        removed_nodes=len(rep.removed_nodes),
+        removed_edges=rep.removed_edges,
         time_build_ms=round(time_build * 1000, 3),
         time_reduce_ms=round(time_reduce * 1000, 3),
     )

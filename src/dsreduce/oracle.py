@@ -51,13 +51,18 @@ def check_graph(g: Graph) -> None:
         raise ValueError(f"m={g.m} but adjacency holds {count // 2} edges")
 
 
+def live_neighbors(st: ReductionState, u: int) -> list[int]:
+    """The alive vertices that ``u``'s list in ``st`` names."""
+    return [v for v in st.adj[u] if st.alive[v]]
+
+
 def state_consistent(st: ReductionState) -> bool:
     """Each alive vertex's live neighbors are input neighbors of it,
     name it back and number its degree, and its list is sorted; dead
     vertices have degree 0."""
     gadj = st.g.adj
     live = [
-        set(st.live_neighbors(u)) if st.alive[u] else set()
+        set(live_neighbors(st, u)) if st.alive[u] else set()
         for u in range(st.n)
     ]
     return all(
@@ -125,19 +130,16 @@ def classify_types(g: Graph, covered: Optional[bytearray], rho: int) -> TypePart
 
 
 def suitable_set_direct(
-    g: Graph,
-    covered: Optional[bytearray] = None,
-    fixed: Optional[bytearray] = None,
+    g: Graph, covered: Optional[bytearray] = None
 ) -> list[tuple[int, int]]:
     """Witness set straight from the definitions, one classify per vertex,
     as (witness, reference) pairs in ascending order.
 
-    Committed vertices behave like escapers: they are never witnesses
-    and disqualify adjacent witnesses, matching the leaf gadget a
-    literal reading would attach to them.  With covered flags the
-    covered-aware escape predicate applies to the witness's classified
-    neighbors, but the witness's own neighborhood must still sit inside
-    N[reference]; covered witnesses are skipped.
+    With covered flags the covered-aware escape predicate applies to the
+    witness's classified neighbors, but the witness's own neighborhood
+    must still sit inside N[reference]; covered witnesses are skipped.
+    A committed vertex is no vertex of ``g``: committing one leaves the
+    graph without it and its neighbors covered.
     """
     pairs = []
     for rho in range(g.n):
@@ -148,13 +150,9 @@ def suitable_set_direct(
         for u in g.adj[rho]:
             if u not in enclosed:
                 continue
-            if fixed is not None and fixed[u]:
-                continue
             if covered is not None and covered[u]:
                 continue
             if any(w not in closed for w in g.adj[u]):
-                continue
-            if fixed is not None and any(fixed[w] for w in g.adj[u] if w != rho):
                 continue
             if canonical_reference(g, u) == rho:
                 pairs.append((u, rho))
@@ -223,16 +221,17 @@ def naive_reduce(
     in the sweep count as escaping and are never deleted.
 
     The sweep reads no covered flags, so it refuses a state with any
-    covered flag set (given fixed vertices cover their neighborhoods,
-    so those are refused too): it would commit vertices that no
-    optimum needs.
+    covered flag set: it would commit vertices that no optimum needs.
+    Like every driver it refuses a fixed vertex too; its own commits
+    stay alive until ``export_residual``.
     """
     _require_fresh(state)
     if any(state.covered):
-        raise ValueError("naive reduction does not take covered or fixed vertices")
+        raise ValueError("naive reduction does not take covered vertices")
     n = state.n
     adj = state.adj
     alive = state.alive
+    covered = state.covered
     fixed = state.fixed
     nst = [-1] * n
     t1st = [-1] * n
@@ -285,7 +284,10 @@ def naive_reduce(
                 break
 
         if saw_enclosed:
-            state.fix(u)
+            fixed.add(u)
+            covered[u] = 1
+            for w in live_neighbors(state, u):
+                covered[w] = 1
             committed.append(u)
             for w in au:
                 if alive[w] and t1st[w] != u:
@@ -392,9 +394,8 @@ def apply_reference(
     refs = set(refs)
     if not all(state.alive[rho] for rho in refs):
         raise ValueError("a reference is not alive")
-    live = {u: set(state.live_neighbors(u)) for u in range(state.n) if state.alive[u]}
+    live = {u: set(live_neighbors(state, u)) for u in range(state.n) if state.alive[u]}
     marked = set().union(*(live[rho] for rho in refs)) - refs
-    new_fixed = sorted(refs - state.fixed)
     state.fixed |= refs
     for v in refs | marked:
         state.covered[v] = 1
@@ -413,10 +414,10 @@ def apply_reference(
         for u in inner:
             state.adj[u] = [w for w in state.adj[u] if w not in inner]
     for u in range(state.n):
-        state.deg[u] = len(list(state.live_neighbors(u))) if state.alive[u] else 0
+        state.deg[u] = len(live_neighbors(state, u)) if state.alive[u] else 0
     return ReductionReport(
-        fixed=new_fixed,
-        removed_nodes=sorted(deletable - state.fixed),
+        fixed=sorted(refs),
+        removed_nodes=sorted(deletable),
         removed_edges=len(lost) + len(cuts),
         extra_edges=cuts,
     )
@@ -467,10 +468,14 @@ def reduce_iterate_reference(
     while True:
         rep = one_round(cur_state, variant, work=work)
         rounds += 1
+        if not rep.fixed:
+            break
 
         for rho in rep.fixed:
             o = cur_to_orig[rho]
-            state.fix(o)
+            state.fixed.add(o)
+            for v in (o, *live_neighbors(state, o)):
+                state.covered[v] = 1
             fixed_all.append(o)
         for u in rep.removed_nodes:
             o = cur_to_orig[u]
@@ -481,14 +486,10 @@ def reduce_iterate_reference(
             extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
         removed_edges += rep.removed_edges
 
-        if not rep.changed:
-            break
-
-        committed = [rho for rho in cur_state.fixed if cur_state.alive[rho]]
         strips, dropped = export_residual(cur_state)
         comp = compact(cur_state)
         removed_edges += strips
-        for rho in committed:
+        for rho in rep.fixed:
             state.delete_node(cur_to_orig[rho])
         for v in dropped:
             state.delete_node(cur_to_orig[v])

@@ -40,12 +40,12 @@ to the adjacency it reads, not to n.  Within a pass, the order of pairs
 and witnesses changes neither the verdicts nor the visits.
 
 Every pass takes the state alone and reads its ``n``, ``adj`` and
-``deg``, its covered flags and its set of fixed vertices: a covered
-vertex needs no domination and a fixed one is settled, and there is no
-mode that ignores them.  A bare graph goes in as ``ReductionState(g)``,
-whose flags are all clear and whose fixed set is empty.  On a partly
-reduced state the alive vertices' lists must name no dead vertex; a
-dead vertex is never a witness, whatever its own list names.
+``deg`` and its covered flags: a covered vertex needs no domination,
+and there is no mode that ignores them.  No pass reads the fixed set:
+no alive vertex is fixed, since a driver strips what it commits.  A
+bare graph goes in as ``ReductionState(g)``, whose flags are all clear.
+On a partly reduced state the alive vertices' lists must name no dead
+vertex; a dead vertex is never a witness, whatever its own list names.
 ``reducer.reduce_iterate`` keeps one superset map across rounds,
 re-evaluates it only at the uncovered vertices whose verdict or
 canonical reference can have changed, and tests only the witnesses near
@@ -152,7 +152,7 @@ def compute_superset(
     N[r] escapes classification entirely while it may still be the only
     efficient dominator of vertices far from r.  Covered vertices are
     skipped as witnesses (nothing forces a dominator into their
-    neighborhood), as are fixed and dead vertices.
+    neighborhood), as are dead vertices.
 
     Without ``canonical`` the pass evaluates every vertex and computes
     its canonical reference on the way; given ``canonical``, a dict from
@@ -161,8 +161,8 @@ def compute_superset(
     which the caller computed.  ``canonical`` of the result holds the
     canonical reference of every evaluated vertex, witness or not.
 
-    Cost.  One loop decides every candidate u (alive, uncovered, unfixed,
-    r not u) in up to three steps.  A u of degree 1 is a witness without
+    Cost.  One loop decides every candidate u (alive, uncovered, r not
+    u) in up to three steps.  A u of degree 1 is a witness without
     a test, since N(u) = {r}.  Otherwise a probe comes first: u's lowest
     neighbor w other than r must lie in N(r).  When r's list is short
     (at most ``_SHORT_LIST`` entries) the probe scans w's list for r,
@@ -182,7 +182,6 @@ def compute_superset(
     deg = state.deg
     alive = state.alive
     covered = state.covered
-    fixed = state.fixed
     full = canonical is None
     if full:
         todo = range(state.n)
@@ -209,7 +208,7 @@ def compute_superset(
         else:
             rho = canonical[u]
             bd = deg[rho]
-        if rho == u or not alive[u] or covered[u] or u in fixed:
+        if rho == u or not alive[u] or covered[u]:
             continue
         if len(au) == 1:
             out[u] = rho
@@ -312,14 +311,12 @@ def filter_suitable(
     candidate witness u survives iff everything in N[u] except r is in
     slot2.  A vertex whose neighbors outside slot1 are all covered joins
     slot2 too: that is the whole covered-aware relaxation, and it
-    applies to the classified vertices inside N[r] only.  Fixed
-    vertices count as escaping, so witnesses next to one are dropped.
-    The slots of r are built at r's first pair and kept for its others;
-    the surviving pairs come out in the order of ``pairs``.
+    applies to the classified vertices inside N[r] only.  The slots of
+    r are built at r's first pair and kept for its others; the surviving
+    pairs come out in the order of ``pairs``.
     """
     adj = state.adj
     covered = state.covered
-    fixed = state.fixed
     visits = 0
     chosen: defaultdict[int, list[int]] = defaultdict(list)
     for x, r in f.items():
@@ -347,7 +344,7 @@ def filter_suitable(
         au = adj[u]
         visits += len(au)
         for w in au:
-            if w != rho and (w in fixed or w not in slot2):
+            if w != rho and w not in slot2:
                 break
         else:
             out.append((u, rho))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, filterfalse
+from itertools import compress
 from typing import Iterable, Optional
 
 # The passes are called as attributes of ``pipeline``, so a wrapper set
@@ -45,19 +45,15 @@ class ReductionReport:
     rounds: int = 1
     extra_edges: list[tuple[int, int]] = field(default_factory=list)
     # False only when the caller's max_rounds ended reduce_iterate after a
-    # round that still changed something.
+    # round that still committed something.
     converged: bool = True
-
-    @property
-    def changed(self) -> bool:
-        return bool(
-            self.fixed or self.removed_nodes or self.removed_edges or self.extra_edges
-        )
 
 
 def _require_fresh(state: ReductionState) -> None:
     if not all(state.alive) or sum(state.deg) != 2 * state.g.m:
         raise ValueError("state must be fresh (no vertex or edge deleted)")
+    if state.fixed:
+        raise ValueError("state must be fresh (no vertex fixed)")
 
 
 def apply_reduction(
@@ -69,8 +65,10 @@ def apply_reduction(
 ) -> ReductionReport:
     """Commit ``refs`` and delete around them according to ``variant``.
 
-    Marking is unioned over all references before any deletion, so the
-    outcome does not depend on the order of ``refs``.  The cost is
+    The references must be alive, hence not yet fixed, and the report
+    lists each of them as newly fixed.  Marking is unioned over all
+    references before any deletion, so the outcome does not depend on
+    the order of ``refs``.  The cost is
     proportional to the live closed neighborhoods of the references and
     of their neighbors, whatever the size of the graph.  A neighbor is
     deletable when at most ``allow`` of its live neighbors still need
@@ -80,12 +78,11 @@ def apply_reduction(
     plus Extra's edge removals; edges pending around committed vertices
     are accounted when they are physically stripped later.
     """
-    refs = list(refs)
+    refs = sorted(set(refs))
     adj = state.adj
     deg = state.deg
     alive = state.alive
     covered = state.covered
-    fixed = state.fixed
 
     for rho in refs:
         if not alive[rho]:
@@ -95,7 +92,6 @@ def apply_reduction(
     # narrows to the neighbors that are no reference.  A list names only
     # alive vertices when its length is the degree.
     marked: set[int] = set()
-    new_fixed: list[int] = []
     visits = 0
     for rho in refs:
         ar = adj[rho]
@@ -103,10 +99,7 @@ def apply_reduction(
         visits += d + 1
         marked.update(ar if d == len(ar) else filter(alive.__getitem__, ar))
         covered[rho] = 1
-        if rho not in fixed:
-            fixed.add(rho)
-            new_fixed.append(rho)
-    new_fixed.sort()
+    state.fixed.update(refs)
     marked.difference_update(refs)
     # One walk over the marked neighbors covers each and classifies it: a
     # live neighbor still needs domination unless covered or marked.
@@ -155,9 +148,9 @@ def apply_reduction(
 
     if work is not None:
         work.add(visits)
-    removed = sorted(filterfalse(fixed.__contains__, deletable))
+    deletable.sort()
     # positional: the keyword call costs a round about a microsecond
-    return ReductionReport(new_fixed, removed, removed_edges, 1, extra_edges)
+    return ReductionReport(refs, deletable, removed_edges, 1, extra_edges)
 
 
 def reduce_iterate(
@@ -181,14 +174,15 @@ def reduce_iterate(
     ``converged`` is False only when a given ``max_rounds`` ended the
     loop instead.
 
-    The loop ends by itself, within n + 2 rounds.  A round without
-    references changes nothing, so an acting round commits at least one.
-    Round 1's boundary strips every alive fixed vertex, given ones
-    included, and each later boundary strips that round's references, so
-    from round 2 on no alive vertex is fixed: each reference is alive and
-    new, and dies at the round's end.  So every acting round after the
-    first removes at least one of the n vertices for good: at most n of
-    them follow round 1, then one idle round.
+    The loop ends by itself, within n + 1 rounds.  The state starts with
+    no vertex fixed (``_require_fresh`` refuses one), and each boundary
+    strips that round's references, so no alive vertex is fixed when a
+    round starts: each reference is alive and new, and dies at the
+    round's end.  A round without references changes nothing, so an
+    acting round commits, and the report lists, at least one, and a
+    round acts exactly when its report's ``fixed`` is non-empty.  So
+    every acting round removes at least one of the n vertices for good:
+    at most n acting rounds, then one idle round.
 
     Every round runs the passes on ``state`` itself; round 1 tests every
     pair, while its lists and degrees are still the input's.  Deleting a
@@ -217,13 +211,11 @@ def reduce_iterate(
     S = T + U.  The carried maps are then right at every alive vertex:
 
     (i) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
-        covered and fixed flags of u.  Deletions only lower degrees, and
-        only on T: an alive vertex that loses a live neighbor is touched,
-        as shown above.  Lists only ever lose members.  u's covered flag
-        is only ever set, and only when u is next to a committed vertex,
-        hence in T.  No alive vertex is fixed after round 1: committed
-        vertices, given ones included, are stripped at every boundary.
-        Take an alive u outside U.
+        covered flag of u.  Deletions only lower degrees, and only on T:
+        an alive vertex that loses a live neighbor is touched, as shown
+        above.  Lists only ever lose members.  u's covered flag is only
+        ever set, and only when u is next to a committed vertex, hence
+        in T.  Take an alive u outside U.
         - u is covered.  The pass never takes a covered witness, so u
           has no entry: dropped if u is in T, and never made if u was
           covered a round earlier.  R(u) is never read again.
@@ -234,7 +226,7 @@ def reduce_iterate(
           maximum, and u's verdict is that of one round earlier.
         - R(u) is in T, u is not.  Then u is no carried witness, and
           its canonical reference is still R(u).  One round earlier u
-          was uncovered and not fixed, and R(u) is not u, so the
+          was uncovered, and R(u) is not u, so the
           containment N(u) in N[R(u)] failed.  N(u) is unchanged and
           N[R(u)] only lost members, so it still fails.  (A carried
           witness is re-evaluated: Extra may cut the edge from R(u) to
@@ -245,11 +237,9 @@ def reduce_iterate(
         witness lies farther out.  Their verdict on a pair (u, rho) reads
         the lists of N[u], rho among them, and the degrees, covered flags
         and carried witness entries of the vertices within 2 edges of
-        u, fixed flags included, but no canonical reference.  Between
-        rounds all of these change only on S: lists, degrees and covered
-        flags only on T, witness entries only on T and U by (i), and
-        fixed flags only on vertices that die, whose alive neighbors are
-        touched.  Now take u more
+        u, but no canonical reference.  Between rounds all of these
+        change only on S: lists, degrees and covered flags only on T,
+        and witness entries only on T and U by (i).  Now take u more
         than 2 edges from S.  The search from u reads the same lists as
         one round earlier, and the same values on them, so the verdict
         is that of one round earlier: the verdict of that round's test,
@@ -325,7 +315,8 @@ def reduce_iterate(
         refs = sorted({rho for _u, rho in kept})
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
-        if not rep.changed:
+        # every reference is committed anew, so a round without one is idle
+        if not rep.fixed:
             break
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
@@ -336,13 +327,8 @@ def reduce_iterate(
         # entries of every vertex that died in the round.  Whatever died
         # lists its live neighbors, or they are next to a reference
         # (Extra's cut partners): those are the touched vertices.
-        committed = refs
-        gone = rep.removed_nodes
-        if rounds == 1:
-            committed = [v for v in state.fixed if alive[v]]
-            gone = gone + [v for v in state.fixed if not alive[v]]
         touched: dict[int, None] = {}
-        for rho in committed:
+        for rho in refs:
             sup.pop(rho, None)
             for w in adj[rho]:
                 if alive[w]:
@@ -351,7 +337,7 @@ def reduce_iterate(
                     touched[w] = None
             alive[rho] = 0
             deg[rho] = 0
-        for u in gone:
+        for u in rep.removed_nodes:
             sup.pop(u, None)
             for x in adj[u]:
                 if alive[x]:
@@ -492,15 +478,21 @@ def _pairs_by_witness(
 
 
 def fix_isolated_uncovered(state: ReductionState) -> list[int]:
-    """Commit alive degree-zero vertices that nothing dominates.
+    """Commit alive degree-zero vertices that nothing dominates, and
+    strip them: they have no edges, so a stripped state stays stripped.
 
     Opt-in: the plain rules leave such vertices for the residual solver.
     """
+    alive = state.alive
+    covered = state.covered
+    deg = state.deg
     out = []
     for v in range(state.n):
-        if state.alive[v] and not state.covered[v] and state.deg[v] == 0:
-            state.fix(v)
+        if alive[v] and not covered[v] and not deg[v]:
+            covered[v] = 1
+            alive[v] = 0
             out.append(v)
+    state.fixed.update(out)
     return out
 
 
@@ -511,7 +503,10 @@ def export_residual(state: ReductionState) -> tuple[int, list[int]]:
     Returns the number of live edges that were still pending around
     committed vertices (now counted as removed) and the covered vertices
     dropped because stripping isolated them.  Mutates ``state``; pass a
-    copy to keep the original.
+    copy to keep the original.  ``reduce_iterate`` and
+    ``fix_isolated_uncovered`` leave a stripped state, on which this
+    returns ``(0, [])``; only a round of ``apply_reduction`` left
+    unstripped gives it work.
     """
     strips = 0
     for rho in state.fixed:

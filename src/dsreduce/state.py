@@ -3,16 +3,19 @@
 ``ReductionState`` is all a reduction driver takes.  It keeps the input
 as ``g`` and has the ``Graph`` shape the pipeline passes read (``n``,
 ``adj`` and ``deg``) plus alive and covered flags and ``fixed``, the set
-of committed vertices; every reader of ``fixed`` sorts it or does not
-depend on its order.  ``adj`` starts as a shallow copy of the input's
+of committed vertices.  No alive vertex is fixed between rounds: a
+driver starts from an empty set and strips each vertex it commits at
+the round's boundary, so ``fixed`` only records what the drivers
+output, and every reader of it sorts it or does not depend on its
+order.  ``adj`` starts as a shallow copy of the input's
 lists.  Deleting a node flips its alive flag and lowers its neighbors'
 degrees but leaves the lists alone, so a list may still name dead
-vertices and ``live_neighbors`` skips them; ``reducer.reduce_iterate``
-drops them from the lists it reads again.  Deleting edges
-(``cut_within``) replaces the lists concerned.  Lists are only ever
-replaced, never mutated in place, so the input graph and copies of a
-state stay intact.  Every list stays sorted: the input's lists are, and
-a list is only ever filtered.
+vertices, which a reader skips by their alive flag;
+``reducer.reduce_iterate`` drops them from the lists it reads again.
+Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
+only ever replaced, never mutated in place, so the input graph and
+copies of a state stay intact.  Every list stays sorted: the input's
+lists are, and a list is only ever filtered.
 """
 
 from __future__ import annotations
@@ -40,12 +43,6 @@ class ReductionState:
         self.alive = bytearray([1] * g.n)
         self.covered = bytearray(g.n)
         self.fixed: set[int] = set()
-
-    def live_neighbors(self, u: int):
-        alive = self.alive
-        for v in self.adj[u]:
-            if alive[v]:
-                yield v
 
     def delete_node(self, u: int) -> int:
         """Remove ``u``; returns how many live edges disappeared with it."""
@@ -88,17 +85,6 @@ class ReductionState:
                 deg[u] -= len(hits)
         return cuts
 
-    def cover(self, u: int) -> None:
-        self.covered[u] = 1
-
-    def fix(self, rho: int) -> None:
-        """Commit ``rho`` to the solution and mark its closed live
-        neighborhood covered."""
-        self.fixed.add(rho)
-        self.cover(rho)
-        for v in self.live_neighbors(rho):
-            self.cover(v)
-
 
 @dataclass
 class CompactResult:
@@ -106,15 +92,14 @@ class CompactResult:
     old_to_new: list[int]
     new_to_old: list[int]
     covered: bytearray
-    fixed: list[int]
 
 
 def compact(state: ReductionState) -> CompactResult:
     """Rebuild the live part of ``state`` as a fresh 0-based graph.
 
-    ``old_to_new`` holds -1 for dead vertices.  Covered flags and fixed
-    ids are carried across in the new numbering, the fixed ids
-    ascending.  Each alive list is mapped whole, and only a list that
+    ``old_to_new`` holds -1 for dead vertices.  Covered flags are carried
+    across in the new numbering; no alive vertex is fixed, so no fixed
+    id is.  Each alive list is mapped whole, and only a list that
     names a dead vertex (mapped to -1) is filtered.  ``old_to_new`` is
     monotone, so each list comes out sorted without a sort.
     """
@@ -131,5 +116,4 @@ def compact(state: ReductionState) -> CompactResult:
             adj[i] = [v for v in a if v >= 0]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))
-    fixed = sorted(old_to_new[f] for f in state.fixed if alive[f])
-    return CompactResult(ng, old_to_new, new_to_old, covered, fixed)
+    return CompactResult(ng, old_to_new, new_to_old, covered)

@@ -4,7 +4,7 @@ import pytest
 
 from dsreduce.graph import Graph, load_check
 from dsreduce.graphio import sidecar_lines
-from dsreduce.state import ReductionState
+from dsreduce.state import ReductionState, compact
 
 
 def build(n, edges) -> Graph:
@@ -32,27 +32,52 @@ def read_sidecar(stream) -> dict:
     return out
 
 
-def prepared(g, covered=(), fixed=()) -> ReductionState:
-    """A fresh state of ``g`` with given covered and fixed vertices."""
+def prepared(g, covered=()) -> ReductionState:
+    """A fresh state of ``g`` with the given vertices covered."""
     st = ReductionState(g)
     for v in covered:
-        st.cover(v)
-    for v in fixed:
-        st.fix(v)
+        st.covered[v] = 1
     return st
 
 
-def annotated(g, covered=None, fixed=None) -> ReductionState:
-    """A fresh state of ``g`` whose covered and fixed flags are exactly
-    the given masks; unlike ``prepared``, a fixed vertex covers nothing."""
+def annotated(g, covered=None) -> ReductionState:
+    """A fresh state of ``g`` whose covered flags are exactly the given
+    mask."""
     st = ReductionState(g)
     if covered is not None:
         st.covered[:] = covered
-    if fixed is not None:
-        for v, flag in enumerate(fixed):
-            if flag:
-                st.fixed.add(v)
     return st
+
+
+def members(mask) -> list[int]:
+    """The vertices a 0/1 ``mask`` sets; none for None."""
+    return [] if mask is None else [v for v, flag in enumerate(mask) if flag]
+
+
+def covered_by(g, covered, fixed) -> bytearray:
+    """The mask of ``covered`` and N[fixed] over ``g``."""
+    mask = bytearray(g.n)
+    for v in covered:
+        mask[v] = 1
+    for f in fixed:
+        for v in (f, *g.adj[f]):
+            mask[v] = 1
+    return mask
+
+
+def committed(g, covered=(), fixed=()) -> ReductionState:
+    """The annotated instance that committing ``fixed`` leaves: a fresh
+    state of ``g`` less ``fixed``, renumbered as ``compact`` renumbers it,
+    with the ``covered`` vertices and N(fixed) covered.  Its optimum plus
+    ``len(fixed)`` is the least dominating set of ``g`` that holds
+    ``fixed`` and may skip ``covered``; no driver takes a fixed vertex."""
+    st = annotated(g, covered_by(g, covered, fixed))
+    for f in fixed:
+        st.delete_node(f)
+    comp = compact(st)
+    out = ReductionState(comp.graph)
+    out.covered[:] = comp.covered
+    return out
 
 
 @pytest.fixture

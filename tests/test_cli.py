@@ -1,5 +1,6 @@
 import csv
 import os
+from itertools import compress
 
 import pytest
 
@@ -7,8 +8,11 @@ import dsreduce.cli as cli
 from conftest import read_sidecar
 from dsreduce import graphio
 from dsreduce.cli import _bench_child, main
+from dsreduce.generators import fig4_family, gadget_path, gnp, path, star
 from dsreduce.graph import load_check
 from dsreduce.graphio import write_gr
+from dsreduce.oracle import copy_state
+from dsreduce.reducer import export_residual
 
 
 def run_ok(argv, capsys):
@@ -334,6 +338,39 @@ def test_reduce_fix_isolated_commits_isolated_vertex(tmp_path, capsys):
         row = {k: int(row[k]) for k in ("n", "m", "fixed", "removed_nodes", "removed_edges")}
         assert row["n"] == row["fixed"] + row["removed_nodes"] + res_n
         assert row["m"] == row["removed_edges"] + stats["residual_m"]
+
+
+def test_reduce_file_leaves_nothing_to_export(tmp_path):
+    # ``_reduce_file`` calls no export: ``reduce_iterate`` strips what it
+    # commits and drops the covered vertices that stripping isolates, and
+    # ``fix_isolated_uncovered`` strips its vertices as it commits them.
+    # So no alive vertex is fixed, none is covered and isolated, and an
+    # export of the state finds nothing to strip or drop.
+    graphs = [fig4_family(3), gadget_path("fig5", 4), gadget_path("fig6", 4),
+              path(11), star(6)]
+    graphs += [gnp(40, 0.03, seed) for seed in range(1, 7)]
+    assert all(0 in g.deg for g in graphs[5:])
+    cases = 0
+    for i, g in enumerate(graphs):
+        inst = str(tmp_path / f"g{i}.gr")
+        with open(inst, "w") as fh:
+            write_gr(g, fh)
+        for rule in cli.RULES:
+            for cap in (1, 2, None):
+                for fix_isolated in (False, True):
+                    _base, st, _rep, row = cli._reduce_file(
+                        inst, rule, max_rounds=cap, fix_isolated=fix_isolated
+                    )
+                    alive = list(compress(range(st.n), st.alive))
+                    where = (i, rule, cap, fix_isolated)
+                    assert st.fixed.isdisjoint(alive), where
+                    assert all(st.deg[v] or not st.covered[v] for v in alive), where
+                    if fix_isolated:
+                        assert all(st.deg[v] for v in alive), where
+                    assert export_residual(copy_state(st)) == (0, []), where
+                    assert row["fixed"] == len(st.fixed), where
+                    cases += 1
+    assert cases == len(graphs) * 3 * 3 * 2
 
 
 def test_reduce_row_and_residual_account_for_every_vertex_and_edge(tmp_path, capsys):

@@ -2,7 +2,13 @@ import pytest
 
 from conftest import build, edge_alive, random_graphs
 from dsreduce.graph import CheckedEnds, Graph, first_undominated, load_check
-from dsreduce.oracle import check_graph, copy_state, one_round, state_consistent
+from dsreduce.oracle import (
+    check_graph,
+    copy_state,
+    live_neighbors,
+    one_round,
+    state_consistent,
+)
 from dsreduce.state import ReductionState, compact
 
 
@@ -98,7 +104,7 @@ def test_state_node_deletion_updates_degrees():
     st = ReductionState(g)
     assert st.delete_node(1) == 2
     assert st.deg == [0, 0, 1, 1]
-    assert list(st.live_neighbors(2)) == [3]
+    assert live_neighbors(st, 2) == [3]
     assert st.delete_node(1) == 0
     assert state_consistent(st)
 
@@ -119,7 +125,7 @@ def test_state_cut_within_deletes_inner_edges():
     st = ReductionState(g)
     assert st.cut_within({0: None, 2: None, 3: None}) == [(0, 2), (2, 3)]
     assert st.deg == [1, 2, 1, 1, 1]
-    assert list(st.live_neighbors(2)) == [1]
+    assert live_neighbors(st, 2) == [1]
     assert not edge_alive(st, 0, 2) and edge_alive(st, 0, 1)
     assert state_consistent(st)
 
@@ -140,23 +146,15 @@ def test_is_consistent_catches_foreign_and_one_sided_edges():
     assert not state_consistent(stale_degree)
 
 
-def test_state_fix_covers_live_neighborhood():
-    g = build(4, [(0, 1), (0, 2), (0, 3)])
-    st = ReductionState(g)
-    st.delete_node(3)
-    st.fix(0)
-    assert bytes(st.covered) == bytes([1, 1, 1, 0])
-    assert 0 in st.fixed
-
-
 def test_state_copy_is_independent():
     g = build(3, [(0, 1), (1, 2)])
     st = ReductionState(g)
     cp = copy_state(st)
     cp.delete_node(0)
-    cp.fix(1)
+    cp.covered[1] = 1
+    cp.fixed.add(2)
     assert cp.cut_within({1, 2}) == [(1, 2)]
-    assert st.alive[0] == 1 and len(st.fixed) == 0
+    assert st.alive[0] == 1 and not any(st.covered) and len(st.fixed) == 0
     assert st.adj == [[1], [0, 2], [1]] and st.deg == [1, 2, 1]
     cut = copy_state(st)
     assert cut.cut_within({0: None, 1: None, 2: None}) == [(0, 1), (1, 2)]
@@ -167,7 +165,7 @@ def test_state_copy_is_independent():
 def test_compact_remaps_flags():
     g = build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     st = ReductionState(g)
-    st.fix(1)
+    st.covered[:3] = b"\x01\x01\x01"
     st.delete_node(0)
     st.cut_within({2, 3})
     comp = compact(st)
@@ -175,19 +173,17 @@ def test_compact_remaps_flags():
     assert comp.new_to_old == [1, 2, 3, 4]
     assert comp.old_to_new == [-1, 0, 1, 2, 3]
     assert bytes(comp.covered) == bytes([1, 1, 0, 0])
-    assert comp.fixed == [0]
     check_graph(comp.graph)
 
 
 def test_compact_of_an_untouched_state_is_the_identity():
     g = build(4, [(0, 1), (1, 2), (2, 3)])
     st = ReductionState(g)
-    st.fix(1)
+    st.covered[:3] = b"\x01\x01\x01"
     comp = compact(st)
     assert comp.old_to_new == comp.new_to_old == [0, 1, 2, 3]
     assert comp.graph.adj == g.adj and comp.graph.m == g.m
     assert bytes(comp.covered) == bytes([1, 1, 1, 0])
-    assert comp.fixed == [1]
     check_graph(comp.graph)
 
 

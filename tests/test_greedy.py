@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import annotated, build, fresh, random_graphs
+from conftest import annotated, build, committed, fresh, members, random_graphs
 from dsreduce.generators import complete, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
@@ -221,11 +221,14 @@ AFTER = [(None, False), ("naive", False), ("linear", False), ("plus", False),
 
 
 def exported(g, after, covered, fixed):
-    """The stripped state ``greedy --after`` solves: ``g`` under exactly
-    the given masks, reduced by ``after`` and exported."""
-    st = annotated(g, covered, fixed)
+    """The stripped state ``greedy --after`` solves: what committing the
+    ``fixed`` mask's vertices of ``g`` leaves, under the ``covered`` mask,
+    reduced by ``after`` and exported.  The naive sweep takes no covered
+    flag, so it gets the graph that committing leaves, flags cleared."""
+    st = committed(g, members(covered), members(fixed))
     rule, iterate = after
     if rule == "naive":
+        st = ReductionState(st.g)
         naive_reduce(st)
     elif rule is not None:
         reduce_iterate(st, Variant(rule), None if iterate else 1)
@@ -235,8 +238,7 @@ def exported(g, after, covered, fixed):
 
 def test_state_picks_match_the_compacted_residual():
     # Greedy on the stripped state must pick what it picks on the
-    # compacted residual, mapped back.  The fixed masks cover nothing, so
-    # stripping leaves dead vertices that are not covered.
+    # compacted residual, mapped back.
     rng = random.Random(4106)
     cases = renumbered = 0
     for g in random_graphs(60, (2, 50), [0.04, 0.08, 0.15, 0.3], seed_base=9700):

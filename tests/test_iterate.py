@@ -16,12 +16,12 @@ from collections import Counter
 from functools import partial
 from itertools import compress
 
-from conftest import build, prepared, random_graphs
+from conftest import build, committed, prepared, random_graphs
 from dsreduce import pipeline, reducer
 from dsreduce.generators import fig4_family, gadget_path, gnp, path
 from dsreduce.graphio import write_gr
 from dsreduce.oracle import (
-    naive_reduce,
+    live_neighbors,
     one_round,
     reduce_iterate_reference,
     state_consistent,
@@ -58,7 +58,7 @@ def state_and_residual(g, st):
         bytes(st.alive),
         bytes(st.covered),
         sorted(st.fixed),
-        [list(st.live_neighbors(v)) for v in range(g.n) if st.alive[v]],
+        [live_neighbors(st, v) for v in range(g.n) if st.alive[v]],
         list(st.deg),
     )
     strips, dropped = export_residual(st)
@@ -67,50 +67,44 @@ def state_and_residual(g, st):
         comp.graph.adj,
         comp.new_to_old,
         bytes(comp.covered),
-        comp.fixed,
         strips,
         dropped,
     )
     return fields, residual
 
 
-def reference_converged(g, variant, max_rounds, covered, fixed):
+def reference_converged(g, variant, max_rounds, covered):
     """Whether the reference would stop by itself within ``max_rounds``.
 
     A capped run and one that converged exactly at the cap report the same
     round count, so look one round further.
     """
-    st = prepared(g, covered, fixed)
+    st = prepared(g, covered)
     rep = reduce_iterate_reference(st, variant, max_rounds + 1)
     return rep.rounds <= max_rounds
 
 
 def check_same(g, variant, max_rounds=None, covered=(), fixed=()):
-    st = prepared(g, covered, fixed)
-    ref_st = prepared(g, covered, fixed)
+    # Neither driver takes a fixed vertex: given fixed vertices F are
+    # committed first, and both run on G - F with N(F) covered.
+    if fixed:
+        inst = committed(g, covered, fixed)
+        g, covered = inst.g, list(compress(range(inst.n), inst.covered))
+    st = prepared(g, covered)
+    ref_st = prepared(g, covered)
     rep = reduce_iterate(st, variant, max_rounds)
     ref = reduce_iterate_reference(ref_st, variant, max_rounds)
     where = f"n={g.n} m={g.m} {variant.value} cap={max_rounds}"
     assert report_fields(rep) == report_fields(ref), where
     # the termination bound proved in reduce_iterate's docstring
-    assert rep.rounds <= g.n + 2, where
+    assert rep.rounds <= g.n + 1, where
     assert rep.converged == (
         max_rounds is None
         or ref.rounds < max_rounds
-        or reference_converged(g, variant, max_rounds, covered, fixed)
+        or reference_converged(g, variant, max_rounds, covered)
     ), where
-
-    # The reference copies only reported deletions into the caller's state,
-    # so a given fixed vertex that its first round deletes stays alive
-    # there.  Delete those before comparing; they are found by running that
-    # first round on its own.
-    if fixed:
-        once = prepared(g, covered, fixed)
-        one_round(once, variant)
-        for v in fixed:
-            if not once.alive[v]:
-                ref_st.delete_node(v)
     assert state_and_residual(g, st) == state_and_residual(g, ref_st), where
+
 
 
 def random_tree_plus(rng, n, extra):
@@ -260,7 +254,7 @@ def partly_reduced(rng, n):
         if st.alive[v]:
             st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
     for v in random_subset(rng, n, 0.2):
-        st.cover(v)
+        st.covered[v] = 1
     return st
 
 
@@ -458,7 +452,7 @@ def test_every_round_leaves_a_consistent_state(monkeypatch):
         covered = random_subset(rng, g.n, rng.choice((0.0, 0.2)))
         fixed = random_subset(rng, g.n, rng.choice((0.0, 0.05)))
         for variant in VARIANTS:
-            st = prepared(g, covered, fixed)
+            st = committed(g, covered, fixed)
             reduce_iterate(st, variant)
             assert state_consistent(st)
     assert len(checked) > 600, len(checked)
@@ -505,7 +499,7 @@ def test_carried_superset_map_matches_a_fresh_pass(monkeypatch):
         fixed = random_subset(rng, n, rng.choice((0.0, 0.05)))
         for variant in VARIANTS:
             rounds.append(None)
-            reduce_iterate(prepared(g, covered, fixed), variant)
+            reduce_iterate(committed(g, covered, fixed), variant)
     assert rounds.count(False) > rounds.count(True), "later rounds rarely ran"
 
 
@@ -525,47 +519,3 @@ def test_extra_cut_next_to_a_carried_witness(monkeypatch):
     rounds.append(None)
     reduce_iterate(ReductionState(EXTRA_CUT_BREAKS_A_WITNESS), Variant.EXTRA)
     assert rounds.count(False) >= 2, rounds
-
-
-def test_outputs_do_not_depend_on_the_fixed_set_order():
-    # ``state.fixed`` is a set: given fixed vertices added in another order
-    # may iterate in another order, but no report, visit count or residual
-    # may change with it.  Each driver runs on states whose fixed vertices
-    # go in shuffled, once without covered flags and once with them (the
-    # naive sweep refuses covered flags, so it gets none).
-    rng = random.Random(38000)
-    graphs = random_graphs(40, (20, 60), [0.04, 0.08, 0.15], 38000)
-    drivers = [
-        partial(reduce_iterate, variant=v, max_rounds=cap)
-        for v in VARIANTS
-        for cap in (1, None)
-    ]
-
-    def outcome(g, covered, order, driver):
-        st = ReductionState(g)
-        for v in covered:
-            st.cover(v)
-        for v in order:
-            st.fixed.add(v)
-        work = WorkCounter()
-        rep = driver(st, work=work)
-        strips, dropped = export_residual(st)
-        buf = io.StringIO()
-        write_gr(st, buf, alive=st.alive)
-        return (report_fields(rep), work.visits, sorted(st.fixed), strips,
-                dropped, buf.getvalue())
-
-    shuffled = 0
-    for g in graphs:
-        fixed = random_subset(rng, g.n, 0.15)
-        orders = [fixed] + [rng.sample(fixed, len(fixed)) for _ in range(4)]
-        # the shuffles must reach the set's iteration order
-        shuffled += len({tuple(set(order)) for order in orders}) > 1
-        cases = [((), naive_reduce)]
-        for covered in ((), random_subset(rng, g.n, 0.2)):
-            cases += [(covered, driver) for driver in drivers]
-        for covered, driver in cases:
-            first = outcome(g, covered, orders[0], driver)
-            for order in orders[1:]:
-                assert outcome(g, covered, order, driver) == first, (g.n, order)
-    assert shuffled >= 10, shuffled

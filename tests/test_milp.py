@@ -16,10 +16,10 @@ pytest.importorskip("scipy")
 from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
 from scipy.sparse import coo_array  # noqa: E402
 
-from conftest import prepared  # noqa: E402
+from conftest import committed, covered_by  # noqa: E402
 from dsreduce.generators import gnp, path  # noqa: E402
 from dsreduce.graph import first_undominated  # noqa: E402
-from dsreduce.reducer import Variant, export_residual, reduce_iterate  # noqa: E402
+from dsreduce.reducer import Variant, reduce_iterate  # noqa: E402
 from dsreduce.state import compact  # noqa: E402
 from test_iterate import random_subset, with_hub  # noqa: E402
 
@@ -50,15 +50,16 @@ def milp_gamma(g, covered=None):
 
 
 def reduced_gamma(g, covered=(), fixed=()):
-    """|fixed| + γ(residual, covered) after uncapped ``extra --iterate``,
-    the round count and the residual's vertex count."""
-    st = prepared(g, covered, fixed)
+    """|fixed| + |committed| + γ(residual, covered) after uncapped
+    ``extra --iterate`` on what committing ``fixed`` leaves, the round
+    count and the residual's vertex count."""
+    st = committed(g, covered, fixed)
     rep = reduce_iterate(st, Variant.EXTRA)
     assert rep.converged
-    nfixed = len(st.fixed)
-    export_residual(st)
+    ncommitted = len(st.fixed)
     comp = compact(st)
-    return nfixed + milp_gamma(comp.graph, comp.covered), rep.rounds, comp.graph.n
+    got = len(fixed) + ncommitted + milp_gamma(comp.graph, comp.covered)
+    return got, rep.rounds, comp.graph.n
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -73,7 +74,7 @@ def test_gamma_identity_on_sparse_random_graphs(seed):
     rng = random.Random(seed)
     covered = random_subset(rng, g.n, 0.2)
     fixed = random_subset(rng, g.n, 0.05)
-    want = len(fixed) + milp_gamma(g, prepared(g, covered, fixed).covered)
+    want = len(fixed) + milp_gamma(g, covered_by(g, covered, fixed))
     assert reduced_gamma(g, covered, fixed)[0] == want
 
 
@@ -91,7 +92,8 @@ def test_gamma_identity_on_hub_paths(length, step):
 
 def test_gamma_identity_on_drawn_annotated_graphs():
     # The property tests' graphs, up to 300 vertices: G(n, m), trees,
-    # and paths and trees with a hub, with given covered and fixed masks.
+    # and paths and trees with a hub, with given covered vertices and with
+    # given fixed ones committed first.
     hypothesis = pytest.importorskip("hypothesis")
     from test_properties import annotated_graphs
 
@@ -105,7 +107,7 @@ def test_gamma_identity_on_drawn_annotated_graphs():
     @hypothesis.given(annotated_graphs())
     def check(case):
         g, covered, fixed = case
-        want = len(fixed) + milp_gamma(g, prepared(g, covered, fixed).covered)
+        want = len(fixed) + milp_gamma(g, covered_by(g, covered, fixed))
         assert reduced_gamma(g, covered, fixed)[0] == want
 
     check()

@@ -2,7 +2,7 @@
 
 import random
 
-from conftest import annotated, build, random_graphs
+from conftest import annotated, build, committed, members, random_graphs
 from dsreduce.generators import complete, fig4_family, gnp, path, star
 from dsreduce.oracle import classify_types, copy_state, suitable_set_direct
 from dsreduce.pipeline import (
@@ -88,15 +88,16 @@ def test_superset_matches_definition():
         covered = bytearray(rng.random() < 0.2 for _ in range(g.n))
         fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
         for cov, fix in ((None, None), (covered, None), (None, fixed), (covered, fixed)):
-            st = annotated(g, cov, fix)
+            st = committed(g, members(cov), members(fix))
+            h = st.g
             got = sorted(compute_superset(st).items())
             expect = []
-            for u in range(g.n):
-                rho = canonical_reference(g, u)
-                if rho == u or st.covered[u] or u in st.fixed:
+            for u in range(h.n):
+                rho = canonical_reference(h, u)
+                if rho == u or st.covered[u]:
                     continue
-                closed = set(g.adj[rho]) | {rho}
-                if all(w in closed for w in g.adj[u]):
+                closed = set(h.adj[rho]) | {rho}
+                if all(w in closed for w in h.adj[u]):
                     expect.append((u, rho))
             assert got == sorted(expect), (g.n, g.m)
 
@@ -188,20 +189,19 @@ def test_pipeline_matches_direct_on_structured():
         assert got == sorted(suitable_set_direct(g))
 
 
-def assert_safe_pairs(g, rels, covered, fixed):
+def assert_safe_pairs(g, rels, covered):
     """Every pair of ``rels`` satisfies the exchange argument: uncovered
-    unfixed witness, neighborhood inside N[reference], and every
-    neighbor's uncovered reach inside N[reference] too.  This is what
-    makes fixing the reference preserve the annotated domination number."""
+    witness, neighborhood inside N[reference], and every neighbor's
+    uncovered reach inside N[reference] too.  This is what makes fixing
+    the reference preserve the annotated domination number."""
     for u, rho in rels:
-        assert not covered[u] and not fixed[u]
+        assert not covered[u]
         assert rho in g.adj[u]
         closed_rho = set(g.adj[rho]) | {rho}
         for w in g.adj[u]:
             assert w in closed_rho, f"witness {u} leaves N[{rho}]"
             if w == rho:
                 continue
-            assert not fixed[w]
             assert all(
                 x in closed_rho or covered[x] for x in g.adj[w]
             ), f"witness {u} ref {rho} neighbor {w} escapes"
@@ -217,8 +217,8 @@ def test_aware_pipeline_safety_predicates():
         for v in range(g.n):
             if covered[v] and rng.random() < 0.2:
                 fixed[v] = 1
-        rels = suitable_set(annotated(g, covered, fixed))
-        assert_safe_pairs(g, rels, covered, fixed)
+        st = committed(g, members(covered), members(fixed))
+        assert_safe_pairs(st.g, suitable_set(st), st.covered)
 
 
 def test_aware_pipeline_covers_direct_enclosed():
@@ -233,10 +233,15 @@ def test_aware_pipeline_covers_direct_enclosed():
 
 
 def test_fixed_vertices_never_witness():
+    # A committed vertex is no vertex of the instance it leaves: committing
+    # the leaf 2 of a star removes it and covers the center, and the
+    # other leaves still witness the center.
     g = star(4)
     fixed = bytearray(5)
     fixed[2] = 1
-    rels = suitable_set(annotated(g, fixed=fixed))
+    st = committed(g, fixed=members(fixed))
+    back = [0, 1, 3, 4]
+    rels = [(back[u], back[rho]) for u, rho in suitable_set(st)]
     assert sorted(rels) == [(1, 0), (3, 0), (4, 0)]
 
 
@@ -298,11 +303,11 @@ def test_scoped_passes_match_full_result_restricted():
         covered = bytearray(rng.random() < 0.25 for _ in range(g.n))
         fixed = bytearray(rng.random() < 0.1 for _ in range(g.n))
         for cov, fix in ((None, None), (covered, None), (covered, fixed)):
-            st = annotated(g, cov, fix)
+            st = committed(g, members(cov), members(fix))
             full = sorted(suitable_set(st))
             sup = compute_superset(st)
             for p in (0.0, 0.1, 0.3, 0.7, 1.0):
-                scope = {v for v in range(g.n) if rng.random() < p}
+                scope = {v for v in range(st.n) if rng.random() < p}
                 # partition and filter test exactly the pairs they are given
                 pairs = [(u, r) for u, r in sup.items() if u in scope]
                 f = compute_proper_partition(st, sup, pairs=pairs)

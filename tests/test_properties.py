@@ -3,9 +3,10 @@
 The example-based tests in ``test_iterate.py`` stop at 80 vertices,
 where rounds after the second rarely act.  Here graphs reach 300
 vertices at average degree 2-6, or are paths and trees with a hub
-attached, with given covered and fixed masks and round caps.  The
-pipeline is checked against the direct definition on annotated states
-of up to 150 vertices.  The instance and sidecar readers are fed line
+attached, with given covered vertices, given fixed ones committed
+before the drivers run, and round caps.  The pipeline is checked
+against the direct definition on annotated states of up to 150
+vertices.  The instance and sidecar readers are fed line
 soup, and the bulk .gr path is held to the per-line reader on it and
 on near-canonical files.  Runs are derandomized, so every run draws
 the same cases.
@@ -19,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from conftest import annotated, prepared, read_sidecar  # noqa: E402
+from conftest import committed, members, read_sidecar  # noqa: E402
 from dsreduce import graphio  # noqa: E402
 from dsreduce.graphio import (  # noqa: E402
     FormatError,
@@ -51,7 +52,8 @@ from test_pipeline import assert_safe_pairs  # noqa: E402
 def annotated_graphs(draw):
     """G(n, m), a random tree plus extra edges, or a path or such a tree
     with a hub joined to every k-th vertex, with given covered and fixed
-    vertices.
+    vertices (``conftest.committed`` builds what committing the fixed
+    ones leaves).
 
     The graph comes from a drawn seed: drawn adjacency lists lean to
     small ids, which makes stars, and stars reduce in one round.  A hub
@@ -94,9 +96,9 @@ def test_reduce_iterate_matches_reference(case, variant, max_rounds):
 @st.composite
 def pipeline_states(draw):
     """A G(n, m) or tree-plus-edges graph of up to 150 vertices, and a
-    fresh state of it: with no flags, with raw covered and fixed masks,
-    or with vertices covered and fixed through the state (a fixed vertex
-    then covers its neighbors)."""
+    fresh state of it with no flags, or of what committing drawn fixed
+    vertices leaves, with drawn covered ones: drawn as masks or as
+    vertex subsets."""
     n = draw(st.integers(2, 150))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -112,8 +114,8 @@ def pipeline_states(draw):
     if kind == "raw":
         covered = bytearray(rng.random() < p_cov for _ in range(n))
         fixed = bytearray(rng.random() < p_fix for _ in range(n))
-        return annotated(g, covered, fixed)
-    return prepared(g, random_subset(rng, n, p_cov), random_subset(rng, n, p_fix))
+        return committed(g, members(covered), members(fixed))
+    return committed(g, random_subset(rng, n, p_cov), random_subset(rng, n, p_fix))
 
 
 @hypothesis.settings(
@@ -122,7 +124,6 @@ def pipeline_states(draw):
 @hypothesis.given(pipeline_states())
 def test_pipeline_contains_direct_definition_on_states(state):
     g, covered = state.g, state.covered
-    fixed = bytearray(v in state.fixed for v in range(g.n))
     pairs = suitable_set(state)
     # no pass checks these: a witness has one reference and is never its
     # own, in the list itself (a set would hide a repeated pair)
@@ -136,11 +137,11 @@ def test_pipeline_contains_direct_definition_on_states(state):
         sup.canonical[u] == canonical_reference(state, u) for u in range(g.n)
     )
     got = set(pairs)
-    expect = set(suitable_set_direct(g, covered, fixed))
+    expect = set(suitable_set_direct(g, covered))
     assert expect <= got
-    if not any(covered) and not any(fixed):
+    if not any(covered):
         assert got == expect
-    assert_safe_pairs(g, got, covered, fixed)
+    assert_safe_pairs(g, got, covered)
 
 
 @hypothesis.settings(

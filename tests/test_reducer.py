@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import build, edge_alive, prepared, random_graphs
+from conftest import build, committed, covered_by, edge_alive, random_graphs
 from dsreduce.generators import (
     barbell_cycle,
     complete,
@@ -19,12 +19,15 @@ from dsreduce.oracle import (
     copy_state,
     exact_annotated_gamma,
     exhaustive_original_rule1,
+    live_neighbors,
     naive_reduce,
     one_round,
+    reduce_iterate_reference,
     state_consistent,
 )
 from dsreduce.pipeline import WorkCounter, suitable_set
 from dsreduce.reducer import (
+    ReductionReport,
     Variant,
     apply_reduction,
     export_residual,
@@ -122,7 +125,7 @@ def test_triangle_tiebreak():
 def test_single_vertex_untouched():
     g = build(1, [])
     st, rep = run(g, Variant.LINEAR)
-    assert not rep.changed
+    assert rep == ReductionReport()
     assert len(st.fixed) == 0
 
 
@@ -159,9 +162,9 @@ def test_adversarial_family_is_irreducible():
     for k in (2, 3, 4):
         g = fig4_family(k)
         stn, repn = run(g, None)
-        assert not repn.changed
+        assert repn == ReductionReport()
         stl, repl = run(g, Variant.LINEAR)
-        assert not repl.changed
+        assert repl == ReductionReport()
 
 
 def test_barbell_plus_keeps_bridge():
@@ -214,7 +217,7 @@ def test_iterate_reports_single_idle_round_on_fixpoint():
     g = fig4_family(3)
     st, rep = run(g, Variant.EXTRA, iterate=True)
     assert rep.rounds == 1
-    assert not rep.changed
+    assert rep == ReductionReport()
 
 
 def test_iterate_caps_rounds():
@@ -260,8 +263,10 @@ def committed_plus_residual_gamma(st):
 
 def test_gamma_identity_all_variants():
     # Each graph runs fresh, then with given covered vertices and given
-    # fixed ones F, whose optimum is |F| + γ(G, covered ∪ N[F]).  The
-    # naive sweep reads no covered flags, so it must refuse the latter.
+    # fixed ones F, whose optimum is |F| + γ(G, covered ∪ N[F]).  No
+    # driver takes a fixed vertex, so they run on what committing F
+    # leaves.  The naive sweep reads no covered flags, so it must refuse
+    # that instance when it has any.
     rng = random.Random(8800)
     for g in random_graphs(90, (2, 13), [0.15, 0.3, 0.5, 0.8], seed_base=8800):
         want, _ = exact_annotated_gamma(g, bytearray(g.n))
@@ -270,17 +275,19 @@ def test_gamma_identity_all_variants():
 
         covered = [v for v in range(g.n) if rng.random() < 0.3]
         fixed = [v for v in range(g.n) if rng.random() < 0.08]
-        dominated = prepared(g, covered, fixed).covered
+        dominated = covered_by(g, covered, fixed)
         want = len(fixed) + exact_annotated_gamma(g, dominated)[0]
         for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
             for cap in (1, None):
-                st = prepared(g, covered, fixed)
+                st = committed(g, covered, fixed)
                 reduce_iterate(st, variant, cap)
                 where = (g.n, list(g.edges()), covered, fixed, cap, variant)
-                assert want == committed_plus_residual_gamma(st), where
-        if any(dominated):
+                got = len(fixed) + committed_plus_residual_gamma(st)
+                assert want == got, where
+        inst = committed(g, covered, fixed)
+        if any(inst.covered):
             with pytest.raises(ValueError):
-                naive_reduce(prepared(g, covered, fixed))
+                naive_reduce(inst)
 
 
 def test_variant_monotonicity():
@@ -373,7 +380,7 @@ def apply_outcome(st, rep):
         bytes(st.covered),
         sorted(st.fixed),
         list(st.deg),
-        [set(st.live_neighbors(v)) if st.alive[v] else None for v in range(st.n)],
+        [set(live_neighbors(st, v)) if st.alive[v] else None for v in range(st.n)],
     )
 
 
@@ -381,8 +388,8 @@ def test_apply_reduction_matches_its_definition():
     # ``oracle.apply_reference`` applies a reference set straight from
     # the definition, without apply_reduction or cut_within.  Both run on
     # fresh states and on partly reduced ones (deleted vertices, whose
-    # lists are refreshed or left stale, and cut edges), with covered and
-    # fixed masks, for reference sets from the pipeline and drawn at random.
+    # lists are refreshed or left stale, and cut edges), with covered
+    # masks, for reference sets from the pipeline and drawn at random.
     rng = random.Random(9700)
     graphs = random_graphs(70, (3, 40), [0.06, 0.12, 0.25, 0.5], seed_base=9700)
     graphs += [build(L + 1, [(v, v + 1) for v in range(L - 1)] + [(v, L) for v in range(0, L, 3)])
@@ -407,10 +414,7 @@ def test_apply_reduction_matches_its_definition():
             alive = [v for v in range(g.n) if st.alive[v]]
             for v in alive:
                 if rng.random() < 0.2:
-                    st.cover(v)
-            for v in alive:
-                if rng.random() < 0.05:
-                    (st.fix if rng.random() < 0.5 else st.fixed.add)(v)
+                    st.covered[v] = 1
             if not alive:
                 continue
             picks = [rng.sample(alive, min(len(alive), rng.randint(1, 4)))]
@@ -427,7 +431,7 @@ def test_apply_reduction_matches_its_definition():
                     assert state_consistent(got)
                     cases += 1
                     # Extra's cut set: the marked neighbors that survived
-                    inner = {w for r in refs for w in st.live_neighbors(r)}
+                    inner = {w for r in refs for w in live_neighbors(st, r)}
                     inner = {w for w in inner if got.alive[w]}.difference(refs)
                     ends = Counter(v for e in rep.extra_edges for v in e)
                     cut_by_long += any(
@@ -525,13 +529,14 @@ def test_isolated_uncovered_needs_opt_in():
     assert st.alive[0]
     added = fix_isolated_uncovered(st)
     assert added == [0]
-    assert 0 in st.fixed
+    # committed and stripped at once: it has no edges
+    assert 0 in st.fixed and not st.alive[0]
 
 
 def test_isolated_helper_skips_covered():
     g = build(2, [])
     st = ReductionState(g)
-    st.cover(1)
+    st.covered[1] = 1
     assert fix_isolated_uncovered(st) == [0]
 
 
@@ -567,6 +572,26 @@ def test_reducers_require_compact_state():
             reduce_iterate(st, Variant.EXTRA)
 
 
+def test_drivers_refuse_a_fixed_vertex():
+    # No alive vertex is fixed: every driver starts from an empty fixed
+    # set and strips what it commits, so a fresh state that holds a fixed
+    # vertex is refused, and left as it was.
+    g = path(6)
+    st = ReductionState(g)
+    st.fixed.add(2)
+    drivers = (
+        lambda s: reduce_iterate(s, Variant.LINEAR, max_rounds=1),
+        lambda s: reduce_iterate(s, Variant.EXTRA),
+        lambda s: reduce_iterate_reference(s, Variant.PLUS),
+        naive_reduce,
+    )
+    for driver in drivers:
+        cp = copy_state(st)
+        with pytest.raises(ValueError, match=r"^state must be fresh \(no vertex fixed\)$"):
+            driver(cp)
+        assert cp.fixed == {2} and all(cp.alive) and not any(cp.covered)
+
+
 def test_input_graph_and_state_copies_are_never_mutated():
     # A state replaces lists rather than editing them, so neither the
     # input graph nor the state a copy was taken from ever changes.
@@ -580,7 +605,7 @@ def test_input_graph_and_state_copies_are_never_mutated():
         base = ReductionState(g)
         for v in range(g.n):
             if rng.random() < 0.2:
-                base.cover(v)
+                base.covered[v] = 1
         before = lists(base), bytes(base.alive), bytes(base.covered)
         reduce_iterate(copy_state(base), Variant.EXTRA, max_rounds=1)
         st = copy_state(base)

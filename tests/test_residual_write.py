@@ -16,7 +16,7 @@ from itertools import compress
 import pytest
 
 import dsreduce.reducer as reducer
-from conftest import annotated, random_graphs
+from conftest import committed, members, random_graphs
 from dsreduce.cli import main
 from dsreduce.generators import gnp
 from dsreduce.graphio import id_base, read_graph, write_gr, write_sidecar
@@ -82,14 +82,15 @@ def names_dead(state):
 
 def states(rule):
     """Fresh states of G(n, p) graphs and, except for naive (which takes
-    no covered flag), the same graphs under random covered and fixed masks."""
+    no covered flag), what committing random vertices of the same graphs
+    leaves, under random covered masks."""
     rng = random.Random(5)
     for g in random_graphs(16, (8, 60), [0.04, 0.08, 0.15, 0.3], seed_base=500):
         yield ReductionState(g)
         if rule != "naive":
             covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
             fixed = [rng.random() < 0.1 for _ in range(g.n)]
-            yield annotated(g, covered, fixed)
+            yield committed(g, members(covered), members(fixed))
 
 
 @pytest.mark.parametrize("rule, iterate", RUNS, ids=RUN_IDS)
