@@ -38,11 +38,27 @@ merit[u] <= L; when merit[u] = L its entry is also at level L, below v's
 priority.  So v has the largest (merit, priority).  That is also what
 the lazy-rescan greedy kept in ``oracle.greedy_reference`` picks, so
 both give the same picks in the same order.
+
+Seeded runs are independent, so ``greedy_best_of`` shares them between
+processes on Linux: w = min(runs, CPUs in ``os.sched_getaffinity(0)``).
+This process runs seeds 0, w, 2w, ... and a forked child each other
+stride; every run's picks are kept in seed order, so the result is the
+one a single process gives.  It stays in one process without
+``os.fork``, with one usable CPU or one seed, beside another live thread
+(forking then is unsafe), and on a residual of fewer than
+``FORK_MIN_SIZE`` alive vertices plus live edges, where a run takes less
+time than a fork round trip.  A child's memory is outside this process's
+``RUSAGE_SELF``, and wrappers patched around ``greedy`` (such as
+``perfbench/spans.py``) see only the runs made in this process.
 """
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
 import random
+import threading
 from itertools import compress
 from operator import add, and_, gt
 
@@ -173,14 +189,132 @@ def greedy(state: ReductionState, tb: TieBreaker, *, _shared=None) -> list[int]:
 
 
 def greedy_best_of(state: ReductionState, seeds: list[int]) -> list[int]:
-    """Smallest result over the seed list; earlier seed wins ties."""
+    """Smallest result over the seed list; earlier seed wins ties.
+
+    The seeds run in ``_workers`` processes (see the module docstring);
+    the result is the same however many there are.
+    """
     if not seeds:
         raise ValueError("at least one seed is required")
     shared = _start(state)
-    alive = state.alive.count(1)
-    best = None
-    for s in seeds:
-        got = greedy(state, TieBreaker.from_seed(alive, s), _shared=shared)
-        if best is None or len(got) < len(best):
-            best = got
-    return best
+    workers = _workers(state, len(seeds))
+    if workers == 1:
+        runs = _runs(state, shared, seeds)
+    else:
+        runs = _forked_runs(state, shared, seeds, workers)
+    return min(runs, key=len)
+
+
+# A run on fewer alive vertices plus live edges than this takes less time
+# than forking a child and reading its picks back (BENCH_28.json).
+FORK_MIN_SIZE = 10_000
+
+
+def _workers(state: ReductionState, runs: int) -> int:
+    """How many processes share ``runs`` seeded runs: one per usable CPU,
+    at most one per run; one without ``os.fork``, beside another live
+    thread, or on a residual below ``FORK_MIN_SIZE``."""
+    if (
+        runs < 2
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    alive = state.alive
+    if alive.count(1) + sum(compress(state.deg, alive)) // 2 < FORK_MIN_SIZE:
+        return 1
+    return min(runs, len(os.sched_getaffinity(0)))
+
+
+def _runs(state: ReductionState, shared, seeds: list[int]) -> list[list[int]]:
+    alive = len(shared[3])
+    return [
+        greedy(state, TieBreaker.from_seed(alive, s), _shared=shared) for s in seeds
+    ]
+
+
+def _forked_runs(
+    state: ReductionState, shared, seeds: list[int], workers: int
+) -> list[list[int]]:
+    """Every seed's picks in seed order: stride k, ``seeds[k::workers]``,
+    runs in a forked child for each k > 0 and stride 0 in this process.
+
+    A child sends its picks back through a pipe with ``marshal``.  When a
+    fork fails, or a child exits non-zero or sends short data, this
+    process runs that stride itself, so a failed child costs time but
+    never changes the result.  Every child is waited for before return,
+    whatever is raised.
+    """
+    runs: list = [None] * len(seeds)
+    children: list[tuple[int, int, int]] = []  # (pid, read end, stride)
+    sent: dict[int, bytes] = {}
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            others = [r, *(c[1] for c in children)]
+            try:
+                pid = _spawn(state, shared, seeds[k::workers], w, others)
+            except OSError:  # no process to spare: the stride runs here
+                os.close(r)
+                continue
+            finally:
+                os.close(w)
+            children.append((pid, r, k))
+        runs[::workers] = _runs(state, shared, seeds[::workers])
+        for _, r, k in children:
+            sent[k] = _receive(r)
+    finally:
+        # closed read ends let a child still writing fail and exit
+        for _, r, _ in children:
+            os.close(r)
+        for pid, _, k in children:
+            if os.waitpid(pid, 0)[1] != 0:
+                sent.pop(k, None)
+    for k, data in sent.items():
+        try:
+            # short or garbled data raises and leaves the stride unset
+            runs[k::workers] = marshal.loads(data)
+        except (EOFError, TypeError, ValueError):
+            pass
+    for k in range(1, workers):
+        if runs[k] is None:
+            runs[k::workers] = _runs(state, shared, seeds[k::workers])
+    return runs
+
+
+def _spawn(
+    state: ReductionState, shared, seeds: list[int], w: int, close: list[int]
+) -> int:
+    """Fork a child that closes the ``close`` descriptors, writes the
+    marshalled picks of ``seeds`` to ``w`` and exits; returns its pid.
+
+    The child disables the garbage collector, whose passes would write to
+    (and so copy) every page of objects it shares with this process.  It
+    leaves through ``os._exit`` on every path: it never returns into the
+    caller and never flushes the stdio buffers it inherited.
+    """
+    pid = -1
+    code = 1
+    try:
+        pid = os.fork()
+        if pid == 0:
+            gc.disable()
+            for fd in close:
+                os.close(fd)
+            view = memoryview(marshal.dumps(_runs(state, shared, seeds)))
+            while view:
+                view = view[os.write(w, view):]
+            code = 0
+    finally:
+        if pid == 0:
+            os._exit(code)
+    return pid
+
+
+def _receive(fd: int) -> bytes:
+    """Everything read from ``fd`` up to end of file."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)

@@ -356,6 +356,8 @@ def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     # line ends exactly at a boundary and others straddle one
     texts += [gr_text(["0" * pad + LINES[0]] + LINES[1:]) for pad in range(12)]
     texts += [gr_text(LINES, head=f"p\tx {BIG_N}  {len(LINES)} \n")]
+    # PACE-style files open with comments
+    texts += ["c\n" + gr_text(LINES), "c made by\n  c  a generator\n" + gr_text(LINES)]
     # JSON refuses leading zeros: a middle chunk is split and parsed by int()
     texts += [gr_text(replaced("00" + LINES[K]))]
     want = [outcome(graphio._read_gr_lines, t) for t in texts]
@@ -413,6 +415,15 @@ NEAR_CANONICAL = {
     "header-n-too-small": gr_text(LINES, head=f"p ds {BIG_N - 1} {len(LINES)}\n"),
     "header-of-five-tokens": gr_text(LINES, head=f"p ds {BIG_N} {len(LINES)} 0\n"),
     "comment-first": "c first\n" + gr_text(LINES),
+    "two-comments-first": "c first\nc\n" + gr_text(LINES),
+    "three-comments-first": "c 1\n\tc 2\nc 3 \n" + gr_text(LINES),
+    "comments-first-and-after-the-header": "c first\n" + gr_text(["c after\n"] + LINES),
+    "comment-first-and-one-mid-file": "c first\nc second\n" + gr_text(inserted("c mid\n")),
+    "comment-first-then-an-error": "c first\n" + gr_text(replaced("1 x\n")),
+    "comment-first-then-a-blank-line": "c first\n\n" + gr_text(LINES),
+    "comment-word-first": "cc first\n" + gr_text(LINES),
+    "comments-only": "c first\nc second\n",
+    "comment-first-without-newline": "c first",
     "header-joined-to-an-edge": gr_text(["1 2"] + LINES),
 }
 
