@@ -58,12 +58,12 @@ _COMMAS = str.maketrans(" \n", ",,")
 def read_gr(stream: IO[str]) -> Graph:
     """Read a .gr instance.
 
-    A seekable stream whose first line past any ``c`` comments is a
-    ``p <kind> <n> <m>`` header with ASCII-digit counts is read in bulk
-    (``_read_gr_bulk``).  Any doubt about the rest sends the stream back
-    to where it started, and ``_read_gr_lines`` reads it again: that
-    reader alone reports errors, so a file yields the same graph or the
-    same message either way.
+    A seekable stream whose first line past any blank or ``c`` comment
+    lines is a ``p <kind> <n> <m>`` header with ASCII-digit counts is
+    read in bulk (``_read_gr_bulk``).  Any doubt about the rest sends
+    the stream back to where it started, and ``_read_gr_lines`` reads it
+    again: that reader alone reports errors, so a file yields the same
+    graph or the same message either way.
     """
     try:
         start = stream.tell() if stream.seekable() else -1
@@ -80,21 +80,26 @@ def read_gr(stream: IO[str]) -> Graph:
 def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
     """The graph of a canonical .gr text, or None where the text is not.
 
-    Canonical means ``c`` comment lines, if any, then the header, then
-    exactly m lines of two ASCII-digit ids in 1..n joined by one space,
-    each ending in a newline.  Each chunk is cut after its last newline
-    (the rest carries over) and checked with C-level calls: deleting the
-    digits must leave one ``" \\n"`` per line.  Its ids are then parsed
-    in one JSON scan, as the array the chunk is with spaces and newlines
-    made commas; a chunk JSON refuses (an empty id, or leading zeros such
-    as ``007``) is split and parsed with ``int`` instead, and must hold
-    two ids per line.  Ids map through one table, so all adjacency
-    entries naming a vertex are the same int object; the table follows
-    the ids in the file, so a header's n alone allocates nothing here.
+    Canonical means blank or ``c`` comment lines, if any, then the
+    header, then exactly m lines of two ASCII-digit ids in 1..n joined
+    by one space, each ending in a newline; a blank or comment line
+    after the header leaves the text to the per-line reader.  Each chunk
+    is cut after its last newline (the rest carries over) and checked
+    with C-level calls: deleting the digits must leave one ``" \\n"``
+    per line.  Its ids are then parsed in one JSON scan, as the array
+    the chunk is with spaces and newlines made commas; a chunk JSON
+    refuses (an empty id, or leading zeros such as ``007``) is split and
+    parsed with ``int`` instead, and must hold two ids per line.  Ids
+    map through one table, so all adjacency entries naming a vertex are
+    the same int object; the table follows the ids in the file, so a
+    header's n alone allocates nothing here.
     """
-    tok = stream.readline().split()
-    while tok[:1] == ["c"]:  # an empty list at the end of the text
-        tok = stream.readline().split()
+    while line := stream.readline():  # "" only at the end of the text
+        tok = line.split()
+        if tok[:1] not in ([], ["c"]):
+            break
+    else:
+        return None
     if not (
         len(tok) == 4
         and tok[0] == "p"

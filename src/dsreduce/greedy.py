@@ -290,7 +290,9 @@ def _spawn(
     marshalled picks of ``seeds`` to ``w`` and exits; returns its pid.
 
     The child disables the garbage collector, whose passes would write to
-    (and so copy) every page of objects it shares with this process.  It
+    (and so copy) every page of objects it shares with this process.
+    Under ``cli.main`` the collector is already off; the call stays for
+    library callers of ``greedy_best_of``, which keep their own policy.  It
     leaves through ``os._exit`` on every path: it never returns into the
     caller and never flushes the stdio buffers it inherited.
     """

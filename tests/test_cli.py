@@ -1,4 +1,5 @@
 import csv
+import gc
 import os
 from itertools import compress
 
@@ -239,6 +240,88 @@ def test_long_path_iterates_to_its_fixed_point(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "size=4000 fixed=4000 greedy=0\n"
     assert out.err == ""
+
+
+def collections_during(fn, *args):
+    """How many cyclic garbage collections start while ``fn(*args)`` runs."""
+    starts = []
+
+    def hook(phase, _info):
+        if phase == "start":
+            starts.append(phase)
+
+    gc.callbacks.append(hook)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(hook)
+    return len(starts)
+
+
+def test_commands_run_without_cyclic_collections(tmp_path, capsys):
+    inst = str(tmp_path / "g.gr")
+    with open(inst, "w") as fh:
+        write_gr(gnp(2000, 0.002, seed=3), fh)
+    enabled = gc.isenabled()
+    gc.enable()
+    try:
+        # reading the graph alone collects when the collector is on, so
+        # the zero counts below are not vacuous
+        assert collections_during(graphio.read_graph, inst) > 0
+        reduce = ["reduce", inst, "--rule", "extra", "--iterate",
+                  "--out", str(tmp_path / "g.res.gr"),
+                  "--sidecar", str(tmp_path / "g.side"),
+                  "--report", str(tmp_path / "g.csv")]
+        assert collections_during(run_ok, reduce, capsys) == 0
+        greedy = ["greedy", inst, "--after", "extra", "--iterate", "--runs", "3"]
+        assert collections_during(run_ok, greedy, capsys) == 0
+        assert gc.isenabled()
+    finally:
+        if not enabled:
+            gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state_on_every_exit(
+    tmp_path, capsys, monkeypatch, enabled
+):
+    inst = str(tmp_path / "p7.gr")
+    side = str(tmp_path / "p7.side")
+    run_ok(["gen", "fig6", "--copies", "1", "--out", inst], capsys)
+    run_ok(["reduce", inst, "--rule", "linear", "--sidecar", side], capsys)
+    bad = tmp_path / "bad.gr"
+    bad.write_text("p ds 3 1\n9 9\n")
+    reduce = ["reduce", inst, "--rule", "extra"]
+    exits = [
+        (reduce, 0),
+        (["verify", inst, "--solution", side], 1),  # not dominating
+        (reduce + ["--iterate", "--max-rounds", "0"], 2),  # a command's parser.error
+        (["reduce", inst], 2),  # the parser's own error
+        (["reduce", str(tmp_path / "absent.gr"), "--rule", "linear"], 3),
+        (["reduce", str(bad), "--rule", "linear"], 3),
+    ]
+    seen = []
+
+    def broken(*_args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("reduction failed")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in exits:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            assert (rc, gc.isenabled()) == (code, enabled), argv
+        monkeypatch.setattr(cli, "reduce_iterate", broken)
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            main(reduce)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):

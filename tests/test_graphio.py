@@ -53,6 +53,8 @@ def test_gr_header_errors():
         parse_gr("p ds -1 0\n")
     with pytest.raises(FormatError, match="missing 'p' header"):
         parse_gr("c only a comment\n")
+    with pytest.raises(FormatError, match="missing 'p' header"):
+        parse_gr("\n \n\t\n")
 
 
 def test_gr_edge_errors():
@@ -358,6 +360,9 @@ def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     texts += [gr_text(LINES, head=f"p\tx {BIG_N}  {len(LINES)} \n")]
     # PACE-style files open with comments
     texts += ["c\n" + gr_text(LINES), "c made by\n  c  a generator\n" + gr_text(LINES)]
+    # blank or whitespace-only lines before the header, alone or among comments
+    texts += ["\n" + gr_text(LINES), " \n\t\r\n" + gr_text(LINES)]
+    texts += ["\nc made by\n\n" + gr_text(LINES), "\n\np ds 3 0\n"]
     # JSON refuses leading zeros: a middle chunk is split and parsed by int()
     texts += [gr_text(replaced("00" + LINES[K]))]
     want = [outcome(graphio._read_gr_lines, t) for t in texts]
@@ -423,6 +428,7 @@ NEAR_CANONICAL = {
     "comment-first-then-a-blank-line": "c first\n\n" + gr_text(LINES),
     "comment-word-first": "cc first\n" + gr_text(LINES),
     "comments-only": "c first\nc second\n",
+    "blank-lines-only": "\n \n\t\n",
     "comment-first-without-newline": "c first",
     "header-joined-to-an-edge": gr_text(["1 2"] + LINES),
 }
