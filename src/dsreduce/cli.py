@@ -9,6 +9,7 @@ down.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import math
 import os
@@ -66,7 +67,15 @@ GEN_FAMILIES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves the parser as it was, so every ``main`` after the
+    first only parses; no caller may add to it.  Each subparser's ``run`` default binds its
+    ``_cmd_*`` handler at the first call: a handler patched later is
+    not seen until ``build_parser.cache_clear()``.
+    """
     p = argparse.ArgumentParser(
         prog="dsreduce",
         description="Preprocess and benchmark Dominating Set instances.",
@@ -125,12 +134,14 @@ def main(argv=None) -> int:
     round's containers hold no reference cycles and are freed by
     reference counts, so collections would only walk them again and
     again.  The caller's collector state is restored on every exit path.
+    The parser, whose objects are cyclic, is built by the first call
+    and kept (``build_parser``), so a command that returns leaves no
+    cycle for the caller's next collection.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         try:
             # each command reports usage errors through its own subparser
             return args.run(args, args.parser)

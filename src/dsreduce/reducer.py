@@ -135,12 +135,14 @@ def apply_reduction(
         # the marked survivors lose their edges to each other
         marked.difference_update(deletable)
         if marked:
-            # ``cut_within`` scans a list no longer than the set and probes
-            # a longer one once per other member; a cut edge counts once
-            k = len(marked)
-            for u in marked:
-                d = deg[u]
-                visits += d if d <= k else k - 1
+            if work is not None:
+                # ``cut_within`` scans a list no longer than the set and
+                # probes a longer one once per other member; a cut edge
+                # counts once
+                k = len(marked)
+                for u in marked:
+                    d = deg[u]
+                    visits += d if d <= k else k - 1
             extra_edges = state.cut_within(marked)
             visits -= len(extra_edges)
             removed_edges += len(extra_edges)
@@ -199,6 +201,16 @@ def reduce_iterate(
     alive vertices (``ball`` and the passes) never reach one, and the
     dirty set is read off the lists of vertices alive at find time.
 
+    The boundary drops the covered vertices left isolated from T alone,
+    except in round 1, which also looks at the vertices covered on entry:
+    a caller may hand in covered flags, and such a vertex may be isolated
+    from the start or lose its last neighbor untouched.  No other vertex
+    needs the look.  A vertex covered during a round is a reference,
+    which the boundary strips, or a neighbor of one that apply covered;
+    if it survives apply it is still a live neighbor of that reference
+    (Extra cuts no edge at a reference), so it is touched.  A covered
+    vertex that loses a live neighbor later is touched, as shown above.
+
     The superset pass is not rerun on every round.  Its result is carried
     across rounds in two maps over the input's ids: the canonical
     reference R(u) of every alive uncovered vertex and the
@@ -252,7 +264,7 @@ def reduce_iterate(
     out to 2 edges from S when S has no more vertices than the carried
     map has witnesses, otherwise a test of each carried witness's
     closed neighborhood and its members' lists against S.  Both find the
-    same pairs, and the references are sorted before apply, so their
+    same pairs, and ``apply_reduction`` sorts the references, so their
     order does not matter.  Nor does the order in which the boundary
     lists T: every pass decides and counts visits per vertex and per
     pair.
@@ -288,11 +300,12 @@ def reduce_iterate(
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
-    n = state.n
     adj = state.adj
     deg = state.deg
     alive = state.alive
     covered = state.covered
+    # the vertices covered on entry; ``1 in`` scans the flags in C
+    given = list(compress(range(state.n), covered)) if 1 in covered else ()
     sup: Optional[Superset] = None
     fixed_all: list[int] = []
     removed_all: list[int] = []
@@ -312,11 +325,13 @@ def reduce_iterate(
             pairs = near(state, sup, seeds, work)
         f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
         kept = pipeline.filter_suitable(state, pairs, f, work=work)
-        refs = sorted({rho for _u, rho in kept})
+        refs = {rho for _u, rho in kept}
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
-        # every reference is committed anew, so a round without one is idle
-        if not rep.fixed:
+        # every reference is committed anew, so a round without one is idle;
+        # the report lists them sorted
+        refs = rep.fixed
+        if not refs:
             break
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
@@ -344,7 +359,7 @@ def reduce_iterate(
                     touched[x] = None
         if rounds == 1:
             # a given covered vertex may be isolated without being touched
-            for v in compress(range(n), covered):
+            for v in given:
                 if alive[v] and not deg[v]:
                     alive[v] = 0
                     removed_all.append(v)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import os
@@ -322,6 +323,86 @@ def test_main_restores_the_collector_state_on_every_exit(
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def outcome(argv, capsys):
+    """The exit code, stdout and stderr of one ``main`` call."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    inst = str(tmp_path / "p7.gr")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        run_ok(["gen", "fig6", "--copies", "1", "--out", inst], capsys)
+        # the top-level parser and one per command
+        assert built.count("dsreduce") == 1
+        first = list(built)
+        run_ok(["reduce", inst, "--rule", "extra", "--iterate"], capsys)
+        run_ok(["greedy", inst, "--runs", "2"], capsys)
+        assert outcome(["reduce", inst], capsys)[0] == 2
+        run_ok(["reduce", inst, "--rule", "linear"], capsys)
+        assert built == first
+    finally:
+        # the next main builds the parser with the real constructor
+        cli.build_parser.cache_clear()
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    inst = str(tmp_path / "p7.gr")
+    side = str(tmp_path / "p7.side")
+    bad = tmp_path / "bad.gr"
+    bad.write_text("p ds 3 1\n9 9\n")
+    run_ok(["gen", "fig6", "--copies", "1", "--out", inst], capsys)
+    run_ok(["reduce", inst, "--rule", "linear", "--sidecar", side], capsys)
+    reduce = ["reduce", inst, "--rule", "extra"]
+    commands = [
+        (reduce + ["--out", str(tmp_path / "p7.res.gr")], 0),
+        (["reduce", "x.gr"], 2),  # no --rule: the parser's own error
+        (reduce + ["--iterate", "--max-rounds", "0"], 2),  # the command's error
+        (["reduce", str(bad), "--rule", "linear"], 3),
+        (["verify", inst, "--solution", side], 1),  # not dominating
+        (["greedy", inst, "--after", "plus", "--runs", "3"], 0),
+    ]
+    # one sequence through the parser the setup commands built, then each
+    # command through a parser built for it alone
+    warm = [outcome(argv, capsys) for argv, _code in commands]
+    fresh = []
+    for argv, _code in commands:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv, capsys))
+    assert [rc for rc, _out, _err in warm] == [code for _argv, code in commands]
+    assert warm == fresh
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    inst = str(tmp_path / "g.gr")
+    # the warm-up command builds the parser, which is kept
+    run_ok(["gen", "gnp", "--n", "300", "--p", "0.01", "--out", inst], capsys)
+    gc.collect()
+    commands = [
+        ["reduce", inst, "--rule", "extra", "--iterate",
+         "--out", str(tmp_path / "g.res.gr"),
+         "--sidecar", str(tmp_path / "g.side"),
+         "--report", str(tmp_path / "g.csv")],
+        ["greedy", inst, "--after", "extra", "--iterate", "--runs", "3"],
+    ]
+    for argv in commands:
+        run_ok(argv, capsys)
+        assert gc.collect() == 0, argv
 
 
 def test_missing_and_corrupt_inputs_exit_three(tmp_path, capsys):
