@@ -2,9 +2,10 @@
 
 On disk .gr files use 1-based ids (header ``p ds <n> <m>``, one edge
 per line, ``c`` comments anywhere); edge lists are 0-based, with n
-inferred unless the same header leads the file.  All in-memory ids are
-0-based; callers translate through the reader's id base when echoing
-ids back to users.
+inferred unless the same header leads the file.  Ids and counts are
+ASCII digits only, in instances and sidecars alike.  All in-memory ids
+are 0-based; callers translate through the reader's id base when
+echoing ids back to users.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from itertools import accumulate, compress
+from math import inf
 from typing import IO, Iterable, Iterator, Optional
 
 from .graph import CheckedEnds, Graph, load_check
@@ -35,187 +37,136 @@ class FormatError(Exception):
     file name when the instance does not fit in memory."""
 
 
-def _header(tok: list[str], lineno: int) -> tuple[int, int]:
-    """Vertex and edge counts of a ``p <kind> <n> <m>`` line."""
-    if len(tok) != 4:
-        raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
-    try:
-        n = int(tok[2])
-        m = int(tok[3])
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-numeric header counts") from None
-    if n < 0 or m < 0:
-        raise FormatError(f"line {lineno}: negative header counts")
-    return n, m
+def _number(tok: str, lineno: int, what: str) -> int:
+    """A count or id: ASCII digits only, so no sign, ``_`` or other
+    digits ``int`` would take."""
+    if tok.isascii() and tok.isdigit():
+        return int(tok)
+    raise FormatError(f"line {lineno}: non-numeric {what}")
 
 
-# .gr bulk path: text is read in chunks of at most _CHUNK characters
+# text past the header is read in chunks of at most _CHUNK characters
 _CHUNK = 16384
 _NO_DIGITS = str.maketrans("", "", "0123456789")
 _COMMAS = str.maketrans(" \n", ",,")
 
 
 def read_gr(stream: IO[str]) -> Graph:
-    """Read a .gr instance.
-
-    A seekable stream whose first line past any blank or ``c`` comment
-    lines is a ``p <kind> <n> <m>`` header with ASCII-digit counts is
-    read in bulk (``_read_gr_bulk``).  Any doubt about the rest sends
-    the stream back to where it started, and ``_read_gr_lines`` reads it
-    again: that reader alone reports errors, so a file yields the same
-    graph or the same message either way.
-    """
-    try:
-        start = stream.tell() if stream.seekable() else -1
-    except OSError:
-        start = -1
-    if start >= 0:
-        g = _read_gr_bulk(stream)
-        if g is not None:
-            return g
-        stream.seek(start)
-    return _read_gr_lines(stream)
-
-
-def _read_gr_bulk(stream: IO[str]) -> Optional[Graph]:
-    """The graph of a canonical .gr text, or None where the text is not.
-
-    Canonical means blank or ``c`` comment lines, if any, then the
-    header, then exactly m lines of two ASCII-digit ids in 1..n joined
-    by one space, each ending in a newline; a blank or comment line
-    after the header leaves the text to the per-line reader.  Each chunk
-    is cut after its last newline (the rest carries over) and checked
-    with C-level calls: deleting the digits must leave one ``" \\n"``
-    per line.  Its ids are then parsed in one JSON scan, as the array
-    the chunk is with spaces and newlines made commas; a chunk JSON
-    refuses (an empty id, or leading zeros such as ``007``) is split and
-    parsed with ``int`` instead, and must hold two ids per line.  Ids
-    map through one table, so all adjacency entries naming a vertex are
-    the same int object; the table follows the ids in the file, so a
-    header's n alone allocates nothing here.
-    """
-    while line := stream.readline():  # "" only at the end of the text
-        tok = line.split()
-        if tok[:1] not in ([], ["c"]):
-            break
-    else:
-        return None
-    if not (
-        len(tok) == 4
-        and tok[0] == "p"
-        and tok[2].isascii()
-        and tok[2].isdigit()
-        and tok[3].isascii()
-        and tok[3].isdigit()
-    ):
-        return None
-    n = int(tok[2])
-    m = int(tok[3])
-    ids = [-1]  # ids[k] is k - 1, grown to the largest id seen, not to n
-    ends = CheckedEnds()
-    tail = ""
-    while chunk := stream.read(_CHUNK):
-        cut = chunk.rfind("\n") + 1
-        if not cut:  # a last line without newline, or one longer than a chunk
-            return None
-        text = tail + chunk[:cut]
-        tail = chunk[cut:]
-        lines = text.count("\n")
-        if text.translate(_NO_DIGITS) != " \n" * lines:
-            return None
-        try:
-            vals = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
-        except ValueError:  # an empty id, or one JSON refuses, such as 007
-            vals = list(map(int, text.split()))
-        if len(vals) != 2 * lines:
-            return None
-        top = max(vals)
-        if min(vals) < 1 or top > n:
-            return None
-        if top >= len(ids):
-            ids += range(len(ids) - 1, top)
-        ends += map(ids.__getitem__, vals)
-        if len(ends) > 2 * m:  # stop early: the header bounds the list
-            return None
-    if tail or len(ends) != 2 * m:
-        return None
-    return load_check(n, ends)
-
-
-def _read_gr_lines(stream: IO[str]) -> Graph:
-    """Line by line; the only .gr path that reports malformed input."""
-    n = -1
-    m = -1
-    ends = CheckedEnds()
-    for lineno, raw in enumerate(stream, start=1):
-        tok = raw.split()
-        try:
-            a, b = tok
-            u = int(a)
-            v = int(b)
-        except ValueError:
-            # not two integers: blank, comment, header or a malformed line
-            if not tok or tok[0] == "c":
-                continue
-            if tok[0] == "p":
-                if n >= 0:
-                    raise FormatError(f"line {lineno}: duplicate header")
-                n, m = _header(tok, lineno)
-                continue
-            if n < 0:
-                raise FormatError(f"line {lineno}: edge before header")
-            if len(tok) != 2:
-                raise FormatError(f"line {lineno}: expected two endpoints")
-            raise FormatError(f"line {lineno}: non-numeric endpoint") from None
-        if not (0 < u <= n and 0 < v <= n):
-            if n < 0:
-                raise FormatError(f"line {lineno}: edge before header")
-            raise FormatError(f"line {lineno}: vertex id outside 1..{n}")
-        if len(ends) == 2 * m:
-            raise FormatError(f"line {lineno}: more edges than the header declares")
-        ends.append(u - 1)
-        ends.append(v - 1)
-    if n < 0:
-        raise FormatError("missing 'p' header")
-    if len(ends) < 2 * m:
-        raise FormatError(f"truncated file: {len(ends) // 2} of {m} edges present")
-    return load_check(n, ends)
+    """Read a .gr instance: 1-based ids, the header required."""
+    return _read(stream, 1)
 
 
 def read_edge_list(stream: IO[str]) -> Graph:
-    """0-based edges; an optional leading ``p`` header fixes n and m."""
-    n = -1
-    m = -1
+    """0-based edges; an optional leading ``p`` header fixes n and m,
+    else n is one more than the largest id."""
+    return _read(stream, 0)
+
+
+def _read(stream: IO[str], base: int) -> Graph:
+    """The one instance reader; ``base`` is the file's first id.
+
+    Blank and ``c`` comment lines, then the header, are read with
+    ``readline``; an edge list without a header hands its first edge
+    line on to the chunks.  The rest is read in chunks, each cut after
+    its last newline (the rest carries over).  A chunk that
+    ``_canonical_ids`` parses, whose ids lie in range and fit the
+    header's edge count, is taken whole; any other goes to ``_lines``,
+    the only path that reports malformed input.  So a doubtful chunk
+    costs only itself, and a file yields the graph or the message of
+    the line-by-line grammar.  Ids map through one table, so all
+    adjacency entries naming a vertex are the same int object; the table
+    follows the ids in the file, so a header's n alone allocates nothing
+    here.
+    """
+    n = m = -1
+    lineno = head = 0
+    tail = ""  # text read but not yet parsed
+    while line := stream.readline():  # "" only at the end of the text
+        lineno += 1
+        tok = line.split()
+        if not tok or tok[0] == "c":
+            continue
+        if tok[0] == "p":
+            if len(tok) != 4:
+                raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
+            n = _number(tok[2], lineno, "header counts")
+            m = _number(tok[3], lineno, "header counts")
+            head = lineno
+        elif base:
+            raise FormatError(f"line {lineno}: edge before header")
+        else:  # the first edge line of a bare edge list joins the first chunk
+            tail = line
+            lineno -= 1
+        break
+    top = n + base if n >= 0 else inf  # ids lie in base..top - 1
+    room = 2 * m if m >= 0 else inf  # ids the header has room for
+    ids = [-1] * base  # ids[k] is k - base, grown to the largest id seen
     ends = CheckedEnds()
-    for lineno, raw in enumerate(stream, start=1):
-        tok = raw.split()
-        try:
-            a, b = tok
-            u = int(a)
-            v = int(b)
-        except ValueError:
-            # not two integers: blank, comment, header or a malformed line
-            if not tok or tok[0] == "c":
-                continue
-            if tok[0] == "p":
-                if n >= 0 or ends:
-                    raise FormatError(f"line {lineno}: header must lead the file")
-                n, m = _header(tok, lineno)
-                continue
-            if len(tok) != 2:
-                raise FormatError(f"line {lineno}: expected two endpoints")
-            raise FormatError(f"line {lineno}: non-numeric endpoint") from None
-        if u < 0 or v < 0:
-            raise FormatError(f"line {lineno}: negative vertex id")
-        if n >= 0 and not (u < n and v < n):
-            raise FormatError(f"line {lineno}: vertex id outside 0..{n - 1}")
-        ends.append(u)
-        ends.append(v)
+    while (chunk := stream.read(_CHUNK)) or tail:
+        text = tail + chunk
+        cut = text.rfind("\n") + 1 if chunk else len(text)  # at the end, all
+        text, tail = text[:cut], text[cut:]
+        if not cut:  # a line longer than a chunk
+            continue
+        lines = text.count("\n")
+        vals = _canonical_ids(text, lines)
+        if not (vals and min(vals) >= base and (hi := max(vals)) < top and len(vals) <= room):
+            vals = _lines(text, lineno, base, n, room)
+            hi = max(vals, default=-1)
+        if hi >= len(ids):
+            ids += range(len(ids) - base, hi + 1 - base)
+        ends += map(ids.__getitem__, vals)
+        lineno += lines
+        room -= len(vals)
     if n < 0:
-        return load_check(max(ends, default=-1) + 1, ends)
-    if len(ends) != 2 * m:
-        raise FormatError(f"header declares {m} edges, file holds {len(ends) // 2}")
+        if base:
+            raise FormatError("missing 'p' header")
+        n = len(ids)
+    if len(ends) < 2 * m:
+        raise FormatError(f"line {head}: header declares {m} edges, file holds {len(ends) // 2}")
     return load_check(n, ends)
+
+
+def _canonical_ids(text: str, lines: int) -> Optional[list[int]]:
+    """The ids of ``lines`` lines of two ASCII-digit ids joined by one
+    space, each ending in a newline, or None where ``text`` is not that.
+
+    C-level calls check the whole text: deleting the digits must leave
+    one ``" \\n"`` per line.  The ids are then parsed in one JSON scan,
+    as the array the text is with spaces and newlines made commas; a
+    text JSON refuses (an empty id, or leading zeros such as ``007``) is
+    split and parsed with ``int`` instead, and must hold two ids per line.
+    """
+    if text.translate(_NO_DIGITS) != " \n" * lines:
+        return None
+    try:
+        vals = json.loads("[" + text[:-1].translate(_COMMAS) + "]")
+    except ValueError:
+        vals = list(map(int, text.split()))
+    return vals if len(vals) == 2 * lines else None
+
+
+def _lines(text: str, lineno: int, base: int, n: int, room: float) -> list[int]:
+    """The ids of ``text`` read line by line, which follows ``lineno``
+    lines; ``n`` is -1 before any header, and ``room`` bounds the ids."""
+    vals: list[int] = []
+    for lineno, raw in enumerate(text.split("\n"), lineno + 1):
+        tok = raw.split()
+        if not tok or tok[0] == "c":
+            continue
+        if tok[0] == "p":
+            fault = "duplicate header" if n >= 0 else "header must lead the file"
+            raise FormatError(f"line {lineno}: {fault}")
+        if len(tok) != 2:
+            raise FormatError(f"line {lineno}: expected two endpoints")
+        u = _number(tok[0], lineno, "endpoint")
+        v = _number(tok[1], lineno, "endpoint")
+        if n >= 0 and not (base <= u < n + base and base <= v < n + base):
+            raise FormatError(f"line {lineno}: vertex id outside {base}..{n - 1 + base}")
+        if len(vals) == room:
+            raise FormatError(f"line {lineno}: more edges than the header declares")
+        vals += (u, v)
+    return vals
 
 
 def id_base(path: str) -> int:
@@ -227,13 +178,14 @@ def read_graph(path: str) -> tuple[Graph, int]:
     """Load by extension; returns the graph and the file's id base.
 
     An instance too large for memory (a header may declare any vertex
-    count) is a ``FormatError`` naming the file, not a crash.
+    count, an edge list name any id) is a ``FormatError`` naming the
+    file, not a crash.
     """
     base = id_base(path)
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             return (read_gr(fh) if base else read_edge_list(fh)), base
-        except MemoryError:
+        except (MemoryError, OverflowError):
             raise FormatError(f"{path}: instance does not fit in memory") from None
 
 
@@ -313,10 +265,7 @@ def sidecar_lines(stream: IO[str]) -> Iterator[tuple[int, str, list[int]]]:
             continue
         if section is None:
             raise FormatError(f"line {lineno}: data before any section header")
-        try:
-            vals = [int(t) for t in tok]
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-numeric id") from None
+        vals = [_number(t, lineno, "id") for t in tok]
         if section == "map" and len(vals) != 2:
             raise FormatError(f"line {lineno}: map lines hold two ids")
         yield lineno, section, vals

@@ -2,9 +2,11 @@
 
 Everything here favors being obviously correct over being fast: set
 arithmetic, full rescans, exponential search, a single round left
-unstripped, an iterated driver that compacts after every round, and a
-greedy that rescans merits.  ``naive_reduce``, a single id-order sweep
-of the original rule, is here for the tests that compare against it.
+unstripped, an iterated driver that compacts after every round, a
+greedy that rescans merits, and the instance grammar read one line at
+a time with a regular expression per id.  ``naive_reduce``, a single
+id-order sweep of the original rule, is here for the tests that compare
+against it.
 The graph and state invariant checkers and the state copy live here
 too, since only tests and the reference driver use them.
 Production code paths must never import this module
@@ -13,11 +15,13 @@ Production code paths must never import this module
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Optional
 
-from .graph import Graph
+from .graph import Graph, load_check
+from .graphio import FormatError
 from .greedy import TieBreaker
 from .pipeline import WorkCounter, canonical_reference, suitable_set
 from .reducer import (
@@ -550,3 +554,54 @@ def greedy_reference(g: Graph, covered: bytearray, tb: TieBreaker) -> list[int]:
                 need[w] = 0
                 remaining -= 1
     return out
+
+
+_ID = re.compile("[0-9]+")
+
+
+def read_instance_reference(stream, base: int) -> Graph:
+    """The instance grammar, one line at a time: ``base`` 1 reads a .gr
+    file (the header required), 0 an edge list (the header optional, n
+    one more than the largest id without it).  ``graphio``'s chunked
+    reader must give the same graph or the same message on any text."""
+    n = m = -1
+    head = 0
+    edges: list[tuple[int, int]] = []
+
+    def number(tok: str, lineno: int, what: str) -> int:
+        if not _ID.fullmatch(tok):
+            raise FormatError(f"line {lineno}: non-numeric {what}")
+        return int(tok)
+
+    for lineno, raw in enumerate(stream, start=1):
+        tok = raw.split()
+        if not tok or tok[0] == "c":
+            continue
+        if tok[0] == "p":
+            if n >= 0:
+                raise FormatError(f"line {lineno}: duplicate header")
+            if edges:
+                raise FormatError(f"line {lineno}: header must lead the file")
+            if len(tok) != 4:
+                raise FormatError(f"line {lineno}: header needs 'p <kind> <n> <m>'")
+            n = number(tok[2], lineno, "header counts")
+            m = number(tok[3], lineno, "header counts")
+            head = lineno
+            continue
+        if n < 0 and base:
+            raise FormatError(f"line {lineno}: edge before header")
+        if len(tok) != 2:
+            raise FormatError(f"line {lineno}: expected two endpoints")
+        u, v = (number(t, lineno, "endpoint") - base for t in tok)
+        if n >= 0 and not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"line {lineno}: vertex id outside {base}..{n - 1 + base}")
+        if len(edges) == m:
+            raise FormatError(f"line {lineno}: more edges than the header declares")
+        edges.append((u, v))
+    if n < 0:
+        if base:
+            raise FormatError("missing 'p' header")
+        n = 1 + max(map(max, edges), default=-1)
+    if len(edges) < m:
+        raise FormatError(f"line {head}: header declares {m} edges, file holds {len(edges)}")
+    return load_check(n, edges)

@@ -281,9 +281,10 @@ def reduce_iterate(
     read every time.  The worst case known is the hub path: a path of L
     vertices, L = 2 mod 3, plus a hub joined to every third one, which
     sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
-    959 visits per (n + m), in 1.5-2.6 s (single runs, Python 3.11.7 on
-    a shared 2-core Xeon container); apply's share is 1.3 of those, since
-    Extra's cut probes the hub's list instead of scanning it.
+    959 visits per (n + m), in 1.4-2.2 s, median 1.54 s over 25 runs
+    (Python 3.11.7 on a shared 2-core Xeon container whose speed
+    drifts); apply's share is 1.3 of those visits, since Extra's cut
+    probes the hub's list instead of scanning it.
 
     On top of that work a round has a fixed cost, which dominates when a
     round sheds only a few vertices.  A round after the first calls each

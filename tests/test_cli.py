@@ -583,8 +583,8 @@ def test_verify_rejects_out_of_range_solution(tmp_path, capsys):
     "text, err",
     [
         ("solution:\n9\n", "error: line 2: solution id 9 outside the instance\n"),
-        ("c x\nfixed:\n1 -2\nsolution:\n5\n",
-         "error: line 3: solution id -2 outside the instance\n"),
+        # a sign is no part of an id: the line is malformed, not out of range
+        ("c x\nfixed:\n1 -2\nsolution:\n5\n", "error: line 3: non-numeric id\n"),
         # fixed ids are checked before solution ids, whatever the file order
         ("solution:\n7\nfixed:\n\n0\n",
          "error: line 5: solution id 0 outside the instance\n"),

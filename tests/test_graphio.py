@@ -18,7 +18,7 @@ from dsreduce.graphio import (
     write_report_csv,
     write_sidecar,
 )
-from dsreduce.oracle import check_graph
+from dsreduce.oracle import check_graph, read_instance_reference
 
 
 def parse_gr(text):
@@ -49,7 +49,7 @@ def test_gr_header_errors():
         parse_gr("p ds 2 0\np ds 2 0\n")
     with pytest.raises(FormatError, match="non-numeric header"):
         parse_gr("p ds three 2\n")
-    with pytest.raises(FormatError, match="negative header"):
+    with pytest.raises(FormatError, match="^line 1: non-numeric header counts$"):
         parse_gr("p ds -1 0\n")
     with pytest.raises(FormatError, match="missing 'p' header"):
         parse_gr("c only a comment\n")
@@ -70,7 +70,7 @@ def test_gr_edge_errors():
         parse_gr("p ds 3 1\n1 4\n")
     with pytest.raises(FormatError, match="more edges than the header"):
         parse_gr("p ds 3 1\n1 2\n2 3\n")
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(FormatError, match="^line 1: header declares 2 edges, file holds 1$"):
         parse_gr("p ds 3 2\n1 2\n")
 
 
@@ -83,7 +83,7 @@ def test_gr_deduplicates_and_drops_loops():
 def test_edge_list_reader():
     g = read_edge_list(io.StringIO("0 1\n1 2\nc note\n2 0\n"))
     assert g.n == 3 and g.m == 3
-    with pytest.raises(FormatError, match="negative vertex id"):
+    with pytest.raises(FormatError, match="^line 1: non-numeric endpoint$"):
         read_edge_list(io.StringIO("0 -2\n"))
     with pytest.raises(FormatError, match="line 1: expected two"):
         read_edge_list(io.StringIO("0\n"))
@@ -109,9 +109,9 @@ def test_edge_list_header_errors():
         read_edge_list(io.StringIO("p ds 3 1\n1 3\n"))
     with pytest.raises(FormatError, match="line 2: header must lead"):
         read_edge_list(io.StringIO("0 1\np ds 2 1\n"))
-    with pytest.raises(FormatError, match="line 2: header must lead"):
+    with pytest.raises(FormatError, match="line 2: duplicate header"):
         read_edge_list(io.StringIO("p ds 2 0\np ds 2 0\n"))
-    with pytest.raises(FormatError, match="header declares 2 edges, file holds 1"):
+    with pytest.raises(FormatError, match="^line 1: header declares 2 edges, file holds 1$"):
         read_edge_list(io.StringIO("p ds 3 2\n0 1\n"))
     with pytest.raises(FormatError, match="line 1: non-numeric header"):
         read_edge_list(io.StringIO("p ds x 1\n"))
@@ -162,6 +162,10 @@ def test_sidecar_errors():
         read_sidecar(io.StringIO("7\n"))
     with pytest.raises(FormatError, match="non-numeric id"):
         read_sidecar(io.StringIO("fixed:\nx\n"))
+    # ids are ASCII digits, as in instances
+    for bad in ("+1", "-1", "1_0", "\u0661", "\uff11"):
+        with pytest.raises(FormatError, match="^line 3: non-numeric id$"):
+            read_sidecar(io.StringIO(f"fixed:\n1\n{bad}\n"))
     with pytest.raises(FormatError, match="map lines hold two ids"):
         read_sidecar(io.StringIO("map:\n1 2 3\n"))
     with pytest.raises(FormatError, match="line 2: section header map: must stand"):
@@ -214,12 +218,12 @@ GR_TABLE = [
     ("p ds 3 1\n1 2\n0 1\n", r"^line 3: vertex id outside 1\.\.3$"),
     ("p ds 3 1\n1 2\n2 3\n", "^line 3: more edges than the header declares$"),
     ("p ds 3 0\n1 2\n", "^line 2: more edges than the header declares$"),
-    ("p ds 3 2\n1 2\n", "^truncated file: 1 of 2 edges present$"),
-    # ids are read as int() reads them
-    ("p ds 3 1\n+1 2\n", (3, 1, [[1], [0], []])),
-    ("p ds 3 1\n１ ３\n", (3, 1, [[2], [], [0]])),
-    ("p ds 1_2 1\n1_0 2\n", (12, 1, [[]] + [[9]] + [[]] * 7 + [[1]] + [[]] * 2)),
-    ("p ds 3 1\n1 -2\n", r"^line 2: vertex id outside 1\.\.3$"),
+    ("p ds 3 2\n1 2\n", "^line 1: header declares 2 edges, file holds 1$"),
+    # ids and counts are ASCII digits: no sign, underscore or other digits
+    ("p ds 3 1\n+1 2\n", "^line 2: non-numeric endpoint$"),
+    ("p ds 3 1\n１ ３\n", "^line 2: non-numeric endpoint$"),
+    ("p ds 1_2 1\n1_0 2\n", "^line 1: non-numeric header counts$"),
+    ("p ds 3 1\n1 -2\n", "^line 2: non-numeric endpoint$"),
     ("p ds 3 1\n1 2.0\n", "^line 2: non-numeric endpoint$"),
     # whitespace variants
     ("p ds 3 2\r\n1 2\r\n\r\n2\t3\r\n", (3, 2, [[1], [0, 2], [1]])),
@@ -237,20 +241,20 @@ GR_TABLE = [
 
 EL_TABLE = [
     ("0 1\nc 1\n", (2, 1, [[1], [0]])),
-    ("p ds 3 1\np 1\n", "^line 2: header must lead the file$"),
+    ("p ds 3 1\np 1\n", "^line 2: duplicate header$"),
     ("0 1\np 1\n", "^line 2: header must lead the file$"),
     ("p 1\n", r"^line 1: header needs 'p <kind> <n> <m>'$"),
     ("x y\n", "^line 1: non-numeric endpoint$"),
     ("0 y\n", "^line 1: non-numeric endpoint$"),
-    # the range check is per line, the edge count is checked at the end
+    # the range check comes before the edge count check, as in .gr
     ("p ds 3 1\n0 1\n0 5\n", r"^line 3: vertex id outside 0\.\.2$"),
-    ("p ds 3 1\n0 1\n1 2\n", "^header declares 1 edges, file holds 2$"),
-    ("p ds 3 2\n0 1\n", "^header declares 2 edges, file holds 1$"),
-    ("p ds 3 1\n-1 5\n", "^line 2: negative vertex id$"),
-    ("5 -1\n", "^line 1: negative vertex id$"),
-    ("+0 2\n", (3, 1, [[2], [], [0]])),
-    ("０ ２\n", (3, 1, [[2], [], [0]])),
-    ("1_0 0\n", (11, 1, [[10]] + [[]] * 9 + [[0]])),
+    ("p ds 3 1\n0 1\n1 2\n", "^line 3: more edges than the header declares$"),
+    ("p ds 3 2\n0 1\n", "^line 1: header declares 2 edges, file holds 1$"),
+    ("p ds 3 1\n-1 5\n", "^line 2: non-numeric endpoint$"),
+    ("5 -1\n", "^line 1: non-numeric endpoint$"),
+    ("+0 2\n", "^line 1: non-numeric endpoint$"),
+    ("０ ２\n", "^line 1: non-numeric endpoint$"),
+    ("1_0 0\n", "^line 1: non-numeric endpoint$"),
     ("0 1\r\n\r\n1\t2\r\n", (3, 2, [[1], [0, 2], [1]])),
     (" \x0c0\x0b1 \n", (2, 1, [[1], [0]])),
     ("0 1 \x0c 2\n", "^line 1: expected two endpoints$"),
@@ -267,6 +271,8 @@ EL_TABLE = [
     ids=[f"gr{i}" for i in range(len(GR_TABLE))] + [f"el{i}" for i in range(len(EL_TABLE))],
 )
 def test_reader_table(reader, text, want):
+    base = 1 if reader is read_gr else 0
+    assert outcome(reader, text) == outcome(reference(base), text)
     if isinstance(want, str):
         with pytest.raises(FormatError, match=want):
             reader(io.StringIO(text))
@@ -325,6 +331,11 @@ def outcome(reader, text):
     return g.n, g.m, g.adj, g.deg
 
 
+def reference(base):
+    """The line-by-line grammar of ``oracle``, as a reader for ``base``."""
+    return lambda stream: read_instance_reference(stream, base)
+
+
 def edge_lines(n, count, seed):
     """``count`` canonical edge lines on ids 1..n, loops and repeats
     included."""
@@ -351,6 +362,26 @@ def inserted(line):
     return LINES[:K] + [line] + LINES[K:]
 
 
+def no_line_by_line(monkeypatch):
+    def per_line(*_args):
+        raise AssertionError("a chunk of a canonical file read line by line")
+
+    monkeypatch.setattr(graphio, "_lines", per_line)
+
+
+def spy_line_by_line(monkeypatch):
+    """The texts handed to ``graphio._lines``, as the reader runs."""
+    texts = []
+    real = graphio._lines
+
+    def per_line(text, *args):
+        texts.append(text)
+        return real(text, *args)
+
+    monkeypatch.setattr(graphio, "_lines", per_line)
+    return texts
+
+
 def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     assert len(gr_text(LINES[:K])) > 3 * graphio._CHUNK
     texts = [gr_text(LINES), "p ds 3 0\n", "p ds 0 0\n"]
@@ -365,12 +396,8 @@ def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     texts += ["\nc made by\n\n" + gr_text(LINES), "\n\np ds 3 0\n"]
     # JSON refuses leading zeros: a middle chunk is split and parsed by int()
     texts += [gr_text(replaced("00" + LINES[K]))]
-    want = [outcome(graphio._read_gr_lines, t) for t in texts]
-
-    def per_line(_stream):
-        raise AssertionError("per-line reader called on a canonical file")
-
-    monkeypatch.setattr(graphio, "_read_gr_lines", per_line)
+    want = [outcome(reference(1), t) for t in texts]
+    no_line_by_line(monkeypatch)
     assert [outcome(read_gr, t) for t in texts] == want
     # a file opened by path reads CRLF line ends as newlines
     crlf = tmp_path / "crlf.gr"
@@ -379,7 +406,28 @@ def test_read_gr_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
     assert (g.n, g.m, g.adj, g.deg) == want[0]
 
 
-# Texts the bulk path must hand back to the per-line reader, or read alike
+def el_text(lines, head=""):
+    """``lines`` as 0-based edges after ``head``."""
+    return head + "".join(f"{int(u) - 1} {int(v) - 1}\n" for u, v in map(str.split, lines))
+
+
+def test_read_edge_list_takes_the_bulk_path_on_canonical_text(monkeypatch, tmp_path):
+    header = f"p ds {BIG_N} {len(LINES)}\n"
+    texts = [el_text(LINES), el_text(LINES, header), "0 1\n", "p ds 3 0\n", ""]
+    # the first edge line of a file without header joins the first chunk
+    texts += ["c made by\n\n" + el_text(LINES), "c\n" + el_text(LINES, header)]
+    texts += [el_text(LINES).replace("\n", "\n0", 1)]  # leading zeros on line 2
+    want = [outcome(reference(0), t) for t in texts]
+    no_line_by_line(monkeypatch)
+    assert [outcome(read_edge_list, t) for t in texts] == want
+    elf = tmp_path / "crlf.el"
+    elf.write_bytes(texts[0].replace("\n", "\r\n").encode())
+    g, base = read_graph(str(elf))
+    assert base == 0 and (g.n, g.m, g.adj, g.deg) == want[0]
+
+
+# Texts whose doubtful chunk, if any, is read line by line; both readers
+# must give the reference's graph or message
 NEAR_CANONICAL = {
     "non-numeric-id": gr_text(replaced("1 x\n")),
     "three-ids": gr_text(replaced("1 2 3\n")),
@@ -434,9 +482,18 @@ NEAR_CANONICAL = {
 }
 
 
+# Chunk sizes of the differential tests.  Chunks of 16 characters or
+# fewer hold a line or less, so only the short texts of the soup test
+# take them; the 12,000-line texts here run at the last two.
+CHUNKS = [4, 8, 16, 64, graphio._CHUNK]
+
+
 @pytest.mark.parametrize("text", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL.keys())
-def test_read_gr_bulk_path_matches_per_line_reader(text):
-    assert outcome(read_gr, text) == outcome(graphio._read_gr_lines, text)
+def test_read_gr_bulk_path_matches_per_line_reader(text, monkeypatch):
+    want = [outcome(reference(base), text) for base in (1, 0)]
+    for chunk in CHUNKS[3:]:
+        monkeypatch.setattr(graphio, "_CHUNK", chunk)
+        assert [outcome(read_gr, text), outcome(read_edge_list, text)] == want
 
 
 @pytest.mark.parametrize(
@@ -448,13 +505,15 @@ def test_read_gr_bulk_path_matches_per_line_reader(text):
         (gr_text(LINES, m=len(LINES) - 1),
          f"line {len(LINES) + 1}: more edges than the header declares"),
         (gr_text(LINES, m=len(LINES) + 1),
-         f"truncated file: {len(LINES)} of {len(LINES) + 1} edges present"),
+         f"line 1: header declares {len(LINES) + 1} edges, file holds {len(LINES)}"),
     ],
 )
-def test_read_gr_reports_the_line_past_the_first_chunks(text, message):
-    with pytest.raises(FormatError) as exc:
-        read_gr(io.StringIO(text))
-    assert str(exc.value) == message
+def test_read_gr_reports_the_line_past_the_first_chunks(text, message, monkeypatch):
+    assert outcome(reference(1), text) == message
+    for chunk in CHUNKS[3:]:
+        monkeypatch.setattr(graphio, "_CHUNK", chunk)
+        assert outcome(read_gr, text) == message
+    assert outcome(read_edge_list, text) == outcome(reference(0), text)
 
 
 class CountedReads(io.StringIO):
@@ -476,48 +535,47 @@ class Unseekable(io.StringIO):
     def seekable(self):
         return False
 
+    def tell(self):
+        raise OSError("unseekable")
 
-def test_read_gr_reads_unseekable_streams_line_by_line(monkeypatch):
-    calls = []
-    real = graphio._read_gr_lines
 
-    def per_line(stream):
-        calls.append(stream)
-        return real(stream)
-
-    monkeypatch.setattr(graphio, "_read_gr_lines", per_line)
+def test_read_gr_reads_unseekable_streams_in_bulk(monkeypatch):
     text = gr_text(LINES)
-    want = outcome(real, text)
+    want = outcome(reference(1), text)
+    no_line_by_line(monkeypatch)
     g = read_gr(Unseekable(text))
     assert (g.n, g.m, g.adj, g.deg) == want
-    assert len(calls) == 1
 
 
-def test_read_gr_reads_on_after_a_file_was_iterated(tmp_path):
-    # after next() a text file refuses tell(): the rest is read line by line
+def test_read_gr_reads_on_after_a_file_was_iterated(tmp_path, monkeypatch):
+    # after next() a text file refuses tell(); the reader needs none
     grf = tmp_path / "g.gr"
     grf.write_text("c lead\n" + gr_text(LINES))
+    no_line_by_line(monkeypatch)
     with open(grf) as fh:
         next(fh)
         g = read_gr(fh)
-    assert (g.n, g.m, g.adj, g.deg) == outcome(graphio._read_gr_lines, gr_text(LINES))
+    assert (g.n, g.m, g.adj, g.deg) == outcome(reference(1), gr_text(LINES))
 
 
-def test_read_graph_reruns_a_file_from_its_start(tmp_path):
+def test_read_graph_reads_only_the_chunk_with_a_comment_line_by_line(tmp_path, monkeypatch):
     # a byte-order mark, universal newlines and a comment past the first
-    # chunks: the rerun must skip the mark again and see the same lines
+    # chunks: one chunk goes line by line, the others are read whole
     grf = tmp_path / "g.gr"
     lines = [line.replace("\n", "\r\n") for line in inserted("c note\n")]
     grf.write_bytes(("\ufeff" + gr_text(lines)).encode("utf-8"))
+    texts = spy_line_by_line(monkeypatch)
     got, base = read_graph(str(grf))
-    want = graphio._read_gr_lines(io.StringIO(gr_text(inserted("c note\n"))))
-    assert base == 1 and (got.n, got.m, got.adj) == (want.n, want.m, want.adj)
+    want = outcome(reference(1), gr_text(inserted("c note\n")))
+    assert base == 1 and (got.n, got.m, got.adj, got.deg) == want
+    assert len(texts) == 1 and "\nc note\n" in texts[0], [len(t) for t in texts]
 
 
 def test_readers_hand_load_check_their_checked_ids(monkeypatch):
-    # Every reader range-checks each id as it parses, so each hands the
-    # ids to ``graphio.load_check`` as ``CheckedEnds``, which skips the
-    # second test; the graph is still built inside that call.
+    # Every chunk, whole or line by line, range-checks each id as it is
+    # parsed, so the reader hands the ids to ``graphio.load_check`` as
+    # ``CheckedEnds``, which skips the second test; the graph is still
+    # built inside that call.
     seen = []
     real = graphio.load_check
 
@@ -528,7 +586,7 @@ def test_readers_hand_load_check_their_checked_ids(monkeypatch):
     monkeypatch.setattr(graphio, "load_check", spy)
     text = "p ds 4 3\n1 2\n2 3\n4 4\n"
     bulk = read_gr(io.StringIO(text))
-    per_line = read_gr(io.StringIO("c lead\n" + text))
+    per_line = read_gr(io.StringIO(text.replace("2 3", "c mid\n2\t3")))
     edge_list = read_edge_list(io.StringIO("0 1\n1 2\n3 3\n"))
     assert seen == [CheckedEnds] * 3
     for g in (bulk, per_line, edge_list):

@@ -7,8 +7,9 @@ attached, with given covered vertices, given fixed ones committed
 before the drivers run, and round caps.  The pipeline is checked
 against the direct definition on annotated states of up to 150
 vertices.  The instance and sidecar readers are fed line
-soup, and the bulk .gr path is held to the per-line reader on it and
-on near-canonical files.  Runs are derandomized, so every run draws
+soup, and the chunked instance reader is held to the line-by-line
+grammar of ``oracle.read_instance_reference`` on it and on
+near-canonical files.  Runs are derandomized, so every run draws
 the same cases.
 """
 
@@ -36,7 +37,7 @@ from dsreduce.pipeline import (  # noqa: E402
     suitable_set,
 )
 from dsreduce.state import ReductionState  # noqa: E402
-from test_graphio import outcome  # noqa: E402
+from test_graphio import CHUNKS, outcome, reference  # noqa: E402
 from test_iterate import (  # noqa: E402
     VARIANTS,
     check_same,
@@ -167,7 +168,8 @@ def test_partition_maps_each_witness_to_its_own_reference(state):
     assert [(u, f[u]) for u in sprime] == list(sprime.items())
 
 
-# Tokens of the line soup: ids as int() reads them and ids it rejects,
+# Tokens of the line soup: ids in the grammar, ids int() reads but the
+# grammar rejects, and ids both reject,
 # header and comment words, sidecar section names and junk.
 _NUMBERS = st.one_of(
     st.integers(-1, 12).map(str),
@@ -230,7 +232,7 @@ def test_readers_return_or_raise_format_error(text):
 
 @st.composite
 def near_canonical_gr(draw):
-    """A header and edge lines as the bulk path takes them, with up to
+    """A header and edge lines as a chunk is taken whole, with up to
     two flaws: a soup line, an id out of range or another line end in
     place of an edge line.  The edge count is sometimes off by one, and
     the last newline sometimes missing."""
@@ -254,14 +256,14 @@ def near_canonical_gr(draw):
 )
 @hypothesis.given(
     st.one_of(line_soup(), near_canonical_gr()),
-    st.sampled_from([4, 8, 16, 64, graphio._CHUNK]),
+    st.sampled_from(CHUNKS),
 )
 def test_read_gr_bulk_path_matches_per_line_reader_on_soup(text, chunk):
     # small chunks put the lines across chunk boundaries
-    want = outcome(graphio._read_gr_lines, text)
+    want = [outcome(reference(base), text) for base in (1, 0)]
     saved = graphio._CHUNK
     graphio._CHUNK = chunk
     try:
-        assert outcome(read_gr, text) == want
+        assert [outcome(read_gr, text), outcome(read_edge_list, text)] == want
     finally:
         graphio._CHUNK = saved
