@@ -41,7 +41,7 @@ from .graphio import (
 from .greedy import default_seed_list, greedy_best_of
 # reduce_iterate is called through this module's name, where
 # perfbench/spans.py wraps it.  Nothing here calls export_residual, since
-# the drivers leave the state stripped; spans.py wraps cli.export_residual
+# the drivers leave it nothing to drop; spans.py wraps cli.export_residual
 from .reducer import (
     ReductionReport,
     Variant,
@@ -165,7 +165,7 @@ def _reduce_file(path: str, rule, *, max_rounds=1, fix_isolated=False):
 
     ``rule`` None leaves the state fresh; a rule runs ``max_rounds``
     rounds of ``reduce_iterate``, None running to its fixed point.  It
-    and ``fix_isolated_uncovered`` strip what they commit, so nothing is
+    and ``fix_isolated_uncovered`` remove what they commit, so nothing is
     left to export.  Returns the file's id base, the final state (its
     ``g`` is the input graph, its alive vertices are the residual), the
     reduction report and the report row.
@@ -212,7 +212,7 @@ def _cmd_reduce(args, parser) -> int:
     if args.max_rounds is not None and args.max_rounds < 1:
         parser.error("--max-rounds must be at least 1")
 
-    # the residual is written from the stripped state: its alive vertices,
+    # the residual is written from the state: its alive vertices,
     # renumbered in order
     base, state, rep, row = _reduce_file(
         args.instance,

@@ -196,7 +196,7 @@ def write_gr(
 
     ``alive``, one flag per vertex of ``g``, writes only the alive
     vertices, renumbered in order from ``base``, and skips list entries
-    naming a dead vertex.  So ``g`` may be a stripped ``ReductionState``,
+    naming a dead vertex.  So ``g`` may be a reduced ``ReductionState``,
     and the text is that of ``compact(g).graph`` with nothing rebuilt.
     """
     adj = g.adj

@@ -1,14 +1,14 @@
 """Slow reference implementations and invariant checks for tests.
 
 Everything here favors being obviously correct over being fast: set
-arithmetic, full rescans, exponential search, a single round left
-unstripped, an iterated driver that compacts after every round, a
-greedy that rescans merits, and the instance grammar read one line at
-a time with a regular expression per id.  ``naive_reduce``, a single
-id-order sweep of the original rule, is here for the tests that compare
-against it.
-The graph and state invariant checkers and the state copy live here
-too, since only tests and the reference driver use them.
+arithmetic, full rescans, exponential search, an iterated driver that
+compacts after every round, a greedy that rescans merits, and the
+instance grammar read one line at a time with a regular expression per
+id.  ``naive_reduce``, a single id-order sweep of the original rule, is
+here for the tests that compare against it.
+The graph and state invariant checkers, the state copy and
+``delete_node`` live here too, since only tests, the sweep and the
+reference driver use them.
 Production code paths must never import this module
 (``tests/test_layering.py`` checks that).
 """
@@ -63,19 +63,37 @@ def live_neighbors(st: ReductionState, u: int) -> list[int]:
 def state_consistent(st: ReductionState) -> bool:
     """Each alive vertex's live neighbors are input neighbors of it,
     name it back and number its degree, and its list is sorted; dead
-    vertices have degree 0."""
+    vertices have degree 0, and no alive vertex is fixed: a committed
+    vertex is gone."""
     gadj = st.g.adj
     live = [
         set(live_neighbors(st, u)) if st.alive[u] else set()
         for u in range(st.n)
     ]
-    return all(
+    return not any(st.alive[v] for v in st.fixed) and all(
         st.deg[u] == len(lu)
         and lu <= set(gadj[u])
         and all(u in live[v] for v in lu)
         and (not st.alive[u] or st.adj[u] == sorted(st.adj[u]))
         for u, lu in enumerate(live)
     )
+
+
+def delete_node(st: ReductionState, u: int) -> int:
+    """Remove ``u`` from ``st``; returns how many live edges disappeared
+    with it."""
+    alive = st.alive
+    if not alive[u]:
+        return 0
+    deg = st.deg
+    dropped = 0
+    for v in st.adj[u]:
+        if alive[v]:
+            deg[v] -= 1
+            dropped += 1
+    alive[u] = 0
+    deg[u] = 0
+    return dropped
 
 
 def copy_state(st: ReductionState) -> ReductionState:
@@ -191,12 +209,12 @@ def exhaustive_original_rule1(g: Graph) -> tuple[list[int], list[int]]:
                 continue
             closed = adj[rho] | {rho}
             n1 = {u for u in adj[rho] if escapes(u, closed)}
-            doomed = [
+            enclosed = [
                 u
                 for u in adj[rho]
                 if u not in n1 and not (adj[u] & n1)
             ]
-            if not doomed:
+            if not enclosed:
                 continue
             deletable = [u for u in adj[rho] if u not in n1]
             fixed_mask[rho] = 1
@@ -222,12 +240,13 @@ def naive_reduce(
     with early abort; when an enclosed neighbor exists the vertex is
     committed and every non-escaping neighbor deleted on the spot, so
     later iterations see the mutated graph.  Vertices committed earlier
-    in the sweep count as escaping and are never deleted.
+    in the sweep count as escaping and are never deleted.  When the
+    sweep ends, its commits are removed like every committed vertex, and
+    the report counts their edges.
 
     The sweep reads no covered flags, so it refuses a state with any
     covered flag set: it would commit vertices that no optimum needs.
-    Like every driver it refuses a fixed vertex too; its own commits
-    stay alive until ``export_residual``.
+    Like every driver it refuses a fixed vertex too.
     """
     _require_fresh(state)
     if any(state.covered):
@@ -295,8 +314,10 @@ def naive_reduce(
             committed.append(u)
             for w in au:
                 if alive[w] and t1st[w] != u:
-                    removed_edges += state.delete_node(w)
+                    removed_edges += delete_node(state, w)
                     removed.append(w)
+    for u in committed:
+        removed_edges += delete_node(state, u)
 
     if work is not None:
         work.add(visits)
@@ -387,13 +408,14 @@ def apply_reference(
 ) -> ReductionReport:
     """``reducer.apply_reduction`` from its definition, on ``state``.
 
-    Mark N(refs), commit and cover the references, cover the marked
-    neighbors, then classify each marked neighbor that is no reference
-    by a direct scan of its live neighbors: it is deletable when at most
-    ``allow`` of them (0 for Linear, 1 otherwise) are still uncovered.
-    Delete the deletable ones, then, under Extra, cut every live edge
-    between two marked survivors.  Lists are replaced, never edited.
-    Counts no visits.
+    Mark N(refs), commit, cover and remove the references, cover the
+    marked neighbors, then classify each marked neighbor that is no
+    reference by a direct scan of its live neighbors: it is deletable
+    when at most ``allow`` of them (0 for Linear, 1 otherwise) are still
+    uncovered.  Delete the deletable ones, then, under Extra, cut every
+    live edge between two marked survivors.  Every edge at a removed
+    vertex counts once.  Lists are replaced, never edited.  Counts no
+    visits.
     """
     refs = set(refs)
     if not all(state.alive[rho] for rho in refs):
@@ -408,8 +430,9 @@ def apply_reference(
         u for u in marked
         if sum(1 for w in live[u] if not state.covered[w]) <= allow
     }
-    lost = {frozenset((u, w)) for u in deletable for w in live[u]}
-    for u in deletable:
+    gone = refs | deletable
+    lost = {frozenset((u, w)) for u in gone for w in live[u]}
+    for u in gone:
         state.alive[u] = 0
     cuts = []
     if variant is Variant.EXTRA:
@@ -430,10 +453,11 @@ def apply_reference(
 def one_round(
     state: ReductionState, variant: Variant, *, work: Optional[WorkCounter] = None
 ) -> ReductionReport:
-    """One find+apply round on ``state``, covered-aware, left unstripped:
-    the committed vertices stay alive, and their doomed edges in the
-    state, until ``export_residual``.  ``reducer.reduce_iterate`` under
-    ``max_rounds=1`` must match it after the export."""
+    """One find+apply round on ``state``, covered-aware: apply removes
+    the vertices it commits, and the covered vertices it leaves isolated
+    stay alive until ``export_residual`` drops them.
+    ``reducer.reduce_iterate`` under ``max_rounds=1`` must match it after
+    the export."""
     refs = sorted({rho for _u, rho in suitable_set(state, work=work)})
     return apply_reduction(state, refs, variant, work=work)
 
@@ -450,11 +474,10 @@ def reduce_iterate_reference(
     The iterated driver before rounds shared one id space: every round
     is ``one_round`` on a freshly compacted graph, so it is quadratic on
     long paths.  ``reducer.reduce_iterate`` must match it.  Between
-    acting rounds ``export_residual`` strips
-    the committed vertices (their doomed edges are only then counted)
-    and drops isolated covered vertices; the caller's state mirrors every
-    event in original ids.  The terminating idle round is included in
-    the round count; ``max_rounds`` None runs to it.
+    acting rounds ``export_residual`` drops the covered vertices left
+    isolated; the caller's state mirrors every event in original ids, a
+    commit removing its vertex at once.  The terminating idle round is
+    included in the round count; ``max_rounds`` None runs to it.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -480,23 +503,21 @@ def reduce_iterate_reference(
             state.fixed.add(o)
             for v in (o, *live_neighbors(state, o)):
                 state.covered[v] = 1
+            delete_node(state, o)
             fixed_all.append(o)
         for u in rep.removed_nodes:
             o = cur_to_orig[u]
-            state.delete_node(o)
+            delete_node(state, o)
             removed_all.append(o)
         for a, b in rep.extra_edges:
             state.cut_within({cur_to_orig[a], cur_to_orig[b]})
             extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
         removed_edges += rep.removed_edges
 
-        strips, dropped = export_residual(cur_state)
+        dropped = export_residual(cur_state)
         comp = compact(cur_state)
-        removed_edges += strips
-        for rho in rep.fixed:
-            state.delete_node(cur_to_orig[rho])
         for v in dropped:
-            state.delete_node(cur_to_orig[v])
+            delete_node(state, cur_to_orig[v])
             removed_all.append(cur_to_orig[v])
         if rounds == max_rounds:
             break

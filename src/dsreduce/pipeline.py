@@ -42,7 +42,7 @@ and witnesses changes neither the verdicts nor the visits.
 Every pass takes the state alone and reads its ``n``, ``adj`` and
 ``deg`` and its covered flags: a covered vertex needs no domination,
 and there is no mode that ignores them.  No pass reads the fixed set:
-no alive vertex is fixed, since a driver strips what it commits.  A
+a committed vertex is gone, so no alive vertex is fixed.  A
 bare graph goes in as ``ReductionState(g)``, whose flags are all clear.
 On a partly reduced state the alive vertices' lists must name no dead
 vertex; a dead vertex is never a witness, whatever its own list names.

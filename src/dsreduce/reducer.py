@@ -4,9 +4,8 @@ Each driver takes the ``ReductionState`` alone.  A round is find
 (pipeline) then apply (this module); a plain rule is one round of
 ``reduce_iterate``.  Apply commits every reference to the solution,
 covers its closed neighborhood and deletes whatever the chosen variant
-allows.  Edges incident to a committed vertex are doomed from that
-moment on, but leave the state only at round boundaries or when the
-residual is exported.
+allows.  A committed vertex is gone: the call that commits it removes
+it and its edges from the state, so no alive vertex is ever fixed.
 """
 
 from __future__ import annotations
@@ -66,17 +65,17 @@ def apply_reduction(
     """Commit ``refs`` and delete around them according to ``variant``.
 
     The references must be alive, hence not yet fixed, and the report
-    lists each of them as newly fixed.  Marking is unioned over all
-    references before any deletion, so the outcome does not depend on
-    the order of ``refs``.  The cost is
-    proportional to the live closed neighborhoods of the references and
-    of their neighbors, whatever the size of the graph.  A neighbor is
-    deletable when at most ``allow`` of its live neighbors still need
-    domination: 0 for Linear, 1 for Plus and Extra.  Extra additionally
-    drops surviving edges whose endpoints are both marked and neither
-    committed.  Deleted counts cover live edges lost with deleted nodes
-    plus Extra's edge removals; edges pending around committed vertices
-    are accounted when they are physically stripped later.
+    lists each of them as newly fixed.  A committed reference is gone
+    when the call returns, and its live edges with it.  Marking is
+    unioned over all references before any deletion, so the outcome does
+    not depend on the order of ``refs``.  The cost is proportional to
+    the live closed neighborhoods of the references and of their
+    neighbors, whatever the size of the graph.  A neighbor is deletable
+    when at most ``allow`` of its live neighbors still need domination:
+    0 for Linear, 1 for Plus and Extra.  Extra additionally drops
+    surviving edges whose endpoints are both marked and neither
+    committed.  The report counts every edge the call removed: those of
+    the references and of the deleted nodes, and Extra's cuts.
     """
     refs = sorted(set(refs))
     adj = state.adj
@@ -120,9 +119,11 @@ def apply_reduction(
             deletable.append(u)
         visits += d
 
-    # each deleted vertex takes its live degree's worth of edges with it
+    # The references go, then the deleted vertices: each takes its live
+    # degree's worth of edges with it, so an edge between two counts once.
+    # A reference is covered, so it made no neighbor's verdict.
     removed_edges = 0
-    for u in deletable:
+    for u in (*refs, *deletable):
         alive[u] = 0
         removed_edges += deg[u]
         deg[u] = 0
@@ -167,20 +168,19 @@ def reduce_iterate(
     A plain Linear, Plus or Extra round is this driver under
     ``max_rounds`` 1.
     Every round acts on the caller's state in the input's ids and
-    classifies covered-aware.
-    After each acting round the committed vertices are stripped (their
-    doomed edges are only then counted) and covered vertices left
-    isolated are dropped, so a capped run, a single round included,
-    leaves the state stripped.  The terminating idle round is included
+    classifies covered-aware.  Apply removes each vertex it commits;
+    after each acting round the covered vertices left isolated are
+    dropped, so a capped run, a single round included, leaves no
+    covered vertex isolated.  The terminating idle round is included
     in the round count.  ``max_rounds`` None runs to that idle round;
     ``converged`` is False only when a given ``max_rounds`` ended the
     loop instead.
 
     The loop ends by itself, within n + 1 rounds.  The state starts with
-    no vertex fixed (``_require_fresh`` refuses one), and each boundary
-    strips that round's references, so no alive vertex is fixed when a
-    round starts: each reference is alive and new, and dies at the
-    round's end.  A round without references changes nothing, so an
+    no vertex fixed (``_require_fresh`` refuses one), and apply strips
+    each reference as it commits it, so no alive vertex is ever fixed:
+    each reference is alive and new, and dies in the round that commits
+    it.  A round without references changes nothing, so an
     acting round commits, and the report lists, at least one, and a
     round acts exactly when its report's ``fixed`` is non-empty.  So
     every acting round removes at least one of the n vertices for good:
@@ -206,9 +206,9 @@ def reduce_iterate(
     a caller may hand in covered flags, and such a vertex may be isolated
     from the start or lose its last neighbor untouched.  No other vertex
     needs the look.  A vertex covered during a round is a reference,
-    which the boundary strips, or a neighbor of one that apply covered;
-    if it survives apply it is still a live neighbor of that reference
-    (Extra cuts no edge at a reference), so it is touched.  A covered
+    which apply strips, or a neighbor of one that apply covered;
+    if it survives apply, that reference's list still names it (Extra
+    replaces no reference's list), so it is touched.  A covered
     vertex that loses a live neighbor later is touched, as shown above.
 
     The superset pass is not rerun on every round.  Its result is carried
@@ -289,9 +289,9 @@ def reduce_iterate(
     On top of that work a round has a fixed cost, which dominates when a
     round sheds only a few vertices.  A round after the first calls each
     pass and ``apply_reduction`` once, and the boundary walks the lists
-    of the committed vertices, which it strips, and of the vertices the
-    round deleted, which list T; then one walk over T drops the isolated
-    covered vertices and refreshes the dirty lists.  On the benchmark's
+    of the vertices the round committed or deleted, which list T; then
+    one walk over T drops the isolated covered vertices and refreshes
+    the dirty lists.  On the benchmark's
     ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
     all) a round of Extra takes 24-27 us (best of 30 runs of a whole
     instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
@@ -329,31 +329,20 @@ def reduce_iterate(
         refs = {rho for _u, rho in kept}
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
-        # every reference is committed anew, so a round without one is idle;
-        # the report lists them sorted
-        refs = rep.fixed
-        if not refs:
+        # every reference is committed anew, so a round without one is idle
+        if not rep.fixed:
             break
         fixed_all += rep.fixed
         removed_all += rep.removed_nodes
         extra_all += rep.extra_edges
         removed_edges += rep.removed_edges
 
-        # The boundary.  Strip the committed vertices, and drop the witness
-        # entries of every vertex that died in the round.  Whatever died
-        # lists its live neighbors, or they are next to a reference
-        # (Extra's cut partners): those are the touched vertices.
+        # The boundary.  Drop the witness entries of every vertex that died
+        # in the round, committed or deleted.  Whatever died lists its live
+        # neighbors, or they are next to a reference (Extra's cut
+        # partners): those are the touched vertices.
         touched: dict[int, None] = {}
-        for rho in refs:
-            sup.pop(rho, None)
-            for w in adj[rho]:
-                if alive[w]:
-                    deg[w] -= 1
-                    removed_edges += 1
-                    touched[w] = None
-            alive[rho] = 0
-            deg[rho] = 0
-        for u in rep.removed_nodes:
+        for u in (*rep.fixed, *rep.removed_nodes):
             sup.pop(u, None)
             for x in adj[u]:
                 if alive[x]:
@@ -494,8 +483,8 @@ def _pairs_by_witness(
 
 
 def fix_isolated_uncovered(state: ReductionState) -> list[int]:
-    """Commit alive degree-zero vertices that nothing dominates, and
-    strip them: they have no edges, so a stripped state stays stripped.
+    """Commit alive degree-zero vertices that nothing dominates; like
+    every committed vertex, each is gone at once.
 
     Opt-in: the plain rules leave such vertices for the residual solver.
     """
@@ -512,25 +501,19 @@ def fix_isolated_uncovered(state: ReductionState) -> list[int]:
     return out
 
 
-def export_residual(state: ReductionState) -> tuple[int, list[int]]:
-    """Strip committed vertices out of ``state``; its alive vertices are
-    then the residual, as ``graphio.write_gr`` writes it.
+def export_residual(state: ReductionState) -> list[int]:
+    """Drop the covered vertices ``state`` leaves isolated; its alive
+    vertices are then the residual that ``graphio.write_gr`` writes.
 
-    Returns the number of live edges that were still pending around
-    committed vertices (now counted as removed) and the covered vertices
-    dropped because stripping isolated them.  Mutates ``state``; pass a
-    copy to keep the original.  ``reduce_iterate`` and
-    ``fix_isolated_uncovered`` leave a stripped state, on which this
-    returns ``(0, [])``; only a round of ``apply_reduction`` left
-    unstripped gives it work.
+    Returns the dropped vertices in ascending order.  Mutates ``state``;
+    pass a copy to keep the original.  ``reduce_iterate`` and
+    ``fix_isolated_uncovered`` leave no such vertex, so this returns
+    ``[]`` after them; only a bare ``apply_reduction`` gives it work.
     """
-    strips = 0
-    for rho in state.fixed:
-        strips += state.delete_node(rho)
     dropped: list[int] = []
     # only covered vertices can be dropped; compress keeps ascending order
     for v in compress(range(state.n), state.covered):
         if state.alive[v] and state.deg[v] == 0:
-            state.delete_node(v)
+            state.alive[v] = 0
             dropped.append(v)
-    return strips, dropped
+    return dropped

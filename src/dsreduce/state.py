@@ -3,14 +3,14 @@
 ``ReductionState`` is all a reduction driver takes.  It keeps the input
 as ``g`` and has the ``Graph`` shape the pipeline passes read (``n``,
 ``adj`` and ``deg``) plus alive and covered flags and ``fixed``, the set
-of committed vertices.  No alive vertex is fixed between rounds: a
-driver starts from an empty set and strips each vertex it commits at
-the round's boundary, so ``fixed`` only records what the drivers
+of committed vertices.  A committed vertex is gone: a driver starts
+from an empty set and removes each vertex in the call that commits it,
+so no alive vertex is fixed, ``fixed`` only records what the drivers
 output, and every reader of it sorts it or does not depend on its
-order.  ``adj`` starts as a shallow copy of the input's
-lists.  Deleting a node flips its alive flag and lowers its neighbors'
-degrees but leaves the lists alone, so a list may still name dead
-vertices, which a reader skips by their alive flag;
+order.  ``adj`` starts as a shallow copy of the input's lists.
+Removing a vertex, committed or deleted, flips its alive flag and
+lowers its neighbors' degrees but leaves the lists alone, so a list may
+still name dead vertices, which a reader skips by their alive flag;
 ``reducer.reduce_iterate`` drops them from the lists it reads again.
 Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
 only ever replaced, never mutated in place, so the input graph and
@@ -43,21 +43,6 @@ class ReductionState:
         self.alive = bytearray([1] * g.n)
         self.covered = bytearray(g.n)
         self.fixed: set[int] = set()
-
-    def delete_node(self, u: int) -> int:
-        """Remove ``u``; returns how many live edges disappeared with it."""
-        alive = self.alive
-        if not alive[u]:
-            return 0
-        deg = self.deg
-        dropped = 0
-        for v in self.adj[u]:
-            if alive[v]:
-                deg[v] -= 1
-                dropped += 1
-        alive[u] = 0
-        deg[u] = 0
-        return dropped
 
     def cut_within(self, verts) -> list[tuple[int, int]]:
         """Delete every live edge between two members of ``verts``, a set

@@ -4,6 +4,7 @@ import pytest
 
 from dsreduce.graph import Graph, load_check
 from dsreduce.graphio import sidecar_lines
+from dsreduce.oracle import delete_node
 from dsreduce.state import ReductionState, compact
 
 
@@ -73,7 +74,7 @@ def committed(g, covered=(), fixed=()) -> ReductionState:
     ``fixed`` and may skip ``covered``; no driver takes a fixed vertex."""
     st = annotated(g, covered_by(g, covered, fixed))
     for f in fixed:
-        st.delete_node(f)
+        delete_node(st, f)
     comp = compact(st)
     out = ReductionState(comp.graph)
     out.covered[:] = comp.covered

@@ -59,7 +59,8 @@ def _corpus(count, seed_base, n_range, p_choices):
 
 
 def _dead(g, st):
-    return sorted(v for v in range(g.n) if not st.alive[v])
+    """The removed vertices: dead and not committed."""
+    return sorted(v for v in range(g.n) if not st.alive[v] and v not in st.fixed)
 
 
 def _check(label, ok, detail):

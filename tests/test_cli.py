@@ -505,11 +505,11 @@ def test_reduce_fix_isolated_commits_isolated_vertex(tmp_path, capsys):
 
 
 def test_reduce_file_leaves_nothing_to_export(tmp_path):
-    # ``_reduce_file`` calls no export: ``reduce_iterate`` strips what it
-    # commits and drops the covered vertices that stripping isolates, and
-    # ``fix_isolated_uncovered`` strips its vertices as it commits them.
-    # So no alive vertex is fixed, none is covered and isolated, and an
-    # export of the state finds nothing to strip or drop.
+    # ``_reduce_file`` calls no export: a committed vertex is gone at
+    # once, ``reduce_iterate`` drops the covered vertices left isolated,
+    # and ``fix_isolated_uncovered`` commits only isolated vertices.  So
+    # no alive vertex is fixed, none is covered and isolated, and an
+    # export of the state finds nothing to drop.
     graphs = [fig4_family(3), gadget_path("fig5", 4), gadget_path("fig6", 4),
               path(11), star(6)]
     graphs += [gnp(40, 0.03, seed) for seed in range(1, 7)]
@@ -531,15 +531,15 @@ def test_reduce_file_leaves_nothing_to_export(tmp_path):
                     assert all(st.deg[v] or not st.covered[v] for v in alive), where
                     if fix_isolated:
                         assert all(st.deg[v] for v in alive), where
-                    assert export_residual(copy_state(st)) == (0, []), where
+                    assert export_residual(copy_state(st)) == [], where
                     assert row["fixed"] == len(st.fixed), where
                     cases += 1
     assert cases == len(graphs) * 3 * 3 * 2
 
 
 def test_reduce_row_and_residual_account_for_every_vertex_and_edge(tmp_path, capsys):
-    # the row sums the reduction with the export's strips and drops; with
-    # the residual it must cover n and m for every rule and iteration mode
+    # the row counts what the reduction removed; with the residual it must
+    # cover n and m for every rule and iteration mode
     modes = [
         ["plus"], ["extra"], ["linear", "--iterate"],
         ["extra", "--iterate"],
@@ -566,7 +566,7 @@ def test_reduce_row_and_residual_account_for_every_vertex_and_edge(tmp_path, cap
             assert row["n"] == row["fixed"] + row["removed_nodes"] + stats["residual_n"]
             assert row["m"] == row["removed_edges"] + stats["residual_m"]
             rounds.add(row["rounds"])
-    # iterated runs strip and drop between rounds, not only at export
+    # iterated runs commit and drop over several rounds, not only in one
     assert max(rounds) >= 3
 
 

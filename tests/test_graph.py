@@ -5,6 +5,7 @@ from dsreduce.graph import CheckedEnds, Graph, first_undominated, load_check
 from dsreduce.oracle import (
     check_graph,
     copy_state,
+    delete_node,
     live_neighbors,
     one_round,
     state_consistent,
@@ -102,10 +103,10 @@ def test_first_undominated():
 def test_state_node_deletion_updates_degrees():
     g = build(4, [(0, 1), (1, 2), (2, 3)])
     st = ReductionState(g)
-    assert st.delete_node(1) == 2
+    assert delete_node(st, 1) == 2
     assert st.deg == [0, 0, 1, 1]
     assert live_neighbors(st, 2) == [3]
-    assert st.delete_node(1) == 0
+    assert delete_node(st, 1) == 0
     assert state_consistent(st)
 
 
@@ -144,13 +145,18 @@ def test_is_consistent_catches_foreign_and_one_sided_edges():
     stale_degree = ReductionState(g)
     stale_degree.deg[1] = 1
     assert not state_consistent(stale_degree)
+    fixed_alive = ReductionState(g)  # a committed vertex is gone
+    fixed_alive.fixed.add(1)
+    assert not state_consistent(fixed_alive)
+    delete_node(fixed_alive, 1)
+    assert state_consistent(fixed_alive)
 
 
 def test_state_copy_is_independent():
     g = build(3, [(0, 1), (1, 2)])
     st = ReductionState(g)
     cp = copy_state(st)
-    cp.delete_node(0)
+    delete_node(cp, 0)
     cp.covered[1] = 1
     cp.fixed.add(2)
     assert cp.cut_within({1, 2}) == [(1, 2)]
@@ -166,7 +172,7 @@ def test_compact_remaps_flags():
     g = build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     st = ReductionState(g)
     st.covered[:3] = b"\x01\x01\x01"
-    st.delete_node(0)
+    delete_node(st, 0)
     st.cut_within({2, 3})
     comp = compact(st)
     assert comp.graph.n == 4 and comp.graph.m == 2
@@ -208,7 +214,7 @@ def test_compact_roundtrip_random():
         st = ReductionState(g)
         for v in range(g.n):
             if rng.random() < 0.3:
-                st.delete_node(v)
+                delete_node(st, v)
         for u, v in list(g.edges()):
             if st.alive[u] and st.alive[v] and rng.random() < 0.2:
                 st.cut_within({u, v})

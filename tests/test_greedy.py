@@ -229,7 +229,7 @@ AFTER = [(None, False), ("naive", False), ("linear", False), ("plus", False),
 
 
 def exported(g, after, covered, fixed):
-    """The stripped state ``greedy --after`` solves: what committing the
+    """The reduced state ``greedy --after`` solves: what committing the
     ``fixed`` mask's vertices of ``g`` leaves, under the ``covered`` mask,
     reduced by ``after`` and exported.  The naive sweep takes no covered
     flag, so it gets the graph that committing leaves, flags cleared."""
@@ -245,7 +245,7 @@ def exported(g, after, covered, fixed):
 
 
 def test_state_picks_match_the_compacted_residual():
-    # Greedy on the stripped state must pick what it picks on the
+    # Greedy on the reduced state must pick what it picks on the
     # compacted residual, mapped back.
     rng = random.Random(4106)
     cases = renumbered = 0

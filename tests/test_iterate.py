@@ -21,6 +21,7 @@ from dsreduce import pipeline, reducer
 from dsreduce.generators import fig4_family, gadget_path, gnp, path
 from dsreduce.graphio import write_gr
 from dsreduce.oracle import (
+    delete_node,
     live_neighbors,
     one_round,
     reduce_iterate_reference,
@@ -61,13 +62,12 @@ def state_and_residual(g, st):
         [live_neighbors(st, v) for v in range(g.n) if st.alive[v]],
         list(st.deg),
     )
-    strips, dropped = export_residual(st)
+    dropped = export_residual(st)
     comp = compact(st)
     residual = (
         comp.graph.adj,
         comp.new_to_old,
         bytes(comp.covered),
-        strips,
         dropped,
     )
     return fields, residual
@@ -103,6 +103,7 @@ def check_same(g, variant, max_rounds=None, covered=(), fixed=()):
         or ref.rounds < max_rounds
         or reference_converged(g, variant, max_rounds, covered)
     ), where
+    assert state_consistent(st) and state_consistent(ref_st), where
     assert state_and_residual(g, st) == state_and_residual(g, ref_st), where
 
 
@@ -144,9 +145,9 @@ def test_matches_reference_on_random_graphs():
 
 
 def test_one_capped_round_matches_one_plain_round():
-    # A plain rule runs as round 1 of reduce_iterate and is stripped at its
-    # boundary, which counts what the export of one unstripped round
-    # counts.  After the export both must agree on the totals, the flags,
+    # A plain rule runs as round 1 of reduce_iterate, whose boundary drops
+    # the covered vertices left isolated, as the export of one round does.
+    # After the export both must agree on the totals, the flags,
     # the visits, the live degrees (reduce prints their sum) and the
     # written residual.
     rng = random.Random(35000)
@@ -161,13 +162,14 @@ def test_one_capped_round_matches_one_plain_round():
                     st = prepared(g, cov)
                     work = WorkCounter()
                     rep = driver(st, variant, work=work)
-                    strips, dropped = export_residual(st)
+                    assert state_consistent(st)
+                    dropped = export_residual(st)
                     buf = io.StringIO()
                     write_gr(st, buf, alive=st.alive)
                     outs.append((
                         rep.fixed,
                         sorted(rep.removed_nodes + dropped),
-                        rep.removed_edges + strips,
+                        rep.removed_edges,
                         rep.rounds,
                         rep.extra_edges,
                         work.visits,
@@ -249,7 +251,7 @@ def partly_reduced(rng, n):
     g = gnm(rng, n, min(n * rng.randint(1, 4) // 2, n * (n - 1) // 2))
     st = ReductionState(g)
     for v in random_subset(rng, n, 0.3):
-        st.delete_node(v)
+        delete_node(st, v)
     for v in range(n):
         if st.alive[v]:
             st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
@@ -429,21 +431,24 @@ def test_apply_work_on_the_hub_path(monkeypatch):
 def test_every_round_leaves_a_consistent_state(monkeypatch):
     # ``cut_within`` bisects lists, so every alive list must stay sorted;
     # each round's find starts from a consistent state, and so does each
-    # round's apply.
+    # round's apply.  Apply leaves one too: the references it commits are
+    # gone when it returns.
     checked = []
 
-    def consistent_before(owner, name):
+    def consistent_around(owner, name):
         real = getattr(owner, name)
 
         def checking(st, *args, **kwargs):
             assert state_consistent(st), name
             checked.append(name)
-            return real(st, *args, **kwargs)
+            out = real(st, *args, **kwargs)
+            assert state_consistent(st), name
+            return out
 
         monkeypatch.setattr(owner, name, checking)
 
-    consistent_before(pipeline, "compute_proper_partition")
-    consistent_before(reducer, "apply_reduction")
+    consistent_around(pipeline, "compute_proper_partition")
+    consistent_around(reducer, "apply_reduction")
     rng = random.Random(39500)
     graphs = [with_hub(path(L), 3) for L in (29, 62, 200)]
     graphs += [gadget_path("fig5", 12), gadget_path("fig6", 12)]

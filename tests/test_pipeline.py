@@ -4,7 +4,7 @@ import random
 
 from conftest import annotated, build, committed, members, random_graphs
 from dsreduce.generators import complete, fig4_family, gnp, path, star
-from dsreduce.oracle import classify_types, copy_state, suitable_set_direct
+from dsreduce.oracle import copy_state, delete_node, suitable_set_direct
 from dsreduce.pipeline import (
     _SHORT_LIST,
     WorkCounter,
@@ -111,7 +111,7 @@ def test_pipeline_on_partly_reduced_states_names_only_alive_vertices():
     for g in random_graphs(200, (5, 30), [0.1, 0.2, 0.4], seed_base=2501):
         st = ReductionState(g)
         for v in rng.sample(range(g.n), g.n // 5):
-            st.delete_node(v)
+            delete_node(st, v)
         for v in range(g.n):
             if st.alive[v]:
                 st.adj[v] = [w for w in st.adj[v] if st.alive[w]]

@@ -17,6 +17,7 @@ from dsreduce.oracle import (
     apply_reference,
     check_graph,
     copy_state,
+    delete_node,
     exact_annotated_gamma,
     exhaustive_original_rule1,
     live_neighbors,
@@ -38,12 +39,14 @@ from dsreduce.state import ReductionState, compact
 
 
 def dead(g, st):
-    return sorted(v for v in range(g.n) if not st.alive[v])
+    """The removed vertices: dead and not committed."""
+    return sorted(v for v in range(g.n) if not st.alive[v] and v not in st.fixed)
 
 
 def run(g, variant, *, iterate=False, max_rounds=1024):
     """Reduce a fresh state of ``g``; without ``iterate`` the state is
-    left as one round leaves it, committed vertices unstripped."""
+    left as one round leaves it, before the export drops the covered
+    vertices left isolated."""
     st = ReductionState(g)
     if variant is None:
         rep = naive_reduce(st)
@@ -70,7 +73,8 @@ def test_six_path_naive_leaves_middle():
     st, rep = run(g, None)
     assert sorted(st.fixed) == [1, 4]
     assert dead(g, st) == [0, 5]
-    assert rep.removed_edges == 2
+    # 0-1 and 4-5 go with the deleted ends, 1-2 and 3-4 with the commits
+    assert rep.removed_edges == 4
 
 
 def test_seven_path_linear_blocked_by_center():
@@ -100,13 +104,23 @@ def test_four_path_commits_ends_and_strips_bridge():
     st, rep = run(g, Variant.LINEAR)
     assert sorted(st.fixed) == [1, 2]
     assert dead(g, st) == [0, 3]
-    assert rep.removed_edges == 2
-    # the 1-2 edge joins two committed vertices; it stays alive until
-    # export, which strips it and reports the count
-    strips, dropped = export_residual(st)
+    # the 1-2 edge joins two committed vertices: the call removes it with
+    # the first of them and counts it once
+    assert rep.removed_edges == 3
+    assert export_residual(st) == []
     comp = compact(st)
-    assert strips == 1
     assert comp.graph.n == 0
+
+
+def test_edge_from_a_reference_to_a_deleted_vertex_counts_once():
+    # The triangle's reference 0 takes 0-1 and 0-2 as it is committed;
+    # deleting 1 then takes only 1-2, and deleting 2 nothing more.
+    g = complete(3)
+    st = ReductionState(g)
+    rep = apply_reduction(st, [0], Variant.LINEAR)
+    assert (rep.fixed, rep.removed_nodes, rep.removed_edges) == ([0], [1, 2], 3)
+    assert list(st.deg) == [0, 0, 0] and not any(st.alive)
+    assert state_consistent(st)
 
 
 def test_five_path_naive():
@@ -139,7 +153,7 @@ def test_naive_visits_on_the_five_path():
     # 4 is dead.  4 + 7 + 5 + 6 = 22.
     work = WorkCounter()
     rep = naive_reduce(ReductionState(path(5)), work=work)
-    assert (rep.fixed, rep.removed_nodes, rep.removed_edges) == ([1, 3], [0, 4], 2)
+    assert (rep.fixed, rep.removed_nodes, rep.removed_edges) == ([1, 3], [0, 4], 4)
     assert work.visits == 22
 
 
@@ -199,8 +213,8 @@ def test_seven_path_chain_iterated_rounds():
         st, rep = run(g, Variant.PLUS, iterate=True)
         assert rep.rounds == rounds
         assert sorted(st.fixed) == fixed
-        # committed vertices are isolated by round cleanup and leave the
-        # residual without being counted as removals
+        # committed vertices leave the residual as they are committed,
+        # without being counted as removals
         assert sorted(rep.removed_nodes) == removed
 
 
@@ -402,7 +416,7 @@ def test_apply_reduction_matches_its_definition():
             if rng.random() < 0.6:
                 for v in range(g.n):
                     if rng.random() < 0.15:
-                        st.delete_node(v)
+                        delete_node(st, v)
                 clean = rng.random() < 0.5
                 if clean:
                     for v in range(g.n):
@@ -428,7 +442,7 @@ def test_apply_reduction_matches_its_definition():
                     rep = apply_reduction(got, refs, variant)
                     ref = apply_reference(want, refs, variant)
                     assert apply_outcome(got, rep) == apply_outcome(want, ref), (g.n, refs, variant)
-                    assert state_consistent(got)
+                    assert state_consistent(got) and state_consistent(want)
                     cases += 1
                     # Extra's cut set: the marked neighbors that survived
                     inner = {w for r in refs for w in live_neighbors(st, r)}
@@ -473,9 +487,10 @@ def test_apply_reduction_accepts_subset_of_refs():
     st = ReductionState(g)
     rep = apply_reduction(st, [1], Variant.LINEAR)
     assert sorted(st.fixed) == [1]
-    # 2 keeps its unmarked neighbor 3, only the pendant 0 goes
+    # 2 keeps its unmarked neighbor 3, only the pendant 0 goes; 0-1 and
+    # 1-2 go with the commit of 1
     assert dead(g, st) == [0]
-    assert rep.removed_edges == 1
+    assert rep.removed_edges == 2
 
 
 # ------------------------------------------------------------ accounting
@@ -492,16 +507,16 @@ def test_report_identities_on_corpus():
             assert state_consistent(st)
             nfixed = len(st.fixed)
             assert set(rep.fixed).isdisjoint(rep.removed_nodes)
-            strips, dropped = export_residual(st)
+            dropped = export_residual(st)
             comp = compact(st)
             assert g.n == comp.graph.n + len(rep.removed_nodes) + len(dropped) + nfixed
-            assert g.m == comp.graph.m + rep.removed_edges + strips
+            assert g.m == comp.graph.m + rep.removed_edges
             assert check_graph(comp.graph) is None
 
 
 def test_round_cap_keeps_accounting_and_gamma():
     # every cap k up to the uncapped round count R stops after k rounds
-    # and leaves the caller's state fully stripped, so the report alone
+    # and leaves nothing for the export to drop, so the report alone
     # accounts for n and m and the committed set still extends to an optimum
     graphs = [gadget_path(fig, c) for fig in ("fig5", "fig6") for c in (1, 2, 3)]
     graphs += random_graphs(24, (4, 14), [0.15, 0.3, 0.5], seed_base=9300)
@@ -513,9 +528,9 @@ def test_round_cap_keeps_accounting_and_gamma():
                 st, rep = run(g, variant, iterate=True, max_rounds=k)
                 assert rep.rounds == k
                 nfixed = len(st.fixed)
-                strips, dropped = export_residual(st)
+                dropped = export_residual(st)
                 comp = compact(st)
-                assert strips == 0 and dropped == []
+                assert dropped == []
                 assert g.n == comp.graph.n + len(rep.removed_nodes) + nfixed
                 assert g.m == comp.graph.m + rep.removed_edges
                 got, _ = exact_annotated_gamma(comp.graph, comp.covered)
@@ -546,7 +561,7 @@ def test_isolated_helper_skips_covered():
 def test_apply_reduction_rejects_dead_reference():
     g = path(4)
     st = ReductionState(g)
-    st.delete_node(1)
+    delete_node(st, 1)
     with pytest.raises(ValueError):
         apply_reduction(st, [1], Variant.LINEAR)
 
@@ -560,7 +575,7 @@ def test_iterate_rejects_bad_round_cap():
 def test_reducers_require_compact_state():
     g = path(6)
     with_dead_vertex = ReductionState(g)
-    with_dead_vertex.delete_node(0)
+    delete_node(with_dead_vertex, 0)
     with_cut_edge = ReductionState(g)
     with_cut_edge.cut_within({2, 3})
     for st in (with_dead_vertex, with_cut_edge):
@@ -574,7 +589,7 @@ def test_reducers_require_compact_state():
 
 def test_drivers_refuse_a_fixed_vertex():
     # No alive vertex is fixed: every driver starts from an empty fixed
-    # set and strips what it commits, so a fresh state that holds a fixed
+    # set and removes what it commits, so a fresh state that holds a fixed
     # vertex is refused, and left as it was.
     g = path(6)
     st = ReductionState(g)

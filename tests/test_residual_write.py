@@ -1,4 +1,4 @@
-"""``reduce`` writes its residual straight from the stripped state.
+"""``reduce`` writes its residual straight from the reduced state.
 
 ``graphio.write_gr`` with ``alive`` reads the state's lists through the
 id map and builds no residual graph.  These tests hold its text, and the
@@ -40,13 +40,13 @@ CLI_RUNS = RUNS[1:]
 CLI_RUN_IDS = RUN_IDS[1:]
 
 
-def reduced(state, rule, iterate, *, stripped=True):
-    """``state`` reduced by ``rule``.  A plain rule runs one round, stripped
-    at its boundary as ``reduce`` runs it, or left unstripped, so that
-    lists still name the vertices the round deleted."""
+def reduced(state, rule, iterate, *, bare=False):
+    """``state`` reduced by ``rule``.  A plain rule runs one round, through
+    its boundary as ``reduce`` runs it, or ``bare`` as ``one_round``, so
+    that lists still name the vertices the round deleted."""
     if rule == "naive":
         naive_reduce(state)
-    elif iterate or stripped:
+    elif iterate or not bare:
         reduce_iterate(state, Variant(rule), None if iterate else 1)
     else:
         one_round(state, Variant(rule))
@@ -97,11 +97,11 @@ def states(rule):
 def test_state_writer_matches_the_compacted_graph(rule, iterate):
     skips = 0
     for st in states(rule):
-        old = reduced(copy_state(st), rule, iterate, stripped=False)
-        strips, dropped = export_residual(old)
+        old = reduced(copy_state(st), rule, iterate, bare=True)
+        dropped = export_residual(old)
         comp = compact(old)
-        got = export_residual(reduced(st, rule, iterate, stripped=False))
-        assert got == (strips, dropped)
+        got = export_residual(reduced(st, rule, iterate, bare=True))
+        assert got == dropped
         skips += names_dead(st)
         for base in (0, 1):
             assert gr_text(st, base, st.alive) == gr_text(comp.graph, base)
@@ -151,7 +151,7 @@ def untimed_rows(path):
 
 
 def test_no_command_builds_a_residual_graph(tmp_path, capsys, monkeypatch):
-    # reduce writes from the stripped state and greedy picks on it, so
+    # reduce writes from the reduced state and greedy picks on it, so
     # every command's output stands with ``compact`` raising
     os.mkdir(tmp_path / "in")
     inst = str(tmp_path / "in" / "g.gr")
