@@ -13,6 +13,15 @@ Three passes over an annotated instance, a ``state.ReductionState``:
    adjacent to vertices reaching outside the reference's neighborhood.
    It returns the surviving (witness, reference) pairs as a list.
 
+``suitable_pairs`` runs passes 2 and 3 on given pairs; it is a round's
+find step after the superset pass, for ``suitable_set`` and for
+``reducer.reduce_iterate``.  It hands the partition pass only the pairs
+whose witness has more than one live neighbor: a pair whose witness u
+has one, N(u) = {rho}, is suitable by definition (the proof is in
+``filter_suitable``), and the filter keeps it without reading the
+partition.  On a long path or gadget chain every tested pair is such a
+leaf pair.
+
 A witness has one reference and is never its own: the superset pass
 skips each vertex that is its own canonical reference, its dict keeps
 one reference per witness, and partition and filter only read or narrow
@@ -314,6 +323,19 @@ def filter_suitable(
     applies to the classified vertices inside N[r] only.  The slots of
     r are built at r's first pair and kept for its others; the surviving
     pairs come out in the order of ``pairs``.
+
+    A pair whose witness u has one live neighbor, N(u) = {rho}, is kept
+    at once, without reading ``f`` or building rho's slots; it costs no
+    visit.  The slot test would keep it too, given the partition over
+    any pairs that include it.  In that partition u's proposals come
+    from N[u] = {u, rho} and must lie in N(u) = {rho}: u proposes its
+    own reference rho, and rho proposes nothing, since rho's reference,
+    if any, is not rho itself.  So f(u) = rho.  u's only neighbor rho
+    lies in slot1 = N[rho], so u joins slot2, and N[u] less rho is
+    {u}, inside slot2.  For the other pairs the filter reads ``f`` only
+    on N[u], where f(x) depends on x alone; so ``f`` may come from a
+    partition over the pairs whose witness has two or more live
+    neighbors, and the verdicts are those of the full partition.
     """
     adj = state.adj
     covered = state.covered
@@ -325,6 +347,10 @@ def filter_suitable(
     slots: dict[int, set[int]] = {}
     out: list[tuple[int, int]] = []
     for u, rho in pairs:
+        au = adj[u]
+        if len(au) == 1:
+            out.append((u, rho))
+            continue
         slot2 = slots.get(rho)
         if slot2 is None:
             ar = adj[rho]
@@ -341,7 +367,6 @@ def filter_suitable(
                     slot2.add(x)
         if u not in slot2:
             continue
-        au = adj[u]
         visits += len(au)
         for w in au:
             if w != rho and w not in slot2:
@@ -360,6 +385,25 @@ def suitable_set(
     """Run all three passes and return the filtered (witness, reference)
     pairs."""
     sprime = compute_superset(state, work=work)
-    pairs = sprime.items()
-    f = compute_proper_partition(state, sprime, pairs=pairs, work=work)
+    return suitable_pairs(state, sprime, sprime.items(), work=work)
+
+
+def suitable_pairs(
+    state: ReductionState,
+    sprime: Superset,
+    pairs,
+    *,
+    work: Optional[WorkCounter] = None,
+) -> list[tuple[int, int]]:
+    """A round's find step after the superset pass: partition and filter
+    ``pairs``, pairs of ``sprime``, and return the survivors in order.
+
+    Only the pairs whose witness has more than one live neighbor reach
+    the partition pass; ``filter_suitable`` keeps a leaf witness's pair
+    without reading ``f``, and reads ``f`` only on the closed
+    neighborhoods of the other witnesses.
+    """
+    adj = state.adj
+    inner = [p for p in pairs if len(adj[p[0]]) != 1]
+    f = compute_proper_partition(state, sprime, pairs=inner, work=work)
     return filter_suitable(state, pairs, f, work=work)

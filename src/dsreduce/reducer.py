@@ -246,12 +246,15 @@ def reduce_iterate(
 
     (ii) Partition and filter then test only the carried pairs whose
         witness lies within ``DIRTY_RADIUS`` = 2 edges of S, and no
-        witness lies farther out.  Their verdict on a pair (u, rho) reads
-        the lists of N[u], rho among them, and the degrees, covered flags
-        and carried witness entries of the vertices within 2 edges of
-        u, but no canonical reference.  Between rounds all of these
-        change only on S: lists, degrees and covered flags only on T,
-        and witness entries only on T and U by (i).  Now take u more
+        witness lies farther out.  A pair whose witness has one live
+        neighbor passes at once and skips the partition pass, which
+        changes no verdict (``pipeline.filter_suitable`` proves it).
+        The verdict on a pair (u, rho) reads the lists of N[u], rho
+        among them, and the degrees, covered flags and carried witness
+        entries of the vertices within 2 edges of u, but no canonical
+        reference.  Between rounds all of these change only on S:
+        lists, degrees and covered flags only on T, and witness entries
+        only on T and U by (i).  Now take u more
         than 2 edges from S.  The search from u reads the same lists as
         one round earlier, and the same values on them, so the verdict
         is that of one round earlier: the verdict of that round's test,
@@ -281,8 +284,8 @@ def reduce_iterate(
     read every time.  The worst case known is the hub path: a path of L
     vertices, L = 2 mod 3, plus a hub joined to every third one, which
     sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
-    959 visits per (n + m), in 1.4-2.2 s, median 1.54 s over 25 runs
-    (Python 3.11.7 on a shared 2-core Xeon container whose speed
+    956.5 visits per (n + m), in 1.24-1.45 s, median 1.31 s over 25
+    runs (Python 3.11.7 on a shared 2-core Xeon container whose speed
     drifts); apply's share is 1.3 of those visits, since Extra's cut
     probes the hub's list instead of scanning it.
 
@@ -293,9 +296,10 @@ def reduce_iterate(
     one walk over T drops the isolated covered vertices and refreshes
     the dirty lists.  On the benchmark's
     ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
-    all) a round of Extra takes 24-27 us (best of 30 runs of a whole
+    all) a round of Extra takes 14.5-14.9 us (best of 30 runs of a whole
     instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
-    container).
+    container); every pair it tests has a leaf witness, so its
+    partition pass gets no pair.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -324,8 +328,7 @@ def reduce_iterate(
             # search from the smaller side; both find the same pairs
             near = _pairs_by_ball if len(seeds) <= len(sup) else _pairs_by_witness
             pairs = near(state, sup, seeds, work)
-        f = pipeline.compute_proper_partition(state, sup, pairs=pairs, work=work)
-        kept = pipeline.filter_suitable(state, pairs, f, work=work)
+        kept = pipeline.suitable_pairs(state, sup, pairs, work=work)
         refs = {rho for _u, rho in kept}
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1

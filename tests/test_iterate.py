@@ -285,9 +285,10 @@ def test_work_grows_linearly_on_paths():
     # A path loses a few vertices at each end per round, so it takes about
     # n/6 rounds; rescanning the whole graph each round would make the
     # visits per (n + m) grow linearly in n.  The fig4_family(40) component
-    # holds superset pairs that never pass the filter: 9.7 visits per
-    # (n + m) at n = 3000, while testing every carried pair each round
-    # costs 1554.  Counts are exact, not timed.
+    # holds superset pairs that never pass the filter: 7.9 visits per
+    # (n + m) at n = 3000 (9.7 when leaf witnesses went through the
+    # partition pass), while testing every carried pair each round cost
+    # 1554.  Counts are exact, not timed.
     per_nm = {}
     for n in (3000, 6000, 12000):
         for idle in (0, 40):
@@ -306,8 +307,10 @@ def test_work_grows_linearly_on_paths():
 def test_work_scales_linearly_on_chains():
     # Paths and fig5 / fig6 gadget chains shed a few vertices at each end
     # per round, so they run about n / 6 rounds.  At two sizes 4x apart
-    # the visits per (n + m) may grow at most 1.5x (they stay near 7.4);
-    # the smaller size must match the compact-every-round reference.
+    # the visits per (n + m) may grow at most 1.5x, and stay under 5.5:
+    # every tested pair has a leaf witness, which skips the partition
+    # pass, so they read 4.58 (7.42 when leaf witnesses went through it).
+    # The smaller size must match the compact-every-round reference.
     # Counts are exact, not timed.
     families = {
         "path": (path(1000), path(4000)),
@@ -323,6 +326,7 @@ def test_work_scales_linearly_on_chains():
                 assert rep.converged and rep.rounds > g.n // 8, (name, g.n)
                 per_nm.append(work.visits / (g.n + g.m))
             assert per_nm[1] <= 1.5 * per_nm[0], (name, variant, per_nm)
+            assert max(per_nm) < 5.5, (name, variant, per_nm)
             check_same(small, variant)
 
 
@@ -366,17 +370,19 @@ def test_each_pass_runs_once_per_round(monkeypatch):
 
 def test_work_per_edge_on_a_sparse_random_graph():
     # Later rounds re-evaluate the superset pass only where a verdict can
-    # change, and test the carried witnesses from the smaller side: 6.08
-    # visits per (n + m) on this graph, bounded with 22% headroom.
-    # Re-evaluating every dirty vertex and every neighbor with a dirty
-    # reference, then searching a radius-2 ball around them, costs 7.74;
-    # rerunning the pass on the whole radius-5 reach of the changes costs
-    # 16.1.  Counts are exact, not timed.
+    # change, test the carried witnesses from the smaller side, and hand
+    # the partition pass no leaf witness: 4.41 visits per (n + m) on this
+    # graph, bounded with 22% headroom; 5.02 when leaf witnesses went
+    # through the partition pass.  Before that, re-evaluating every dirty
+    # vertex and every neighbor with a dirty reference, then searching a
+    # radius-2 ball around them, cost 7.74; rerunning the pass on the
+    # whole radius-5 reach of the changes cost 16.1.  Counts are exact,
+    # not timed.
     g = gnm(random.Random(38001), 6000, 12000)
     work = WorkCounter()
     rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=work)
     assert rep.rounds == 4
-    assert work.visits / (g.n + g.m) < 7.4, work.visits / (g.n + g.m)
+    assert work.visits / (g.n + g.m) < 5.4, work.visits / (g.n + g.m)
 
 
 def with_hub(g, step, start=0):
@@ -391,7 +397,7 @@ def test_work_on_the_hub_path():
     # A path of L = 2000 vertices with a hub joined to every third one
     # sheds one reference per round.  The hub loses a neighbor every
     # round, so it is dirty every round and its list is scanned each
-    # time: the total work is still quadratic in L (126, 245 and 483
+    # time: the total work is still quadratic in L (123, 242 and 480
     # visits per (n + m) at L = 1001, 2000 and 4001).  Only the
     # neighbors whose verdict can change are re-evaluated, and the
     # carried witnesses are found from the smaller side; without that
@@ -461,6 +467,40 @@ def test_every_round_leaves_a_consistent_state(monkeypatch):
             reduce_iterate(st, variant)
             assert state_consistent(st)
     assert len(checked) > 600, len(checked)
+
+
+def test_leaf_witnesses_skip_the_partition_pass(monkeypatch):
+    # A pair whose witness has one live neighbor is suitable by
+    # definition (the lemma in ``pipeline.filter_suitable``), so no round
+    # hands one to the partition pass; the filter still tests every pair.
+    real_partition = pipeline.compute_proper_partition
+    real_filter = pipeline.filter_suitable
+    seen = Counter()
+
+    def partition(st, sprime, *, pairs, **kwargs):
+        pairs = list(pairs)
+        for u, rho in pairs:
+            assert st.deg[u] != 1, (u, rho)
+        seen["partitioned"] += len(pairs)
+        return real_partition(st, sprime, pairs=pairs, **kwargs)
+
+    def filtered(st, pairs, f, **kwargs):
+        pairs = list(pairs)
+        seen["leaf"] += sum(st.deg[u] == 1 for u, _rho in pairs)
+        return real_filter(st, pairs, f, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_proper_partition", partition)
+    monkeypatch.setattr(pipeline, "filter_suitable", filtered)
+    rng = random.Random(39700)
+    graphs = [path(60), with_hub(path(62), 3)]
+    graphs += [gadget_path(fig, 8) for fig in ("fig5", "fig6")]
+    graphs += [gnm(rng, n, n * rng.randint(2, 5) // 2) for n in range(20, 100, 8)]
+    graphs += random_graphs(30, (5, 20), [0.3, 0.5], 39700)
+    for g in graphs:
+        covered = random_subset(rng, g.n, rng.choice((0.0, 0.2)))
+        for variant in VARIANTS:
+            reduce_iterate(prepared(g, covered), variant)
+    assert seen["leaf"] > 200 and seen["partitioned"] > 100, seen
 
 
 def check_carried_maps(monkeypatch):

@@ -3,7 +3,7 @@
 import random
 
 from conftest import annotated, build, committed, members, random_graphs
-from dsreduce.generators import complete, fig4_family, gnp, path, star
+from dsreduce.generators import complete, fig4_family, gadget_path, gnp, path, star
 from dsreduce.oracle import copy_state, delete_node, suitable_set_direct
 from dsreduce.pipeline import (
     _SHORT_LIST,
@@ -12,6 +12,7 @@ from dsreduce.pipeline import (
     compute_proper_partition,
     compute_superset,
     filter_suitable,
+    suitable_pairs,
     suitable_set,
 )
 from dsreduce.reducer import Variant, apply_reduction
@@ -336,3 +337,62 @@ def test_scoped_passes_stay_local():
         assert sorted(got.items()) == [(0, 1)]
         visits.append(wc.visits)
     assert visits[0] == visits[1] < 100
+
+
+def lemma_states():
+    """Annotated states of G(n, p), G(n, m), random trees and gadget
+    paths, with covered masks, some partly reduced: random vertices
+    deleted, and the alive vertices' lists naming no dead vertex, as in
+    a round after the first."""
+    rng = random.Random(4400)
+    graphs = random_graphs(120, (1, 40), [0.03, 0.08, 0.15, 0.3], seed_base=4400)
+    for _ in range(60):
+        n = rng.randint(2, 60)
+        m = min(n * rng.randint(1, 4) // 2, n * (n - 1) // 2)
+        edges = set()
+        while len(edges) < m:
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.add((a, b))
+        graphs.append(build(n, sorted(edges)))
+    for _ in range(60):
+        n = rng.randint(1, 60)
+        graphs.append(build(n, [(v, rng.randrange(v)) for v in range(1, n)]))
+    graphs += [gadget_path(fig, k) for fig in ("fig5", "fig6") for k in (1, 2, 5, 12)]
+    for g in graphs:
+        for p_cov in (0.0, 0.2):
+            for p_dead in (0.0, 0.25):
+                st = ReductionState(g)
+                for v in range(g.n):
+                    if rng.random() < p_dead:
+                        delete_node(st, v)
+                for v in range(g.n):
+                    if st.alive[v]:
+                        st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
+                        st.covered[v] = rng.random() < p_cov
+                yield st
+
+
+def test_leaf_witnesses_need_no_partition():
+    # The lemma in ``filter_suitable``: a pair whose witness u has one
+    # live neighbor passes the slot test, since the partition over all
+    # pairs maps u to its reference, and the other pairs' verdicts read
+    # the partition only on their witnesses' closed neighborhoods.  So
+    # the partition over the other pairs alone gives the same result.
+    leaves = inner_kept = 0
+    for st in lemma_states():
+        sup = compute_superset(st)
+        pairs = list(sup.items())
+        inner = [(u, rho) for u, rho in pairs if st.deg[u] != 1]
+        f_all = compute_proper_partition(st, sup, pairs=pairs)
+        f_inner = compute_proper_partition(st, sup, pairs=inner)
+        want = filter_suitable(st, pairs, f_all)
+        assert filter_suitable(st, pairs, f_inner) == want
+        assert suitable_pairs(st, sup, pairs) == want
+        for u, rho in pairs:
+            if st.deg[u] == 1:
+                leaves += 1
+                # u's one neighbor rho lies in N[rho], so u joins rho's
+                # second slot, and N[u] less rho is {u}
+                assert f_all[u] == rho and (u, rho) in want
+        inner_kept += sum(st.deg[u] != 1 for u, _rho in want)
+    assert leaves > 4000 and inner_kept > 80, (leaves, inner_kept)
