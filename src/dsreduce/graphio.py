@@ -195,9 +195,11 @@ def write_gr(
     """Header and one edge per line; ``base=0`` gives the .el id space.
 
     ``alive``, one flag per vertex of ``g``, writes only the alive
-    vertices, renumbered in order from ``base``, and skips list entries
-    naming a dead vertex.  So ``g`` may be a reduced ``ReductionState``,
-    and the text is that of ``compact(g).graph`` with nothing rebuilt.
+    vertices, renumbered in order from ``base``, and their edges to each
+    other; a plain ``Graph`` with a mask may list edges to masked
+    vertices, which are skipped.  So ``g`` may be a reduced
+    ``ReductionState``, and the text is that of ``compact(g).graph``
+    with nothing rebuilt.
     """
     adj = g.adj
     if alive is None or 0 not in alive:

@@ -129,8 +129,9 @@ def _start(
     adj = state.adj
     need = bytearray(map(gt, alive, state.covered))  # alive and not covered
     # merit = |N[v] & needy|: the live degree plus one, less the alive
-    # covered vertices in N[v].  A dead vertex's list may be stale, so only
-    # alive lists are read; dead vertices' merits are never read.
+    # covered vertices in N[v].  An alive list names only alive vertices,
+    # so the alive covered ones' lists give the rest; dead vertices'
+    # merits are never read.
     merit = list(map(add, state.deg, alive))
     for v in compress(range(state.n), map(and_, alive, state.covered)):
         merit[v] -= 1

@@ -61,10 +61,11 @@ def live_neighbors(st: ReductionState, u: int) -> list[int]:
 
 
 def state_consistent(st: ReductionState) -> bool:
-    """Each alive vertex's live neighbors are input neighbors of it,
-    name it back and number its degree, and its list is sorted; dead
-    vertices have degree 0, and no alive vertex is fixed: a committed
-    vertex is gone."""
+    """Each alive vertex's list is exactly its live neighbors, in
+    ascending order: it names no dead vertex, and each vertex it names
+    is an input neighbor that names it back; its length is the degree.
+    Dead vertices have degree 0, and no alive vertex is fixed: a
+    committed vertex is gone."""
     gadj = st.g.adj
     live = [
         set(live_neighbors(st, u)) if st.alive[u] else set()
@@ -74,22 +75,24 @@ def state_consistent(st: ReductionState) -> bool:
         st.deg[u] == len(lu)
         and lu <= set(gadj[u])
         and all(u in live[v] for v in lu)
-        and (not st.alive[u] or st.adj[u] == sorted(st.adj[u]))
+        and (not st.alive[u] or st.adj[u] == sorted(lu))
         for u, lu in enumerate(live)
     )
 
 
 def delete_node(st: ReductionState, u: int) -> int:
-    """Remove ``u`` from ``st``; returns how many live edges disappeared
-    with it."""
+    """Remove ``u`` from ``st`` and from its live neighbors' lists;
+    returns how many live edges disappeared with it."""
     alive = st.alive
     if not alive[u]:
         return 0
+    adj = st.adj
     deg = st.deg
     dropped = 0
-    for v in st.adj[u]:
+    for v in adj[u]:
         if alive[v]:
             deg[v] -= 1
+            adj[v] = [w for w in adj[v] if w != u]
             dropped += 1
     alive[u] = 0
     deg[u] = 0
@@ -413,9 +416,11 @@ def apply_reference(
     reference by a direct scan of its live neighbors: it is deletable
     when at most ``allow`` of them (0 for Linear, 1 otherwise) are still
     uncovered.  Delete the deletable ones, then, under Extra, cut every
-    live edge between two marked survivors.  Every edge at a removed
-    vertex counts once.  Lists are replaced, never edited.  Counts no
-    visits.
+    live edge between two marked survivors.  Then remove each covered
+    vertex that had a live neighbor and has none left, and list it as
+    removed.  Every edge at a removed vertex counts once.  Each alive
+    list is replaced by the live neighbors; lists are never edited.
+    Counts no visits.
     """
     refs = set(refs)
     if not all(state.alive[rho] for rho in refs):
@@ -441,10 +446,18 @@ def apply_reference(
         for u in inner:
             state.adj[u] = [w for w in state.adj[u] if w not in inner]
     for u in range(state.n):
-        state.deg[u] = len(live_neighbors(state, u)) if state.alive[u] else 0
+        if state.alive[u]:
+            state.adj[u] = live_neighbors(state, u)
+        state.deg[u] = len(state.adj[u]) if state.alive[u] else 0
+    isolated = {
+        u for u in live
+        if state.alive[u] and state.covered[u] and live[u] and not state.deg[u]
+    }
+    for u in isolated:
+        state.alive[u] = 0
     return ReductionReport(
         fixed=sorted(refs),
-        removed_nodes=sorted(deletable),
+        removed_nodes=sorted(deletable | isolated),
         removed_edges=len(lost) + len(cuts),
         extra_edges=cuts,
     )
@@ -454,10 +467,10 @@ def one_round(
     state: ReductionState, variant: Variant, *, work: Optional[WorkCounter] = None
 ) -> ReductionReport:
     """One find+apply round on ``state``, covered-aware: apply removes
-    the vertices it commits, and the covered vertices it leaves isolated
-    stay alive until ``export_residual`` drops them.
-    ``reducer.reduce_iterate`` under ``max_rounds=1`` must match it after
-    the export."""
+    the vertices it commits and the covered vertices it leaves isolated;
+    those covered and isolated on entry stay alive until
+    ``export_residual`` drops them.  ``reducer.reduce_iterate`` under
+    ``max_rounds=1`` must match it after the export."""
     refs = sorted({rho for _u, rho in suitable_set(state, work=work)})
     return apply_reduction(state, refs, variant, work=work)
 
@@ -473,11 +486,13 @@ def reduce_iterate_reference(
 
     The iterated driver before rounds shared one id space: every round
     is ``one_round`` on a freshly compacted graph, so it is quadratic on
-    long paths.  ``reducer.reduce_iterate`` must match it.  Between
-    acting rounds ``export_residual`` drops the covered vertices left
-    isolated; the caller's state mirrors every event in original ids, a
-    commit removing its vertex at once.  The terminating idle round is
-    included in the round count; ``max_rounds`` None runs to it.
+    long paths.  ``reducer.reduce_iterate`` must match it.  After an
+    acting round ``export_residual`` drops the covered vertices left
+    isolated that apply did not, those isolated on entry; the caller's
+    state mirrors every event in original ids, a commit removing its
+    vertex at once, and a cut edge going before the removed vertices, an
+    end of which may be dropped for isolation.  The terminating idle
+    round is included in the round count; ``max_rounds`` None runs to it.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -505,13 +520,13 @@ def reduce_iterate_reference(
                 state.covered[v] = 1
             delete_node(state, o)
             fixed_all.append(o)
+        for a, b in rep.extra_edges:
+            state.cut_within({cur_to_orig[a], cur_to_orig[b]})
+            extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
         for u in rep.removed_nodes:
             o = cur_to_orig[u]
             delete_node(state, o)
             removed_all.append(o)
-        for a, b in rep.extra_edges:
-            state.cut_within({cur_to_orig[a], cur_to_orig[b]})
-            extra_all.append(tuple(sorted((cur_to_orig[a], cur_to_orig[b]))))
         removed_edges += rep.removed_edges
 
         dropped = export_residual(cur_state)

@@ -53,8 +53,9 @@ Every pass takes the state alone and reads its ``n``, ``adj`` and
 and there is no mode that ignores them.  No pass reads the fixed set:
 a committed vertex is gone, so no alive vertex is fixed.  A
 bare graph goes in as ``ReductionState(g)``, whose flags are all clear.
-On a partly reduced state the alive vertices' lists must name no dead
-vertex; a dead vertex is never a witness, whatever its own list names.
+On a partly reduced state each alive vertex's list names exactly its
+live neighbors, as every public call leaves it; a dead vertex is never
+a witness.
 ``reducer.reduce_iterate`` keeps one superset map across rounds,
 re-evaluates it only at the uncovered vertices whose verdict or
 canonical reference can have changed, and tests only the witnesses near
@@ -80,15 +81,6 @@ class WorkCounter:
 
     def add(self, k: int) -> None:
         self.visits += k
-
-
-class _Sparse(dict):
-    """A ``[-1] * n`` list stored sparsely: absent keys read -1."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: int) -> int:
-        return -1
 
 
 def ball(g: Graph, seeds, radius: int, *, work: Optional[WorkCounter] = None) -> dict:
@@ -255,7 +247,7 @@ def compute_proper_partition(
     *,
     pairs,
     work: Optional[WorkCounter] = None,
-) -> _Sparse:
+) -> dict[int, int]:
     """Second pass: partial map f over vertices near candidate witnesses.
 
     For each x in the closed neighborhood of the witness of a pair in
@@ -263,13 +255,14 @@ def compute_proper_partition(
     proposals not adjacent to x are discarded
     and the survivor with minimum (degree, id) wins.  The min tiebreak is
     deliberate and opposite to canonical_reference; the filtering pass
-    depends on exactly this choice.  Unmapped vertices read -1.
+    depends on exactly this choice.  A mapped vertex with no surviving
+    proposal maps to -1; the vertices farther out are absent.
     ``sprime`` must map every vertex within two edges of those witnesses.
     """
     adj = state.adj
     deg = state.deg
     ref_of = sprime.get
-    f = _Sparse()
+    f: dict[int, int] = {}
     visits = 0
 
     # the closed neighborhoods of the witnesses; repeats are skipped below
@@ -308,7 +301,7 @@ def compute_proper_partition(
 def filter_suitable(
     state: ReductionState,
     pairs,
-    f: _Sparse,
+    f: dict[int, int],
     *,
     work: Optional[WorkCounter] = None,
 ) -> list[tuple[int, int]]:

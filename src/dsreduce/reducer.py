@@ -66,7 +66,11 @@ def apply_reduction(
 
     The references must be alive, hence not yet fixed, and the report
     lists each of them as newly fixed.  A committed reference is gone
-    when the call returns, and its live edges with it.  Marking is
+    when the call returns, and its live edges with it.  So is each
+    covered vertex the call leaves isolated, which the report lists as
+    removed.  The call expects each alive vertex's list to name exactly
+    its live neighbors, and leaves them so: a list that would name a
+    vertex the call removed is replaced by its alive members.  Marking is
     unioned over all references before any deletion, so the outcome does
     not depend on the order of ``refs``.  The cost is proportional to
     the live closed neighborhoods of the references and of their
@@ -88,20 +92,17 @@ def apply_reduction(
             raise ValueError(f"reference {rho} is not alive")
 
     # Commit and cover each reference and mark N(refs); ``marked`` then
-    # narrows to the neighbors that are no reference.  A list names only
-    # alive vertices when its length is the degree.
+    # narrows to the neighbors that are no reference.
     marked: set[int] = set()
     visits = 0
     for rho in refs:
-        ar = adj[rho]
-        d = deg[rho]
-        visits += d + 1
-        marked.update(ar if d == len(ar) else filter(alive.__getitem__, ar))
+        visits += deg[rho] + 1
+        marked.update(adj[rho])
         covered[rho] = 1
     state.fixed.update(refs)
     marked.difference_update(refs)
     # One walk over the marked neighbors covers each and classifies it: a
-    # live neighbor still needs domination unless covered or marked.
+    # neighbor still needs domination unless covered or marked.
     allow = 0 if variant is Variant.LINEAR else 1
     deletable: list[int] = []
     for u in marked:
@@ -109,20 +110,23 @@ def apply_reduction(
         bad = 0
         d = 0
         for w in adj[u]:
-            if alive[w]:
-                d += 1
-                if not covered[w] and w not in marked:
-                    if bad == allow:
-                        break
-                    bad += 1
+            d += 1
+            if not covered[w] and w not in marked:
+                if bad == allow:
+                    break
+                bad += 1
         else:
             deletable.append(u)
         visits += d
 
     # The references go, then the deleted vertices: each takes its live
     # degree's worth of edges with it, so an edge between two counts once.
-    # A reference is covered, so it made no neighbor's verdict.
+    # A reference is covered, so it made no neighbor's verdict.  The live
+    # neighbors they leave behind are the touched vertices, listed once per
+    # removed neighbor.
     removed_edges = 0
+    touched: list[int] = []
+    touch = touched.append
     for u in (*refs, *deletable):
         alive[u] = 0
         removed_edges += deg[u]
@@ -130,6 +134,7 @@ def apply_reduction(
         for w in adj[u]:
             if alive[w]:
                 deg[w] -= 1
+                touch(w)
 
     extra_edges: list[tuple[int, int]] = []
     if variant is Variant.EXTRA:
@@ -148,6 +153,21 @@ def apply_reduction(
             visits -= len(extra_edges)
             removed_edges += len(extra_edges)
             extra_edges.sort()
+
+    # Only a touched vertex lost a live neighbor (Extra's cut partners
+    # are next to a reference).  Its list drops the dead vertices (it names
+    # one when it is longer than the degree, so a repeat finds it clean);
+    # a covered one left isolated goes too, and no live list names it.
+    for t in touched:
+        if alive[t]:
+            d = deg[t]
+            if d or not covered[t]:
+                at = adj[t]
+                if len(at) != d:
+                    adj[t] = list(filter(alive.__getitem__, at))
+            else:
+                alive[t] = 0
+                deletable.append(t)
 
     if work is not None:
         work.add(visits)
@@ -168,10 +188,11 @@ def reduce_iterate(
     A plain Linear, Plus or Extra round is this driver under
     ``max_rounds`` 1.
     Every round acts on the caller's state in the input's ids and
-    classifies covered-aware.  Apply removes each vertex it commits;
-    after each acting round the covered vertices left isolated are
-    dropped, so a capped run, a single round included, leaves no
-    covered vertex isolated.  The terminating idle round is included
+    classifies covered-aware.  Apply removes each vertex it commits and
+    each covered vertex it leaves isolated, and the first acting round
+    also drops the vertices covered and isolated on entry, so a capped
+    run that acts, a single round included, leaves no covered vertex
+    isolated.  The terminating idle round is included
     in the round count.  ``max_rounds`` None runs to that idle round;
     ``converged`` is False only when a given ``max_rounds`` ended the
     loop instead.
@@ -187,35 +208,31 @@ def reduce_iterate(
     at most n acting rounds, then one idle round.
 
     Every round runs the passes on ``state`` itself; round 1 tests every
-    pair, while its lists and degrees are still the input's.  Deleting a
-    vertex leaves the lists that name it alone, so after an acting round
-    the driver drops the dead vertices from the lists of the alive
-    vertices listed next to a vertex that died in the round (touched
-    ones); the stale lists of dead vertices are never read.  An alive
+    pair, while its lists and degrees are still the input's.  An alive
     vertex x loses a live neighbor y only when y is committed or deleted
-    next to a reference, so y was alive when the round read the lists and
-    its list names x, or when Extra cuts xy: both ends are then
-    neighbors of a committed reference, so x is touched either way.  (A
+    next to a reference, so y's list names x, or when Extra cuts xy: both
+    ends are then neighbors of a committed reference.  Either way x is
+    touched, a live neighbor of a vertex that died in the round (a
     covered vertex dropped for isolation has no live neighbor left to
-    lose.)  So no alive vertex's list names a dead vertex: searches from
-    alive vertices (``ball`` and the passes) never reach one, and the
-    dirty set is read off the lists of vertices alive at find time.
+    lose).  Apply leaves each alive list naming exactly the live
+    neighbors, so searches from alive vertices (``ball`` and the passes)
+    never reach a dead one.  The boundary reads the touched vertices off
+    the lists of the references and deleted vertices, which apply leaves
+    as the round found them (Extra replaces none of them); a vertex
+    dropped for isolation lists no live vertex.
 
-    The boundary drops the covered vertices left isolated from T alone,
-    except in round 1, which also looks at the vertices covered on entry:
-    a caller may hand in covered flags, and such a vertex may be isolated
-    from the start or lose its last neighbor untouched.  No other vertex
-    needs the look.  A vertex covered during a round is a reference,
-    which apply strips, or a neighbor of one that apply covered;
-    if it survives apply, that reference's list still names it (Extra
-    replaces no reference's list), so it is touched.  A covered
+    Apply drops each touched vertex left covered and isolated.  No other
+    vertex needs the look, save those covered and isolated on entry,
+    which the boundary drops after round 1.  A vertex covered during a
+    round is a reference, which apply strips, or a neighbor of one that
+    apply covered; if it survives apply, it is touched.  A covered
     vertex that loses a live neighbor later is touched, as shown above.
 
     The superset pass is not rerun on every round.  Its result is carried
     across rounds in two maps over the input's ids: the canonical
     reference R(u) of every alive uncovered vertex and the
     witness-to-reference map.  Round 1 fills both.  After an acting
-    round, with T the alive touched vertices, whose lists the round
+    round, with T the alive touched vertices, whose lists apply
     refreshed, the witness entries of T are dropped and U is
     re-evaluated: the uncovered members of T, and each uncovered u in
     N(T) outside T with R(u) in T that is a carried witness or whose
@@ -291,10 +308,10 @@ def reduce_iterate(
 
     On top of that work a round has a fixed cost, which dominates when a
     round sheds only a few vertices.  A round after the first calls each
-    pass and ``apply_reduction`` once, and the boundary walks the lists
-    of the vertices the round committed or deleted, which list T; then
-    one walk over T drops the isolated covered vertices and refreshes
-    the dirty lists.  On the benchmark's
+    pass and ``apply_reduction`` once, and apply refreshes the lists of
+    T and drops its isolated covered vertices; then the boundary walks
+    the lists of the vertices that died in the round, which list T.  On
+    the benchmark's
     ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
     all) a round of Extra takes 14.5-14.9 us (best of 30 runs of a whole
     instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
@@ -309,8 +326,9 @@ def reduce_iterate(
     deg = state.deg
     alive = state.alive
     covered = state.covered
-    # the vertices covered on entry; ``1 in`` scans the flags in C
-    given = list(compress(range(state.n), covered)) if 1 in covered else ()
+    # the vertices covered and isolated on entry; ``1 in`` scans the flags
+    # in C, and spares a fresh state the list's tens of microseconds
+    given = [v for v in compress(range(state.n), covered) if not deg[v]] if 1 in covered else ()
     sup: Optional[Superset] = None
     fixed_all: list[int] = []
     removed_all: list[int] = []
@@ -341,39 +359,21 @@ def reduce_iterate(
         removed_edges += rep.removed_edges
 
         # The boundary.  Drop the witness entries of every vertex that died
-        # in the round, committed or deleted.  Whatever died lists its live
-        # neighbors, or they are next to a reference (Extra's cut
-        # partners): those are the touched vertices.
-        touched: dict[int, None] = {}
+        # in the round; the alive vertices it lists are the dirty ones
+        # (Extra's cut partners are in a reference's list).
+        dirty: dict[int, None] = {}
         for u in (*rep.fixed, *rep.removed_nodes):
             sup.pop(u, None)
             for x in adj[u]:
                 if alive[x]:
-                    touched[x] = None
+                    dirty[x] = None
         if rounds == 1:
-            # a given covered vertex may be isolated without being touched
+            # the vertices covered and isolated on entry are next to
+            # nothing, so apply never drops them
             for v in given:
-                if alive[v] and not deg[v]:
-                    alive[v] = 0
-                    removed_all.append(v)
-                    sup.pop(v, None)
-        # Drop the covered touched vertices left isolated; the rest are
-        # dirty, and their lists drop the dead vertices (a list names one
-        # when it is longer than the degree).  A dropped vertex has no
-        # live neighbor, so no alive vertex's list names it.
-        dirty = {}
-        for t in touched:
-            if alive[t]:
-                d = deg[t]
-                if d or not covered[t]:
-                    dirty[t] = None
-                    at = adj[t]
-                    if len(at) != d:
-                        adj[t] = list(filter(alive.__getitem__, at))
-                    continue
-                alive[t] = 0
-                removed_all.append(t)
-                sup.pop(t, None)
+                alive[v] = 0
+                removed_all.append(v)
+                sup.pop(v, None)
         if rounds == max_rounds:
             converged = False
             break
@@ -509,9 +509,10 @@ def export_residual(state: ReductionState) -> list[int]:
     vertices are then the residual that ``graphio.write_gr`` writes.
 
     Returns the dropped vertices in ascending order.  Mutates ``state``;
-    pass a copy to keep the original.  ``reduce_iterate`` and
-    ``fix_isolated_uncovered`` leave no such vertex, so this returns
-    ``[]`` after them; only a bare ``apply_reduction`` gives it work.
+    pass a copy to keep the original.  ``apply_reduction`` drops each
+    covered vertex it isolates, so only a vertex covered and isolated
+    when handed in can be left for this; ``reduce_iterate`` drops those
+    too once a round acts, and the command line hands in none.
     """
     dropped: list[int] = []
     # only covered vertices can be dropped; compress keeps ascending order

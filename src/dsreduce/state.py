@@ -9,9 +9,10 @@ so no alive vertex is fixed, ``fixed`` only records what the drivers
 output, and every reader of it sorts it or does not depend on its
 order.  ``adj`` starts as a shallow copy of the input's lists.
 Removing a vertex, committed or deleted, flips its alive flag and
-lowers its neighbors' degrees but leaves the lists alone, so a list may
-still name dead vertices, which a reader skips by their alive flag;
-``reducer.reduce_iterate`` drops them from the lists it reads again.
+lowers its neighbors' degrees, and the call that removes it replaces
+each neighbor's list by its alive members.  So after every public call
+each alive vertex's list names exactly its live neighbors, and its
+length is the degree.  A dead vertex's list is left as it was.
 Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
 only ever replaced, never mutated in place, so the input graph and
 copies of a state stay intact.  Every list stays sorted: the input's
@@ -84,9 +85,9 @@ def compact(state: ReductionState) -> CompactResult:
 
     ``old_to_new`` holds -1 for dead vertices.  Covered flags are carried
     across in the new numbering; no alive vertex is fixed, so no fixed
-    id is.  Each alive list is mapped whole, and only a list that
-    names a dead vertex (mapped to -1) is filtered.  ``old_to_new`` is
-    monotone, so each list comes out sorted without a sort.
+    id is.  Each alive list names only alive vertices, so it is mapped
+    whole; ``old_to_new`` is monotone, so it comes out sorted without a
+    sort.
     """
     alive = state.alive
     sadj = state.adj
@@ -96,9 +97,6 @@ def compact(state: ReductionState) -> CompactResult:
         old_to_new[u] = i
     new_id = old_to_new.__getitem__
     adj = [list(map(new_id, sadj[u])) for u in new_to_old]
-    for i, a in enumerate(adj):
-        if -1 in a:  # the list still names a dead vertex
-            adj[i] = [v for v in a if v >= 0]
     ng = Graph(len(new_to_old), adj, sum(map(len, adj)) // 2)
     covered = bytearray(compress(state.covered, alive))
     return CompactResult(ng, old_to_new, new_to_old, covered)

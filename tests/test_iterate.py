@@ -245,16 +245,12 @@ def with_fig4_component(g, k):
 
 
 def partly_reduced(rng, n):
-    """A G(n, m) state with random vertices deleted and covered; the
-    alive vertices' lists name no dead vertex, as in a round after the
-    first."""
+    """A G(n, m) state with random vertices deleted and covered, as in a
+    round after the first."""
     g = gnm(rng, n, min(n * rng.randint(1, 4) // 2, n * (n - 1) // 2))
     st = ReductionState(g)
     for v in random_subset(rng, n, 0.3):
         delete_node(st, v)
-    for v in range(n):
-        if st.alive[v]:
-            st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
     for v in random_subset(rng, n, 0.2):
         st.covered[v] = 1
     return st

@@ -401,27 +401,22 @@ def apply_outcome(st, rep):
 def test_apply_reduction_matches_its_definition():
     # ``oracle.apply_reference`` applies a reference set straight from
     # the definition, without apply_reduction or cut_within.  Both run on
-    # fresh states and on partly reduced ones (deleted vertices, whose
-    # lists are refreshed or left stale, and cut edges), with covered
-    # masks, for reference sets from the pipeline and drawn at random.
+    # fresh states and on partly reduced ones (deleted vertices and cut
+    # edges), with covered masks, for reference sets from the pipeline
+    # and drawn at random.  Both drop the covered vertices they isolate,
+    # some of which are no neighbor of a reference.
     rng = random.Random(9700)
     graphs = random_graphs(70, (3, 40), [0.06, 0.12, 0.25, 0.5], seed_base=9700)
     graphs += [build(L + 1, [(v, v + 1) for v in range(L - 1)] + [(v, L) for v in range(0, L, 3)])
                for L in (8, 14, 29)]
-    cases = cut_by_long = 0
+    cases = cut_by_long = isolated_far = 0
     for g in graphs:
         for _ in range(10):
             st = ReductionState(g)
-            clean = True  # no alive vertex's list names a dead one
             if rng.random() < 0.6:
                 for v in range(g.n):
                     if rng.random() < 0.15:
                         delete_node(st, v)
-                clean = rng.random() < 0.5
-                if clean:
-                    for v in range(g.n):
-                        if st.alive[v]:
-                            st.adj[v] = [w for w in st.adj[v] if st.alive[w]]
                 for u, v in list(g.edges()):
                     if st.alive[u] and st.alive[v] and rng.random() < 0.05:
                         st.cut_within({u, v})
@@ -431,10 +426,10 @@ def test_apply_reduction_matches_its_definition():
                     st.covered[v] = 1
             if not alive:
                 continue
-            picks = [rng.sample(alive, min(len(alive), rng.randint(1, 4)))]
-            if clean:
-                # the pipeline reads alive lists only, and needs them clean
-                picks.append(sorted({r for _u, r in suitable_set(st)}))
+            picks = [
+                rng.sample(alive, min(len(alive), rng.randint(1, 4))),
+                sorted({r for _u, r in suitable_set(st)}),
+            ]
             for refs in picks:
                 for variant in (Variant.LINEAR, Variant.PLUS, Variant.EXTRA):
                     got = copy_state(st)
@@ -445,13 +440,15 @@ def test_apply_reduction_matches_its_definition():
                     assert state_consistent(got) and state_consistent(want)
                     cases += 1
                     # Extra's cut set: the marked neighbors that survived
-                    inner = {w for r in refs for w in live_neighbors(st, r)}
-                    inner = {w for w in inner if got.alive[w]}.difference(refs)
+                    marked = {w for r in refs for w in live_neighbors(st, r)}
+                    inner = {w for w in marked if got.alive[w]}.difference(refs)
+                    isolated_far += not marked.issuperset(rep.removed_nodes)
                     ends = Counter(v for e in rep.extra_edges for v in e)
                     cut_by_long += any(
                         got.deg[v] + k > len(inner) for v, k in ends.items()
                     )
-    assert cases > 2500 and cut_by_long > 100, (cases, cut_by_long)
+    assert cases > 2500 and cut_by_long > 100 and isolated_far > 100, (
+        cases, cut_by_long, isolated_far)
 
 
 def test_apply_reference_is_independent_of_the_production_apply():
@@ -480,6 +477,55 @@ def test_cut_within_probes_long_lists():
                     probed_and_kept += 1
             assert state_consistent(st)
     assert probed_and_kept > 100, probed_and_kept
+
+
+def covered_isolated(st):
+    """The alive covered vertices with no live neighbor."""
+    return {v for v in range(st.n) if st.alive[v] and st.covered[v] and not st.deg[v]}
+
+
+def test_every_mutator_leaves_each_alive_list_exact():
+    # After every public call that changes a state, each alive vertex's
+    # list is exactly its live neighbors (``state_consistent``), and the
+    # reducers leave no covered vertex isolated that was not handed in so.
+    # The states are annotated G(n, p) graphs, fresh or partly reduced by
+    # earlier calls; apply takes pipeline references and random ones.
+    rng = random.Random(9900)
+    far = 0  # apply calls that dropped a covered vertex next to no reference
+    for g in random_graphs(80, (2, 40), [0.05, 0.1, 0.2, 0.4], seed_base=9900):
+        for p_cov in (0.0, 0.3):
+            given = ReductionState(g)
+            given.covered[:] = bytearray(rng.random() < p_cov for _ in range(g.n))
+            for cap in (None, 1, 2):
+                for variant in Variant:
+                    st = copy_state(given)
+                    reduce_iterate(st, variant, cap)
+                    assert state_consistent(st)
+                    assert covered_isolated(st) <= covered_isolated(given)
+            st = copy_state(given)
+            for step in range(4):
+                alive = [v for v in range(g.n) if st.alive[v]]
+                if not alive:
+                    break
+                if step == 2:
+                    st.cut_within(set(rng.sample(alive, min(len(alive), 4))))
+                    assert state_consistent(st)
+                    continue
+                if step == 1:
+                    refs = rng.sample(alive, min(len(alive), rng.randint(1, 3)))
+                else:
+                    refs = sorted({r for _u, r in suitable_set(st)})
+                before = covered_isolated(st)
+                marked = {w for r in refs for w in live_neighbors(st, r)}
+                rep = apply_reduction(st, refs, rng.choice(list(Variant)))
+                assert state_consistent(st)
+                assert covered_isolated(st) <= before
+                far += not marked.issuperset(rep.removed_nodes)
+            fix_isolated_uncovered(st)
+            assert state_consistent(st)
+            export_residual(st)
+            assert state_consistent(st) and not covered_isolated(st)
+    assert far > 20, far
 
 
 def test_apply_reduction_accepts_subset_of_refs():
