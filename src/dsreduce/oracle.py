@@ -23,7 +23,7 @@ from typing import Optional
 from .graph import Graph, load_check
 from .graphio import FormatError
 from .greedy import TieBreaker
-from .pipeline import WorkCounter, canonical_reference, suitable_set
+from .pipeline import WorkCounter, suitable_set
 from .reducer import (
     ReductionReport,
     Variant,
@@ -34,6 +34,23 @@ from .reducer import (
 from .state import ReductionState, compact
 
 EXACT_LIMIT = 24
+
+
+def canonical_reference(g: Graph, u: int) -> int:
+    """Member of N[u] with maximum (degree, id); may be u itself.
+
+    The superset pass and ``reducer._reevaluate_superset`` compute it
+    inline; the tests hold both to this definition.
+    """
+    deg = g.deg
+    best = u
+    bd = deg[u]
+    for v in g.adj[u]:
+        d = deg[v]
+        if d > bd or (d == bd and v > best):
+            best = v
+            bd = d
+    return best
 
 
 def check_graph(g: Graph) -> None:
@@ -486,23 +503,24 @@ def reduce_iterate_reference(
 
     The iterated driver before rounds shared one id space: every round
     is ``one_round`` on a freshly compacted graph, so it is quadratic on
-    long paths.  ``reducer.reduce_iterate`` must match it.  After an
-    acting round ``export_residual`` drops the covered vertices left
-    isolated that apply did not, those isolated on entry; the caller's
-    state mirrors every event in original ids, a commit removing its
-    vertex at once, and a cut edge going before the removed vertices, an
-    end of which may be dropped for isolation.  The terminating idle
-    round is included in the round count; ``max_rounds`` None runs to it.
+    long paths.  ``reducer.reduce_iterate`` must match it.  Before
+    round 1 ``export_residual`` drops the vertices covered and isolated
+    on entry, and apply drops every covered vertex it isolates, so no
+    round leaves one; the caller's state mirrors every event in original
+    ids, a commit removing its vertex at once, and a cut edge going
+    before the removed vertices, an end of which may be dropped for
+    isolation.  The terminating idle round is included in the round
+    count; ``max_rounds`` None runs to it.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
+    removed_all = export_residual(state)
     cur_state = copy_state(state)
     cur_to_orig = list(range(state.n))
 
     fixed_all: list[int] = []
-    removed_all: list[int] = []
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
@@ -529,13 +547,9 @@ def reduce_iterate_reference(
             removed_all.append(o)
         removed_edges += rep.removed_edges
 
-        dropped = export_residual(cur_state)
-        comp = compact(cur_state)
-        for v in dropped:
-            delete_node(state, cur_to_orig[v])
-            removed_all.append(cur_to_orig[v])
         if rounds == max_rounds:
             break
+        comp = compact(cur_state)
         cur_to_orig = [cur_to_orig[old] for old in comp.new_to_old]
         cur_state = ReductionState(comp.graph)
         cur_state.covered[:] = comp.covered

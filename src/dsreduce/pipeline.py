@@ -2,7 +2,8 @@
 
 Three passes over an annotated instance, a ``state.ReductionState``:
 
-1. ``compute_superset``   gives each vertex its canonical reference and
+1. ``compute_superset``   gives each vertex its canonical reference,
+   the member of its closed neighborhood with maximum (degree, id), and
    keeps pairs whose open neighborhood fits inside the reference's closed
    one.
    It returns a ``Superset``: a dict from witness to reference.
@@ -126,19 +127,6 @@ class Superset(dict):
     __slots__ = ("canonical",)
 
 
-def canonical_reference(g: Graph, u: int) -> int:
-    """Member of N[u] with maximum (degree, id); may be u itself."""
-    deg = g.deg
-    best = u
-    bd = deg[u]
-    for v in g.adj[u]:
-        d = deg[v]
-        if d > bd or (d == bd and v > best):
-            best = v
-            bd = d
-    return best
-
-
 def compute_superset(
     state: ReductionState,
     *,
@@ -197,7 +185,8 @@ def compute_superset(
     for u in todo:
         au = adj[u]
         if full:
-            # canonical_reference, inline
+            # the canonical reference: the member of N[u] with maximum
+            # (degree, id), u itself included
             rho = u
             bd = deg[u]
             for v in au:
@@ -254,11 +243,14 @@ def compute_proper_partition(
     ``pairs``, closed neighbors y propose their own reference R[y];
     proposals not adjacent to x are discarded
     and the survivor with minimum (degree, id) wins.  The min tiebreak is
-    deliberate and opposite to canonical_reference; the filtering pass
-    depends on exactly this choice.  A mapped vertex with no surviving
-    proposal maps to -1; the vertices farther out are absent.
-    ``sprime`` must map every vertex within two edges of those witnesses.
+    deliberate and opposite to the canonical reference's; the filtering
+    pass depends on exactly this choice.  A mapped vertex with no surviving
+    proposal maps to -1; the vertices farther out are absent.  Given no
+    pair, it returns an empty map at once.  ``sprime`` must map every
+    vertex within two edges of those witnesses.
     """
+    if not pairs:
+        return {}
     adj = state.adj
     deg = state.deg
     ref_of = sprime.get
@@ -315,7 +307,9 @@ def filter_suitable(
     slot2 too: that is the whole covered-aware relaxation, and it
     applies to the classified vertices inside N[r] only.  The slots of
     r are built at r's first pair and kept for its others; the surviving
-    pairs come out in the order of ``pairs``.
+    pairs come out in the order of ``pairs``.  Which vertices ``f`` maps
+    to each reference is gathered at the first pair whose witness is no
+    leaf (see below), so a call given leaf pairs alone never reads ``f``.
 
     A pair whose witness u has one live neighbor, N(u) = {rho}, is kept
     at once, without reading ``f`` or building rho's slots; it costs no
@@ -333,10 +327,7 @@ def filter_suitable(
     adj = state.adj
     covered = state.covered
     visits = 0
-    chosen: defaultdict[int, list[int]] = defaultdict(list)
-    for x, r in f.items():
-        if r >= 0:
-            chosen[r].append(x)
+    chosen: Optional[defaultdict[int, list[int]]] = None
     slots: dict[int, set[int]] = {}
     out: list[tuple[int, int]] = []
     for u, rho in pairs:
@@ -344,6 +335,12 @@ def filter_suitable(
         if len(au) == 1:
             out.append((u, rho))
             continue
+        if chosen is None:
+            # only a pair with a non-leaf witness reads f
+            chosen = defaultdict(list)
+            for x, r in f.items():
+                if r >= 0:
+                    chosen[r].append(x)
         slot2 = slots.get(rho)
         if slot2 is None:
             ar = adj[rho]
@@ -397,6 +394,10 @@ def suitable_pairs(
     neighborhoods of the other witnesses.
     """
     adj = state.adj
-    inner = [p for p in pairs if len(adj[p[0]]) != 1]
+    # a loop: Python 3.10 and 3.11 run a comprehension as a call of its own
+    inner = []
+    for p in pairs:
+        if len(adj[p[0]]) != 1:
+            inner.append(p)
     f = compute_proper_partition(state, sprime, pairs=inner, work=work)
     return filter_suitable(state, pairs, f, work=work)

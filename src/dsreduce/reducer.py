@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Optional
 
 # The passes are called as attributes of ``pipeline``, so a wrapper set
 # there (a tracer, a test) sees every call.
 from . import pipeline
-from .pipeline import Superset, WorkCounter, ball, canonical_reference
+from .pipeline import Superset, WorkCounter, ball
 # nothing here calls ``compact``; perfbench/spans.py wraps ``reducer.compact``
 from .state import ReductionState, compact  # noqa: F401
 
@@ -27,11 +28,20 @@ from .state import ReductionState, compact  # noqa: F401
 # ``reduce_iterate`` proves that no witness lies farther out.
 DIRTY_RADIUS = 2
 
+# the reference of a (witness, reference) pair
+_reference = itemgetter(1)
+
 
 class Variant(Enum):
     LINEAR = "linear"
     PLUS = "plus"
     EXTRA = "extra"
+
+
+# Reading a member off an Enum class runs a descriptor on Python 3.11,
+# about 0.1 us a read; apply, called once per round, reads these instead.
+_LINEAR = Variant.LINEAR
+_EXTRA = Variant.EXTRA
 
 
 @dataclass
@@ -103,7 +113,7 @@ def apply_reduction(
     marked.difference_update(refs)
     # One walk over the marked neighbors covers each and classifies it: a
     # neighbor still needs domination unless covered or marked.
-    allow = 0 if variant is Variant.LINEAR else 1
+    allow = 0 if variant is _LINEAR else 1
     deletable: list[int] = []
     for u in marked:
         covered[u] = 1
@@ -137,7 +147,7 @@ def apply_reduction(
                 touch(w)
 
     extra_edges: list[tuple[int, int]] = []
-    if variant is Variant.EXTRA:
+    if variant is _EXTRA:
         # the marked survivors lose their edges to each other
         marked.difference_update(deletable)
         if marked:
@@ -188,14 +198,15 @@ def reduce_iterate(
     A plain Linear, Plus or Extra round is this driver under
     ``max_rounds`` 1.
     Every round acts on the caller's state in the input's ids and
-    classifies covered-aware.  Apply removes each vertex it commits and
-    each covered vertex it leaves isolated, and the first acting round
-    also drops the vertices covered and isolated on entry, so a capped
-    run that acts, a single round included, leaves no covered vertex
-    isolated.  The terminating idle round is included
-    in the round count.  ``max_rounds`` None runs to that idle round;
-    ``converged`` is False only when a given ``max_rounds`` ended the
-    loop instead.
+    classifies covered-aware.  The vertices covered and isolated on entry
+    go before round 1, and apply removes each vertex it commits and each
+    covered vertex it leaves isolated, so every run, capped or not and
+    whether or not a round acts, leaves no covered vertex isolated.  The
+    dropped vertices are next to nothing, so they are never a witness, a
+    reference or a marked vertex, and no verdict changes.  The
+    terminating idle round is included in the round count.
+    ``max_rounds`` None runs to that idle round; ``converged`` is False
+    only when a given ``max_rounds`` ended the loop instead.
 
     The loop ends by itself, within n + 1 rounds.  The state starts with
     no vertex fixed (``_require_fresh`` refuses one), and apply strips
@@ -223,7 +234,7 @@ def reduce_iterate(
 
     Apply drops each touched vertex left covered and isolated.  No other
     vertex needs the look, save those covered and isolated on entry,
-    which the boundary drops after round 1.  A vertex covered during a
+    which go before round 1.  A vertex covered during a
     round is a reference, which apply strips, or a neighbor of one that
     apply covered; if it survives apply, it is touched.  A covered
     vertex that loses a live neighbor later is touched, as shown above.
@@ -281,10 +292,10 @@ def reduce_iterate(
         in T.  So (u, rho) fails.
 
     Those pairs are found from the smaller side: a breadth-first search
-    out to 2 edges from S when S has no more vertices than the carried
-    map has witnesses, otherwise a test of each carried witness's
-    closed neighborhood and its members' lists against S.  Both find the
-    same pairs, and ``apply_reduction`` sorts the references, so their
+    out to 2 edges from S when S has fewer vertices than the carried map
+    has witnesses, otherwise, ties included, a test of each carried
+    witness's closed neighborhood and its members' lists against S,
+    which costs less per vertex.  Both find the same pairs, and ``apply_reduction`` sorts the references, so their
     order does not matter.  Nor does the order in which the boundary
     lists T: every pass decides and counts visits per vertex and per
     pair.
@@ -292,9 +303,9 @@ def reduce_iterate(
     Cost.  A round after the first reads the lists of T, one closed
     neighborhood per uncovered neighbor of T whose reference is in T,
     and those of U; then the adjacency within 2 edges of S, or, when
-    the witnesses are fewer than the seeds, the lists of the witnesses'
-    closed neighborhoods; then the lists around the pairs it tests.  So
-    the total work is the sum over rounds of the adjacency within 2
+    the witnesses are no more than the seeds, the lists of the
+    witnesses' closed neighborhoods; then the lists around the pairs it
+    tests.  So the total work is the sum over rounds of the adjacency within 2
     edges of the seeds.  That is linear on a path, which sheds a few
     vertices at each end per round, but not on every input: a hub that
     loses a neighbor every round is a seed every round, and its list is
@@ -307,31 +318,32 @@ def reduce_iterate(
     probes the hub's list instead of scanning it.
 
     On top of that work a round has a fixed cost, which dominates when a
-    round sheds only a few vertices.  A round after the first calls each
-    pass and ``apply_reduction`` once, and apply refreshes the lists of
-    T and drops its isolated covered vertices; then the boundary walks
-    the lists of the vertices that died in the round, which list T.  On
-    the benchmark's
-    ``chains`` corpus (two paths of about 1,800 vertices, 602 rounds in
-    all) a round of Extra takes 14.5-14.9 us (best of 30 runs of a whole
-    instance less a one-round run, Python 3.11.7 on a shared 2-core Xeon
-    container); every pair it tests has a leaf witness, so its
-    partition pass gets no pair.
+    round sheds only a few vertices.  A round after the first makes eight
+    Python calls: the re-evaluation with its scoped superset pass, the
+    pair search, the find step with its partition and filter passes,
+    and ``apply_reduction`` with its report.  Apply refreshes the lists
+    of T and drops its isolated covered vertices; then the boundary
+    walks the lists of the vertices that died in the round, which list
+    T.  On the benchmark's ``chains`` corpus (two paths of about 1,800
+    vertices, 602 rounds in all) a round of Extra takes 13.09 us,
+    against 15.90 us before a round's calls were cut to eight (the median
+    over 20 alternations of both versions in one process of the best
+    of 30 runs of a whole instance less a one-round run, Python 3.11.7
+    on a shared 2-core container; ``BENCH_35.json`` keys
+    ``per_round_us.change`` and ``per_round_us.parent``).  Every pair it
+    tests has a leaf witness, so its partition pass gets no pair.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
     adj = state.adj
-    deg = state.deg
     alive = state.alive
-    covered = state.covered
-    # the vertices covered and isolated on entry; ``1 in`` scans the flags
-    # in C, and spares a fresh state the list's tens of microseconds
-    given = [v for v in compress(range(state.n), covered) if not deg[v]] if 1 in covered else ()
     sup: Optional[Superset] = None
     fixed_all: list[int] = []
-    removed_all: list[int] = []
+    # the vertices covered and isolated on entry go first; they are next to
+    # nothing, so no round reads them
+    removed_all = export_residual(state)
     extra_all: list[tuple[int, int]] = []
     removed_edges = 0
     rounds = 0
@@ -343,11 +355,13 @@ def reduce_iterate(
             pairs = sup.items()
         else:
             seeds = _reevaluate_superset(state, sup, dirty, work)
-            # search from the smaller side; both find the same pairs
-            near = _pairs_by_ball if len(seeds) <= len(sup) else _pairs_by_witness
+            # search from the smaller side, on a tie from the witnesses,
+            # whose test is the cheaper; both find the same pairs
+            near = _pairs_by_ball if len(seeds) < len(sup) else _pairs_by_witness
             pairs = near(state, sup, seeds, work)
         kept = pipeline.suitable_pairs(state, sup, pairs, work=work)
-        refs = {rho for _u, rho in kept}
+        # C-level, where Python 3.10 and 3.11 would call a set comprehension
+        refs = set(map(_reference, kept))
         rep = apply_reduction(state, refs, variant, work=work)
         rounds += 1
         # every reference is committed anew, so a round without one is idle
@@ -367,13 +381,6 @@ def reduce_iterate(
             for x in adj[u]:
                 if alive[x]:
                     dirty[x] = None
-        if rounds == 1:
-            # the vertices covered and isolated on entry are next to
-            # nothing, so apply never drops them
-            for v in given:
-                alive[v] = 0
-                removed_all.append(v)
-                sup.pop(v, None)
         if rounds == max_rounds:
             converged = False
             break
@@ -418,15 +425,29 @@ def _reevaluate_superset(
         at = adj[t]
         visits += len(at)
         if not covered[t]:
-            # the loop reads canonical[u] only for u outside ``dirty``
-            redo[t] = canonical[t] = canonical_reference(state, t)
-            visits += deg[t] + 1
+            # the canonical reference, inline as in the superset pass; the
+            # loop below reads canonical[u] only for u outside ``dirty``
+            rho = t
+            bd = deg[t]
+            visits += bd + 1
+            for v in at:
+                d = deg[v]
+                if d >= bd and (d > bd or v > rho):
+                    rho = v
+                    bd = d
+            redo[t] = canonical[t] = rho
         # R(u) lies in N(u), so each such u is looked at from R(u) only
         for u in at:
             if covered[u] or u in dirty or canonical[u] != t:
                 continue
-            visits += deg[u] + 1
-            rho = canonical_reference(state, u)
+            bd = deg[u]
+            visits += bd + 1
+            rho = u
+            for v in adj[u]:
+                d = deg[v]
+                if d >= bd and (d > bd or v > rho):
+                    rho = v
+                    bd = d
             if rho != t or u in sup:
                 redo[u] = rho
                 moved.append(u)
@@ -511,10 +532,14 @@ def export_residual(state: ReductionState) -> list[int]:
     Returns the dropped vertices in ascending order.  Mutates ``state``;
     pass a copy to keep the original.  ``apply_reduction`` drops each
     covered vertex it isolates, so only a vertex covered and isolated
-    when handed in can be left for this; ``reduce_iterate`` drops those
-    too once a round acts, and the command line hands in none.
+    when handed in can be left for this.  ``reduce_iterate`` calls this
+    before its first round, so it leaves none either, and the command
+    line hands in none.
     """
     dropped: list[int] = []
+    if 1 not in state.covered:
+        # a scan in C, which spares a state with nothing covered the loop
+        return dropped
     # only covered vertices can be dropped; compress keeps ascending order
     for v in compress(range(state.n), state.covered):
         if state.alive[v] and state.deg[v] == 0:

@@ -2,10 +2,12 @@
 
 Each check finds one phrase of the README, recomputes the deterministic
 numbers in it (rounds and ``WorkCounter`` visits per (n + m)), and fails
-when the text and the computation disagree, rounded as quoted.  Wall
-times are not checked here.
+when the text and the computation disagree, rounded as quoted.  A wall
+time cannot be recomputed; it is checked against the ``BENCH_*.json``
+file and key it cites.
 """
 
+import json
 import os
 import re
 
@@ -15,7 +17,8 @@ from dsreduce.reducer import Variant, reduce_iterate
 from dsreduce.state import ReductionState
 from test_iterate import with_hub
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def readme_text():
@@ -72,3 +75,24 @@ def test_hub_path_rounds_and_visits():
         got_rounds, per_nm = iterate_extra(with_hub(path(int(length)), 3))
         assert got_rounds == int(want_rounds), (length, got_rounds)
         assert same(want_visits, per_nm), (length, want_visits, per_nm)
+
+
+def test_wall_times_match_the_benchmark_keys_they_cite():
+    # Each time quoted as "<value> µs (`BENCH_<n>.json` key `<a.b>`)" must
+    # be that key's value in that file, rounded as quoted; the per-round
+    # time of the chains corpus is quoted so, next to its parent's.
+    cited = re.findall(
+        r"([\d.]+) µs \(`(BENCH_\d+\.json)` key `([\w.]+)`\)", readme_text()
+    )
+    keys = {(fname, key) for _text, fname, key in cited}
+    assert {
+        ("BENCH_35.json", "per_round_us.change"),
+        ("BENCH_35.json", "per_round_us.parent"),
+    } <= keys, cited
+    for text, fname, key in cited:
+        with open(os.path.join(ROOT, fname), encoding="utf-8") as fh:
+            value = json.load(fh)
+        for part in key.split("."):
+            assert isinstance(value, dict) and part in value, (fname, key)
+            value = value[part]
+        assert same(text, value), (fname, key, text, value)

@@ -10,8 +10,8 @@ from dsreduce.generators import (
     path,
     star,
 )
-from dsreduce.oracle import classify_types
-from dsreduce.pipeline import canonical_reference, suitable_set
+from dsreduce.oracle import canonical_reference, classify_types
+from dsreduce.pipeline import suitable_set
 from dsreduce.state import ReductionState
 
 

@@ -12,6 +12,7 @@ count gates bound the driver's work.
 
 import io
 import random
+import sys
 from collections import Counter
 from functools import partial
 from itertools import compress
@@ -145,8 +146,9 @@ def test_matches_reference_on_random_graphs():
 
 
 def test_one_capped_round_matches_one_plain_round():
-    # A plain rule runs as round 1 of reduce_iterate, whose boundary drops
-    # the covered vertices left isolated, as the export of one round does.
+    # A plain rule runs as round 1 of reduce_iterate, which first drops
+    # the covered vertices isolated on entry, as the export of one round
+    # does.
     # After the export both must agree on the totals, the flags,
     # the visits, the live degrees (reduce prints their sum) and the
     # written residual.
@@ -216,6 +218,31 @@ def test_given_covered_vertices_seed_round_two():
         covered = random_subset(rng, k, 0.3)
         for variant in VARIANTS:
             check_same(g, variant, covered=covered)
+
+
+def test_covered_vertices_isolated_on_entry_go_before_round_one():
+    # The 4-cycle reduces under no rule: each vertex's canonical reference
+    # misses its other neighbor.  So no round acts, and the covered vertex
+    # 4, next to nothing, must go all the same, as it does when a round
+    # acts (the path 5-6-7), under every cap and in both drivers.
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    cases = (
+        (5, cycle, ([], [4], 1)),
+        (8, cycle + [(5, 6), (6, 7)], ([6], [4, 5, 7], 2)),
+    )
+    for n, edges, want in cases:
+        g = build(n, edges)
+        for variant in VARIANTS:
+            for driver in (reduce_iterate, reduce_iterate_reference):
+                for cap in (None, 1):
+                    st = ReductionState(g)
+                    st.covered[4] = 1
+                    rep = driver(st, variant, cap)
+                    assert (rep.fixed, rep.removed_nodes, rep.rounds) == (
+                        want[0], want[1], min(want[2], cap or want[2]),
+                    ), (edges, variant, driver, cap)
+                    assert not st.alive[4] and all(st.alive[:4])
+                    assert state_consistent(st)
 
 
 def test_matches_reference_under_round_caps():
@@ -362,6 +389,37 @@ def test_each_pass_runs_once_per_round(monkeypatch):
     }
     # perfbench/spans.py also wraps reducer.compact, which no command calls
     assert reducer.compact is compact
+
+
+def test_a_round_makes_eight_python_calls():
+    # A round's fixed cost, counted without a clock: the Python-level calls
+    # (``call`` events of ``sys.setprofile``; calls into C are not
+    # counted) of a whole run.  A round after the first makes eight:
+    # _reevaluate_superset, the scoped superset pass, the pair search, the
+    # find step, its partition and filter passes, apply and apply's
+    # report.  With round 1's ten and the run's own call, this chain of
+    # 41 rounds makes 8.05 per round on Python 3.10 to 3.13.  A helper
+    # called per re-evaluated vertex (about three per round here) breaks
+    # the bound, and so does a comprehension in the round's path on
+    # Python 3.10 and 3.11, which run each as a call of its own (PEP 709
+    # inlines them from 3.12 on).
+    g = gadget_path("fig6", 40)
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    st = ReductionState(g)
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        rep = reduce_iterate(st, Variant.EXTRA)
+    finally:
+        sys.setprofile(old)
+    assert rep.rounds == 41
+    per_round = sum(calls.values()) / rep.rounds
+    assert per_round < 9, (per_round, calls)
 
 
 def test_work_per_edge_on_a_sparse_random_graph():

@@ -4,11 +4,15 @@ import random
 
 from conftest import annotated, build, committed, members, random_graphs
 from dsreduce.generators import complete, fig4_family, gadget_path, gnp, path, star
-from dsreduce.oracle import copy_state, delete_node, suitable_set_direct
+from dsreduce.oracle import (
+    canonical_reference,
+    copy_state,
+    delete_node,
+    suitable_set_direct,
+)
 from dsreduce.pipeline import (
     _SHORT_LIST,
     WorkCounter,
-    canonical_reference,
     compute_proper_partition,
     compute_superset,
     filter_suitable,

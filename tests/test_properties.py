@@ -29,9 +29,12 @@ from dsreduce.graphio import (  # noqa: E402
     read_gr,
 )
 from dsreduce.generators import path  # noqa: E402
-from dsreduce.oracle import check_graph, suitable_set_direct  # noqa: E402
-from dsreduce.pipeline import (  # noqa: E402
+from dsreduce.oracle import (  # noqa: E402
     canonical_reference,
+    check_graph,
+    suitable_set_direct,
+)
+from dsreduce.pipeline import (  # noqa: E402
     compute_proper_partition,
     compute_superset,
     suitable_set,
