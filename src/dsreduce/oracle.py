@@ -436,8 +436,9 @@ def apply_reference(
     live edge between two marked survivors.  Then remove each covered
     vertex that had a live neighbor and has none left, and list it as
     removed.  Every edge at a removed vertex counts once.  Each alive
-    list is replaced by the live neighbors; lists are never edited.
-    Counts no visits.
+    list is replaced by the live neighbors; lists are never edited.  The
+    dirty set is every vertex left alive whose live degree fell, in
+    ascending order.  Counts no visits.
     """
     refs = set(refs)
     if not all(state.alive[rho] for rho in refs):
@@ -477,6 +478,9 @@ def apply_reference(
         removed_nodes=sorted(deletable | isolated),
         removed_edges=len(lost) + len(cuts),
         extra_edges=cuts,
+        dirty=dict.fromkeys(
+            u for u in sorted(live) if state.alive[u] and state.deg[u] < len(live[u])
+        ),
     )
 
 

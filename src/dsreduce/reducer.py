@@ -56,6 +56,8 @@ class ReductionReport:
     # False only when the caller's max_rounds ended reduce_iterate after a
     # round that still committed something.
     converged: bool = True
+    # apply_reduction's alone: the alive vertices whose live degree fell
+    dirty: dict[int, None] = field(default_factory=dict)
 
 
 def _require_fresh(state: ReductionState) -> None:
@@ -90,6 +92,15 @@ def apply_reduction(
     surviving edges whose endpoints are both marked and neither
     committed.  The report counts every edge the call removed: those of
     the references and of the deleted nodes, and Extra's cuts.
+
+    The report's ``dirty`` holds exactly the alive vertices whose live
+    degree fell in the call, in the order the call meets them.  A live
+    degree falls when a live neighbor is removed or Extra cuts the edge
+    to it.  A vertex dropped for isolation has no live neighbor, and
+    Extra's cut partners are next to a reference, so these are the live
+    neighbors of the references and the deleted nodes that stay alive.
+    A vertex the call covers and leaves alive is next to a reference, so
+    it is among them.
     """
     refs = sorted(set(refs))
     adj = state.adj
@@ -164,14 +175,16 @@ def apply_reduction(
             removed_edges += len(extra_edges)
             extra_edges.sort()
 
-    # Only a touched vertex lost a live neighbor (Extra's cut partners
-    # are next to a reference).  Its list drops the dead vertices (it names
-    # one when it is longer than the degree, so a repeat finds it clean);
-    # a covered one left isolated goes too, and no live list names it.
+    # The touched vertices left alive are the dirty ones.  The list of
+    # each drops the dead vertices (it names one when it is longer than
+    # the degree, so a repeat finds it clean); a covered one left isolated
+    # goes instead, and no live list names it.
+    dirty: dict[int, None] = {}
     for t in touched:
         if alive[t]:
             d = deg[t]
             if d or not covered[t]:
+                dirty[t] = None
                 at = adj[t]
                 if len(at) != d:
                     adj[t] = list(filter(alive.__getitem__, at))
@@ -183,7 +196,7 @@ def apply_reduction(
         work.add(visits)
     deletable.sort()
     # positional: the keyword call costs a round about a microsecond
-    return ReductionReport(refs, deletable, removed_edges, 1, extra_edges)
+    return ReductionReport(refs, deletable, removed_edges, 1, extra_edges, True, dirty)
 
 
 def reduce_iterate(
@@ -219,43 +232,30 @@ def reduce_iterate(
     at most n acting rounds, then one idle round.
 
     Every round runs the passes on ``state`` itself; round 1 tests every
-    pair, while its lists and degrees are still the input's.  An alive
-    vertex x loses a live neighbor y only when y is committed or deleted
-    next to a reference, so y's list names x, or when Extra cuts xy: both
-    ends are then neighbors of a committed reference.  Either way x is
-    touched, a live neighbor of a vertex that died in the round (a
-    covered vertex dropped for isolation has no live neighbor left to
-    lose).  Apply leaves each alive list naming exactly the live
-    neighbors, so searches from alive vertices (``ball`` and the passes)
-    never reach a dead one.  The boundary reads the touched vertices off
-    the lists of the references and deleted vertices, which apply leaves
-    as the round found them (Extra replaces none of them); a vertex
-    dropped for isolation lists no live vertex.
-
-    Apply drops each touched vertex left covered and isolated.  No other
-    vertex needs the look, save those covered and isolated on entry,
-    which go before round 1.  A vertex covered during a
-    round is a reference, which apply strips, or a neighbor of one that
-    apply covered; if it survives apply, it is touched.  A covered
-    vertex that loses a live neighbor later is touched, as shown above.
+    pair, while its lists and degrees are still the input's.  The
+    round's dirty set T is the one apply reports: the alive vertices
+    whose live degree fell in the round.  Apply leaves each alive list
+    naming exactly the live neighbors, so searches from alive vertices
+    (``ball`` and the passes) never reach a dead one, and only the lists
+    of T change.  A covered vertex isolated after a round was so on
+    entry, and went before round 1, or lost its last live neighbor in
+    the round; then apply dropped it.
 
     The superset pass is not rerun on every round.  Its result is carried
     across rounds in two maps over the input's ids: the canonical
     reference R(u) of every alive uncovered vertex and the
     witness-to-reference map.  Round 1 fills both.  After an acting
-    round, with T the alive touched vertices, whose lists apply
-    refreshed, the witness entries of T are dropped and U is
+    round, the witness entries of T are dropped and U is
     re-evaluated: the uncovered members of T, and each uncovered u in
     N(T) outside T with R(u) in T that is a carried witness or whose
     canonical reference, recomputed, is not R(u).  The round's seeds are
     S = T + U.  The carried maps are then right at every alive vertex:
 
     (i) The verdict on u reads N[u], the degrees on it, N[R(u)] and the
-        covered flag of u.  Deletions only lower degrees, and only on T:
-        an alive vertex that loses a live neighbor is touched, as shown
-        above.  Lists only ever lose members.  u's covered flag is only
-        ever set, and only when u is next to a committed vertex, hence
-        in T.  Take an alive u outside U.
+        covered flag of u.  Deletions only lower degrees, and only on T,
+        by apply's contract.  Lists only ever lose members.  u's covered
+        flag is only ever set, and only when u is next to a committed
+        vertex, hence in T.  Take an alive u outside U.
         - u is covered.  The pass never takes a covered witness, so u
           has no entry: dropped if u is in T, and never made if u was
           covered a round earlier.  R(u) is never read again.
@@ -295,10 +295,10 @@ def reduce_iterate(
     out to 2 edges from S when S has fewer vertices than the carried map
     has witnesses, otherwise, ties included, a test of each carried
     witness's closed neighborhood and its members' lists against S,
-    which costs less per vertex.  Both find the same pairs, and ``apply_reduction`` sorts the references, so their
-    order does not matter.  Nor does the order in which the boundary
-    lists T: every pass decides and counts visits per vertex and per
-    pair.
+    which costs less per vertex.  Both find the same pairs, and
+    ``apply_reduction`` sorts the references, so their order does not
+    matter.  Nor does the order in which apply lists T: every pass
+    decides and counts visits per vertex and per pair.
 
     Cost.  A round after the first reads the lists of T, one closed
     neighborhood per uncovered neighbor of T whose reference is in T,
@@ -311,34 +311,32 @@ def reduce_iterate(
     loses a neighbor every round is a seed every round, and its list is
     read every time.  The worst case known is the hub path: a path of L
     vertices, L = 2 mod 3, plus a hub joined to every third one, which
-    sheds one reference per round.  At L = 8000 it runs 2,668 rounds at
-    956.5 visits per (n + m), in 1.24-1.45 s, median 1.31 s over 25
-    runs (Python 3.11.7 on a shared 2-core Xeon container whose speed
-    drifts); apply's share is 1.3 of those visits, since Extra's cut
-    probes the hub's list instead of scanning it.
+    sheds one reference per round.  The README quotes its rounds and
+    visits per (n + m), which ``tests/test_docs.py`` recomputes.  Apply's
+    share stays small (``test_apply_work_on_the_hub_path``), since
+    Extra's cut probes the hub's list instead of scanning it.
 
     On top of that work a round has a fixed cost, which dominates when a
     round sheds only a few vertices.  A round after the first makes eight
     Python calls: the re-evaluation with its scoped superset pass, the
     pair search, the find step with its partition and filter passes,
     and ``apply_reduction`` with its report.  Apply refreshes the lists
-    of T and drops its isolated covered vertices; then the boundary
-    walks the lists of the vertices that died in the round, which list
-    T.  On the benchmark's ``chains`` corpus (two paths of about 1,800
-    vertices, 602 rounds in all) a round of Extra takes 13.09 us,
-    against 15.90 us before a round's calls were cut to eight (the median
-    over 20 alternations of both versions in one process of the best
-    of 30 runs of a whole instance less a one-round run, Python 3.11.7
-    on a shared 2-core container; ``BENCH_35.json`` keys
-    ``per_round_us.change`` and ``per_round_us.parent``).  Every pair it
-    tests has a leaf witness, so its partition pass gets no pair.
+    of T, drops its isolated covered vertices and reports T; then the
+    boundary drops the witness entries of the vertices that died in the
+    round.  On the benchmark's ``chains`` corpus (two paths of about 1,800
+    vertices, 602 rounds in all) a round of Extra took 13.09 us as
+    measured for ``BENCH_35.json``, against 15.90 us before a round's
+    calls were cut to eight (the median over 20 alternations of both
+    versions in one process of the best of 30 runs of a whole instance
+    less a one-round run, Python 3.11.7 on a shared 2-core container;
+    ``BENCH_35.json`` keys ``per_round_us.change`` and
+    ``per_round_us.parent``).  Every pair it tests has a leaf witness,
+    so its partition pass gets no pair.
     """
     if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     _require_fresh(state)
 
-    adj = state.adj
-    alive = state.alive
     sup: Optional[Superset] = None
     fixed_all: list[int] = []
     # the vertices covered and isolated on entry go first; they are next to
@@ -372,15 +370,11 @@ def reduce_iterate(
         extra_all += rep.extra_edges
         removed_edges += rep.removed_edges
 
-        # The boundary.  Drop the witness entries of every vertex that died
-        # in the round; the alive vertices it lists are the dirty ones
-        # (Extra's cut partners are in a reference's list).
-        dirty: dict[int, None] = {}
+        # The boundary: every vertex that died in the round loses its
+        # witness entry, and apply's dirty set is the next round's T.
         for u in (*rep.fixed, *rep.removed_nodes):
             sup.pop(u, None)
-            for x in adj[u]:
-                if alive[x]:
-                    dirty[x] = None
+        dirty = rep.dirty
         if rounds == max_rounds:
             converged = False
             break
@@ -411,7 +405,9 @@ def _reevaluate_superset(
     scoped superset pass, whose verdicts then replace the entries of the
     re-evaluated vertices in ``sup``.  Returns the seeds of the round's
     pair search: ``dirty`` itself, to which the re-evaluated vertices
-    outside it are added.
+    outside it are added.  ``dirty`` is the dirty set of the round's
+    apply report, which ``reduce_iterate`` keeps to itself and never
+    returns, so extending it in place reaches no caller.
     """
     adj = state.adj
     deg = state.deg

@@ -12,7 +12,8 @@ Removing a vertex, committed or deleted, flips its alive flag and
 lowers its neighbors' degrees, and the call that removes it replaces
 each neighbor's list by its alive members.  So after every public call
 each alive vertex's list names exactly its live neighbors, and its
-length is the degree.  A dead vertex's list is left as it was.
+length is the degree.  A dead vertex's list may go stale, and no
+driver or pass reads it.
 Deleting edges (``cut_within``) replaces the lists concerned.  Lists are
 only ever replaced, never mutated in place, so the input graph and
 copies of a state stay intact.  Every list stays sorted: the input's

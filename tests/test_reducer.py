@@ -389,7 +389,7 @@ def test_apply_reduction_order_independent():
 def apply_outcome(st, rep):
     return (
         (rep.fixed, rep.removed_nodes, rep.removed_edges, rep.rounds,
-         rep.extra_edges, rep.converged),
+         rep.extra_edges, rep.converged, set(rep.dirty)),
         bytes(st.alive),
         bytes(st.covered),
         sorted(st.fixed),
