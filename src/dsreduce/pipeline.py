@@ -38,8 +38,9 @@ against.  Combined cost stays proportional to n + m.  Counters
 (``WorkCounter``) record adjacency visits as upper bounds; bulk adds
 keep the hot loops tight.
 
-Only the superset pass takes ``canonical``, a dict from vertices to
-their canonical references: it then evaluates exactly those vertices.
+Only the superset pass takes ``scope``, a dict from the vertices to look
+at to a reference each, or -1: it computes their canonical references
+and evaluates those whose reference is not the given one.
 Partition and filter take the witness pairs to test and read the
 superset map of every vertex within two edges of their witnesses; the
 verdict on a pair does not depend on which other pairs are tested.  A
@@ -117,11 +118,13 @@ _SHORT_LIST = 16
 class Superset(dict):
     """The superset pass's result: each witness mapped to its reference,
     in the order the pass evaluated them (by id in a full pass, in the
-    order of its ``canonical`` argument in a scoped one); no reader
-    depends on that order.  ``canonical`` holds the canonical reference of
-    every vertex the pass evaluated, witness or not.  In the map
-    ``reducer.reduce_iterate`` carries across rounds it is exact at alive
-    uncovered vertices only; a covered vertex is never a witness again.
+    order of its ``scope`` argument in a scoped one); no reader depends
+    on that order.  ``canonical`` holds the canonical reference of every
+    vertex the pass evaluated, witness or not: a list over all vertices
+    from a full pass, a dict from a scoped one.  In the map
+    ``reducer.reduce_iterate`` carries across rounds it is a list, exact
+    at alive uncovered vertices only; a covered vertex is never a
+    witness again.
     """
 
     __slots__ = ("canonical",)
@@ -131,7 +134,7 @@ def compute_superset(
     state: ReductionState,
     *,
     work: Optional[WorkCounter] = None,
-    canonical: Optional[dict[int, int]] = None,
+    scope: Optional[dict[int, int]] = None,
 ) -> Superset:
     """First pass: candidate pairs (u, r) with r the canonical reference.
 
@@ -143,12 +146,16 @@ def compute_superset(
     skipped as witnesses (nothing forces a dominator into their
     neighborhood), as are dead vertices.
 
-    Without ``canonical`` the pass evaluates every vertex and computes
-    its canonical reference on the way; given ``canonical``, a dict from
-    each vertex to evaluate to its canonical reference, it evaluates
-    exactly those vertices and counts no visits for the references,
-    which the caller computed.  ``canonical`` of the result holds the
-    canonical reference of every evaluated vertex, witness or not.
+    Every vertex the pass looks at gets its canonical reference, computed
+    here and nowhere else.  Without ``scope`` the pass looks at and
+    evaluates every vertex, and ``canonical`` of the result is the list
+    of all their references.  Given ``scope``, a dict from each vertex to
+    look at to a reference or -1, it looks at exactly those vertices: a
+    vertex whose reference is still the given one is skipped, and every
+    other is evaluated.  ``canonical`` of the result is then a dict from
+    each evaluated vertex, witness or not, to its reference.  Computing
+    the references counts each vertex's degree plus 1, whether it is
+    evaluated or not.
 
     Cost.  One loop decides every candidate u (alive, uncovered, r not
     u) in up to three steps.  A u of degree 1 is a witness without
@@ -171,33 +178,36 @@ def compute_superset(
     deg = state.deg
     alive = state.alive
     covered = state.covered
-    full = canonical is None
+    full = scope is None
     if full:
         todo = range(state.n)
         canonical = []
         visits = sum(deg) + state.n
     else:
-        todo = canonical
+        todo = scope
+        canonical = {}
         visits = 0
     out = Superset()
     out.canonical = canonical
     closed_of: dict[int, set[int]] = {}
     for u in todo:
         au = adj[u]
+        # the canonical reference: the member of N[u] with maximum
+        # (degree, id), u itself included
+        rho = u
+        bd = deg[u]
+        for v in au:
+            d = deg[v]
+            if d >= bd and (d > bd or v > rho):
+                rho = v
+                bd = d
         if full:
-            # the canonical reference: the member of N[u] with maximum
-            # (degree, id), u itself included
-            rho = u
-            bd = deg[u]
-            for v in au:
-                d = deg[v]
-                if d >= bd and (d > bd or v > rho):
-                    rho = v
-                    bd = d
             canonical.append(rho)
         else:
-            rho = canonical[u]
-            bd = deg[rho]
+            visits += deg[u] + 1
+            if rho == scope[u]:
+                continue
+            canonical[u] = rho
         if rho == u or not alive[u] or covered[u]:
             continue
         if len(au) == 1:

@@ -400,60 +400,45 @@ def _reevaluate_superset(
     Drops the witness entries of the dirty vertices, then re-evaluates
     the uncovered ones and the uncovered neighbors whose canonical
     reference is dirty and that are carried witnesses or get another
-    canonical reference; see (i) in ``reduce_iterate``.  Each of those
-    canonical references is computed once, here, and handed to the
-    scoped superset pass, whose verdicts then replace the entries of the
-    re-evaluated vertices in ``sup``.  Returns the seeds of the round's
+    canonical reference; see (i) in ``reduce_iterate``.  The candidates
+    go to the scoped superset pass: the uncovered dirty vertices and the
+    carried witnesses with -1, every other neighbor with its old
+    reference, under which its verdict is known.  The pass computes each
+    candidate's reference and skips the neighbors whose reference is
+    unchanged.  The references and verdicts of the vertices it evaluated
+    then replace theirs in ``sup``.  Returns the seeds of the round's
     pair search: ``dirty`` itself, to which the re-evaluated vertices
     outside it are added.  ``dirty`` is the dirty set of the round's
     apply report, which ``reduce_iterate`` keeps to itself and never
     returns, so extending it in place reaches no caller.
     """
     adj = state.adj
-    deg = state.deg
     covered = state.covered
     canonical = sup.canonical
-    redo: dict[int, int] = {}
-    moved: list[int] = []
+    scope: dict[int, int] = {}
     visits = 0
     for t in dirty:
         sup.pop(t, None)
         at = adj[t]
         visits += len(at)
         if not covered[t]:
-            # the canonical reference, inline as in the superset pass; the
-            # loop below reads canonical[u] only for u outside ``dirty``
-            rho = t
-            bd = deg[t]
-            visits += bd + 1
-            for v in at:
-                d = deg[v]
-                if d >= bd and (d > bd or v > rho):
-                    rho = v
-                    bd = d
-            redo[t] = canonical[t] = rho
+            scope[t] = -1
         # R(u) lies in N(u), so each such u is looked at from R(u) only
         for u in at:
             if covered[u] or u in dirty or canonical[u] != t:
                 continue
-            bd = deg[u]
-            visits += bd + 1
-            rho = u
-            for v in adj[u]:
-                d = deg[v]
-                if d >= bd and (d > bd or v > rho):
-                    rho = v
-                    bd = d
-            if rho != t or u in sup:
-                redo[u] = rho
-                moved.append(u)
+            if u in sup:
+                # a carried witness is re-evaluated whatever its reference
+                del sup[u]
+                scope[u] = -1
+            else:
+                scope[u] = t
     if work is not None:
         work.add(visits)
-    part = pipeline.compute_superset(state, work=work, canonical=redo)
-    # the loop above reads the old canonical references of these
-    for u in moved:
-        canonical[u] = redo[u]
-        sup.pop(u, None)
+    part = pipeline.compute_superset(state, work=work, scope=scope)
+    # the loop above reads the old canonical references
+    for u, rho in part.canonical.items():
+        canonical[u] = rho
         dirty[u] = None
     sup.update(part)
     return dirty

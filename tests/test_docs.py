@@ -15,7 +15,7 @@ from dsreduce.generators import path
 from dsreduce.pipeline import WorkCounter
 from dsreduce.reducer import Variant, reduce_iterate
 from dsreduce.state import ReductionState
-from test_iterate import with_hub
+from test_iterate import hub_path_extra
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -72,9 +72,20 @@ def test_hub_path_rounds_and_visits():
     assert lengths[:3] == ["1001", "2000", "4001"], lengths
     assert len(lengths) == len(rounds) == len(visits), (lengths, rounds, visits)
     for length, want_rounds, want_visits in zip(lengths, rounds, visits):
-        got_rounds, per_nm = iterate_extra(with_hub(path(int(length)), 3))
-        assert got_rounds == int(want_rounds), (length, got_rounds)
+        rep, per_nm, _applied = hub_path_extra(int(length))
+        assert rep.rounds == int(want_rounds), (length, rep.rounds)
         assert same(want_visits, per_nm), (length, want_visits, per_nm)
+
+
+def test_hub_path_apply_visits():
+    # one of the runs above, which test_apply_work_on_the_hub_path reads too
+    text, length = quoted(
+        r"apply costs ([\d.]+) visits per \(n \+ m\) on the hub path at "
+        r"L = (\d+)"
+    )
+    assert length == "2000", length
+    _rep, _per_nm, applied = hub_path_extra(int(length))
+    assert same(text, applied), (text, applied)
 
 
 def test_wall_times_match_the_benchmark_keys_they_cite():

@@ -14,8 +14,10 @@ import io
 import random
 import sys
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from itertools import compress
+
+import pytest
 
 from conftest import build, committed, prepared, random_graphs
 from dsreduce import pipeline, reducer
@@ -356,7 +358,7 @@ def test_work_scales_linearly_on_chains():
 def test_each_pass_runs_once_per_round(monkeypatch):
     # A round calls each pipeline pass and apply_reduction once, through
     # the module attributes that a tracer such as perfbench/spans.py
-    # wraps, and the superset pass is scoped (``canonical=``) in every
+    # wraps, and the superset pass is scoped (``scope=``) in every
     # round after the first.  The wrappers read what the tracer reads:
     # len() of the pass results and the report's fixed and removed nodes.
     calls = Counter()
@@ -366,7 +368,7 @@ def test_each_pass_runs_once_per_round(monkeypatch):
 
         def counted(*args, **kwargs):
             out = real(*args, **kwargs)
-            scoped = kwargs.get("canonical") is not None
+            scoped = kwargs.get("scope") is not None
             calls[name + (" scoped" if scoped else "")] += 1
             read(out)
             return out
@@ -447,31 +449,14 @@ def with_hub(g, step, start=0):
     return build(g.n + 1, list(g.edges()) + spokes)
 
 
-def test_work_on_the_hub_path():
-    # A path of L = 2000 vertices with a hub joined to every third one
-    # sheds one reference per round.  The hub loses a neighbor every
-    # round, so it is dirty every round and its list is scanned each
-    # time: the total work is still quadratic in L (123, 242 and 480
-    # visits per (n + m) at L = 1001, 2000 and 4001).  Only the
-    # neighbors whose verdict can change are re-evaluated, and the
-    # carried witnesses are found from the smaller side; without that
-    # it cost 912 here (measured before the superset pass probed).
-    # Counts are exact, not timed.
-    g = with_hub(path(2000), 3)
-    work = WorkCounter()
-    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=work)
-    assert rep.converged and rep.rounds == 668
-    assert work.visits / (g.n + g.m) < 360, work.visits / (g.n + g.m)
-
-
-def test_apply_work_on_the_hub_path(monkeypatch):
-    # Extra cuts the edges among the marked survivors next to each round's
-    # reference, and the hub is one of them in every round.  The hub's
-    # list is longer than that set, so ``cut_within`` probes it once per
-    # other member instead of scanning it: apply's visits per (n + m) read
-    # 1.28 here, against 49.0 when every list was scanned.  Counts are
-    # exact, not timed.
-    g = with_hub(path(2000), 3)
+@cache
+def hub_path_extra(length):
+    """``reduce --rule extra --iterate`` on the path of ``length`` vertices
+    plus a hub joined to every third one: the report, and the visits per
+    (n + m) of the whole run and of apply alone.  Cached, so the hub-path
+    tests here and in tests/test_docs.py share one run per length."""
+    g = with_hub(path(length), 3)
+    total = WorkCounter()
     applied = WorkCounter()
     real = reducer.apply_reduction
 
@@ -482,10 +467,37 @@ def test_apply_work_on_the_hub_path(monkeypatch):
         work.add(own.visits)
         return out
 
-    monkeypatch.setattr(reducer, "apply_reduction", counted)
-    rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=WorkCounter())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reducer, "apply_reduction", counted)
+        rep = reduce_iterate(ReductionState(g), Variant.EXTRA, work=total)
+    nm = g.n + g.m
+    return rep, total.visits / nm, applied.visits / nm
+
+
+def test_work_on_the_hub_path():
+    # A path of L = 2000 vertices with a hub joined to every third one
+    # sheds one reference per round.  The hub loses a neighbor every
+    # round, so it is dirty every round and its list is scanned each
+    # time: the total work is still quadratic in L (123, 242 and 480
+    # visits per (n + m) at L = 1001, 2000 and 4001).  Only the
+    # neighbors whose verdict can change are re-evaluated, and the
+    # carried witnesses are found from the smaller side; without that
+    # it cost 912 here (measured before the superset pass probed).
+    # Counts are exact, not timed.
+    rep, per_nm, _applied = hub_path_extra(2000)
     assert rep.converged and rep.rounds == 668
-    assert applied.visits / (g.n + g.m) < 5, applied.visits / (g.n + g.m)
+    assert per_nm < 360, per_nm
+
+
+def test_apply_work_on_the_hub_path():
+    # Extra cuts the edges among the marked survivors next to each round's
+    # reference, and the hub is one of them in every round.  The hub's
+    # list is longer than that set, so ``cut_within`` probes it once per
+    # other member instead of scanning it: apply's visits per (n + m) read
+    # 1.28 here, as the README quotes.  Counts are exact, not timed.
+    rep, _per_nm, applied = hub_path_extra(2000)
+    assert rep.converged and rep.rounds == 668
+    assert applied < 5, applied
 
 
 def test_every_round_leaves_a_consistent_state(monkeypatch):

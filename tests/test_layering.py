@@ -356,3 +356,25 @@ def test_every_field_is_read_by_production_code():
     assert unread_fields(trees, KEPT_WITHOUT_READER) == []
     # the allow-list holds only fields that still need it
     assert unread_fields(trees) == sorted(KEPT_WITHOUT_READER)
+
+
+# The canonical reference's tie-break, as ``ast.unparse`` prints it: the
+# member of N[u] with the largest (degree, id).
+CANONICAL_TIE_BREAK = "d > bd or v > rho"
+
+
+def test_the_canonical_reference_has_one_home():
+    # every vertex's canonical reference is computed in the superset pass
+    # alone, which the re-evaluation of a round scopes to its candidates
+    homes = {}
+    for fname, tree in production_trees().items():
+        for node in tree.body:
+            members = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name + ".", item) for item in node.body]
+            for prefix, item in members:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    count = ast.unparse(item).count(CANONICAL_TIE_BREAK)
+                    if count:
+                        homes[f"{fname}:{prefix}{item.name}"] = count
+    assert homes == {"pipeline.py:compute_superset": 1}

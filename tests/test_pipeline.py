@@ -301,6 +301,7 @@ def test_stage_work_is_attributed():
 
 def test_scoped_passes_match_full_result_restricted():
     rng = random.Random(4100)
+    pick = random.Random(4101)
     graphs = random_graphs(150, (1, 30), [0.05, 0.1, 0.2, 0.4], seed_base=4100)
     for g in graphs + probe_graphs():
         covered = bytearray(rng.random() < 0.25 for _ in range(g.n))
@@ -317,13 +318,26 @@ def test_scoped_passes_match_full_result_restricted():
                 got = filter_suitable(st, pairs, f)
                 assert sorted(got) == [(u, r) for u, r in full if u in scope]
                 # the superset pass evaluates exactly its scope
-                part = compute_superset(
-                    st, canonical={u: canonical_reference(st, u) for u in scope}
-                )
+                part = compute_superset(st, scope=dict.fromkeys(scope, -1))
                 assert sorted(part.items()) == [
                     (u, r) for u, r in sorted(sup.items()) if u in scope
                 ]
                 assert part.canonical == {u: sup.canonical[u] for u in scope}
+                # given -1, its current reference or another vertex, a scope
+                # vertex is skipped exactly when given its current reference
+                given = {}
+                redo = {}
+                for u in scope:
+                    ref = canonical_reference(st, u)
+                    other = (ref + pick.randrange(1, st.n)) % st.n if st.n > 1 else -1
+                    given[u] = pick.choice((-1, ref, other))
+                    if given[u] != ref:
+                        redo[u] = ref
+                part = compute_superset(st, scope=given)
+                assert sorted(part.items()) == [
+                    (u, r) for u, r in sorted(sup.items()) if u in redo
+                ]
+                assert part.canonical == redo
 
 
 def test_scoped_passes_stay_local():
@@ -333,9 +347,7 @@ def test_scoped_passes_stay_local():
         st = ReductionState(path(n))
         wc = WorkCounter()
         scope = {0, n // 2}
-        got = compute_superset(
-            st, canonical={u: canonical_reference(st, u) for u in scope}, work=wc
-        )
+        got = compute_superset(st, scope=dict.fromkeys(scope, -1), work=wc)
         assert sorted(got.items()) == [(0, 1)]
         visits.append(wc.visits)
     assert visits[0] == visits[1] < 100
