@@ -91,7 +91,9 @@ def test_hub_path_apply_visits():
 def test_wall_times_match_the_benchmark_keys_they_cite():
     # Each time quoted as "<value> µs (`BENCH_<n>.json` key `<a.b>`)" must
     # be that key's value in that file, rounded as quoted; the per-round
-    # time of the chains corpus is quoted so, next to its parent's.
+    # time of the chains corpus is quoted so, next to its parent's, and
+    # so are greedy_best_of's times per powerlaw instance, in one process
+    # and forked.
     cited = re.findall(
         r"([\d.]+) µs \(`(BENCH_\d+\.json)` key `([\w.]+)`\)", readme_text()
     )
@@ -99,6 +101,8 @@ def test_wall_times_match_the_benchmark_keys_they_cite():
     assert {
         ("BENCH_35.json", "per_round_us.change"),
         ("BENCH_35.json", "per_round_us.parent"),
+        ("BENCH_38.json", "best_of_us.powerlaw_sequential"),
+        ("BENCH_38.json", "best_of_us.powerlaw_forked"),
     } <= keys, cited
     for text, fname, key in cited:
         with open(os.path.join(ROOT, fname), encoding="utf-8") as fh:

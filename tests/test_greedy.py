@@ -1,16 +1,12 @@
-import faulthandler
 import hashlib
-import importlib
 import itertools
 import os
 import random
-import threading
-import warnings
 
 import pytest
 
 from conftest import annotated, build, committed, fresh, members, random_graphs
-from dsreduce.generators import complete, gnp, path, star
+from dsreduce.generators import complete, cycle, gnp, path, star
 from dsreduce.graph import first_undominated
 from dsreduce.greedy import (
     TieBreaker,
@@ -22,10 +18,6 @@ from dsreduce.greedy import (
 from dsreduce.oracle import exact_annotated_gamma, greedy_reference, naive_reduce
 from dsreduce.reducer import Variant, export_residual, reduce_iterate
 from dsreduce.state import ReductionState, compact
-
-# the module; ``dsreduce.greedy`` on the package is the function
-GREEDY = importlib.import_module("dsreduce.greedy")
-
 
 def test_four_path_always_two_picks():
     g = path(4)
@@ -311,206 +303,15 @@ def test_greedy_close_to_optimum_on_small_instances():
         assert opt <= len(got) <= 2 * opt + 1
 
 
-# Seeds run in forked children only on a residual of at least
-# FORK_MIN_SIZE alive vertices plus live edges and with more than one
-# usable CPU; these tests lower the one and report more of the other.
-
-
-def use_cpus(monkeypatch, count, floor=0):
-    monkeypatch.setattr(GREEDY, "FORK_MIN_SIZE", floor)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def count_forks(monkeypatch):
-    """Patch ``os.fork`` to count the children this process forks."""
-    forks = []
-    real = os.fork
-
-    def fork():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def covered_gnp_cases(count, seed):
-    rng = random.Random(seed)
-    cases = []
-    for g in random_graphs(count, (8, 60), [0.05, 0.1, 0.2], seed_base=seed):
-        covered = bytearray(rng.random() < 0.3 for _ in range(g.n))
-        cases.append(annotated(g, covered))
-    return cases
-
-
-def sequential_best_of(inst, seeds):
-    runs = [greedy(inst, TieBreaker.from_seed(inst.n, s)) for s in seeds]
-    return min(runs, key=len)
-
-
-@pytest.mark.filterwarnings("error")
-def test_forked_seeds_pick_what_sequential_runs_pick(monkeypatch):
-    # every seed-list length 1-6 against 2-4 workers; seeds repeat and
-    # graphs are small, so equal sizes from different strides are common
-    # and the earliest must win
-    rng = random.Random(2801)
-    cases = covered_gnp_cases(12, 2802)
-    forks = count_forks(monkeypatch)
-    for i, (length, cpus) in enumerate(itertools.product(range(1, 7), range(2, 5))):
-        inst = cases[i % len(cases)]
-        seeds = [rng.randrange(20) for _ in range(length)]
-        want = sequential_best_of(inst, seeds)
-        use_cpus(monkeypatch, cpus)
-        before = len(forks)
-        assert greedy_best_of(inst, seeds) == want, (i, seeds, cpus)
-        assert len(forks) - before == min(length, cpus) - 1, (length, cpus)
-        assert_no_child_left()
-    assert len(forks) == 26
-
-
-def child_write(monkeypatch, act):
-    """Patch ``os.write`` so a forked child does ``act(real_write, fd, data)``
-    instead of writing; this process writes as before."""
-    parent = os.getpid()
-    real = os.write
-
-    def write(fd, data):
-        if os.getpid() == parent:
-            return real(fd, data)
-        return act(real, fd, data)
-
-    monkeypatch.setattr(os, "write", write)
-
-
-def exit_before_writing(real, fd, data):
-    os._exit(1)
-
-
-def exit_0_after_half(real, fd, data):
-    real(fd, bytes(data[: len(data) // 2]))
-    os._exit(0)
-
-
-def exit_0_after_garbage(real, fd, data):
-    real(fd, b"\xff" * len(data))
-    os._exit(0)
-
-
-def exit_1_after_writing(real, fd, data):
-    real(fd, data)
-    os._exit(1)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "act",
-    [exit_before_writing, exit_0_after_half, exit_0_after_garbage, exit_1_after_writing],
-)
-def test_failed_child_costs_time_not_the_result(monkeypatch, act):
-    inst = covered_gnp_cases(1, 2803)[0]
-    seeds = default_seed_list(4, count=5)
-    want = sequential_best_of(inst, seeds)
-    parent = os.getpid()
-    real = GREEDY.greedy
-    here = []
-
-    def counted(*args, **kwargs):
-        if os.getpid() == parent:
-            here.append(1)
-        return real(*args, **kwargs)
-
-    use_cpus(monkeypatch, 3)
-    monkeypatch.setattr(GREEDY, "greedy", counted)
-    forks = count_forks(monkeypatch)
-    child_write(monkeypatch, act)
-    assert greedy_best_of(inst, seeds) == want
-    assert len(forks) == 2
-    # both children's strides were run again here
-    assert len(here) == len(seeds)
-    assert_no_child_left()
-
-
-@pytest.mark.filterwarnings("error")
-def test_children_are_reaped_when_this_process_raises(monkeypatch):
-    # 20,000 isolated vertices: a child's picks fill more than a pipe's
-    # buffer, so it is still writing when this process stops reading
-    inst = fresh(build(20_000, []))
-    parent = os.getpid()
-    real = GREEDY.greedy
-
-    def fails_here(*args, **kwargs):
-        if os.getpid() == parent:
-            raise RuntimeError("stop")
-        return real(*args, **kwargs)
-
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(GREEDY, "greedy", fails_here)
-    forks = count_forks(monkeypatch)
-    # a child that kept the pipe open would block this process for good
-    faulthandler.dump_traceback_later(60, exit=True)
-    try:
-        with pytest.raises(RuntimeError, match="stop"):
-            greedy_best_of(inst, default_seed_list(5, count=4))
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-    assert len(forks) == 1
-    assert_no_child_left()
-    # read to the end, the same picks arrive whole
-    monkeypatch.setattr(GREEDY, "greedy", real)
-    assert greedy_best_of(inst, [1, 2]) == sequential_best_of(inst, [1, 2])
-    assert len(forks) == 2
-    assert_no_child_left()
-
-
-@pytest.mark.filterwarnings("error")
-def test_unforkable_strides_run_here(monkeypatch):
-    def no_process(*args):
-        raise BlockingIOError("no process to spare")
-
-    inst = covered_gnp_cases(1, 2805)[0]
-    seeds = default_seed_list(6, count=4)
-    want = sequential_best_of(inst, seeds)
-    use_cpus(monkeypatch, 4)
-    monkeypatch.setattr(os, "fork", no_process)
-    assert greedy_best_of(inst, seeds) == want
-
-
-@pytest.mark.filterwarnings("error")
-def test_no_fork_below_the_floor_on_one_cpu_or_beside_a_thread(monkeypatch):
+def test_best_of_starts_no_process(monkeypatch):
+    # 6,000 alive vertices plus 6,000 live edges on a host said to have
+    # four CPUs: every seed still runs in this process
     def forbidden(*args):
         raise AssertionError("forked")
 
-    g = preferential(1200, 2, random.Random(2806))
-    inst = fresh(g)
-    size = g.n + sum(g.deg) // 2
-    seeds = default_seed_list(7, count=4)
-    want = sequential_best_of(inst, seeds)
     monkeypatch.setattr(os, "fork", forbidden)
-    use_cpus(monkeypatch, 4, floor=size + 1)  # just below the floor
-    assert greedy_best_of(inst, seeds) == want
-    use_cpus(monkeypatch, 1)  # one usable CPU
-    assert greedy_best_of(inst, seeds) == want
-    use_cpus(monkeypatch, 4)  # one seed
-    assert greedy_best_of(inst, seeds[:1]) == sequential_best_of(inst, seeds[:1])
-    # another live thread: forking beside it is unsafe
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        assert greedy_best_of(inst, seeds) == want
-    finally:
-        release.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    # at the floor it forks
-    monkeypatch.undo()
-    use_cpus(monkeypatch, 2, floor=size)
-    forks = count_forks(monkeypatch)
-    assert greedy_best_of(inst, seeds) == want
-    assert len(forks) == 1
-    assert_no_child_left()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    g = cycle(6000)
+    seeds = default_seed_list(8, count=3)
+    runs = [greedy(fresh(g), TieBreaker.from_seed(g.n, s)) for s in seeds]
+    assert greedy_best_of(fresh(g), seeds) == min(runs, key=len)
